@@ -116,24 +116,6 @@ printFigure()
     quest::bench::emit(concat);
 }
 
-void
-BM_MaskLookup(benchmark::State &state)
-{
-    quest::sim::StatGroup stats("bench");
-    const qecc::Lattice lattice(21, 56);
-    const core::MaskTable table(
-        lattice,
-        state.range(0) ? core::MaskLayout::Coalesced
-                       : core::MaskLayout::Full,
-        7, stats);
-    std::size_t q = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(table.masked(q));
-        q = (q + 1) % lattice.numQubits();
-    }
-}
-BENCHMARK(BM_MaskLookup)->Arg(0)->Arg(1);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

@@ -4,15 +4,12 @@
  *
  * Every bench binary prints its paper artifact as an aligned table
  * (the series the paper plots, so results can be compared by eye or
- * scripted from the CSV block) and then runs its google-benchmark
- * timing kernels, so iterating the bench binaries
+ * scripted from the CSV block), so iterating the bench binaries
  * regenerates the whole evaluation.
  */
 
 #ifndef QUEST_BENCH_UTIL_HPP
 #define QUEST_BENCH_UTIL_HPP
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <fstream>
@@ -55,29 +52,15 @@ writeMetricsJson(const std::string &bench, const std::string &path)
     std::cout << "wrote " << path << "\n";
 }
 
-/**
- * Standard bench main body: print the figure, then run the
- * registered google-benchmark kernels.
- */
-inline int
-runBench(int argc, char **argv, void (*print_figure)())
-{
-    quest::sim::setQuiet(true);
-    print_figure();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
-
 } // namespace quest::bench
 
+/** Standard bench main: quiet logging, then print the figure. */
 #define QUEST_BENCH_MAIN(print_figure)                                      \
-    int main(int argc, char **argv)                                        \
+    int main()                                                              \
     {                                                                       \
-        return quest::bench::runBench(argc, argv, print_figure);            \
+        quest::sim::setQuiet(true);                                         \
+        print_figure();                                                     \
+        return 0;                                                           \
     }
 
 #endif // QUEST_BENCH_UTIL_HPP

@@ -82,32 +82,6 @@ printFigure()
     quest::bench::emit(table);
 }
 
-void
-BM_SystemRound(benchmark::State &state)
-{
-    QuestSystem sys(makeConfig(1024));
-    sys.placeLogicalQubits();
-    for (auto _ : state)
-        sys.master().stepRound();
-    state.SetItemsProcessed(state.iterations()
-                            * long(sys.master().numMces()));
-}
-BENCHMARK(BM_SystemRound);
-
-void
-BM_MceQeccRound(benchmark::State &state)
-{
-    core::MceConfig cfg;
-    cfg.distance = std::size_t(state.range(0));
-    cfg.errorRates = quantum::ErrorRates::uniform(1e-4);
-    core::Mce mce("bench", cfg);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(mce.runQeccRound());
-    state.SetItemsProcessed(state.iterations()
-                            * long(mce.lattice().numQubits()));
-}
-BENCHMARK(BM_MceQeccRound)->Arg(3)->Arg(5)->Arg(9)->Arg(15);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

@@ -31,18 +31,6 @@ struct Experiment
           extractor(schedule)
     {}
 
-    /** One memory-experiment sample; returns detection events. */
-    decode::DetectionEvents
-    sample(double p, sim::Rng &rng, quantum::PauliFrame &frame) const
-    {
-        quantum::ErrorChannel channel(
-            quantum::ErrorRates{p, 0, 0, 0, p}, rng);
-        auto history = extractor.runRounds(frame, &channel,
-                                           lattice.rows() / 2 + 1);
-        history.push_back(extractor.runRound(frame, nullptr));
-        return decode::extractDetectionEvents(history, extractor);
-    }
-
     bool
     logicalError(quantum::PauliFrame &frame) const
     {
@@ -172,54 +160,6 @@ printFigure()
                   "near-linear scaling");
     quest::bench::emit(table);
 }
-
-template <typename Decoder>
-void
-runDecoderBench(benchmark::State &state, std::size_t exact_limit)
-{
-    const Experiment exp(std::size_t(state.range(0)));
-    Decoder decoder = [&] {
-        if constexpr (std::is_same_v<Decoder, MwpmDecoder>)
-            return MwpmDecoder(exp.lattice, exact_limit);
-        else
-            return ClusterDecoder(exp.lattice);
-    }();
-    sim::Rng rng(7);
-
-    // Pre-generate event batches so only decoding is timed.
-    std::vector<decode::DetectionEvents> batches;
-    for (int i = 0; i < 32; ++i) {
-        quantum::PauliFrame frame(exp.lattice.numQubits());
-        batches.push_back(exp.sample(3e-3, rng, frame));
-    }
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            decoder.decode(batches[i % batches.size()]));
-        ++i;
-    }
-}
-
-void
-BM_DecodeMwpmExact(benchmark::State &state)
-{
-    runDecoderBench<MwpmDecoder>(state, 14);
-}
-BENCHMARK(BM_DecodeMwpmExact)->Arg(5)->Arg(9)->Arg(13);
-
-void
-BM_DecodeGreedy(benchmark::State &state)
-{
-    runDecoderBench<MwpmDecoder>(state, 0);
-}
-BENCHMARK(BM_DecodeGreedy)->Arg(5)->Arg(9)->Arg(13);
-
-void
-BM_DecodeCluster(benchmark::State &state)
-{
-    runDecoderBench<ClusterDecoder>(state, 0);
-}
-BENCHMARK(BM_DecodeCluster)->Arg(5)->Arg(9)->Arg(13);
 
 } // namespace
 

@@ -70,18 +70,6 @@ printFigure()
     quest::bench::emit(table);
 }
 
-void
-BM_DeliverRound(benchmark::State &state)
-{
-    CacheConfig cache;
-    cache.missRate = double(state.range(0)) * 1e-4;
-    const DeliveryPath path(cache, makeJob());
-    sim::Rng rng(5);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(path.deliverRound(rng));
-}
-BENCHMARK(BM_DeliverRound)->Arg(0)->Arg(10)->Arg(100);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

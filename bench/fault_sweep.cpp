@@ -14,8 +14,6 @@
 
 #include "bench_util.hpp"
 #include "core/system.hpp"
-#include "decode/detection.hpp"
-#include "qecc/extractor.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/parallel.hpp"
 
@@ -53,10 +51,10 @@ struct SweepPoint
 };
 
 SweepPoint
-runPoint(double fault_rate, std::size_t rounds = 512)
+runPoint(double fault_rate)
 {
     core::MasterController master(sweepConfig(fault_rate));
-    master.runRounds(rounds);
+    master.runRounds(512);
 
     SweepPoint pt;
     pt.faultRate = fault_rate;
@@ -111,53 +109,6 @@ printFigure()
                   "fault-free traffic until rates reach ~1e-2");
     quest::bench::emit(table);
 }
-
-void
-BM_FaultSweepPoint(benchmark::State &state)
-{
-    const double rate =
-        state.range(0) == 0 ? 0.0 : 1.0 / double(state.range(0));
-    for (auto _ : state) {
-        const SweepPoint pt = runPoint(rate, /*rounds=*/128);
-        benchmark::DoNotOptimize(pt.busBytes);
-    }
-    state.SetLabel("fault rate "
-                   + quest::sim::formatCount(rate));
-}
-BENCHMARK(BM_FaultSweepPoint)->Arg(0)->Arg(1000)->Arg(100);
-
-/**
- * The Monte-Carlo side of the sweep's workload point (d=3 memory
- * windows at the sweep's physical rates), run through the
- * bit-parallel batch engine: 64 trials per frame word, detection
- * events extracted per lane. Items processed counts trials, so
- * items/sec is directly comparable with a scalar-engine run.
- */
-void
-BM_BatchedMemoryWindow(benchmark::State &state)
-{
-    const auto d = std::size_t(state.range(0));
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(d);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
-    std::uint64_t batch = 0;
-    for (auto _ : state) {
-        quantum::BatchPauliFrame frame(lattice.numQubits());
-        quantum::BatchErrorChannel channel(
-            quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3}, 9,
-            batch * quantum::BatchPauliFrame::lanes);
-        auto history = extractor.runRoundsBatch(frame, &channel, d);
-        history.push_back(extractor.runRoundBatch(frame, nullptr));
-        benchmark::DoNotOptimize(
-            decode::extractDetectionEventsBatch(history, extractor));
-        ++batch;
-    }
-    state.SetItemsProcessed(
-        state.iterations()
-        * long(quantum::BatchPauliFrame::lanes));
-}
-BENCHMARK(BM_BatchedMemoryWindow)->Arg(3)->Arg(5);
 
 } // namespace
 

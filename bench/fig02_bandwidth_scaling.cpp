@@ -42,18 +42,6 @@ printFigure()
     quest::bench::emit(table);
 }
 
-void
-BM_ShorEstimate(benchmark::State &state)
-{
-    const ResourceEstimator est;
-    const auto w = workloads::shor(std::size_t(state.range(0)));
-    for (auto _ : state) {
-        auto r = est.estimate(w);
-        benchmark::DoNotOptimize(r.baselineBandwidth);
-    }
-}
-BENCHMARK(BM_ShorEstimate)->Arg(128)->Arg(512)->Arg(1024);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

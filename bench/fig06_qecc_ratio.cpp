@@ -45,20 +45,6 @@ printFigure()
     quest::bench::emit(table);
 }
 
-void
-BM_SuiteEstimate(benchmark::State &state)
-{
-    const ResourceEstimator est;
-    const auto suite = workloads::workloadSuite();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (const auto &w : suite)
-            total += est.estimate(w).qeccRatio();
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_SuiteEstimate);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

@@ -43,21 +43,6 @@ printFigure()
     quest::bench::emit(table);
 }
 
-void
-BM_CapacitySearch(benchmark::State &state)
-{
-    const MicrocodeModel model(
-        qecc::protocolSpec(qecc::Protocol::Steane),
-        tech::Technology::ProjectedD);
-    const auto design =
-        static_cast<MicrocodeDesign>(state.range(0));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            model.capacityLimitedQubits(design, 4096));
-    }
-}
-BENCHMARK(BM_CapacitySearch)->Arg(0)->Arg(1)->Arg(2);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

@@ -47,21 +47,6 @@ printFigure()
     quest::bench::emit(table);
 }
 
-void
-BM_ServicedQubits(benchmark::State &state)
-{
-    const MicrocodeModel model(
-        qecc::protocolSpec(qecc::Protocol::Steane),
-        tech::Technology::ProjectedD);
-    const MemoryConfig cfg{std::size_t(state.range(0)),
-                           4096u / std::size_t(state.range(0))};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.servicedQubits(
-            MicrocodeDesign::UnitCell, cfg));
-    }
-}
-BENCHMARK(BM_ServicedQubits)->Arg(1)->Arg(2)->Arg(4);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

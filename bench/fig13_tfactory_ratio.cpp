@@ -41,17 +41,6 @@ printFigure()
     quest::bench::emit(table);
 }
 
-void
-BM_FactoryPlan(benchmark::State &state)
-{
-    const quest::distill::TFactoryModel model;
-    for (auto _ : state) {
-        auto plan = model.plan(1e-4, 1e12, 0.7);
-        benchmark::DoNotOptimize(plan.plantInstrPerStep);
-    }
-}
-BENCHMARK(BM_FactoryPlan);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

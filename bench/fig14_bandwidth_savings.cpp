@@ -73,18 +73,6 @@ printFigure()
         "BENCH_fig14_bandwidth_savings.json");
 }
 
-void
-BM_FullEstimate(benchmark::State &state)
-{
-    const ResourceEstimator est;
-    const auto w = workloads::shor(512);
-    for (auto _ : state) {
-        auto r = est.estimate(w);
-        benchmark::DoNotOptimize(r.totalSavings());
-    }
-}
-BENCHMARK(BM_FullEstimate);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

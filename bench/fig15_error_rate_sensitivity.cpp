@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "decode/detection.hpp"
-#include "qecc/extractor.hpp"
 #include "sim/parallel.hpp"
 #include "workloads/estimator.hpp"
 
@@ -59,58 +57,6 @@ printFigure()
                   "stays roughly constant");
     quest::bench::emit(table);
 }
-
-void
-BM_ErrorRateSweep(benchmark::State &state)
-{
-    const auto w = workloads::shor(512);
-    for (auto _ : state) {
-        double total = 0.0;
-        for (double p : { 1e-3, 1e-4, 1e-5 }) {
-            EstimatorConfig cfg;
-            cfg.physicalErrorRate = p;
-            total += ResourceEstimator(cfg).estimate(w).mceSavings();
-        }
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_ErrorRateSweep);
-
-/**
- * Memory-experiment throughput at each sweep point's physical
- * error rate, through the bit-parallel batch engine (64 trials per
- * frame word at a fixed d=5 tile). This is the Monte-Carlo cost of
- * validating one Figure-15 sweep point by direct simulation; the
- * range arg is the inverse error rate.
- */
-void
-BM_BatchedSweepPoint(benchmark::State &state)
-{
-    const double p = 1.0 / double(state.range(0));
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(5);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
-    std::uint64_t batch = 0;
-    for (auto _ : state) {
-        quantum::BatchPauliFrame frame(lattice.numQubits());
-        quantum::BatchErrorChannel channel(
-            quantum::ErrorRates{p, 0, 0, 0, p}, 15,
-            batch * quantum::BatchPauliFrame::lanes);
-        auto history = extractor.runRoundsBatch(frame, &channel, 5);
-        history.push_back(extractor.runRoundBatch(frame, nullptr));
-        benchmark::DoNotOptimize(
-            decode::extractDetectionEventsBatch(history, extractor));
-        ++batch;
-    }
-    state.SetItemsProcessed(
-        state.iterations()
-        * long(quantum::BatchPauliFrame::lanes));
-}
-BENCHMARK(BM_BatchedSweepPoint)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000);
 
 } // namespace
 

@@ -62,17 +62,6 @@ printFigure()
                                    "BENCH_fig16_mce_throughput.json");
 }
 
-void
-BM_OptimalConfigSearch(benchmark::State &state)
-{
-    const MicrocodeModel model(
-        qecc::protocolSpec(qecc::Protocol::SC17),
-        tech::Technology::ProjectedD);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(model.optimalConfig(4096));
-}
-BENCHMARK(BM_OptimalConfigSearch);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

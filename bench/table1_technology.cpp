@@ -58,17 +58,6 @@ printFigure()
     quest::bench::emit(rounds);
 }
 
-void
-BM_RoundDuration(benchmark::State &state)
-{
-    const auto &spec = qecc::protocolSpec(qecc::Protocol::Steane);
-    const auto lat = tech::gateLatencies(
-        tech::Technology::ProjectedD);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(spec.roundDuration(lat));
-}
-BENCHMARK(BM_RoundDuration);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

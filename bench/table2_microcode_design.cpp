@@ -47,18 +47,6 @@ printFigure()
     quest::bench::emit(table);
 }
 
-void
-BM_JJModel(benchmark::State &state)
-{
-    const tech::JJMemoryModel mem;
-    const tech::MemoryConfig cfg{4, 1024};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(mem.jjCount(cfg));
-        benchmark::DoNotOptimize(mem.uopsPerSecond(cfg, 4));
-    }
-}
-BENCHMARK(BM_JJModel);
-
 } // namespace
 
 QUEST_BENCH_MAIN(printFigure)

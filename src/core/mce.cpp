@@ -122,18 +122,25 @@ Mce::rebuildMaskedSchedule()
     // Copy the base program and blank every uop addressed to a
     // masked qubit: syndrome generation is suppressed there and the
     // slot is available to the logical-uop path instead.
-    auto masked = std::make_unique<RoundSchedule>(
-        *_lattice, _baseSchedule->spec());
+    RoundSchedule masked(*_lattice, _baseSchedule->spec());
     for (std::size_t s = 0; s < _baseSchedule->depth(); ++s) {
         SubCycle sc = _baseSchedule->subCycle(s);
         for (std::size_t q = 0; q < sc.uops.size(); ++q)
             if (_mask.masked(q))
                 sc.uops[q] = PhysOpcode::Nop;
-        masked->addSubCycle(std::move(sc));
+        masked.addSubCycle(std::move(sc));
     }
-    _maskedSchedule = std::move(masked);
-    _extractor = std::make_unique<qecc::SyndromeExtractor>(
-        *_maskedSchedule);
+    // Rebuild in place: streaming decoders hold the extractor's
+    // address, so the schedule and extractor outlive every mask edit.
+    if (_extractor) {
+        *_maskedSchedule = std::move(masked);
+        _extractor->recompile();
+    } else {
+        _maskedSchedule =
+            std::make_unique<RoundSchedule>(std::move(masked));
+        _extractor = std::make_unique<qecc::SyndromeExtractor>(
+            *_maskedSchedule);
+    }
     // The dependence graph changed with the program; the next
     // scheduled round (or oracle consumer) re-plans lazily.
     _oracle.reset();

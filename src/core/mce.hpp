@@ -208,7 +208,8 @@ class Mce
      */
     void setWindowBuffering(bool on) { _windowBuffering = on; }
 
-    /** The syndrome extractor replaying this tile's microcode. */
+    /** The syndrome extractor replaying this tile's microcode. Its
+     *  address is stable: mask edits recompile it in place. */
     const qecc::SyndromeExtractor &extractor() const
     {
         return *_extractor;

@@ -70,6 +70,14 @@ SyndromeExtractor::SyndromeExtractor(const RoundSchedule &schedule)
         _syndromeSlot[lat.index(_xAncillas[i])] = int(i);
     for (std::size_t i = 0; i < _zAncillas.size(); ++i)
         _syndromeSlot[lat.index(_zAncillas[i])] = int(i);
+    recompile();
+}
+
+void
+SyndromeExtractor::recompile()
+{
+    const RoundSchedule &schedule = *_schedule;
+    const Lattice &lat = schedule.lattice();
     QUEST_ASSERT(validateSchedule(schedule), "malformed round schedule");
 
     // Precompile the schedule into a flat program: the sub-cycle
@@ -77,6 +85,7 @@ SyndromeExtractor::SyndromeExtractor(const RoundSchedule &schedule)
     // instead of every round. Op order is exactly the schedule's
     // (sub-cycle major, qubit minor), so noise draw order — and
     // therefore every random stream — is unchanged.
+    _program.clear();
     for (std::size_t s = 0; s < schedule.depth(); ++s) {
         const SubCycle &sc = schedule.subCycle(s);
         for (std::size_t q = 0; q < sc.uops.size(); ++q) {

@@ -73,6 +73,14 @@ class SyndromeExtractor
      */
     explicit SyndromeExtractor(const RoundSchedule &schedule);
 
+    /**
+     * Recompile the round program after the schedule was edited in
+     * place (same lattice). An owner that rebuilds its schedule calls
+     * this instead of constructing a new extractor, so references to
+     * the extractor held elsewhere stay valid.
+     */
+    void recompile();
+
     const Lattice &lattice() const { return _schedule->lattice(); }
 
     /** Ancilla coordinates in the order syndromes are reported. */

@@ -13,10 +13,6 @@ faultSiteName(FaultSite site)
       case FaultSite::MicrocodeSeu: return "microcode-seu";
       case FaultSite::DecoderOverrun: return "decoder-overrun";
       case FaultSite::MceHang: return "mce-hang";
-      case FaultSite::WorkerKill: return "worker-kill";
-      case FaultSite::WorkerStall: return "worker-stall";
-      case FaultSite::ResultDrop: return "result-drop";
-      case FaultSite::DuplicateResult: return "duplicate-result";
     }
     panic("invalid fault site %zu", std::size_t(site));
 }

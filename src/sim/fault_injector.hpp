@@ -43,26 +43,14 @@ enum class FaultSite : std::size_t
     MicrocodeSeu,      ///< single-event upset in a JJ microcode bank
     DecoderOverrun,    ///< global MWPM decode misses its window
     MceHang,           ///< an MCE wedges and stops responding
-
-    /** @name Fleet fault sites (src/fleet chaos testing).
-     *  Drawn per task on the worker side, so a chaotic sweep
-     *  replays bit-for-bit under a fixed chaos seed. */
-    ///@{
-    WorkerKill,      ///< worker dies mid-task (connection drops)
-    WorkerStall,     ///< worker sits on a task past its lease
-    ResultDrop,      ///< result computed but never transmitted
-    DuplicateResult, ///< result transmitted twice
-    ///@}
 };
 
-inline constexpr std::size_t faultSiteCount = 9;
+inline constexpr std::size_t faultSiteCount = 5;
 
 inline constexpr FaultSite allFaultSites[] = {
-    FaultSite::NetworkLoss,   FaultSite::NetworkCorruption,
-    FaultSite::MicrocodeSeu,  FaultSite::DecoderOverrun,
-    FaultSite::MceHang,       FaultSite::WorkerKill,
-    FaultSite::WorkerStall,   FaultSite::ResultDrop,
-    FaultSite::DuplicateResult,
+    FaultSite::NetworkLoss,  FaultSite::NetworkCorruption,
+    FaultSite::MicrocodeSeu, FaultSite::DecoderOverrun,
+    FaultSite::MceHang,
 };
 
 /** Display name, e.g. "network-loss". */

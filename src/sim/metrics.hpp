@@ -164,9 +164,10 @@ class Histogram
 
 /**
  * The process-wide registry. Metric objects are created on first
- * use, never destroyed, and safe to cache by reference (the hot
- * paths hold a function-local static reference so steady-state
- * recording is one relaxed atomic op).
+ * use, never destroyed, and safe to cache by reference: bind the
+ * reference at construction (a member initializer, never a
+ * function-local static) so steady-state recording is one relaxed
+ * atomic op.
  */
 class Registry
 {

@@ -59,9 +59,8 @@ class Rng
      * point the stream `substream(deriveSeed(seed, k), t)`. The
      * derivation is a splitmix64 step over the mixed key, so
      * distinct salts land on well-separated seeds and the value is
-     * stable across platforms (the fleet's task-sharding contract:
-     * a worker reproduces the exact stream the single-process sweep
-     * used for the same (point, trial) coordinate).
+     * stable across platforms, so a (point, trial) coordinate names
+     * the same stream on every host and in every run.
      */
     static std::uint64_t deriveSeed(std::uint64_t seed,
                                     std::uint64_t salt);

@@ -31,8 +31,8 @@
  *                still meet the deadline under worst-case
  *                arbitration.
  *
- * Every run bumps the process-wide `verify.*` metrics so a fleet
- * operator can alert on pre-flight failures.
+ * Every run bumps the process-wide `verify.*` metrics, so a run's
+ * --metrics-out output records its pre-flight failures.
  */
 
 #ifndef QUEST_VERIFY_VERIFIER_HPP

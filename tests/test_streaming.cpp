@@ -17,6 +17,7 @@
 #include "core/system.hpp"
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
+#include "isa/trace.hpp"
 #include "quantum/error_model.hpp"
 #include "sim/random.hpp"
 
@@ -263,6 +264,42 @@ TEST(StreamingMaster, DecodeNowFlushesBufferedRounds)
     EXPECT_EQ(mce.residualErrorWeight(), 0u);
     EXPECT_GT(master.busBytesSyndrome(), 0.0);
     EXPECT_GT(master.busBytesCorrections(), 0.0);
+}
+
+TEST(StreamingMaster, StreamsAcrossMaskEdits)
+{
+    // Placing logical qubits and every mask instruction rebuild the
+    // tile's masked schedule. The streamers hold the tile extractor,
+    // so it must survive those rebuilds (ASan flags a stale one).
+    using namespace quest::core;
+    MasterConfig cfg;
+    cfg.numMces = 2;
+    cfg.mce = tileConfigForLogicalQubits(3);
+    cfg.mce.errorRates = quest::quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+    cfg.streamWindowRounds = 6;
+    cfg.streamStrideRounds = 3;
+    QuestSystem system(cfg);
+    MasterController &master = system.master();
+    const SyndromeExtractor *extractor = &master.mce(0).extractor();
+
+    system.placeLogicalQubits();
+    const double writes = master.mce(0).maskTable().writeCount();
+    quest::isa::TraceGenConfig tg;
+    tg.numInstructions = 600;
+    tg.logicalQubits = 2; // one per tile
+    tg.maskFraction = 0.3;
+    const std::size_t rounds = 300;
+    system.runMixedWorkload(quest::isa::generateApplicationTrace(tg),
+                            quest::isa::generateDistillationRound(0),
+                            rounds);
+    master.decodeNow();
+
+    EXPECT_GT(master.mce(0).maskTable().writeCount(), writes);
+    EXPECT_EQ(&master.mce(0).extractor(), extractor);
+    for (std::size_t i = 0; i < cfg.numMces; ++i) {
+        EXPECT_EQ(master.streamer(i).roundsPushed(), rounds);
+        EXPECT_EQ(master.streamer(i).lagRounds(), 0u);
+    }
 }
 
 } // namespace

@@ -14,18 +14,13 @@
  *   verify     static verification of control-plane artifacts
  *              (microcode equivalence, budgets, hazards, ISA) with
  *              machine-readable diagnostics.
- *   serve      fleet manager: farm a Monte-Carlo sweep to workers
- *              over TCP (bit-identical to a local run).
- *   worker     fleet worker: pull tasks from a manager; chaos
- *              flags inject seeded failures for testing.
- *   submit     send a sweep job to a waiting manager and print the
- *              merged CSV it returns.
  *
  * Run `quest <subcommand> --help` for the flags of each.
  */
 
 #include <algorithm>
-#include <chrono>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,14 +30,11 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/system.hpp"
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
-#include "fleet/manager.hpp"
-#include "fleet/worker.hpp"
 #include "isa/trace.hpp"
 #include "qecc/extractor.hpp"
 #include "sim/metrics.hpp"
@@ -95,20 +87,73 @@ class Options
         return it == _values.end() ? fallback : it->second;
     }
 
+    /** A finite number; anything else is a fatal usage error. */
     double
     getDouble(const std::string &key, double fallback) const
     {
         const auto it = _values.find(key);
-        return it == _values.end() ? fallback
-                                   : std::atof(it->second.c_str());
+        if (it == _values.end())
+            return fallback;
+        const char *text = it->second.c_str();
+        char *end = nullptr;
+        const double value = std::strtod(text, &end);
+        if (end == text || *end != '\0' || !std::isfinite(value))
+            sim::fatal("--%s expects a number, got '%s'", key.c_str(),
+                       text);
+        return value;
     }
 
-    long
-    getInt(const std::string &key, long fallback) const
+    /** A probability in [0, 1]. */
+    double
+    getRate(const std::string &key, double fallback) const
+    {
+        const double value = getDouble(key, fallback);
+        if (value < 0.0 || value > 1.0)
+            sim::fatal("--%s must be in [0, 1], got %g", key.c_str(),
+                       value);
+        return value;
+    }
+
+    /** A non-negative integer: a count, a size or a seed. */
+    std::uint64_t
+    getCount(const std::string &key, std::uint64_t fallback) const
     {
         const auto it = _values.find(key);
-        return it == _values.end() ? fallback
-                                   : std::atol(it->second.c_str());
+        if (it == _values.end())
+            return fallback;
+        const std::string &text = it->second;
+        const char *last = text.data() + text.size();
+        std::uint64_t value = 0;
+        const auto [end, ec] =
+            std::from_chars(text.data(), last, value);
+        if (ec != std::errc() || end != last)
+            sim::fatal("--%s expects a non-negative integer, got '%s'",
+                       key.c_str(), text.c_str());
+        return value;
+    }
+
+    /** A getCount() value of at least `min`. */
+    std::uint64_t
+    getCountAtLeast(const std::string &key, std::uint64_t fallback,
+                    std::uint64_t min) const
+    {
+        const std::uint64_t value = getCount(key, fallback);
+        if (value < min)
+            sim::fatal("--%s must be at least %llu, got %llu",
+                       key.c_str(), static_cast<unsigned long long>(min),
+                       static_cast<unsigned long long>(value));
+        return value;
+    }
+
+    /** --distance: an odd code distance of at least 3. */
+    std::size_t
+    getDistance(std::size_t fallback) const
+    {
+        const std::uint64_t d = getCount("distance", fallback);
+        if (d < 3 || d % 2 == 0)
+            sim::fatal("--distance must be odd and at least 3, got %llu",
+                       static_cast<unsigned long long>(d));
+        return std::size_t(d);
     }
 
   private:
@@ -149,7 +194,7 @@ workloads::Workload
 parseWorkload(const Options &opts)
 {
     if (opts.has("shor"))
-        return workloads::shor(std::size_t(opts.getInt("shor", 512)));
+        return workloads::shor(std::size_t(opts.getCount("shor", 512)));
     const std::string name = opts.get("workload", "SHOR-512");
     for (const auto &w : workloads::workloadSuite())
         if (w.name == name)
@@ -162,7 +207,7 @@ int
 cmdEstimate(const Options &opts)
 {
     workloads::EstimatorConfig cfg;
-    cfg.physicalErrorRate = opts.getDouble("error-rate", 1e-4);
+    cfg.physicalErrorRate = opts.getRate("error-rate", 1e-4);
     cfg.technology = parseTechnology(opts.get("tech", "ProjectedD"));
     cfg.protocol = parseProtocol(opts.get("protocol", "Steane"));
 
@@ -200,7 +245,7 @@ int
 cmdMicrocode(const Options &opts)
 {
     const auto capacity =
-        std::size_t(opts.getInt("capacity", 4096));
+        std::size_t(opts.getCount("capacity", 4096));
     const tech::Technology technology =
         parseTechnology(opts.get("tech", "ProjectedD"));
     const tech::JJMemoryModel mem;
@@ -234,10 +279,11 @@ cmdTraceGen(const Options &opts)
 {
     isa::TraceGenConfig cfg;
     cfg.numInstructions =
-        std::size_t(opts.getInt("instructions", 10000));
-    cfg.logicalQubits = std::size_t(opts.getInt("qubits", 16));
-    cfg.seed = std::uint64_t(opts.getInt("seed", 1));
-    cfg.maskFraction = opts.getDouble("mask-fraction", 0.0);
+        std::size_t(opts.getCount("instructions", 10000));
+    cfg.logicalQubits =
+        std::size_t(opts.getCountAtLeast("qubits", 16, 2));
+    cfg.seed = opts.getCount("seed", 1);
+    cfg.maskFraction = opts.getRate("mask-fraction", 0.0);
     const std::string out = opts.get("out", "trace.qtrace");
 
     const isa::LogicalTrace trace = generateApplicationTrace(cfg);
@@ -253,18 +299,19 @@ int
 cmdReplay(const Options &opts)
 {
     const std::string path = opts.get("trace", "trace.qtrace");
-    const auto mces = std::size_t(opts.getInt("mces", 4));
-    const auto rounds = std::size_t(opts.getInt("rounds", 1024));
+    const auto mces = std::size_t(opts.getCountAtLeast("mces", 4, 1));
+    const auto rounds =
+        std::size_t(opts.getCountAtLeast("rounds", 1024, 1));
+    const std::size_t distance = opts.getDistance(3);
+    const double p = opts.getRate("error-rate", 1e-4);
+    const double fault_rate = opts.getRate("fault-rate", 0.0);
 
     const isa::LogicalTrace trace = isa::LogicalTrace::loadBinary(path);
 
     core::MasterConfig cfg;
     cfg.numMces = mces;
-    cfg.mce = core::tileConfigForLogicalQubits(
-        std::size_t(opts.getInt("distance", 3)));
-    cfg.mce.errorRates = quantum::ErrorRates{
-        opts.getDouble("error-rate", 1e-4), 0, 0, 0,
-        opts.getDouble("error-rate", 1e-4)};
+    cfg.mce = core::tileConfigForLogicalQubits(distance);
+    cfg.mce.errorRates = quantum::ErrorRates{p, 0, 0, 0, p};
 
     // Classical fault model: a uniform per-site rate switches on the
     // whole resilience stack (ARQ retries, scrubbing, watchdog,
@@ -276,11 +323,9 @@ cmdReplay(const Options &opts)
         cfg.mce.verifyOnLoad = true;
     }
 
-    const double fault_rate = opts.getDouble("fault-rate", 0.0);
     if (fault_rate > 0.0) {
         cfg.faults = sim::FaultConfig::uniform(
-            fault_rate,
-            std::uint64_t(opts.getInt("fault-seed", 0x5EEDFAB5)));
+            fault_rate, opts.getCount("fault-seed", 0x5EEDFAB5));
         cfg.scrubIntervalRounds = 64;
         cfg.heartbeatIntervalRounds = 16;
         cfg.modelDecodeDeadline = true;
@@ -300,19 +345,20 @@ cmdReplay(const Options &opts)
 int
 cmdSimulate(const Options &opts)
 {
-    const auto d = std::size_t(opts.getInt("distance", 5));
-    const double p = opts.getDouble("error-rate", 1e-3);
-    const int trials = int(opts.getInt("trials", 2000));
+    const std::size_t d = opts.getDistance(5);
+    const double p = opts.getRate("error-rate", 1e-3);
+    const auto trials =
+        std::size_t(opts.getCountAtLeast("trials", 2000, 1));
     // --stream-window N decodes each shot through the streaming
     // sliding-window decoder instead of the offline pipeline;
     // --stream-stride M sets the commit distance (default N/2).
     const auto stream_window =
-        std::size_t(opts.getInt("stream-window", 0));
+        std::size_t(opts.getCount("stream-window", 0));
     decode::StreamConfig stream_cfg;
     if (stream_window) {
         stream_cfg.windowRounds = stream_window;
         stream_cfg.strideRounds =
-            std::size_t(opts.getInt("stream-stride", 0));
+            std::size_t(opts.getCount("stream-stride", 0));
         if (stream_cfg.strideRounds == 0)
             stream_cfg.strideRounds =
                 std::max<std::size_t>(1, stream_window / 2);
@@ -324,10 +370,10 @@ cmdSimulate(const Options &opts)
                      parseProtocol(opts.get("protocol", "Steane"))));
     const qecc::SyndromeExtractor extractor(schedule);
     decode::DecoderPipeline pipeline(lattice);
-    sim::Rng rng(std::uint64_t(opts.getInt("seed", 1)));
+    sim::Rng rng(opts.getCount("seed", 1));
 
-    int failures = 0;
-    for (int t = 0; t < trials; ++t) {
+    std::size_t failures = 0;
+    for (std::size_t t = 0; t < trials; ++t) {
         quantum::PauliFrame frame(lattice.numQubits());
         quantum::ErrorChannel channel(
             quantum::ErrorRates{p, 0, 0, 0, p}, rng);
@@ -368,7 +414,7 @@ cmdSimulate(const Options &opts)
                 "rounds decoding ran behind extraction, per pushed "
                 "round");
         std::printf(
-            "d=%zu p=%g trials=%d window=%zu stride=%zu "
+            "d=%zu p=%g trials=%zu window=%zu stride=%zu "
             "logical_error_rate=%.3e lag_p50=%.0f lag_p99=%.0f\n",
             d, p, trials, stream_cfg.windowRounds,
             stream_cfg.strideRounds,
@@ -376,7 +422,7 @@ cmdSimulate(const Options &opts)
             lag.percentile(0.99));
         return 0;
     }
-    std::printf("d=%zu p=%g trials=%d logical_error_rate=%.3e "
+    std::printf("d=%zu p=%g trials=%zu logical_error_rate=%.3e "
                 "lut_coverage=%.1f%%\n",
                 d, p, trials, double(failures) / double(trials),
                 pipeline.localCoverage() * 100.0);
@@ -449,11 +495,11 @@ runTimingDifferential(const core::MceConfig &cfg,
         row.observedCycles =
             sched.schedule(dep, mode, rounds).cycles.size();
     } else {
-        const std::vector<const verify::DependencyOracle *> fleet(
+        const std::vector<const verify::DependencyOracle *> oracles(
             tiles, &dep);
         const std::vector<std::uint8_t> active(tiles, 1);
         const core::ArbitrationResult r = sched.arbitrate(
-            fleet, active, mode, bandwidth,
+            oracles, active, mode, bandwidth,
             core::ArbiterPolicy::RoundRobin, rounds);
         for (const core::TileSchedule &t : r.tiles)
             row.observedCycles =
@@ -532,25 +578,28 @@ cmdVerify(const Options &opts)
             opts.get("trace", "trace.qtrace"));
 
     const bool timing = opts.has("timing");
-    const auto timingTiles = std::size_t(opts.getInt("tiles", 1));
-    const auto timingRounds = std::size_t(opts.getInt("rounds", 1));
+    const auto timingTiles =
+        std::size_t(opts.getCountAtLeast("tiles", 1, 1));
+    const auto timingRounds =
+        std::size_t(opts.getCountAtLeast("rounds", 1, 1));
+    const std::size_t distance = opts.getDistance(3);
     std::vector<TimingRow> timingRows;
 
     verify::Report combined;
     for (const qecc::Protocol p : protocols) {
         for (const core::MicrocodeDesign d : designs) {
             core::MceConfig cfg;
-            cfg.distance = std::size_t(opts.getInt("distance", 3));
+            cfg.distance = distance;
             cfg.protocol = p;
             cfg.technology =
                 parseTechnology(opts.get("tech", "ProjectedD"));
             cfg.microcodeDesign = d;
             cfg.memoryConfig.channels =
-                std::size_t(opts.getInt("channels", 4));
+                std::size_t(opts.getCount("channels", 4));
             cfg.memoryConfig.bankBits =
-                std::size_t(opts.getInt("bank-bits", 1024));
+                std::size_t(opts.getCount("bank-bits", 1024));
             cfg.icacheCapacity =
-                std::size_t(opts.getInt("icache", 1024));
+                std::size_t(opts.getCount("icache", 1024));
 
             const std::string label = qecc::protocolName(p) + "/"
                 + core::microcodeDesignName(d);
@@ -643,207 +692,6 @@ cmdVerify(const Options &opts)
     return combined.ok() && timingGatesPass ? 0 : 1;
 }
 
-/** Split a comma-separated flag value ("3,5,7"). */
-std::vector<std::string>
-splitList(const std::string &value)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        const std::size_t comma = value.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? value.size() : comma;
-        if (end > start)
-            parts.push_back(value.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return parts;
-}
-
-/** Build a SweepSpec from the shared sweep grid flags. */
-fleet::SweepSpec
-sweepSpecFromFlags(const Options &opts)
-{
-    fleet::SweepSpec spec;
-    spec.protocols.clear();
-    for (const std::string &name :
-         splitList(opts.get("protocols", "Steane")))
-        spec.protocols.push_back(parseProtocol(name));
-    spec.distances.clear();
-    for (const std::string &d :
-         splitList(opts.get("distances", "3,5")))
-        spec.distances.push_back(std::size_t(std::atol(d.c_str())));
-    spec.errorRates.clear();
-    for (const std::string &p :
-         splitList(opts.get("error-rates", "1e-3")))
-        spec.errorRates.push_back(std::atof(p.c_str()));
-    spec.trialsPerPoint = std::uint64_t(opts.getInt("trials", 256));
-    spec.grain = std::uint64_t(opts.getInt("grain", 64));
-    spec.seed = std::uint64_t(opts.getInt("seed", 1));
-    if (!spec.valid())
-        sim::fatal("invalid sweep grid: need non-empty axes, odd "
-                   "distances in [3,63], error rates in [0,1], "
-                   "positive --trials/--grain");
-    return spec;
-}
-
-void
-writeSweepOutputs(const sim::Table &table, const Options &opts)
-{
-    table.print(std::cout);
-    if (opts.has("csv")) {
-        const std::string path = opts.get("csv", "sweep.csv");
-        std::ofstream os(path);
-        if (!os)
-            sim::fatal("cannot write CSV to %s", path.c_str());
-        table.printCsv(os);
-        std::fprintf(stderr, "wrote CSV to %s\n", path.c_str());
-    }
-}
-
-int
-cmdServe(const Options &opts)
-{
-    if (opts.has("local")) {
-        // Degraded mode: no sockets at all, same bytes out.
-        writeSweepOutputs(
-            fleet::runSweepLocal(sweepSpecFromFlags(opts)), opts);
-        return 0;
-    }
-
-    fleet::FleetConfig cfg;
-    cfg.port = std::uint16_t(opts.getInt("port", 0));
-    cfg.leaseMs = int(opts.getInt("lease-ms", cfg.leaseMs));
-    cfg.backoffBaseMs =
-        int(opts.getInt("backoff-ms", cfg.backoffBaseMs));
-    cfg.backoffJitter =
-        opts.getDouble("backoff-jitter", cfg.backoffJitter);
-    cfg.redispatchBudget =
-        int(opts.getInt("budget", cfg.redispatchBudget));
-    cfg.stragglerFactor =
-        opts.getDouble("straggler-factor", cfg.stragglerFactor);
-    cfg.heartbeatMs =
-        int(opts.getInt("heartbeat-ms", cfg.heartbeatMs));
-    cfg.localFallbackMs =
-        int(opts.getInt("fallback-ms", cfg.localFallbackMs));
-    cfg.schedulerSeed = std::uint64_t(
-        opts.getInt("scheduler-seed", long(cfg.schedulerSeed)));
-    cfg.submitTimeoutMs =
-        int(opts.getInt("submit-timeout-ms", -1));
-
-    fleet::Manager manager(cfg);
-    if (opts.has("port-file")) {
-        // The orchestrator (CI script, tests) learns the ephemeral
-        // port from this file; write it only once we are bound.
-        const std::string path = opts.get("port-file", "port");
-        std::ofstream os(path);
-        if (!os)
-            sim::fatal("cannot write port file %s", path.c_str());
-        os << manager.port() << "\n";
-    }
-    std::fprintf(stderr, "fleet: listening on 127.0.0.1:%u\n",
-                 unsigned(manager.port()));
-
-    if (opts.has("await-job"))
-        return manager.serveOnce() ? 0 : 1;
-
-    writeSweepOutputs(manager.runSweep(sweepSpecFromFlags(opts)),
-                      opts);
-    return 0;
-}
-
-/** Resolve --port / --port-file into a port, waiting for the file. */
-std::uint16_t
-resolvePort(const Options &opts, int timeout_ms)
-{
-    if (!opts.has("port-file"))
-        return std::uint16_t(opts.getInt("port", 0));
-    const std::string path = opts.get("port-file", "port");
-    const auto deadline = std::chrono::steady_clock::now()
-        + std::chrono::milliseconds(timeout_ms);
-    for (;;) {
-        std::ifstream is(path);
-        long port = 0;
-        if (is && (is >> port) && port > 0 && port < 65536)
-            return std::uint16_t(port);
-        if (std::chrono::steady_clock::now() >= deadline)
-            sim::fatal("no usable port in %s after %d ms",
-                       path.c_str(), timeout_ms);
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(20));
-    }
-}
-
-int
-cmdWorker(const Options &opts)
-{
-    fleet::WorkerConfig cfg;
-    cfg.host = opts.get("host", "127.0.0.1");
-    cfg.connectTimeoutMs =
-        int(opts.getInt("connect-timeout-ms", cfg.connectTimeoutMs));
-    cfg.port = resolvePort(opts, cfg.connectTimeoutMs);
-    cfg.name = opts.get("name", "worker");
-    cfg.heartbeatMs =
-        int(opts.getInt("heartbeat-ms", cfg.heartbeatMs));
-    cfg.maxTasks = std::uint64_t(opts.getInt("max-tasks", 0));
-    cfg.stallMs = int(opts.getInt("stall-ms", cfg.stallMs));
-
-    cfg.chaos.seed =
-        std::uint64_t(opts.getInt("chaos-seed", 0x5EEDFAB5));
-    cfg.chaos.rate(sim::FaultSite::WorkerKill) =
-        opts.getDouble("chaos-kill", 0.0);
-    cfg.chaos.rate(sim::FaultSite::WorkerStall) =
-        opts.getDouble("chaos-stall", 0.0);
-    cfg.chaos.rate(sim::FaultSite::ResultDrop) =
-        opts.getDouble("chaos-drop", 0.0);
-    cfg.chaos.rate(sim::FaultSite::DuplicateResult) =
-        opts.getDouble("chaos-dup", 0.0);
-
-    const fleet::WorkerExit rc = fleet::runWorker(cfg);
-    if (rc == fleet::WorkerExit::Shutdown
-        || rc == fleet::WorkerExit::TaskLimit)
-        return 0;
-    return int(rc);
-}
-
-int
-cmdSubmit(const Options &opts)
-{
-    const std::uint16_t port = resolvePort(
-        opts, int(opts.getInt("connect-timeout-ms", 10000)));
-    fleet::Socket sock = fleet::connectTcp(
-        opts.get("host", "127.0.0.1"), port,
-        int(opts.getInt("connect-timeout-ms", 10000)));
-    if (!sock.valid())
-        sim::fatal("cannot reach manager on port %u",
-                   unsigned(port));
-
-    fleet::Json msg = fleet::Json::object();
-    msg.set("type", fleet::Json("submit"));
-    msg.set("spec", sweepSpecFromFlags(opts).toJson());
-    if (!fleet::sendFrame(sock, msg))
-        sim::fatal("manager rejected the job submission");
-
-    fleet::Json reply;
-    const int timeout =
-        int(opts.getInt("job-timeout-ms", 600000));
-    if (fleet::recvFrame(sock, reply, timeout) != 1
-        || reply.getString("type", "") != "table")
-        sim::fatal("no table from the manager");
-    const std::string csv = reply.getString("csv", "");
-    std::fputs(csv.c_str(), stdout);
-    if (opts.has("csv")) {
-        const std::string path = opts.get("csv", "sweep.csv");
-        std::ofstream os(path);
-        if (!os)
-            sim::fatal("cannot write CSV to %s", path.c_str());
-        os << csv;
-    }
-    return 0;
-}
-
 void
 usage()
 {
@@ -871,27 +719,11 @@ usage()
         "             --timing cross-checks the static WCET bound\n"
         "             against the dynamic scheduler and gates\n"
         "             soundness and 1.5x tightness)\n"
-        "  serve      [--port P] [--port-file FILE] [--csv FILE]\n"
-        "             [--protocols A,B] [--distances 3,5]\n"
-        "             [--error-rates 1e-3,...] [--trials N]\n"
-        "             [--grain N] [--seed S] [--local]\n"
-        "             [--lease-ms N] [--backoff-ms N] [--budget N]\n"
-        "             [--straggler-factor F] [--fallback-ms N]\n"
-        "             [--await-job [--submit-timeout-ms N]]\n"
-        "  worker     --port P | --port-file FILE  [--name NAME]\n"
-        "             [--max-tasks N] [--chaos-kill P]\n"
-        "             [--chaos-stall P] [--chaos-drop P]\n"
-        "             [--chaos-dup P] [--chaos-seed S]\n"
-        "             [--stall-ms N]\n"
-        "  submit     --port P | --port-file FILE  [sweep flags]\n"
-        "             [--csv FILE] [--job-timeout-ms N]\n"
         "\n"
         "observability (any subcommand):\n"
         "  --trace-out FILE    write a Chrome-trace JSON of the run\n"
         "                      (open in Perfetto / chrome://tracing)\n"
-        "  --metrics-out FILE  write the metrics registry as JSON\n"
-        "  --metrics-wallclock also emit scheduling-dependent\n"
-        "                      (Wallclock) metrics in --metrics-out");
+        "  --metrics-out FILE  write the metrics registry as JSON");
 }
 
 /**
@@ -926,7 +758,7 @@ writeObservabilityOutputs(const Options &opts)
             std::fprintf(stderr, "cannot write metrics to %s\n",
                          path.c_str());
         } else {
-            sim::metricsWriteJson(os, opts.has("metrics-wallclock"));
+            sim::metricsWriteJson(os);
             std::fprintf(stderr, "wrote metrics to %s\n",
                          path.c_str());
         }
@@ -960,12 +792,6 @@ main(int argc, char **argv)
             rc = cmdSimulate(opts);
         else if (cmd == "verify")
             rc = cmdVerify(opts);
-        else if (cmd == "serve")
-            rc = cmdServe(opts);
-        else if (cmd == "worker")
-            rc = cmdWorker(opts);
-        else if (cmd == "submit")
-            rc = cmdSubmit(opts);
         else {
             usage();
             return 2;
