@@ -193,6 +193,90 @@ TEST_F(ExtractorTest, NoisyRoundsProduceSyndromes)
     EXPECT_GT(total, 0u);
 }
 
+/** `base` with every uop addressed to the listed qubits blanked. */
+RoundSchedule
+blankedCopy(const RoundSchedule &base,
+            const std::set<std::size_t> &qubits)
+{
+    RoundSchedule out(base.lattice(), base.spec());
+    for (std::size_t s = 0; s < base.depth(); ++s) {
+        SubCycle sc = base.subCycle(s);
+        for (const std::size_t q : qubits)
+            sc.uops[q] = quest::isa::PhysOpcode::Nop;
+        out.addSubCycle(std::move(sc));
+    }
+    return out;
+}
+
+TEST_F(ExtractorTest, RecompileFollowsInPlaceScheduleEdit)
+{
+    // Blank the whole program in place: after recompile() the same
+    // extractor object must run the edited schedule, not the one it
+    // was built from; restoring the schedule restores detection.
+    const RoundSchedule original = schedule;
+    std::set<std::size_t> all;
+    for (std::size_t q = 0; q < lattice.numQubits(); ++q)
+        all.insert(q);
+    const std::size_t data = lattice.index(Coord{2, 2});
+
+    schedule = blankedCopy(original, all);
+    extractor.recompile();
+    PauliFrame frame(lattice.numQubits());
+    frame.injectX(data);
+    EXPECT_FALSE(extractor.runRound(frame, nullptr).any());
+
+    schedule = original;
+    extractor.recompile();
+    EXPECT_TRUE(extractor.runRound(frame, nullptr).any());
+}
+
+TEST_F(ExtractorTest, RecompiledMatchesFreshExtractor)
+{
+    // An in-place edit plus recompile() must compile exactly the
+    // program a fresh extractor builds: same noise draws, same flips.
+    const std::set<std::size_t> masked{
+        lattice.index(extractor.zAncillas().front()),
+        lattice.index(extractor.xAncillas().back())};
+    const RoundSchedule edited = blankedCopy(schedule, masked);
+    const SyndromeExtractor fresh(edited);
+    schedule = edited;
+    extractor.recompile();
+
+    Rng rng_a(11), rng_b(11);
+    ErrorChannel chan_a(ErrorRates::uniform(0.02), rng_a);
+    ErrorChannel chan_b(ErrorRates::uniform(0.02), rng_b);
+    PauliFrame frame_a(lattice.numQubits());
+    PauliFrame frame_b(lattice.numQubits());
+    for (int r = 0; r < 40; ++r) {
+        const SyndromeRound a = extractor.runRound(frame_a, &chan_a);
+        const SyndromeRound b = fresh.runRound(frame_b, &chan_b);
+        ASSERT_EQ(a.xFlips, b.xFlips) << "round " << r;
+        ASSERT_EQ(a.zFlips, b.zFlips) << "round " << r;
+    }
+}
+
+TEST_F(ExtractorTest, RecompileWithoutEditIsIdempotent)
+{
+    // Recompiling an unchanged schedule (twice) must neither duplicate
+    // nor reorder ops: the noisy syndrome stream stays bit-identical.
+    const SyndromeExtractor reference(schedule);
+    extractor.recompile();
+    extractor.recompile();
+
+    Rng rng_a(5), rng_b(5);
+    ErrorChannel chan_a(ErrorRates::uniform(0.02), rng_a);
+    ErrorChannel chan_b(ErrorRates::uniform(0.02), rng_b);
+    PauliFrame frame_a(lattice.numQubits());
+    PauliFrame frame_b(lattice.numQubits());
+    const auto a = extractor.runRounds(frame_a, &chan_a, 40);
+    const auto b = reference.runRounds(frame_b, &chan_b, 40);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t r = 0; r < a.size(); ++r) {
+        EXPECT_EQ(a[r].xFlips, b[r].xFlips) << "round " << r;
+        EXPECT_EQ(a[r].zFlips, b[r].zFlips) << "round " << r;
+    }
+}
+
 TEST(ExtractorProtocols, AllProtocolsDetectSingleError)
 {
     const Lattice lattice = Lattice::forDistance(3);

@@ -195,4 +195,57 @@ TEST(Mce, NoisyRunConvergesWithDecoding)
     EXPECT_LE(mce.residualErrorWeight(), 3u);
 }
 
+TEST(Mce, ExtractorAddressSurvivesMaskEdits)
+{
+    // Streaming decoders keep a reference to the tile extractor, so
+    // no mask edit may replace it.
+    MceConfig cfg = tileConfigForLogicalQubits(3);
+    Mce mce("mce0", cfg);
+    const auto *extractor = &mce.extractor();
+
+    const int id = mce.defineLogicalQubit(Coord{2, 2});
+    EXPECT_EQ(&mce.extractor(), extractor);
+    for (const LogicalOpcode op :
+         { LogicalOpcode::MaskExpand, LogicalOpcode::MaskMove,
+           LogicalOpcode::MaskContract }) {
+        mce.executeLogical(LogicalInstr{op, std::uint16_t(id)});
+        EXPECT_EQ(&mce.extractor(), extractor);
+    }
+    mce.releaseLogicalQubit(id);
+    EXPECT_EQ(&mce.extractor(), extractor);
+}
+
+TEST(Mce, ReleasedMaskRestoresDetection)
+{
+    // After release the in-place rebuild must drop the blanked uops:
+    // an error where the defect was is detected again.
+    MceConfig cfg = tileConfigForLogicalQubits(3);
+    Mce mce("mce0", cfg);
+    const int id = mce.defineLogicalQubit(Coord{2, 2});
+    mce.releaseLogicalQubit(id);
+
+    mce.frame().injectX(mce.lattice().index(Coord{3, 3}));
+    EXPECT_TRUE(mce.runQeccRound().any());
+}
+
+TEST(Mce, MaskRoundTripReplaysUnmaskedNoise)
+{
+    // Defining and releasing a logical qubit recompiles back to the
+    // unmasked program, so a noisy tile reproduces the syndromes of
+    // a twin that never masked anything.
+    MceConfig cfg = tileConfigForLogicalQubits(3);
+    cfg.errorRates = quest::quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3};
+    cfg.seed = 9;
+    Mce edited("mce0", cfg);
+    Mce twin("mce1", cfg);
+    edited.releaseLogicalQubit(edited.defineLogicalQubit(Coord{2, 2}));
+
+    for (int r = 0; r < 30; ++r) {
+        const auto a = edited.runQeccRound();
+        const auto &b = twin.runQeccRound();
+        ASSERT_EQ(a.xFlips, b.xFlips) << "round " << r;
+        ASSERT_EQ(a.zFlips, b.zFlips) << "round " << r;
+    }
+}
+
 } // namespace
