@@ -142,6 +142,21 @@ MasterController::MasterController(const MasterConfig &cfg)
         _mces.back()->attachFaults(&_faults);
         _stats.addChild(_mces.back()->stats());
     }
+    if (arbitrating()) {
+        const auto &spec = qecc::protocolSpec(cfg.mce.protocol);
+        const std::size_t qubits = _mces.front()->lattice().numQubits();
+        const std::size_t uop_bits =
+            MicrocodeModel(spec, cfg.mce.technology)
+                .uopBits(cfg.mce.microcodeDesign, qubits);
+        const double round_seconds =
+            sim::ticksToSeconds(spec.roundDuration(
+                tech::gateLatencies(cfg.mce.technology)));
+        _slackRequiredUops = double(qubits) * double(spec.uopsPerQubit);
+        _slackFullShareUops =
+            tech::JJMemoryModel().uopsPerSecond(cfg.mce.memoryConfig,
+                                                uop_bits)
+            * round_seconds;
+    }
     for (const auto &m : _mces) {
         _decoders.emplace_back(m->lattice());
         _clusterDecoders.emplace_back(m->lattice());
@@ -342,18 +357,19 @@ MasterController::injectRoundFaults()
 const ArbitrationResult &
 MasterController::lastArbitration() const
 {
-    QUEST_ASSERT(_arbValid,
+    QUEST_ASSERT(_lastArbitration != nullptr,
                  "no arbitration has run (sharedFetchBandwidth off "
                  "or no rounds stepped)");
-    return _lastArbitration;
+    return *_lastArbitration;
 }
 
 void
 MasterController::arbitrateRound()
 {
     QUEST_TRACE_SCOPE("master", "arbitrate");
-    // Fresh oracles each round: mask changes and quarantines reshape
-    // the per-tile programs, and a wedged engine demands nothing.
+    // Mask changes and quarantines reshape the per-tile programs, and
+    // a wedged engine demands nothing; the arbiter re-simulates only
+    // when one of those inputs changed since the last round.
     std::vector<const verify::DependencyOracle *> oracles;
     std::vector<std::uint8_t> active;
     oracles.reserve(_mces.size());
@@ -362,44 +378,27 @@ MasterController::arbitrateRound()
         oracles.push_back(&m->dependencyOracle());
         active.push_back(m->hung() ? 0 : 1);
     }
-    _lastArbitration = _arbiter->arbitrate(
+    _lastArbitration = &_arbiter->arbitrate(
         oracles, active, _cfg.mce.scheduling,
         _cfg.sharedFetchBandwidth, _cfg.arbiterPolicy, 1);
-    _arbValid = true;
 
     // Per-tile contention export: bandwidth-wait cycles, plus the
     // budget-pass slack math scaled by the share of fetch slots the
     // arbiter actually granted this tile.
     std::size_t total_slots = 0;
-    for (const TileSchedule &t : _lastArbitration.tiles)
+    for (const TileSchedule &t : _lastArbitration->tiles)
         total_slots += t.slotsFetched;
-    const tech::JJMemoryModel mem;
     for (std::size_t i = 0; i < _mces.size(); ++i) {
-        const TileSchedule &t = _lastArbitration.tiles[i];
+        const TileSchedule &t = _lastArbitration->tiles[i];
         *_mTileBwWait[i] += t.stalls.bandwidthWait;
         if (!active[i] || total_slots == 0)
             continue;
-        const Mce &m = *_mces[i];
-        const auto &spec =
-            qecc::protocolSpec(m.config().protocol);
-        const std::size_t uop_bits =
-            m.config().microcodeDesign == MicrocodeDesign::Ram
-            ? isa::ramUopBits(spec.opcodeCount,
-                              m.lattice().numQubits())
-            : isa::fifoUopBits(spec.opcodeCount);
-        const double round_seconds =
-            sim::ticksToSeconds(spec.roundDuration(
-                tech::gateLatencies(m.config().technology)));
-        const double required =
-            double(m.lattice().numQubits())
-            * double(spec.uopsPerQubit);
         const double share =
             double(t.slotsFetched) / double(total_slots);
-        const double available =
-            mem.uopsPerSecond(m.config().memoryConfig, uop_bits)
-            * round_seconds * share;
-        _mTileSlack[i]->set(
-            required > 0 ? available / required - 1.0 : 0.0);
+        const double available = _slackFullShareUops * share;
+        _mTileSlack[i]->set(_slackRequiredUops > 0
+                                ? available / _slackRequiredUops - 1.0
+                                : 0.0);
     }
 }
 

@@ -299,8 +299,13 @@ class MasterController
 
     /** Shared-bandwidth arbiter state (sharedFetchBandwidth > 0). */
     std::unique_ptr<DynamicScheduler> _arbiter;
-    ArbitrationResult _lastArbitration;
-    bool _arbValid = false;
+    /** The arbiter's memoized result; null until a round has run. */
+    const ArbitrationResult *_lastArbitration = nullptr;
+    /** Slack inputs fixed by the tile config (every tile shares it):
+     *  replay uops one round needs, and uops the JJ memory delivers
+     *  in one round at a full fetch share. */
+    double _slackRequiredUops = 0.0;
+    double _slackFullShareUops = 0.0;
     // Per-tile contention metrics, bound at construction (registry
     // references, never function-local statics).
     std::vector<sim::metrics::Counter *> _mTileBwWait;

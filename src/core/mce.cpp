@@ -47,11 +47,26 @@ preflightVerifier()
     return g_preflightVerifier;
 }
 
+Mce::ExecUnitStats::ExecUnitStats(sim::StatGroup &parent)
+    : group("exec_unit"),
+      latches(group.scalar("latches", "uops latched onto switches")),
+      masterClocks(group.scalar("master_clocks",
+                                "master clock firings")),
+      fired(group.scalar("fired_instructions",
+                         "non-NOP quantum instructions executed"))
+{
+    parent.addChild(group);
+}
+
 Mce::Mce(std::string name, const MceConfig &cfg)
     : _name(std::move(name)), _cfg(cfg),
       _lattice(std::make_unique<qecc::Lattice>(
           cfg.latticeRows ? cfg.latticeRows : 2 * cfg.distance - 1,
           cfg.latticeCols ? cfg.latticeCols : 2 * cfg.distance - 1)),
+      _uopBits(MicrocodeModel(qecc::protocolSpec(cfg.protocol),
+                              cfg.technology)
+                   .uopBits(cfg.microcodeDesign,
+                            _lattice->numQubits())),
       _rng(cfg.seed),
       _frame(_lattice->numQubits()),
       _ledger(_lattice->numQubits()),
@@ -59,7 +74,7 @@ Mce::Mce(std::string name, const MceConfig &cfg)
       _microcodeStore(microcodeImageBits(cfg, _lattice->numQubits())),
       _stats(_name),
       _mask(*_lattice, cfg.maskLayout, cfg.distance, _stats),
-      _execUnit(_lattice->numQubits(), _stats),
+      _execUnit(_stats),
       _icache(cfg.icacheCapacity, _stats),
       _lutDecoder(*_lattice),
       _microcodeBits(_stats.scalar(
@@ -145,6 +160,18 @@ Mce::rebuildMaskedSchedule()
     // scheduled round (or oracle consumer) re-plans lazily.
     _oracle.reset();
     _planValid = false;
+
+    // In-order replay latches every qubit on every sub-cycle and
+    // fires the master clock once per sub-cycle; every slot, Nops
+    // included, is read out of the microcode memory.
+    if (_cfg.scheduling == SchedulingMode::InOrder) {
+        const RoundSchedule &program = *_maskedSchedule;
+        _charge = ReplayCharge{
+            .uops = program.activeUopCount(),
+            .latches = program.totalUopSlots(),
+            .clocks = program.depth(),
+            .bits = program.totalUopSlots() * _uopBits};
+    }
 }
 
 const verify::DependencyOracle &
@@ -166,47 +193,31 @@ Mce::lastIssuePlan() const
     return _issuePlan;
 }
 
-std::uint64_t
-Mce::replayOutOfOrder(std::size_t uop_bits)
+void
+Mce::planOutOfOrder()
 {
     const verify::DependencyOracle &oracle = dependencyOracle();
-    if (!_planValid) {
-        if (!_scheduler)
-            _scheduler =
-                std::make_unique<DynamicScheduler>(_cfg.sched);
-        _issuePlan = _scheduler->schedule(
-            oracle, SchedulingMode::OutOfOrder, 1);
-        _planValid = true;
-    }
+    if (!_scheduler)
+        _scheduler = std::make_unique<DynamicScheduler>(_cfg.sched);
+    _issuePlan = _scheduler->schedule(oracle, SchedulingMode::OutOfOrder,
+                                      1);
+    _planValid = true;
 
-    // Replay the planned issue schedule: each issue cycle latches
-    // its uops, fires the master clock, and drops the switches back
-    // to Nop once the waveforms have played. Issue order is a pure
-    // timing reshuffle — the functional effects retire in program
-    // order through the extractor below, exactly as in-order replay.
-    const auto &uops = oracle.uops();
-    std::uint64_t round_uops = 0;
-    for (const auto &issue_cycle : _issuePlan.cycles) {
-        if (issue_cycle.empty())
-            continue;
-        for (const std::uint32_t id : issue_cycle)
-            _execUnit.latch(uops[id].qubit, uops[id].op);
-        _execUnit.masterClock();
-        for (const std::uint32_t id : issue_cycle)
-            _execUnit.release(uops[id].qubit);
-        round_uops += issue_cycle.size();
-    }
-
-    // Fetch accounting is identical to in-order replay: the stream
-    // still visits every slot (Nops cost fetch bandwidth and are
-    // discarded at decode), so the microcode-bit totals match.
-    _microcodeBits +=
-        double(_issuePlan.slotsFetched) * double(uop_bits);
-    _mReplayUcodeBits +=
-        std::uint64_t(_issuePlan.slotsFetched) * uop_bits;
-    ++_mSchedRounds;
-    _mSchedCycles += _issuePlan.cycles.size();
-    return round_uops;
+    // Each non-empty issue cycle latches its uops and fires the
+    // master clock. Issue order is a pure timing reshuffle: the
+    // functional effects retire in program order through the
+    // extractor, exactly as in in-order replay. Fetch still visits
+    // every slot (Nops cost bandwidth and are discarded at decode),
+    // so the microcode-bit totals match in-order replay.
+    const auto &cycles = _issuePlan.cycles;
+    _charge = ReplayCharge{
+        .uops = _issuePlan.issued,
+        .latches = _issuePlan.issued,
+        .clocks = std::uint64_t(std::count_if(
+            cycles.begin(), cycles.end(),
+            [](const auto &issued) { return !issued.empty(); })),
+        .bits = std::uint64_t(_issuePlan.slotsFetched) * _uopBits,
+        .schedCycles = cycles.size()};
 }
 
 void
@@ -271,7 +282,7 @@ Mce::applyTransverse(LogicalOpcode op, const LogicalQubit &lq)
             sim::panic("opcode %s is not transverse",
                        isa::logicalOpcodeName(op).c_str());
         }
-        _execUnit.latch(q, PhysOpcode::Nop);
+        ++_execUnit.latches; // the switch drops back to Nop
         ++_logicalUops;
     }
 }
@@ -476,32 +487,20 @@ Mce::runQeccRound()
         }
     }
 
-    const RoundSchedule &sched = *_maskedSchedule;
-    const std::size_t n = _lattice->numQubits();
-
-    // Microcode pipeline: stream one uop per qubit per sub-cycle
-    // through the latch array, then fire the master clock.
-    const MicrocodeModel model(sched.spec(), _cfg.technology);
-    const std::size_t uop_bits =
-        model.uopBits(_cfg.microcodeDesign, n);
-    std::uint64_t round_uops = 0;
+    // Microcode pipeline: charge the epoch's per-round replay cost.
     if (_cfg.scheduling == SchedulingMode::OutOfOrder) {
-        round_uops = replayOutOfOrder(uop_bits);
-    } else {
-        for (std::size_t s = 0; s < sched.depth(); ++s) {
-            const SubCycle &sc = sched.subCycle(s);
-            for (std::size_t q = 0; q < n; ++q) {
-                _execUnit.latch(q, sc.uops[q]);
-                if (sc.uops[q] != PhysOpcode::Nop)
-                    ++round_uops;
-            }
-            _microcodeBits += double(n * uop_bits);
-            _mReplayUcodeBits += std::uint64_t(n) * uop_bits;
-            _execUnit.masterClock();
-        }
+        if (!_planValid)
+            planOutOfOrder();
+        ++_mSchedRounds;
+        _mSchedCycles += _charge.schedCycles;
     }
-    _qeccUops += double(round_uops);
-    _mReplayUops += round_uops;
+    _execUnit.latches += double(_charge.latches);
+    _execUnit.masterClocks += double(_charge.clocks);
+    _execUnit.fired += double(_charge.uops);
+    _microcodeBits += double(_charge.bits);
+    _mReplayUcodeBits += _charge.bits;
+    _qeccUops += double(_charge.uops);
+    _mReplayUops += _charge.uops;
 
     // Functional effect: evolve the frame and read the syndromes.
     _lastRound = _extractor->runRound(_frame, &_channel);

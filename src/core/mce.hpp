@@ -12,9 +12,11 @@
  * local LUT decode and forwards residual detection events upward.
  *
  * The MCE here is cycle-faithful at QECC-round granularity: every
- * round streams one micro-op per qubit per sub-cycle through the
- * execution unit's latch/master-clock model, evolves a Pauli frame
- * under the configured noise, and records real syndromes.
+ * round evolves a Pauli frame under the configured noise and records
+ * real syndromes. The microcode program is fixed between mask edits,
+ * so its delivery cost (uops streamed, switch latches, master-clock
+ * firings, microcode bits) is computed once per schedule epoch and
+ * charged per round.
  */
 
 #ifndef QUEST_CORE_MCE_HPP
@@ -27,7 +29,6 @@
 
 #include "decode/detection.hpp"
 #include "decode/lut_decoder.hpp"
-#include "exec_unit.hpp"
 #include "icache.hpp"
 #include "isa/instructions.hpp"
 #include "isa/trace.hpp"
@@ -182,10 +183,10 @@ class Mce
     std::size_t braidCnot(int control_id, int target_id);
 
     /**
-     * Run one full QECC round: the microcode pipeline streams a uop
-     * per qubit per sub-cycle (QECC program or masked), the
-     * execution unit fires, the Pauli frame evolves under noise and
-     * the ancilla syndromes are recorded.
+     * Run one full QECC round: the microcode pipeline is charged the
+     * current schedule epoch's replay cost (a uop slot per qubit per
+     * sub-cycle of the masked program), the Pauli frame evolves
+     * under noise and the ancilla syndromes are recorded.
      */
     const qecc::SyndromeRound &runQeccRound();
 
@@ -301,6 +302,31 @@ class Mce
     ///@}
 
   private:
+    /** Counters of the prime-line execution unit (Section 2.3,
+     *  Figure 4): uops latched onto the microwave switches, master
+     *  clock firings, and non-Nop instructions fired. */
+    struct ExecUnitStats
+    {
+        explicit ExecUnitStats(sim::StatGroup &parent);
+
+        sim::StatGroup group;
+        sim::Scalar &latches;
+        sim::Scalar &masterClocks;
+        sim::Scalar &fired;
+    };
+
+    /** One round's replay charges; constant within a schedule
+     *  epoch. Each streamed non-Nop uop fires once, so fired ==
+     *  uops. */
+    struct ReplayCharge
+    {
+        std::uint64_t uops = 0;    ///< non-Nop uops streamed
+        std::uint64_t latches = 0; ///< switch latches
+        std::uint64_t clocks = 0;  ///< master-clock firings
+        std::uint64_t bits = 0;    ///< microcode bits read out
+        std::uint64_t schedCycles = 0; ///< OoO issue-plan cycles
+    };
+
     std::string _name;
     MceConfig _cfg;
 
@@ -316,6 +342,12 @@ class Mce
     TileSchedule _issuePlan;
     bool _planValid = false;
 
+    /** Bits per streamed uop slot under the tile's design. */
+    std::size_t _uopBits = 0;
+    /** The current epoch's per-round charges (for OoO, valid only
+     *  while _planValid). */
+    ReplayCharge _charge;
+
     sim::Rng _rng;
     quantum::PauliFrame _frame;
     quantum::PauliFrame _ledger; ///< decoded-but-unexecuted corrections
@@ -328,7 +360,7 @@ class Mce
 
     sim::StatGroup _stats;
     MaskTable _mask;
-    QuantumExecutionUnit _execUnit;
+    ExecUnitStats _execUnit;
     LogicalInstructionCache _icache;
     decode::LutDecoder _lutDecoder;
 
@@ -361,8 +393,10 @@ class Mce
     sim::metrics::Counter &_mSchedRounds;
     sim::metrics::Counter &_mSchedCycles;
 
-    /** Replay one round through the planned OoO issue schedule. */
-    std::uint64_t replayOutOfOrder(std::size_t uop_bits);
+    /** (Re)plan the OoO issue schedule after a mask edit and derive
+     *  the epoch's charges from it. Lazy, so the several edits of a
+     *  braid step cost one plan. */
+    void planOutOfOrder();
 
     /** Rebuild the mask-filtered schedule after mask changes. */
     void rebuildMaskedSchedule();

@@ -289,13 +289,15 @@ DynamicScheduler::schedule(const DependencyOracle &oracle,
                            SchedulingMode mode,
                            std::size_t rounds) const
 {
+    // Single-tile plans skip the memo: the Mce caches its own plan.
     ArbitrationResult r =
-        arbitrate({&oracle}, {1}, mode, _cfg.fetchWidth,
-                  ArbiterPolicy::RoundRobin, rounds);
+        simulate({&oracle}, {1}, mode, _cfg.fetchWidth,
+                 ArbiterPolicy::RoundRobin, rounds);
+    record(r.tiles.at(0));
     return std::move(r.tiles.at(0));
 }
 
-ArbitrationResult
+const ArbitrationResult &
 DynamicScheduler::arbitrate(
     const std::vector<const DependencyOracle *> &tiles,
     const std::vector<std::uint8_t> &active, SchedulingMode mode,
@@ -305,6 +307,51 @@ DynamicScheduler::arbitrate(
     QUEST_ASSERT(tiles.size() == active.size(),
                  "arbitrate: %zu tiles, %zu active flags",
                  tiles.size(), active.size());
+
+    const auto isActive = [&](std::size_t i) {
+        return active[i] != 0 && tiles[i] != nullptr;
+    };
+    bool hit = _memo.valid && _memo.mode == mode
+        && _memo.bandwidth == shared_bandwidth
+        && _memo.policy == policy && _memo.rounds == rounds
+        && _memo.tiles.size() == tiles.size();
+    for (std::size_t i = 0; hit && i < tiles.size(); ++i) {
+        const TileKey &key = _memo.tiles[i];
+        hit = key.active == isActive(i)
+            && (!key.active
+                || (key.qubits == tiles[i]->numQubits()
+                    && key.depth == tiles[i]->depth()
+                    && key.uops == tiles[i]->uops()));
+    }
+
+    if (!hit) {
+        _memo.valid = false;
+        _memo.result = simulate(tiles, active, mode, shared_bandwidth,
+                                policy, rounds);
+        _memo.tiles.assign(tiles.size(), TileKey{});
+        for (std::size_t i = 0; i < tiles.size(); ++i)
+            if (isActive(i))
+                _memo.tiles[i] = TileKey{true, tiles[i]->numQubits(),
+                                         tiles[i]->depth(),
+                                         tiles[i]->uops()};
+        _memo.mode = mode;
+        _memo.bandwidth = shared_bandwidth;
+        _memo.policy = policy;
+        _memo.rounds = rounds;
+        _memo.valid = true;
+    }
+    for (const TileSchedule &t : _memo.result.tiles)
+        record(t);
+    return _memo.result;
+}
+
+ArbitrationResult
+DynamicScheduler::simulate(
+    const std::vector<const DependencyOracle *> &tiles,
+    const std::vector<std::uint8_t> &active, SchedulingMode mode,
+    std::size_t shared_bandwidth, ArbiterPolicy policy,
+    std::size_t rounds) const
+{
     QUEST_ASSERT(shared_bandwidth > 0,
                  "arbitrate needs fetch bandwidth");
     QUEST_ASSERT(rounds > 0, "arbitrate needs rounds");
@@ -394,7 +441,6 @@ DynamicScheduler::arbitrate(
         t.out.makespanCycles = std::size_t(t.maxCompletion);
         result.makespanCycles =
             std::max(result.makespanCycles, t.out.makespanCycles);
-        record(t.out);
         result.tiles.push_back(std::move(t.out));
     }
     return result;

@@ -32,7 +32,10 @@
  * (lowest fetched watermark). Per-tile stall breakdowns separate
  * data hazards, structural (queue-full) stalls, fetch-fill bubbles
  * and bandwidth-denied cycles — the contention signal the master
- * controller exports per tile.
+ * controller exports per tile. Its inputs change only on mask edits
+ * and hang/resume events, so the arbiter memoizes its last result,
+ * keyed on the tiles' program *content* (never an oracle's address:
+ * a rebuilt oracle may reuse the storage of a different program).
  *
  * Everything here is a *timing* model: functional effects retire in
  * program order through the extractor regardless of issue order, so
@@ -147,7 +150,9 @@ struct ArbitrationResult
  * The dynamic scheduler: plans single-tile issue schedules and
  * arbitrates multi-tile fleets. Deterministic — pure integer cycle
  * simulation, no randomness — so a plan is a pure function of
- * (program, config, mode, policy).
+ * (program, config, mode, policy). That is what makes the
+ * arbitration memo exact. The memo makes an instance unsafe to share
+ * across threads.
  */
 class DynamicScheduler
 {
@@ -169,15 +174,42 @@ class DynamicScheduler
      * Run `tiles.size()` tile pipelines against a shared fetch
      * budget of `shared_bandwidth` slots per cycle. `active[i]` == 0
      * excludes tile i (a hung/quarantined engine demands nothing).
+     *
+     * A call whose inputs equal the previous call's returns the
+     * cached result without re-simulating; the sched.* metrics are
+     * bumped exactly as a fresh run would. The reference stays valid
+     * until the next arbitrate() call on this scheduler.
      */
-    ArbitrationResult
+    const ArbitrationResult &
     arbitrate(const std::vector<const verify::DependencyOracle *> &tiles,
               const std::vector<std::uint8_t> &active,
               SchedulingMode mode, std::size_t shared_bandwidth,
               ArbiterPolicy policy, std::size_t rounds = 1) const;
 
   private:
+    /** The content of one tile's arbitration input. */
+    struct TileKey
+    {
+        bool active = false;
+        std::size_t qubits = 0;
+        std::size_t depth = 0;
+        std::vector<verify::MicroOp> uops; ///< empty when inactive
+    };
+
+    /** The one-entry arbitration memo. */
+    struct Memo
+    {
+        bool valid = false;
+        SchedulingMode mode = SchedulingMode::InOrder;
+        std::size_t bandwidth = 0;
+        ArbiterPolicy policy = ArbiterPolicy::RoundRobin;
+        std::size_t rounds = 0;
+        std::vector<TileKey> tiles;
+        ArbitrationResult result;
+    };
+
     SchedulerConfig _cfg;
+    mutable Memo _memo;
 
     // Registry counters bound at construction; never function-local
     // statics (those outlive registry resets — see the
@@ -192,6 +224,13 @@ class DynamicScheduler
     sim::metrics::Histogram &_hOccupancy;
 
     void record(const TileSchedule &tile) const;
+
+    /** The cycle simulation behind schedule() and arbitrate(). */
+    ArbitrationResult
+    simulate(const std::vector<const verify::DependencyOracle *> &tiles,
+             const std::vector<std::uint8_t> &active,
+             SchedulingMode mode, std::size_t shared_bandwidth,
+             ArbiterPolicy policy, std::size_t rounds) const;
 };
 
 } // namespace quest::core

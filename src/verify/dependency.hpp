@@ -48,6 +48,8 @@ struct MicroOp
     isa::PhysOpcode op = isa::PhysOpcode::Nop;
 
     bool hasPartner() const { return partner >= 0; }
+
+    bool operator==(const MicroOp &) const = default;
 };
 
 /**

@@ -229,4 +229,165 @@ TEST(GoldenTrace, ByteIdenticalAcrossRepeatedRuns)
     EXPECT_EQ(first.digest, second.digest);
 }
 
+// ---------------------------------------------------------------------------
+// Pinned modelled ledger
+//
+// The expected strings were recorded from the per-slot replay loop and
+// the unmemoized arbiter. Replay and arbitration are timing models, so
+// a performance change must leave every line as it is; a change to the
+// model itself re-records them and says why.
+// ---------------------------------------------------------------------------
+
+/**
+ * The replay and arbitration ledger of one run, one "name value" line
+ * per metric: the execution-unit scalars summed over tiles, then the
+ * mce.replay.* and sched.* registry rows.
+ */
+std::string
+modelledLedger(core::MasterController &master)
+{
+    std::string out;
+    for (const char *stat : {"exec_unit.latches",
+                             "exec_unit.master_clocks",
+                             "exec_unit.fired_instructions"}) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < master.numMces(); ++i)
+            master.mce(i).stats().visitValues(
+                [&](const std::string &name, double v) {
+                    if (name == stat)
+                        sum += v;
+                });
+        out += std::string(stat) + " "
+            + std::to_string(std::uint64_t(sum)) + "\n";
+    }
+    const std::string snapshot = sim::metricsSnapshot();
+    std::size_t pos = 0;
+    while (pos < snapshot.size()) {
+        std::size_t end = snapshot.find('\n', pos);
+        if (end == std::string::npos)
+            end = snapshot.size();
+        const std::string line = snapshot.substr(pos, end - pos);
+        if (line.rfind("mce.replay.", 0) == 0
+            || line.rfind("sched.", 0) == 0)
+            out += line + "\n";
+        pos = end + 1;
+    }
+    return out;
+}
+
+core::MasterConfig
+ledgerConfig(core::SchedulingMode mode)
+{
+    core::MasterConfig cfg;
+    cfg.numMces = 3;
+    cfg.mce = core::tileConfigForLogicalQubits(3);
+    cfg.mce.seed = goldenSeed;
+    cfg.mce.errorRates = quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+    cfg.mce.scheduling = mode;
+    return cfg;
+}
+
+TEST(GoldenLedger, InOrderReplayIsPinned)
+{
+    sim::metrics::Registry::global().reset();
+    core::MasterConfig cfg =
+        ledgerConfig(core::SchedulingMode::InOrder);
+    cfg.sharedFetchBandwidth = 8;
+    core::MasterController master(cfg);
+    master.runRounds(4);
+    const int id = master.mce(1).defineLogicalQubit(qecc::Coord{2, 2});
+    master.runRounds(3);
+    master.mce(1).executeLogical({isa::LogicalOpcode::Hadamard,
+                                  std::uint16_t(id)});
+    master.mce(1).executeLogical({isa::LogicalOpcode::MaskExpand,
+                                  std::uint16_t(id)});
+    master.runRounds(3);
+
+    EXPECT_EQ(modelledLedger(master),
+              "exec_unit.latches 28570\n"
+              "exec_unit.master_clocks 210\n"
+              "exec_unit.fired_instructions 10428\n"
+              "mce.replay.hung_rounds 0\n"
+              "mce.replay.microcode_bits 114240\n"
+              "mce.replay.rounds 30\n"
+              "mce.replay.seu_uop_errors 0\n"
+              "mce.replay.uops 10428\n"
+              "sched.cycles 10730\n"
+              "sched.issued 10428\n"
+              "sched.plans 30\n"
+              "sched.queue_occupancy.count 30\n"
+              "sched.queue_occupancy.max 0\n"
+              "sched.queue_occupancy.mean 0\n"
+              "sched.queue_occupancy.min 0\n"
+              "sched.queue_occupancy.p50 0\n"
+              "sched.queue_occupancy.p99 0\n"
+              "sched.queue_occupancy.sum 0\n"
+              "sched.replay.cycles 0\n"
+              "sched.replay.rounds 0\n"
+              "sched.stall.bandwidth 3560\n"
+              "sched.stall.data 0\n"
+              "sched.stall.fetch 0\n"
+              "sched.stall.queue_full 0\n"
+              "sched.tile0.bw_wait_cycles 1190\n"
+              "sched.tile0.slack 5.9716775599128527\n"
+              "sched.tile1.bw_wait_cycles 1180\n"
+              "sched.tile1.slack 5.9716775599128527\n"
+              "sched.tile2.bw_wait_cycles 1190\n"
+              "sched.tile2.slack 5.9716775599128527\n");
+}
+
+TEST(GoldenLedger, ArbitratedOutOfOrderReplayIsPinned)
+{
+    sim::metrics::Registry::global().reset();
+    core::MasterConfig cfg =
+        ledgerConfig(core::SchedulingMode::OutOfOrder);
+    cfg.sharedFetchBandwidth = 8;
+    core::MasterController master(cfg);
+    master.runRounds(3);
+    const int id = master.mce(0).defineLogicalQubit(qecc::Coord{2, 2});
+    master.runRounds(2);
+    master.mce(0).executeLogical({isa::LogicalOpcode::MaskExpand,
+                                  std::uint16_t(id)});
+    master.mce(2).wedge();
+    master.runRounds(3);
+    master.mce(0).executeLogical({isa::LogicalOpcode::MaskMove,
+                                  std::uint16_t(id)});
+    master.mce(2).recover();
+    master.runRounds(3);
+    master.mce(0).releaseLogicalQubit(id);
+    master.runRounds(2);
+
+    EXPECT_EQ(modelledLedger(master),
+              "exec_unit.latches 12231\n"
+              "exec_unit.master_clocks 6426\n"
+              "exec_unit.fired_instructions 12231\n"
+              "mce.replay.hung_rounds 3\n"
+              "mce.replay.microcode_bits 137088\n"
+              "mce.replay.rounds 36\n"
+              "mce.replay.seu_uop_errors 0\n"
+              "mce.replay.uops 12231\n"
+              "sched.cycles 13837\n"
+              "sched.issued 14345\n"
+              "sched.plans 46\n"
+              "sched.queue_occupancy.count 43\n"
+              "sched.queue_occupancy.max 1\n"
+              "sched.queue_occupancy.mean 0.76744186046511631\n"
+              "sched.queue_occupancy.min 0\n"
+              "sched.queue_occupancy.p50 1\n"
+              "sched.queue_occupancy.p99 1\n"
+              "sched.queue_occupancy.sum 33\n"
+              "sched.replay.cycles 8604\n"
+              "sched.replay.rounds 36\n"
+              "sched.stall.bandwidth 3560\n"
+              "sched.stall.data 3153\n"
+              "sched.stall.fetch 2322\n"
+              "sched.stall.queue_full 0\n"
+              "sched.tile0.bw_wait_cycles 1190\n"
+              "sched.tile0.slack 5.9716775599128527\n"
+              "sched.tile1.bw_wait_cycles 1180\n"
+              "sched.tile1.slack 5.9716775599128527\n"
+              "sched.tile2.bw_wait_cycles 1190\n"
+              "sched.tile2.slack 5.9716775599128527\n");
+}
+
 } // namespace

@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/mce.hpp"
 #include "core/system.hpp"
+#include "qecc/braiding.hpp"
+#include "sim/fault_injector.hpp"
+#include "sim/logging.hpp"
+#include "sim/metrics.hpp"
 
 namespace {
 
@@ -247,5 +254,286 @@ TEST(Mce, MaskRoundTripReplaysUnmaskedNoise)
         ASSERT_EQ(a.zFlips, b.zFlips) << "round " << r;
     }
 }
+
+// ---------------------------------------------------------------------------
+// Per-epoch replay charges vs the per-slot reference loop
+// ---------------------------------------------------------------------------
+
+using quest::isa::PhysOpcode;
+using quest::qecc::RoundSchedule;
+
+/**
+ * The per-slot replay loop the MCE once ran every round, kept as the
+ * reference for its per-epoch charges: a switch latch array, and a
+ * master clock that fires every latched non-Nop uop.
+ */
+struct ReferenceReplay
+{
+    explicit ReferenceReplay(const MceConfig &config,
+                             std::size_t qubits)
+        : cfg(config), latched(qubits, PhysOpcode::Nop)
+    {}
+
+    MceConfig cfg;
+    std::vector<PhysOpcode> latched;
+    std::uint64_t latches = 0, clocks = 0, fired = 0;
+    std::uint64_t uops = 0, bits = 0, rounds = 0;
+    std::uint64_t hungRounds = 0, seuErrors = 0;
+    std::uint64_t schedRounds = 0, schedCycles = 0;
+
+    void
+    latch(std::size_t q, PhysOpcode op)
+    {
+        latched.at(q) = op;
+        ++latches;
+    }
+
+    void
+    masterClock()
+    {
+        ++clocks;
+        for (const PhysOpcode op : latched)
+            if (op != PhysOpcode::Nop)
+                ++fired;
+    }
+
+    /** Replay one round of the masked program `sched`. */
+    void
+    round(const RoundSchedule &sched)
+    {
+        const std::size_t n = latched.size();
+        const std::size_t uop_bits =
+            MicrocodeModel(sched.spec(), cfg.technology)
+                .uopBits(cfg.microcodeDesign, n);
+        ++rounds;
+        if (cfg.scheduling == SchedulingMode::InOrder) {
+            for (std::size_t s = 0; s < sched.depth(); ++s) {
+                const auto &sc = sched.subCycle(s);
+                for (std::size_t q = 0; q < n; ++q) {
+                    latch(q, sc.uops[q]);
+                    if (sc.uops[q] != PhysOpcode::Nop)
+                        ++uops;
+                }
+                bits += n * uop_bits;
+                masterClock();
+            }
+            return;
+        }
+        const auto oracle =
+            quest::verify::DependencyOracle::fromSchedule(sched);
+        const TileSchedule plan = DynamicScheduler(cfg.sched).schedule(
+            oracle, SchedulingMode::OutOfOrder, 1);
+        for (const auto &issue_cycle : plan.cycles) {
+            if (issue_cycle.empty())
+                continue;
+            for (const std::uint32_t id : issue_cycle)
+                latch(oracle.uops()[id].qubit, oracle.uops()[id].op);
+            masterClock();
+            for (const std::uint32_t id : issue_cycle)
+                latched[oracle.uops()[id].qubit] = PhysOpcode::Nop;
+            uops += issue_cycle.size();
+        }
+        bits += plan.slotsFetched * uop_bits;
+        ++schedRounds;
+        schedCycles += plan.cycles.size();
+    }
+};
+
+/** The program an Mce replays under `mask`: base with masked
+ *  qubits' uops blanked. */
+RoundSchedule
+maskedProgram(const RoundSchedule &base, const MaskTable &mask)
+{
+    RoundSchedule out(base.lattice(), base.spec());
+    for (std::size_t s = 0; s < base.depth(); ++s) {
+        auto sc = base.subCycle(s);
+        for (std::size_t q = 0; q < sc.uops.size(); ++q)
+            if (mask.masked(q))
+                sc.uops[q] = PhysOpcode::Nop;
+        out.addSubCycle(std::move(sc));
+    }
+    return out;
+}
+
+/** A registry counter's current value. */
+std::uint64_t
+counter(const char *name)
+{
+    return quest::sim::metrics::Registry::global()
+        .counter(name, "")
+        .value();
+}
+
+/** A scalar of the Mce's stat tree, by full dotted name. */
+double
+statValue(Mce &mce, const std::string &name)
+{
+    double out = -1.0;
+    mce.stats().visitValues([&](const std::string &n, double v) {
+        if (n == name)
+            out = v;
+    });
+    return out;
+}
+
+class ReplayCharges
+    : public ::testing::TestWithParam<
+          std::tuple<SchedulingMode, MicrocodeDesign>>
+{};
+
+TEST_P(ReplayCharges, MatchThePerSlotReferenceEveryRound)
+{
+    const auto [mode, design] = GetParam();
+    MceConfig cfg;
+    cfg.distance = 3;
+    cfg.latticeRows = 17; // room to braid two logical qubits
+    cfg.latticeCols = 15;
+    cfg.microcodeDesign = design;
+    cfg.scheduling = mode;
+    cfg.errorRates = quest::quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+    cfg.seed = 11;
+
+    const char *registry[] = {
+        "mce.replay.rounds",         "mce.replay.uops",
+        "mce.replay.microcode_bits", "mce.replay.hung_rounds",
+        "mce.replay.seu_uop_errors", "sched.replay.rounds",
+        "sched.replay.cycles"};
+    std::vector<std::uint64_t> base;
+    for (const char *name : registry)
+        base.push_back(counter(name));
+
+    Mce mce("mce0", cfg);
+    quest::sim::FaultInjector faults;
+    mce.attachFaults(&faults);
+    ReferenceReplay ref(cfg, mce.lattice().numQubits());
+
+    const auto check = [&](const std::string &where) {
+        SCOPED_TRACE(where);
+        EXPECT_EQ(statValue(mce, "exec_unit.latches"),
+                  double(ref.latches));
+        EXPECT_EQ(statValue(mce, "exec_unit.master_clocks"),
+                  double(ref.clocks));
+        EXPECT_EQ(statValue(mce, "exec_unit.fired_instructions"),
+                  double(ref.fired));
+        EXPECT_EQ(mce.qeccUopsIssued(), double(ref.uops));
+        EXPECT_EQ(mce.microcodeBitsStreamed(), double(ref.bits));
+        const std::uint64_t want[] = {
+            ref.rounds,     ref.uops,        ref.bits,
+            ref.hungRounds, ref.seuErrors,   ref.schedRounds,
+            ref.schedCycles};
+        for (std::size_t i = 0; i < base.size(); ++i)
+            EXPECT_EQ(counter(registry[i]) - base[i], want[i])
+                << registry[i];
+    };
+    const auto step = [&](const std::string &where) {
+        if (mce.hung()) {
+            ++ref.hungRounds;
+        } else {
+            ref.seuErrors += mce.microcodeStore().parityErrorWords();
+            ref.round(mce.maskedSchedule());
+        }
+        mce.runQeccRound();
+        check(where);
+    };
+    const auto logical = [&](LogicalOpcode op, int id) {
+        // A transverse uop drops its qubit's switch back to Nop: one
+        // latch per logical uop, no master clock.
+        const double before = mce.logicalUopsIssued();
+        mce.executeLogical(LogicalInstr{op, std::uint16_t(id)});
+        if (quest::isa::isTransverse(op))
+            ref.latches +=
+                std::uint64_t(mce.logicalUopsIssued() - before);
+    };
+
+    step("unmasked");
+    step("unmasked again");
+    const Coord control_anchor{2, 6};
+    const Coord target_anchor{10, 6};
+    const int control = mce.defineLogicalQubit(control_anchor);
+    step("one logical qubit");
+    const int target = mce.defineLogicalQubit(target_anchor);
+    step("two logical qubits");
+    logical(LogicalOpcode::Hadamard, control);
+    logical(LogicalOpcode::PrepZ, target);
+    step("after transverse ops");
+
+    // The braid replays d rounds per step under masks this test
+    // rebuilds from the same plan the MCE follows.
+    {
+        const quest::qecc::LogicalQubit c(mce.lattice(),
+                                          control_anchor,
+                                          cfg.distance);
+        const quest::qecc::LogicalQubit t(mce.lattice(),
+                                          target_anchor, cfg.distance);
+        const std::size_t moving = 1; // contracted to thread d = 3
+        const quest::qecc::BraidPlanner planner(mce.lattice());
+        const quest::qecc::BraidPlan plan = planner.planLoop(
+            quest::qecc::MaskSquare{c.defectA().topLeft, moving},
+            t.defectA());
+        quest::sim::StatGroup scratch("scratch");
+        for (std::size_t i = 1; i < plan.positions.size(); ++i) {
+            quest::qecc::LogicalQubit at = c;
+            at.setDefectA(
+                quest::qecc::MaskSquare{plan.positions[i], moving});
+            MaskTable mask(mce.lattice(), cfg.maskLayout, cfg.distance,
+                           scratch);
+            mask.apply(at, true);
+            mask.apply(t, true);
+            const RoundSchedule program =
+                maskedProgram(mce.baseSchedule(), mask);
+            for (std::size_t r = 0; r < cfg.distance; ++r)
+                ref.round(program);
+        }
+        ASSERT_EQ(mce.braidCnot(control, target), plan.steps());
+        check("after braid");
+    }
+
+    mce.releaseLogicalQubit(target);
+    step("target released");
+    const double writes = mce.maskTable().writeCount();
+    logical(LogicalOpcode::MaskExpand, control);
+    EXPECT_GT(mce.maskTable().writeCount(), writes);
+    step("after MaskExpand");
+    mce.releaseLogicalQubit(control);
+    const int moved = mce.defineLogicalQubit(Coord{2, 2});
+    step("redefined");
+    const double before_move = mce.maskTable().writeCount();
+    logical(LogicalOpcode::MaskMove, moved);
+    EXPECT_GT(mce.maskTable().writeCount(), before_move);
+    step("after MaskMove");
+
+    mce.wedge();
+    step("wedged");
+    step("still wedged");
+    mce.recover();
+    step("recovered");
+
+    quest::sim::Rng flips(5);
+    mce.microcodeStore().flipRandomBit(flips);
+    ASSERT_GT(mce.microcodeStore().parityErrorWords(), 0u);
+    step("SEU-corrupted word");
+    step("SEU persists");
+    mce.recover(); // the master's scrub rewrite
+    step("scrubbed");
+    EXPECT_GT(ref.seuErrors, 0u);
+}
+
+std::string
+chargeCaseName(const ::testing::TestParamInfo<
+               std::tuple<SchedulingMode, MicrocodeDesign>> &info)
+{
+    const char *designs[] = {"Ram", "Fifo", "UnitCell"};
+    return std::string(std::get<0>(info.param) == SchedulingMode::InOrder
+                           ? "InOrder"
+                           : "OutOfOrder")
+        + designs[int(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndDesigns, ReplayCharges,
+    ::testing::Combine(::testing::Values(SchedulingMode::InOrder,
+                                         SchedulingMode::OutOfOrder),
+                       ::testing::ValuesIn(allMicrocodeDesigns)),
+    chargeCaseName);
 
 } // namespace

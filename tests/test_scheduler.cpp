@@ -610,6 +610,188 @@ TEST(Arbiter, ContentionStretchesMakespanAndRecordsWaits)
 }
 
 // ---------------------------------------------------------------------------
+// Arbitration memo
+// ---------------------------------------------------------------------------
+
+/** Field-by-field equality of two arbitration results. */
+void
+expectSameArbitration(const ArbitrationResult &a,
+                      const ArbitrationResult &b)
+{
+    EXPECT_EQ(a.makespanCycles, b.makespanCycles);
+    EXPECT_EQ(a.slotsGranted, b.slotsGranted);
+    ASSERT_EQ(a.tiles.size(), b.tiles.size());
+    for (std::size_t i = 0; i < a.tiles.size(); ++i) {
+        SCOPED_TRACE("tile " + std::to_string(i));
+        const TileSchedule &x = a.tiles[i];
+        const TileSchedule &y = b.tiles[i];
+        EXPECT_EQ(x.cycles, y.cycles);
+        EXPECT_EQ(x.stalls.data, y.stalls.data);
+        EXPECT_EQ(x.stalls.queueFull, y.stalls.queueFull);
+        EXPECT_EQ(x.stalls.fetchStarved, y.stalls.fetchStarved);
+        EXPECT_EQ(x.stalls.bandwidthWait, y.stalls.bandwidthWait);
+        EXPECT_EQ(x.occupancySum, y.occupancySum);
+        EXPECT_EQ(x.makespanCycles, y.makespanCycles);
+        EXPECT_EQ(x.issued, y.issued);
+        EXPECT_EQ(x.slotsFetched, y.slotsFetched);
+    }
+}
+
+/** What a scheduler with no history computes for these inputs. */
+ArbitrationResult
+freshArbitration(const std::vector<const DependencyOracle *> &tiles,
+                 const std::vector<std::uint8_t> &active,
+                 SchedulingMode mode)
+{
+    const DynamicScheduler fresh(SchedulerConfig{});
+    return fresh.arbitrate(tiles, active, mode, 6,
+                           ArbiterPolicy::OldestFirst, 1);
+}
+
+TEST(ArbiterMemo, MaskEditAndRevertRecomputeAtTheSameAddress)
+{
+    for (const SchedulingMode mode :
+         {SchedulingMode::InOrder, SchedulingMode::OutOfOrder}) {
+        SCOPED_TRACE(core::schedulingModeName(mode));
+        MceConfig cfg = core::tileConfigForLogicalQubits(3);
+        Mce edited("edited", cfg);
+        Mce other("other", cfg);
+        // One storage slot for the edited tile's oracle: every
+        // rebuild lands at the same address with new content.
+        DependencyOracle slot = edited.dependencyOracle();
+        const std::vector<const DependencyOracle *> tiles{
+            &slot, &other.dependencyOracle()};
+        const std::vector<std::uint8_t> active{1, 1};
+        const DynamicScheduler sched(SchedulerConfig{});
+        const auto arbitrate = [&] {
+            return &sched.arbitrate(tiles, active, mode, 6,
+                                    ArbiterPolicy::OldestFirst, 1);
+        };
+
+        const ArbitrationResult before = *arbitrate();
+        const auto *plan = arbitrate()->tiles[0].cycles.data();
+
+        const int id = edited.defineLogicalQubit(Coord{2, 2});
+        slot = edited.dependencyOracle();
+        const ArbitrationResult &masked = *arbitrate();
+        EXPECT_NE(masked.tiles[0].cycles.data(), plan); // recomputed
+        expectSameArbitration(masked,
+                              freshArbitration(tiles, active, mode));
+        EXPECT_LT(masked.tiles[0].issued, before.tiles[0].issued);
+
+        edited.releaseLogicalQubit(id);
+        slot = edited.dependencyOracle();
+        const ArbitrationResult &reverted = *arbitrate();
+        expectSameArbitration(reverted,
+                              freshArbitration(tiles, active, mode));
+        expectSameArbitration(reverted, before);
+    }
+}
+
+TEST(ArbiterMemo, WedgeAndResumeChangeTheActiveSet)
+{
+    for (const SchedulingMode mode :
+         {SchedulingMode::InOrder, SchedulingMode::OutOfOrder}) {
+        SCOPED_TRACE(core::schedulingModeName(mode));
+        MceConfig cfg;
+        cfg.distance = 3;
+        std::vector<std::unique_ptr<Mce>> mces;
+        std::vector<const DependencyOracle *> tiles;
+        for (int i = 0; i < 3; ++i) {
+            mces.push_back(std::make_unique<Mce>("t", cfg));
+            tiles.push_back(&mces.back()->dependencyOracle());
+        }
+        const DynamicScheduler sched(SchedulerConfig{});
+        const auto arbitrate = [&] {
+            std::vector<std::uint8_t> active;
+            for (const auto &m : mces)
+                active.push_back(m->hung() ? 0 : 1);
+            const ArbitrationResult &r = sched.arbitrate(
+                tiles, active, mode, 6, ArbiterPolicy::OldestFirst, 1);
+            expectSameArbitration(r,
+                                  freshArbitration(tiles, active, mode));
+            return &r;
+        };
+
+        const ArbitrationResult all = *arbitrate();
+        const auto *plan = arbitrate()->tiles[0].cycles.data();
+
+        mces[1]->wedge();
+        const ArbitrationResult &wedged = *arbitrate();
+        EXPECT_NE(wedged.tiles[0].cycles.data(), plan);
+        EXPECT_EQ(wedged.tiles[1].issued, 0u);
+        EXPECT_LT(wedged.makespanCycles, all.makespanCycles);
+
+        mces[1]->recover();
+        const ArbitrationResult &resumed = *arbitrate();
+        EXPECT_GT(resumed.tiles[1].issued, 0u);
+        expectSameArbitration(resumed, all);
+    }
+}
+
+/** The sched.* rows of the global metrics snapshot. */
+std::string
+schedSnapshot()
+{
+    std::string out;
+    const std::string all = sim::metricsSnapshot();
+    std::size_t pos = 0;
+    while (pos < all.size()) {
+        const std::size_t end = all.find('\n', pos);
+        const std::string line = all.substr(pos, end - pos);
+        if (line.rfind("sched.", 0) == 0)
+            out += line + "\n";
+        pos = end == std::string::npos ? all.size() : end + 1;
+    }
+    return out;
+}
+
+TEST(ArbiterMemo, RepeatedCallsRecordLikeFreshRuns)
+{
+    constexpr int calls = 5;
+    MceConfig cfg = core::tileConfigForLogicalQubits(3);
+    Mce a("a", cfg);
+    Mce b("b", cfg);
+    b.defineLogicalQubit(Coord{2, 2});
+    const std::vector<const DependencyOracle *> tiles{
+        &a.dependencyOracle(), &b.dependencyOracle(),
+        &a.dependencyOracle()};
+    const std::vector<std::uint8_t> active{1, 1, 0};
+    auto &reg = sim::metrics::Registry::global();
+
+    for (const SchedulingMode mode :
+         {SchedulingMode::InOrder, SchedulingMode::OutOfOrder}) {
+        SCOPED_TRACE(core::schedulingModeName(mode));
+        reg.reset();
+        const DynamicScheduler memo(SchedulerConfig{});
+        const auto *plan =
+            memo.arbitrate(tiles, active, mode, 4,
+                           ArbiterPolicy::RoundRobin, 2)
+                .tiles[0]
+                .cycles.data();
+        for (int i = 1; i < calls; ++i) {
+            const ArbitrationResult &r = memo.arbitrate(
+                tiles, active, mode, 4, ArbiterPolicy::RoundRobin, 2);
+            EXPECT_EQ(r.tiles[0].cycles.data(), plan); // served cached
+        }
+        const std::string memoized = schedSnapshot();
+
+        reg.reset();
+        for (int i = 0; i < calls; ++i)
+            DynamicScheduler(SchedulerConfig{})
+                .arbitrate(tiles, active, mode, 4,
+                           ArbiterPolicy::RoundRobin, 2);
+        EXPECT_EQ(memoized, schedSnapshot());
+        EXPECT_NE(memoized.find("sched.plans "
+                                + std::to_string(3 * calls) + "\n"),
+                  std::string::npos)
+            << memoized;
+        EXPECT_NE(memoized.find("sched.queue_occupancy.count"),
+                  std::string::npos);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end differential: in-order vs out-of-order Mce replay
 // ---------------------------------------------------------------------------
 
