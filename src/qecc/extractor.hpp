@@ -7,6 +7,18 @@
  * measurement flips of each round. Repeated rounds build the
  * space-time syndrome history that the decoders consume.
  *
+ * The round runs the way the MCE replays it (Figure 8): one
+ * sub-cycle at a time, each opcode latched in lockstep onto a masked
+ * set of qubits. recompile() turns every sub-cycle of the masked
+ * schedule into a layer: a few word-wide steps over the PauliFrame's
+ * X/Z bitplanes (reset, Hadamard, CNOT as a shifted masked XOR; a
+ * lattice neighbour is a fixed index offset of +-1 or +-cols), then
+ * the sub-cycle's noise and measurement sites in schedule order. A
+ * layer's uops touch disjoint qubits (validateSchedule), so applying
+ * its gates before its noise equals the per-uop interleaving and
+ * every random stream is unchanged. The 64-lane runRoundBatch walks
+ * the same site list one site at a time.
+ *
  * For validation, runRoundOnTableau() executes the same schedule on
  * the full stabilizer tableau; unit tests cross-check that both
  * models report identical syndromes for identical injected errors.
@@ -77,7 +89,9 @@ class SyndromeExtractor
      * Recompile the round program after the schedule was edited in
      * place (same lattice). An owner that rebuilds its schedule calls
      * this instead of constructing a new extractor, so references to
-     * the extractor held elsewhere stay valid.
+     * the extractor held elsewhere stay valid. Throws sim::SimError
+     * when the schedule breaks the lockstep contract
+     * (validateSchedule).
      */
     void recompile();
 
@@ -138,29 +152,59 @@ class SyndromeExtractor
 
   private:
     /**
-     * One resolved operation of the precompiled round program:
-     * lattice neighbours and syndrome slots are looked up once at
-     * construction, and timing-only slots (Nop, Hadamard/Phase
-     * dressing, Verify) are dropped, so the per-round executors
-     * walk a flat op list instead of re-decoding the schedule.
+     * A noise or measurement site of the compiled round. Lattice
+     * neighbours and syndrome slots are resolved at compile time;
+     * timing-only slots (Nop, Hadamard/Phase dressing, Verify) have
+     * no site.
      */
-    struct RoundOp
+    struct Site
     {
         enum class Kind : std::uint8_t
         {
-            PrepZ,
-            PrepX,
+            Prep,
             Cnot,
-            MeasX,
-            MeasZ,
+            Meas,
         };
 
-        Kind kind;
+        std::uint8_t xBasis;   ///< MeasX (the batch walk applies H)
         std::uint8_t xAncilla; ///< measurement reports into xFlips
         std::uint16_t slot;    ///< measurement flip-vector index
         std::uint32_t a;       ///< prep/meas qubit, or CNOT control
         std::uint32_t b;       ///< CNOT target
     };
+
+    /**
+     * One opcode in one direction over a masked qubit set, applied
+     * in place to the frame's X/Z word planes.
+     */
+    struct Step
+    {
+        enum class Kind : std::uint8_t
+        {
+            Reset,       ///< clear both planes under the mask
+            Hadamard,    ///< swap the planes under the mask
+            CnotControl, ///< masked qubit q controls q + offset
+            CnotTarget,  ///< masked qubit q is the target of q + offset
+        };
+
+        Kind kind;
+        std::int32_t offset; ///< CNOT partner index minus masked index
+        std::uint32_t mask;  ///< first of the mask's words in _masks
+    };
+
+    /**
+     * One sub-cycle with work: its steps, then its sites, all of one
+     * kind (validateSchedule).
+     */
+    struct Layer
+    {
+        std::uint32_t stepEnd; ///< one past the layer's last step
+        std::uint32_t siteEnd; ///< one past the layer's last site
+        Site::Kind kind;
+    };
+
+    void applyStep(const Step &step, std::uint64_t *x,
+                   std::uint64_t *z) const;
 
     const RoundSchedule *_schedule;
     std::vector<Coord> _xAncillas;
@@ -168,7 +212,15 @@ class SyndromeExtractor
     std::vector<std::size_t> _dataIndices;
     /** Qubit index -> slot in the xFlips/zFlips vector (-1: none). */
     std::vector<int> _syndromeSlot;
-    std::vector<RoundOp> _program;
+    /** Words per frame plane. */
+    std::size_t _words = 0;
+
+    // The compiled round: sub-cycles with work, in schedule order.
+    // Sites run sub-cycle major, qubit minor -- the noise draw order.
+    std::vector<Layer> _layers;
+    std::vector<Step> _steps;
+    std::vector<std::uint64_t> _masks; ///< _words words per step
+    std::vector<Site> _sites;
 
     // Batch-engine registry counters, bound once at construction
     // (never function-local statics -- registry-lifetime hazard).

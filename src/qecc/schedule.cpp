@@ -152,6 +152,21 @@ countSteps(const ProtocolSpec &spec, StepClass cls)
     return n;
 }
 
+/**
+ * Preparation (1), CNOT (2) or measurement (3): the uops that
+ * evolve the frame, of which a sub-cycle holds one kind. Timing-only
+ * uops (Nop, Hadamard/Phase dressing, Verify) are 0.
+ */
+int
+workClass(PhysOpcode op)
+{
+    if (op == PhysOpcode::PrepZ || op == PhysOpcode::PrepX)
+        return 1;
+    if (isa::isTwoQubit(op))
+        return 2;
+    return isa::isMeasurement(op) ? 3 : 0;
+}
+
 } // namespace
 
 RoundSchedule
@@ -221,20 +236,34 @@ validateSchedule(const RoundSchedule &schedule)
         if (sc.uops.size() != lattice.numQubits())
             return false;
 
+        // Every qubit a uop addresses -- its own slot, plus the
+        // partner of a CNOT -- may be touched once per sub-cycle.
         std::vector<std::uint8_t> touched(lattice.numQubits(), 0);
-        for (std::size_t q = 0; q < sc.uops.size(); ++q) {
-            if (!isa::isTwoQubit(sc.uops[q]))
-                continue;
-            const Coord c = lattice.coord(q);
-            const auto n = lattice.neighbour(c,
-                                             cnotDirection(sc.uops[q]));
-            if (!n || !lattice.isData(*n))
-                return false;
-            const std::size_t partner = lattice.index(*n);
-            if (touched[q] || touched[partner])
+        const auto touch = [&](std::size_t q) {
+            if (touched[q])
                 return false;
             touched[q] = 1;
-            touched[partner] = 1;
+            return true;
+        };
+        // ... and one kind of work runs per sub-cycle.
+        int sub_cycle_class = 0;
+        for (std::size_t q = 0; q < sc.uops.size(); ++q) {
+            const PhysOpcode op = sc.uops[q];
+            if (op == PhysOpcode::Nop)
+                continue;
+            if (!touch(q))
+                return false;
+            if (const int cls = workClass(op); cls != 0) {
+                if (sub_cycle_class != 0 && cls != sub_cycle_class)
+                    return false;
+                sub_cycle_class = cls;
+            }
+            if (!isa::isTwoQubit(op))
+                continue;
+            const Coord c = lattice.coord(q);
+            const auto n = lattice.neighbour(c, cnotDirection(op));
+            if (!n || !lattice.isData(*n) || !touch(lattice.index(*n)))
+                return false;
         }
     }
     return true;

@@ -78,9 +78,13 @@ RoundSchedule buildRoundSchedule(const Lattice &lattice,
                                  const ProtocolSpec &spec);
 
 /**
- * Verify the lockstep two-qubit structural invariant: within each
- * sub-cycle no data qubit is touched by more than one two-qubit
- * micro-op and every two-qubit micro-op has an on-lattice partner.
+ * Verify the lockstep contract: within each sub-cycle every qubit is
+ * touched at most once -- by its own non-NOP micro-op or as the data
+ * partner of a CNOT, never both -- every two-qubit micro-op has an
+ * on-lattice data partner, and preparations, CNOTs and measurements
+ * do not share a sub-cycle (timing-only slots may join any of them).
+ * SyndromeExtractor relies on it to run a sub-cycle as disjoint
+ * word-wide steps followed by one kind of noise site.
  * @return true when the schedule is well formed.
  */
 bool validateSchedule(const RoundSchedule &schedule);

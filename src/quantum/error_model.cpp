@@ -1,40 +1,35 @@
 #include "error_model.hpp"
 
 #include <bit>
+#include <cmath>
 
 namespace quest::quantum {
 
 void
-ErrorChannel::depolarize1(PauliFrame &frame, std::size_t q, double p)
+checkRates(const ErrorRates &rates)
 {
-    if (!_rng->bernoulli(p))
-        return;
-    switch (_rng->uniformInt(3)) {
-      case 0: frame.injectX(q); break;
-      case 1: frame.injectY(q); break;
-      case 2: frame.injectZ(q); break;
-    }
-}
-
-void
-ErrorChannel::depolarize2(PauliFrame &frame, std::size_t a, std::size_t b,
-                          double p)
-{
-    if (!_rng->bernoulli(p))
-        return;
-    // Sample one of the 15 non-identity two-qubit Paulis.
-    const std::uint64_t k = _rng->uniformInt(15) + 1;
-    const auto pa = static_cast<Pauli>(k & 3u);
-    const auto pb = static_cast<Pauli>((k >> 2) & 3u);
-    frame.inject(a, pa);
-    frame.inject(b, pb);
+    const struct
+    {
+        const char *name;
+        double value;
+    } fields[] = {
+        {"idle", rates.idle}, {"gate1", rates.gate1},
+        {"gate2", rates.gate2}, {"prep", rates.prep},
+        {"meas", rates.meas},
+    };
+    for (const auto &f : fields)
+        if (!std::isfinite(f.value))
+            sim::fatal("error rate %s = %g is not finite", f.name,
+                       f.value);
 }
 
 BatchErrorChannel::BatchErrorChannel(ErrorRates rates,
                                      std::uint64_t seed,
                                      std::uint64_t first_trial)
     : _rates(rates), _rngs(seed, first_trial)
-{}
+{
+    checkRates(rates);
+}
 
 void
 BatchErrorChannel::depolarize1(BatchPauliFrame &frame, std::size_t q,

@@ -43,31 +43,95 @@ struct ErrorRates
     static ErrorRates none() { return ErrorRates{}; }
 };
 
+/**
+ * Reject non-finite rates with a diagnostic (SimError). A NaN rate
+ * has no integer Bernoulli threshold (sim::bernoulliThreshold), so
+ * the channels refuse it up front; finite rates outside [0, 1] keep
+ * the Rng::bernoulli short-circuits.
+ */
+void checkRates(const ErrorRates &rates);
+
+/**
+ * One depolarize1 site drawn from `rng`: with probability p, a
+ * uniform non-identity Pauli on q. `p` is a double or a precompiled
+ * sim::BernoulliRate; both draw the same stream. Shared by
+ * ErrorChannel and the extractor's round loop, which runs it on a
+ * local copy of the channel's Rng.
+ */
+template <typename Rate>
+inline void
+depolarize1(PauliFrame &frame, std::size_t q, sim::Rng &rng, Rate p)
+{
+    static constexpr Pauli paulis[3] = {Pauli::X, Pauli::Y, Pauli::Z};
+    if (rng.bernoulli(p))
+        frame.inject(q, paulis[rng.uniformInt(3)]);
+}
+
+/**
+ * One depolarize2 site drawn from `rng`: with probability p, one of
+ * the 15 non-identity two-qubit Paulis, each with probability p/15.
+ */
+template <typename Rate>
+inline void
+depolarize2(PauliFrame &frame, std::size_t a, std::size_t b,
+            sim::Rng &rng, Rate p)
+{
+    if (!rng.bernoulli(p))
+        return;
+    const std::uint64_t k = rng.uniformInt(15) + 1;
+    frame.inject(a, static_cast<Pauli>(k & 3u));
+    frame.inject(b, static_cast<Pauli>((k >> 2) & 3u));
+}
+
 /** Samples Pauli errors into a PauliFrame. */
 class ErrorChannel
 {
   public:
+    /** @throws sim::SimError on a non-finite rate (checkRates). */
     ErrorChannel(ErrorRates rates, sim::Rng &rng)
         : _rates(rates), _rng(&rng)
-    {}
+    {
+        checkRates(rates);
+    }
 
     const ErrorRates &rates() const { return _rates; }
 
     /**
      * Swap the configured rates (e.g. the decoder-deadline fallback
      * temporarily stretching the noise of a late-corrected tile).
+     * @throws sim::SimError on a non-finite rate (checkRates).
      */
-    void setRates(const ErrorRates &rates) { _rates = rates; }
+    void
+    setRates(const ErrorRates &rates)
+    {
+        checkRates(rates);
+        _rates = rates;
+    }
+
+    /**
+     * The noise stream the channel draws from. A round loop copies
+     * it into a local, draws from the copy and assigns it back, so
+     * the stream continues exactly as if the channel had drawn.
+     */
+    sim::Rng &rng() const { return *_rng; }
 
     /** Uniform non-identity Pauli with probability p. */
-    void depolarize1(PauliFrame &frame, std::size_t q, double p);
+    void
+    depolarize1(PauliFrame &frame, std::size_t q, double p)
+    {
+        quantum::depolarize1(frame, q, *_rng, p);
+    }
 
     /**
      * Two-qubit depolarizing channel: one of the 15 non-identity
      * two-qubit Paulis, each with probability p/15.
      */
-    void depolarize2(PauliFrame &frame, std::size_t a, std::size_t b,
-                     double p);
+    void
+    depolarize2(PauliFrame &frame, std::size_t a, std::size_t b,
+                double p)
+    {
+        quantum::depolarize2(frame, a, b, *_rng, p);
+    }
 
     /** @name Convenience wrappers using the configured rates. */
     ///@{
@@ -128,12 +192,20 @@ class BatchErrorChannel
      * @param first_trial Trial index carried by lane 0; lane t is
      *                    trial first_trial + t. A batch sweep uses
      *                    first_trial = 64 * batch_index.
+     * @throws sim::SimError on a non-finite rate (checkRates).
      */
     BatchErrorChannel(ErrorRates rates, std::uint64_t seed,
                       std::uint64_t first_trial);
 
     const ErrorRates &rates() const { return _rates; }
-    void setRates(const ErrorRates &rates) { _rates = rates; }
+
+    /** @throws sim::SimError on a non-finite rate (checkRates). */
+    void
+    setRates(const ErrorRates &rates)
+    {
+        checkRates(rates);
+        _rates = rates;
+    }
 
     /** Uniform non-identity Pauli per lane with probability p. */
     void depolarize1(BatchPauliFrame &frame, std::size_t q, double p);

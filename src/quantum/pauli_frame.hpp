@@ -188,6 +188,13 @@ class PauliFrame
     ///@{
     const std::vector<std::uint64_t> &xWords() const { return _xerr; }
     const std::vector<std::uint64_t> &zWords() const { return _zerr; }
+
+    /**
+     * Mutable planes for word-wide kernels (the extractor's layer
+     * steps). Bits at or past numQubits() must stay clear.
+     */
+    std::uint64_t *xPlane() { return _xerr.data(); }
+    std::uint64_t *zPlane() { return _zerr.data(); }
     ///@}
 
   private:

@@ -26,6 +26,7 @@
 #include <cstdint>
 
 #include "logging.hpp"
+#include "random.hpp"
 #include "simd.hpp"
 
 namespace quest::sim {
@@ -65,17 +66,9 @@ class BatchRng
             return 0;
         if (p >= 1.0)
             return ~std::uint64_t(0);
-        // Rng::uniform() compares (r >> 11) * 2^-53 < p. With
-        // k = r >> 11 an integer and p * 2^53 exact in double
-        // (power-of-two scaling of p < 1), k * 2^-53 < p is
-        // equivalent to the integer compare k < ceil(p * 2^53):
-        // when p * 2^53 is an integer m, k < m directly; otherwise
-        // k <= floor < ceil. Doing it in the integer domain keeps
-        // the lane loop free of int->double conversions so it
-        // auto-vectorizes.
-        const auto threshold = static_cast<std::uint64_t>(
-            __builtin_ceil(p * 9007199254740992.0)); // 2^53
-        return thresholdMask(threshold);
+        // The integer form of Rng::uniform() < p, so the lane loop
+        // stays free of int->double conversions and auto-vectorizes.
+        return thresholdMask(bernoulliThreshold(p));
     }
 
     /** Scalar next() on one lane (resolving infrequent hit lanes). */

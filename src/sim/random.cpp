@@ -1,7 +1,5 @@
 #include "random.hpp"
 
-#include "logging.hpp"
-
 namespace quest::sim {
 
 namespace {
@@ -14,12 +12,6 @@ splitmix64(std::uint64_t &x)
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
-}
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
 }
 
 } // namespace
@@ -56,52 +48,6 @@ Rng::deriveSeed(std::uint64_t seed_value, std::uint64_t salt)
     // avalanche keeps adjacent salts uncorrelated.
     std::uint64_t sm = seed_value ^ (salt * 0xBF58476D1CE4E5B9ull);
     return splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(_state[1] * 5, 7) * 9;
-    const std::uint64_t t = _state[1] << 17;
-
-    _state[2] ^= _state[0];
-    _state[3] ^= _state[1];
-    _state[1] ^= _state[2];
-    _state[0] ^= _state[3];
-    _state[2] ^= t;
-    _state[3] = rotl(_state[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits give a uniform double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t bound)
-{
-    QUEST_ASSERT(bound > 0, "uniformInt bound must be positive");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (~bound + 1) % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 } // namespace quest::sim

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "quantum/error_model.hpp"
 
 namespace {
@@ -92,6 +95,51 @@ TEST(ErrorChannel, MeasurementFlipRate)
         if (ch.measurementFlip())
             ++flips;
     EXPECT_NEAR(double(flips) / n, 0.25, 0.01);
+}
+
+TEST(ErrorChannel, RejectsNonFiniteRates)
+{
+    // A NaN rate has no integer Bernoulli threshold, so both channels
+    // refuse non-finite rates up front, at construction and on edit.
+    const double bad[] = {std::nan(""),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    Rng rng(10);
+    for (const double v : bad) {
+        for (double ErrorRates::*field :
+             {&ErrorRates::idle, &ErrorRates::gate1, &ErrorRates::gate2,
+              &ErrorRates::prep, &ErrorRates::meas}) {
+            ErrorRates rates = ErrorRates::uniform(1e-3);
+            rates.*field = v;
+            EXPECT_THROW(ErrorChannel(rates, rng), quest::sim::SimError);
+            EXPECT_THROW(BatchErrorChannel(rates, 1, 0),
+                         quest::sim::SimError);
+
+            ErrorChannel ch(ErrorRates::uniform(1e-3), rng);
+            BatchErrorChannel batch(ErrorRates::uniform(1e-3), 1, 0);
+            EXPECT_THROW(ch.setRates(rates), quest::sim::SimError);
+            EXPECT_THROW(batch.setRates(rates), quest::sim::SimError);
+            // A rejected edit leaves the previous rates in force.
+            EXPECT_DOUBLE_EQ(ch.rates().*field, 1e-3);
+            EXPECT_DOUBLE_EQ(batch.rates().*field, 1e-3);
+        }
+    }
+}
+
+TEST(ErrorChannel, OutOfRangeFiniteRatesKeepShortCircuits)
+{
+    // Finite rates outside [0, 1] are accepted and clamp like
+    // Rng::bernoulli: below 0 never fires, above 1 always does, and
+    // neither consumes a draw.
+    Rng rng(11), untouched(11);
+    ErrorChannel ch(ErrorRates{-1.0, -1.0, -1.0, 2.0, 2.0}, rng);
+    PauliFrame f(1);
+    ch.idle(f, 0);
+    EXPECT_EQ(f.errorAt(0), Pauli::I);
+    ch.afterPrep(f, 0);
+    EXPECT_EQ(f.errorAt(0), Pauli::X);
+    EXPECT_TRUE(ch.measurementFlip());
+    EXPECT_EQ(rng.next(), untouched.next());
 }
 
 } // namespace

@@ -10,10 +10,15 @@
 #include <set>
 
 #include "qecc/extractor.hpp"
+#include "qecc/logical_mask.hpp"
+#include "sim/metrics.hpp"
 
 namespace {
 
 using namespace quest::qecc;
+using quest::isa::PhysOpcode;
+using quest::quantum::BatchErrorChannel;
+using quest::quantum::BatchPauliFrame;
 using quest::quantum::ErrorChannel;
 using quest::quantum::ErrorRates;
 using quest::quantum::PauliFrame;
@@ -291,6 +296,211 @@ TEST(ExtractorProtocols, AllProtocolsDetectSingleError)
         EXPECT_TRUE(ext.runRound(frame, nullptr).any())
             << protocolName(p);
     }
+}
+
+/**
+ * The per-uop interpreter the lockstep engine replaced, kept as the
+ * reference: every uop of every sub-cycle in qubit order, each gate
+ * followed at once by its noise, after one idle channel per data
+ * qubit.
+ */
+SyndromeRound
+referenceRound(const RoundSchedule &sched, const SyndromeExtractor &ext,
+               PauliFrame &frame, ErrorChannel *channel)
+{
+    const Lattice &lat = sched.lattice();
+    SyndromeRound out;
+    out.xFlips.assign(ext.xAncillas().size(), 0);
+    out.zFlips.assign(ext.zAncillas().size(), 0);
+    std::vector<int> slot(lat.numQubits(), -1);
+    for (std::size_t i = 0; i < ext.xAncillas().size(); ++i)
+        slot[lat.index(ext.xAncillas()[i])] = int(i);
+    for (std::size_t i = 0; i < ext.zAncillas().size(); ++i)
+        slot[lat.index(ext.zAncillas()[i])] = int(i);
+
+    if (channel)
+        for (const Coord c : lat.sites(SiteType::Data))
+            channel->idle(frame, lat.index(c));
+
+    for (std::size_t s = 0; s < sched.depth(); ++s) {
+        const SubCycle &sc = sched.subCycle(s);
+        for (std::size_t q = 0; q < sc.uops.size(); ++q) {
+            const PhysOpcode op = sc.uops[q];
+            switch (op) {
+              case PhysOpcode::PrepZ:
+              case PhysOpcode::PrepX:
+                frame.reset(q);
+                if (op == PhysOpcode::PrepX)
+                    frame.h(q);
+                if (channel)
+                    channel->afterPrep(frame, q);
+                break;
+              case PhysOpcode::MeasX:
+              case PhysOpcode::MeasZ: {
+                if (op == PhysOpcode::MeasX)
+                    frame.h(q);
+                bool flip = frame.measureZFlip(q);
+                if (channel && channel->measurementFlip())
+                    flip = !flip;
+                const bool x_anc =
+                    lat.siteType(lat.coord(q)) == SiteType::XAncilla;
+                (x_anc ? out.xFlips : out.zFlips)[std::size_t(slot[q])] =
+                    flip ? 1 : 0;
+                break;
+              }
+              default:
+                if (!quest::isa::isTwoQubit(op))
+                    break; // Nop, dressing and Verify slots
+                const std::size_t n = lat.index(
+                    *lat.neighbour(lat.coord(q), cnotDirection(op)));
+                const bool control = op == cnotOpcode(cnotDirection(op));
+                const std::size_t c = control ? q : n;
+                const std::size_t t = control ? n : q;
+                frame.cnot(c, t);
+                if (channel)
+                    channel->afterGate2(frame, c, t);
+                break;
+            }
+        }
+    }
+    return out;
+}
+
+/** `base` with every uop addressed to a qubit of `masked` blanked. */
+RoundSchedule
+maskedCopy(const RoundSchedule &base, const std::vector<bool> &masked)
+{
+    RoundSchedule out(base.lattice(), base.spec());
+    for (std::size_t s = 0; s < base.depth(); ++s) {
+        SubCycle sc = base.subCycle(s);
+        for (std::size_t q = 0; q < sc.uops.size(); ++q)
+            if (masked[q])
+                sc.uops[q] = PhysOpcode::Nop;
+        out.addSubCycle(std::move(sc));
+    }
+    return out;
+}
+
+/** Random masks: none, a few logical qubits' footprints, or noise. */
+std::vector<bool>
+randomMask(const Lattice &lat, Rng &rng, int kind)
+{
+    std::vector<bool> masked(lat.numQubits(), false);
+    if (kind == 1) {
+        for (int k = 0; k < 3; ++k) {
+            const Coord anchor{int(rng.uniformInt(lat.rows())),
+                               int(rng.uniformInt(lat.cols()))};
+            const LogicalQubit lq(lat, anchor, 2);
+            if (lq.fits())
+                for (const std::size_t q : lq.footprint())
+                    masked[q] = true;
+        }
+    } else if (kind == 2) {
+        for (std::size_t q = 0; q < lat.numQubits(); ++q)
+            masked[q] = rng.bernoulli(0.2);
+    }
+    return masked;
+}
+
+TEST(ExtractorLockstep, MatchesPerUopReferenceUnderFuzz)
+{
+    // Column counts around the 64-bit word size make the +-1 and
+    // +-cols shifts cross word boundaries at every bit offset.
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {5, 5}, {9, 9}, {5, 63}, {5, 64}, {4, 65}, {3, 129}};
+    const ErrorRates rate_sets[] = {
+        ErrorRates::none(), ErrorRates::uniform(1e-3),
+        ErrorRates::uniform(0.3), ErrorRates::uniform(1.0),
+        ErrorRates{0.02, 0.0, 0.3, 1.0, 0.05},
+        ErrorRates{-1.0, 0.5, 2.0, 0.0, 0.999}};
+    const ErrorRates stretched{0.5, 0.5, 0.01, 0.2, 1.0};
+
+    Rng fuzz(2024);
+    std::size_t configs = 0;
+    for (const auto &[rows, cols] : shapes) {
+        const Lattice lat(rows, cols);
+        for (Protocol p : {Protocol::Steane, Protocol::Shor,
+                           Protocol::SC17, Protocol::SC13}) {
+            const RoundSchedule base =
+                buildRoundSchedule(lat, protocolSpec(p));
+            for (int mask_kind = 0; mask_kind < 3; ++mask_kind) {
+                const RoundSchedule sched =
+                    maskedCopy(base, randomMask(lat, fuzz, mask_kind));
+                const SyndromeExtractor ext(sched);
+                // One pass per rate set, plus one with no channel.
+                for (std::size_t r = 0; r <= std::size(rate_sets); ++r) {
+                    const bool noisy = r < std::size(rate_sets);
+                    const std::uint64_t seed = fuzz.next();
+                    Rng rng_a(seed), rng_b(seed);
+                    ErrorChannel chan_a(noisy ? rate_sets[r]
+                                              : ErrorRates::none(),
+                                        rng_a);
+                    ErrorChannel chan_b(chan_a.rates(), rng_b);
+                    PauliFrame frame_a(lat.numQubits());
+                    for (std::size_t q = 0; q < lat.numQubits(); ++q)
+                        frame_a.inject(q, static_cast<quest::quantum::Pauli>(
+                                              fuzz.uniformInt(4)));
+                    PauliFrame frame_b = frame_a;
+                    ++configs;
+                    for (int round = 0; round < 12; ++round) {
+                        if (round == 6) { // a mid-run stretch
+                            chan_a.setRates(stretched);
+                            chan_b.setRates(stretched);
+                        }
+                        const SyndromeRound a = ext.runRound(
+                            frame_a, noisy ? &chan_a : nullptr);
+                        const SyndromeRound b = referenceRound(
+                            sched, ext, frame_b,
+                            noisy ? &chan_b : nullptr);
+                        const auto where = [&] {
+                            return protocolName(p) + " "
+                                + std::to_string(rows) + "x"
+                                + std::to_string(cols) + " mask "
+                                + std::to_string(mask_kind) + " rates "
+                                + std::to_string(r) + " round "
+                                + std::to_string(round);
+                        };
+                        ASSERT_EQ(a.xFlips, b.xFlips) << where();
+                        ASSERT_EQ(a.zFlips, b.zFlips) << where();
+                        ASSERT_EQ(frame_a.xWords(), frame_b.xWords())
+                            << where();
+                        ASSERT_EQ(frame_a.zWords(), frame_b.zWords())
+                            << where();
+                        Rng next_a = rng_a, next_b = rng_b;
+                        ASSERT_EQ(next_a.next(), next_b.next())
+                            << where();
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(configs, 6u * 4u * 3u * 7u);
+}
+
+TEST(ExtractorLockstep, BatchCountsOneWordUopPerSiteAndDataQubit)
+{
+    // d=3 Steane: 12 preps, 40 CNOTs (the ancillas' stabilizer
+    // supports: eight of weight 3, four of weight 4), 12
+    // measurements, plus one idle channel for each of 13 data qubits.
+    const Lattice lat = Lattice::forDistance(3);
+    const RoundSchedule sched =
+        buildRoundSchedule(lat, protocolSpec(Protocol::Steane));
+    const SyndromeExtractor ext(sched);
+    std::size_t support = 0;
+    for (const Coord c : lat.sites(SiteType::XAncilla))
+        support += lat.stabilizerSupport(c).size();
+    for (const Coord c : lat.sites(SiteType::ZAncilla))
+        support += lat.stabilizerSupport(c).size();
+    ASSERT_EQ(support, 40u);
+
+    auto &word_uops = quest::sim::metrics::Registry::global().counter(
+        "qecc.batch.word_uops", "");
+    const std::uint64_t before = word_uops.value();
+    BatchPauliFrame frame(lat.numQubits());
+    BatchErrorChannel channel(ErrorRates::uniform(0.01), 3, 0);
+    (void)ext.runRoundBatch(frame, &channel);
+    (void)ext.runRoundBatch(frame, nullptr);
+    EXPECT_EQ(word_uops.value() - before, 2u * 77u);
 }
 
 } // namespace

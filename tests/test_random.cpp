@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "sim/batch_random.hpp"
 #include "sim/random.hpp"
 
 namespace {
 
 using quest::sim::BatchRng;
+using quest::sim::BernoulliRate;
 using quest::sim::Rng;
 
 TEST(Random, SameSeedSameSequence)
@@ -86,6 +90,59 @@ TEST(Random, BernoulliEdgeCases)
         EXPECT_FALSE(rng.bernoulli(-1.0));
         EXPECT_TRUE(rng.bernoulli(2.0));
     }
+}
+
+TEST(Random, BernoulliRateMatchesBernoulliDrawForDraw)
+{
+    // The integer-threshold form must agree with the double compare
+    // on every draw, including where the two could round apart: the
+    // smallest step 2^-53, exact multiples k * 2^-53, 0.5, the
+    // largest double below 1 and a subnormal p. Both streams must
+    // also stay in lockstep (same number of draws consumed).
+    const double ps[] = {
+        0x1.0p-53,
+        3 * 0x1.0p-53,
+        12345 * 0x1.0p-53,
+        0.5,
+        std::nextafter(1.0, 0.0),
+        std::numeric_limits<double>::denorm_min(),
+        1e-3,
+        0.3,
+        -1.0,
+        0.0,
+        1.0,
+        2.0,
+    };
+    for (const double p : ps) {
+        Rng a(0xB00Cull), b(0xB00Cull);
+        const BernoulliRate rate(p);
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_EQ(a.bernoulli(p), b.bernoulli(rate))
+                << "p=" << p << " draw " << i;
+        EXPECT_EQ(a.next(), b.next()) << "p=" << p;
+    }
+}
+
+TEST(Random, BernoulliRateAgreesAtTheThreshold)
+{
+    // Random streams almost never land on the boundary, so check it
+    // directly: k = r >> 11 hits for k < ceil(p * 2^53) and misses at
+    // k = ceil(p * 2^53), exactly as (k * 2^-53 < p) does.
+    const double ps[] = {0x1.0p-53, 7 * 0x1.0p-53, 0.5,
+                         std::nextafter(1.0, 0.0),
+                         std::numeric_limits<double>::denorm_min(),
+                         0.1};
+    for (const double p : ps) {
+        const std::uint64_t t = BernoulliRate(p).threshold();
+        EXPECT_EQ(t, quest::sim::bernoulliThreshold(p));
+        ASSERT_GE(t, 1u);
+        EXPECT_LT(double(t - 1) * 0x1.0p-53, p) << "p=" << p;
+        EXPECT_FALSE(double(t) * 0x1.0p-53 < p) << "p=" << p;
+    }
+    EXPECT_EQ(BernoulliRate(0.5).threshold(), std::uint64_t(1) << 52);
+    EXPECT_EQ(BernoulliRate(std::nextafter(1.0, 0.0)).threshold(),
+              (std::uint64_t(1) << 53) - 1);
+    EXPECT_THROW(BernoulliRate(std::nan("")), quest::sim::SimError);
 }
 
 /**

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
+#include "qecc/extractor.hpp"
 #include "qecc/schedule.hpp"
 
 namespace {
@@ -29,10 +31,16 @@ TEST_P(ScheduleTest, DepthMatchesProtocol)
 
 TEST_P(ScheduleTest, ValidatesStructurally)
 {
-    const Lattice lat = Lattice::forDistance(3);
-    const RoundSchedule sched =
-        buildRoundSchedule(lat, protocolSpec(GetParam()));
-    EXPECT_TRUE(validateSchedule(sched));
+    // Square, wide and odd-sized lattices, so every boundary case of
+    // the per-direction CNOT sub-cycles meets the lockstep contract.
+    for (const auto &[rows, cols] :
+         {std::pair<std::size_t, std::size_t>{5, 5}, {9, 9}, {12, 33},
+          {5, 64}, {7, 65}}) {
+        const Lattice lat(rows, cols);
+        EXPECT_TRUE(validateSchedule(
+            buildRoundSchedule(lat, protocolSpec(GetParam()))))
+            << rows << "x" << cols;
+    }
 }
 
 TEST_P(ScheduleTest, EveryQubitHasASlotEverySubCycle)
@@ -111,6 +119,95 @@ TEST(Schedule, ActiveUopCountScalesWithProtocol)
     EXPECT_GT(shor.activeUopCount(), steane.activeUopCount());
     EXPECT_EQ(steane.totalUopSlots(),
               steane.depth() * lat.numQubits());
+}
+
+TEST(Schedule, RejectsAQubitTouchedTwiceInOneSubCycle)
+{
+    // The extractor runs a sub-cycle as disjoint word-wide steps, so
+    // a qubit may take part in one uop per sub-cycle: a single-qubit
+    // uop on a CNOT's data partner breaks the contract.
+    const Lattice lat = Lattice::forDistance(3);
+    RoundSchedule sched =
+        buildRoundSchedule(lat, protocolSpec(Protocol::Steane));
+    const RoundSchedule good = sched;
+    SyndromeExtractor extractor(sched);
+
+    const Coord ancilla{0, 1}; // X ancilla, data partner (1, 1) south
+    ASSERT_EQ(lat.siteType(ancilla), SiteType::XAncilla);
+    const Coord partner{1, 1};
+    ASSERT_TRUE(lat.isData(partner));
+
+    RoundSchedule bad(lat, good.spec());
+    for (std::size_t s = 0; s < good.depth(); ++s) {
+        SubCycle sc = good.subCycle(s);
+        if (sc.uops[lat.index(ancilla)] == PhysOpcode::CnotS)
+            sc.uops[lat.index(partner)] = PhysOpcode::Hadamard;
+        bad.addSubCycle(std::move(sc));
+    }
+    EXPECT_FALSE(validateSchedule(bad));
+
+    sched = bad;
+    EXPECT_THROW(extractor.recompile(), quest::sim::SimError);
+    EXPECT_THROW(SyndromeExtractor{bad}, quest::sim::SimError);
+
+    // Two CNOTs sharing a data partner break it the same way.
+    RoundSchedule shared(lat, good.spec());
+    for (std::size_t s = 0; s < good.depth(); ++s) {
+        SubCycle sc = good.subCycle(s);
+        if (sc.uops[lat.index(ancilla)] == PhysOpcode::CnotS)
+            sc.uops[lat.index(Coord{1, 0})] = PhysOpcode::CnotTargetE;
+        shared.addSubCycle(std::move(sc));
+    }
+    EXPECT_FALSE(validateSchedule(shared));
+
+    sched = good;
+    extractor.recompile();
+}
+
+TEST(Schedule, RejectsMixedWorkInOneSubCycle)
+{
+    // A sub-cycle holds preparations, CNOTs or measurements, never
+    // two of them: the extractor runs its noise sites as one kind.
+    const Lattice lat = Lattice::forDistance(3);
+    const RoundSchedule good =
+        buildRoundSchedule(lat, protocolSpec(Protocol::Steane));
+    const auto hasCnot = [](const SubCycle &sc) {
+        return std::any_of(sc.uops.begin(), sc.uops.end(),
+                           quest::isa::isTwoQubit);
+    };
+    std::size_t cnot_step = 0;
+    while (!hasCnot(good.subCycle(cnot_step)))
+        ++cnot_step;
+
+    // Put `op` on an ancilla the CNOT sub-cycle leaves idle.
+    const auto withUop = [&](std::size_t q, PhysOpcode op) {
+        RoundSchedule out(lat, good.spec());
+        for (std::size_t s = 0; s < good.depth(); ++s) {
+            SubCycle sc = good.subCycle(s);
+            if (s == cnot_step)
+                sc.uops[q] = op;
+            out.addSubCycle(std::move(sc));
+        }
+        return out;
+    };
+    std::size_t idle = lat.numQubits();
+    for (std::size_t q = 0; q < lat.numQubits(); ++q)
+        if (lat.isAncilla(lat.coord(q))
+            && good.subCycle(cnot_step).uops[q] == PhysOpcode::Nop
+            && validateSchedule(withUop(q, PhysOpcode::Verify))) {
+            idle = q;
+            break;
+        }
+    ASSERT_LT(idle, lat.numQubits());
+
+    // A timing-only slot may join; a preparation or measurement may
+    // not.
+    EXPECT_NO_THROW(SyndromeExtractor{withUop(idle, PhysOpcode::Verify)});
+    for (const PhysOpcode op : {PhysOpcode::PrepZ, PhysOpcode::MeasZ}) {
+        const RoundSchedule bad = withUop(idle, op);
+        EXPECT_FALSE(validateSchedule(bad));
+        EXPECT_THROW(SyndromeExtractor{bad}, quest::sim::SimError);
+    }
 }
 
 TEST(Schedule, CnotOpcodeDirectionRoundTrip)
