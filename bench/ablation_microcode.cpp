@@ -67,13 +67,11 @@ printFigure()
     sim::Table mask("Ablation: mask table capacity (per MCE tile)");
     mask.header({ "code distance", "full mask bits",
                   "coalesced bits", "reduction" });
-    quest::sim::StatGroup stats("bench");
     for (std::size_t d : { 3u, 5u, 7u, 11u }) {
         const qecc::Lattice lattice(2 * d - 1, 8 * d);
-        const core::MaskTable full(lattice, core::MaskLayout::Full,
-                                   d, stats);
-        const core::MaskTable coalesced(
-            lattice, core::MaskLayout::Coalesced, d, stats);
+        const core::MaskTable full(lattice, core::MaskLayout::Full, d);
+        const core::MaskTable coalesced(lattice,
+                                        core::MaskLayout::Coalesced, d);
         char red[32];
         std::snprintf(red, sizeof(red), "%.1fx",
                       double(full.capacityBits())

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/mce.hpp"
 #include "core/scheduler.hpp"
 #include "isa/instructions.hpp"
@@ -120,27 +121,15 @@ main(int argc, char **argv)
 {
     sim::setQuiet(true);
 
-    bool smoke = false;
-    bool check = false;
-    std::size_t rounds = 0;
-    std::string out_path = "BENCH_schedule.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--check") {
-            check = true;
-        } else if (arg.rfind("--rounds=", 0) == 0) {
-            rounds = std::stoull(arg.substr(9));
-        } else if (arg.rfind("--out=", 0) == 0) {
-            out_path = arg.substr(6);
-        } else {
-            std::cerr << "unknown flag " << arg << "\n"
-                      << "usage: ablation_schedule [--smoke] "
-                         "[--check] [--rounds=N] [--out=PATH]\n";
-            return 1;
-        }
-    }
+    bench::Flags flags(argc, argv,
+                       "ablation_schedule [--smoke] [--check] "
+                       "[--rounds=N] [--out=PATH]");
+    const bool smoke = flags.has("--smoke");
+    const bool check = flags.has("--check");
+    std::size_t rounds = flags.count("--rounds", 0, 0, 1u << 20);
+    const std::string out_path =
+        flags.text("--out", "BENCH_schedule.json");
+    flags.done();
     if (rounds == 0)
         rounds = smoke ? 8 : 32;
     sim::metrics::Registry::global().reset();

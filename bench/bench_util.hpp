@@ -5,15 +5,24 @@
  * Every bench binary prints its paper artifact as an aligned table
  * (the series the paper plots, so results can be compared by eye or
  * scripted from the CSV block), so iterating the bench binaries
- * regenerates the whole evaluation.
+ * regenerates the whole evaluation. The gate benches, which take
+ * flags, share one strict flag parser and the rep calibration of
+ * their timed windows.
  */
 
 #ifndef QUEST_BENCH_UTIL_HPP
 #define QUEST_BENCH_UTIL_HPP
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <set>
 #include <string>
 
 #include "sim/logging.hpp"
@@ -50,6 +59,155 @@ writeMetricsJson(const std::string &bench, const std::string &path)
     quest::sim::metricsWriteJson(os);
     os << "\n}\n";
     std::cout << "wrote " << path << "\n";
+}
+
+/**
+ * Strict parser for a gate bench's `--switch` and `--flag=value`
+ * arguments. A malformed or out-of-range value, a value on a switch,
+ * or a flag no accessor asks about prints `error: --flag ...` and the
+ * usage line, then exits 1, like the quest CLI: bad input never
+ * reaches the bench as a wrapped or default value.
+ */
+class Flags
+{
+  public:
+    Flags(int argc, char **argv, std::string usage)
+        : _usage(std::move(usage))
+    {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg.rfind("--", 0) != 0)
+                fail("unexpected argument '" + arg + "'");
+            const auto eq = arg.find('=');
+            if (eq == std::string::npos)
+                _args[arg] = Arg{};
+            else
+                _args[arg.substr(0, eq)] = Arg{ true, arg.substr(eq + 1) };
+        }
+    }
+
+    /** Was the switch `flag` given? */
+    bool
+    has(const std::string &flag)
+    {
+        const Arg *arg = find(flag);
+        if (arg != nullptr && arg->hasValue)
+            fail(flag + " takes no value");
+        return arg != nullptr;
+    }
+
+    /** The text of `flag`, or `fallback` when absent. */
+    std::string
+    text(const std::string &flag, const std::string &fallback)
+    {
+        const Arg *arg = value(flag);
+        return arg != nullptr ? arg->value : fallback;
+    }
+
+    /** An integer in [lo, hi], or `fallback` when absent. */
+    std::uint64_t
+    count(const std::string &flag, std::uint64_t fallback,
+          std::uint64_t lo, std::uint64_t hi)
+    {
+        const Arg *arg = value(flag);
+        if (arg == nullptr)
+            return fallback;
+        const char *first = arg->value.data();
+        const char *last = first + arg->value.size();
+        std::uint64_t v = 0;
+        const auto [end, ec] = std::from_chars(first, last, v);
+        if (ec != std::errc() || end != last || v < lo || v > hi)
+            fail(flag + " expects an integer in [" + std::to_string(lo)
+                 + ", " + std::to_string(hi) + "], got '" + arg->value
+                 + "'");
+        return v;
+    }
+
+    /** A finite number in [lo, hi], or `fallback` when absent. */
+    double
+    number(const std::string &flag, double fallback, double lo,
+           double hi)
+    {
+        const Arg *arg = value(flag);
+        if (arg == nullptr)
+            return fallback;
+        const char *first = arg->value.c_str();
+        char *end = nullptr;
+        const double v = std::strtod(first, &end);
+        if (end == first || *end != '\0' || !std::isfinite(v) || v < lo
+            || v > hi)
+            fail(flag + " expects a number in [" + fmt(lo) + ", "
+                 + fmt(hi) + "], got '" + arg->value + "'");
+        return v;
+    }
+
+    /** Exit 1 if a flag was given that no accessor asked about. */
+    void
+    done() const
+    {
+        for (const auto &[flag, arg] : _args)
+            if (!_asked.contains(flag))
+                fail(flag + " is not a known flag");
+    }
+
+  private:
+    struct Arg
+    {
+        bool hasValue = false;
+        std::string value;
+    };
+
+    std::string _usage;
+    std::map<std::string, Arg> _args;
+    std::set<std::string> _asked;
+
+    const Arg *
+    find(const std::string &flag)
+    {
+        _asked.insert(flag);
+        const auto it = _args.find(flag);
+        return it == _args.end() ? nullptr : &it->second;
+    }
+
+    const Arg *
+    value(const std::string &flag)
+    {
+        const Arg *arg = find(flag);
+        if (arg != nullptr && !arg->hasValue)
+            fail(flag + " expects " + flag + "=VALUE");
+        return arg;
+    }
+
+    static std::string
+    fmt(double v)
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", v);
+        return buf;
+    }
+
+    [[noreturn]] void
+    fail(const std::string &msg) const
+    {
+        std::fprintf(stderr, "error: %s\nusage: %s\n", msg.c_str(),
+                     _usage.c_str());
+        std::exit(1);
+    }
+};
+
+/**
+ * Pick the rep count that stretches a timed window past
+ * `min_window_s`, from one warm probe pass that took `probe_wall_s`.
+ */
+inline std::uint64_t
+calibrateReps(double probe_wall_s, double min_window_s)
+{
+    if (probe_wall_s <= 0.0)
+        return 4096;
+    const double want = min_window_s / probe_wall_s;
+    if (want <= 1.0)
+        return 1;
+    return std::uint64_t(std::min(4096.0, want + 1.0));
 }
 
 } // namespace quest::bench

@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "decode/cluster_decoder.hpp"
 #include "qecc/extractor.hpp"
 #include "sim/logging.hpp"
@@ -195,22 +196,6 @@ runTrials(sim::ThreadPool &pool,
     return summarize(std::move(latency), wall, pool.threads(), reps);
 }
 
-/**
- * Pick the rep count that stretches the timed window past
- * `min_window_s` for this configuration, from one warm
- * single-thread probe pass.
- */
-std::uint64_t
-calibrateReps(double probe_wall_s, double min_window_s)
-{
-    if (probe_wall_s <= 0.0)
-        return 4096;
-    const double want = min_window_s / probe_wall_s;
-    if (want <= 1.0)
-        return 1;
-    return std::uint64_t(std::min(4096.0, want + 1.0));
-}
-
 struct ConfigResult
 {
     std::size_t distance = 0;
@@ -238,34 +223,21 @@ main(int argc, char **argv)
 {
     sim::setQuiet(true);
 
-    bool smoke = false;
-    std::uint64_t trials = 0;
-    std::size_t threads = 0;
-    double min_window_ms = 50.0;
-    double check_scaling = 0.0; // 0 = report only, no gate
-    std::string out_path = "BENCH_decoder_throughput.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = std::size_t(std::stoul(arg.substr(10)));
-        } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::stoull(arg.substr(9));
-        } else if (arg.rfind("--out=", 0) == 0) {
-            out_path = arg.substr(6);
-        } else if (arg.rfind("--min-window-ms=", 0) == 0) {
-            min_window_ms = std::stod(arg.substr(16));
-        } else if (arg.rfind("--check-scaling=", 0) == 0) {
-            check_scaling = std::stod(arg.substr(16));
-        } else {
-            std::cerr << "unknown flag " << arg << "\n"
-                      << "usage: decoder_throughput [--smoke] "
-                         "[--threads=N] [--trials=N] [--out=PATH] "
-                         "[--min-window-ms=N] [--check-scaling=R]\n";
-            return 1;
-        }
-    }
+    bench::Flags flags(argc, argv,
+                       "decoder_throughput [--smoke] [--threads=N] "
+                       "[--trials=N] [--out=PATH] [--min-window-ms=N] "
+                       "[--check-scaling=R]");
+    const bool smoke = flags.has("--smoke");
+    const std::size_t threads = flags.count("--threads", 0, 0, 1024);
+    std::uint64_t trials = flags.count("--trials", 0, 0, 1u << 24);
+    const std::string out_path =
+        flags.text("--out", "BENCH_decoder_throughput.json");
+    const double min_window_ms =
+        flags.number("--min-window-ms", 50.0, 0.0, 60000.0);
+    // 0 = report only, no gate.
+    const double check_scaling =
+        flags.number("--check-scaling", 0.0, 0.0, 1024.0);
+    flags.done();
     if (trials == 0)
         trials = smoke ? 64 : 1024;
     // Start the cycle-accounting section of the output JSON from a
@@ -299,7 +271,7 @@ main(int argc, char **argv)
             // probe, then time both runs over identical work.
             const Timing probe =
                 runTrials(serial, events, decode_one, w_single, 1);
-            const std::uint64_t reps = calibrateReps(
+            const std::uint64_t reps = bench::calibrateReps(
                 probe.wallSeconds, min_window_ms / 1e3);
             r.single = runTrials(serial, events, decode_one,
                                  w_single, reps);

@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "decode/detection.hpp"
 #include "qecc/extractor.hpp"
 #include "sim/logging.hpp"
@@ -462,22 +463,6 @@ struct SweepSetup
 constexpr quantum::ErrorRates sweepRates{ 2e-3, 0, 0, 0, 2e-3 };
 
 /**
- * Pick the rep count that stretches the timed window past
- * `min_window_s` for this configuration, from one warm probe pass
- * (same calibration as bench/decoder_throughput).
- */
-std::uint64_t
-calibrateReps(double probe_wall_s, double min_window_s)
-{
-    if (probe_wall_s <= 0.0)
-        return 4096;
-    const double want = min_window_s / probe_wall_s;
-    if (want <= 1.0)
-        return 1;
-    return std::uint64_t(std::min(4096.0, want + 1.0));
-}
-
-/**
  * Scalar engine: one PauliFrame trial at a time, the whole sweep
  * repeated `reps` times. Every rep replays the identical substream
  * seeds, so `digest` lands on the single-rep value.
@@ -599,27 +584,15 @@ main(int argc, char **argv)
 {
     sim::setQuiet(true);
 
-    bool smoke = false;
-    bool check = false;
-    std::size_t threads = 0;
-    std::string out_path = "BENCH_kernel_speed.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--check") {
-            check = true;
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = std::size_t(std::stoul(arg.substr(10)));
-        } else if (arg.rfind("--out=", 0) == 0) {
-            out_path = arg.substr(6);
-        } else {
-            std::cerr << "unknown flag " << arg << "\n"
-                      << "usage: kernel_speed [--smoke] [--check] "
-                         "[--threads=N] [--out=PATH]\n";
-            return 1;
-        }
-    }
+    bench::Flags flags(argc, argv,
+                       "kernel_speed [--smoke] [--check] [--threads=N] "
+                       "[--out=PATH]");
+    const bool smoke = flags.has("--smoke");
+    const bool check = flags.has("--check");
+    const std::size_t threads = flags.count("--threads", 0, 0, 1024);
+    const std::string out_path =
+        flags.text("--out", "BENCH_kernel_speed.json");
+    flags.done();
 
     sim::metrics::Registry::global().reset();
 
@@ -650,12 +623,12 @@ main(int argc, char **argv)
     // timed over a full window rather than a few milliseconds.
     const double scalar_probe =
         runScalarSweep(sweep, trials, scalar_digest);
-    frames.scalarReps = calibrateReps(scalar_probe, min_seconds);
+    frames.scalarReps = bench::calibrateReps(scalar_probe, min_seconds);
     const double scalar_wall = runScalarSweep(
         sweep, trials, scalar_digest, frames.scalarReps);
     const double batched_probe =
         runBatchedSweep(sweep, trials, batched_digest);
-    frames.batchedReps = calibrateReps(batched_probe, min_seconds);
+    frames.batchedReps = bench::calibrateReps(batched_probe, min_seconds);
     const double batched_wall = runBatchedSweep(
         sweep, trials, batched_digest, frames.batchedReps);
     frames.scalarPerSec = scalar_wall > 0.0
@@ -680,7 +653,7 @@ main(int argc, char **argv)
         frames.parThreads = pool.threads();
         const double probe =
             runBatchedSweepParallel(sweep, trials, pool);
-        const std::uint64_t reps = calibrateReps(probe, min_seconds);
+        const std::uint64_t reps = bench::calibrateReps(probe, min_seconds);
         const double wall =
             runBatchedSweepParallel(sweep, trials, pool, reps);
         frames.batchedParPerSec =

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
 #include "qecc/extractor.hpp"
@@ -202,27 +203,15 @@ main(int argc, char **argv)
 {
     sim::setQuiet(true);
 
-    bool smoke = false;
-    bool check = false;
-    std::uint64_t trials = 0;
-    std::string out_path = "BENCH_stream_lag.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--check") {
-            check = true;
-        } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::stoull(arg.substr(9));
-        } else if (arg.rfind("--out=", 0) == 0) {
-            out_path = arg.substr(6);
-        } else {
-            std::cerr << "unknown flag " << arg << "\n"
-                      << "usage: stream_lag [--smoke] [--check] "
-                         "[--trials=N] [--out=PATH]\n";
-            return 1;
-        }
-    }
+    bench::Flags flags(argc, argv,
+                       "stream_lag [--smoke] [--check] [--trials=N] "
+                       "[--out=PATH]");
+    const bool smoke = flags.has("--smoke");
+    const bool check = flags.has("--check");
+    std::uint64_t trials = flags.count("--trials", 0, 0, 1u << 24);
+    const std::string out_path =
+        flags.text("--out", "BENCH_stream_lag.json");
+    flags.done();
     if (trials == 0)
         trials = smoke ? 96 : 512;
     sim::metrics::Registry::global().reset();

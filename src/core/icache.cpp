@@ -8,23 +8,13 @@
 namespace quest::core {
 
 LogicalInstructionCache::LogicalInstructionCache(
-    std::size_t capacity_instructions, sim::StatGroup &parent)
+    std::size_t capacity_instructions)
     : _capacity(capacity_instructions),
-      _stats("icache"),
-      _hits(_stats.scalar("hits", "logical cache hits")),
-      _misses(_stats.scalar("misses", "logical cache misses")),
-      _busBytes(_stats.scalar("bus_bytes",
-                              "global bus bytes for logical delivery")),
-      _mHits(sim::metrics::Registry::global().counter(
-          "mce.icache.hits", "logical instruction-cache hits")),
-      _mMisses(sim::metrics::Registry::global().counter(
-          "mce.icache.misses", "logical instruction-cache misses")),
-      _mBusBytes(sim::metrics::Registry::global().counter(
-          "mce.icache.bus_bytes",
-          "global bus bytes spent on logical-block delivery"))
-{
-    parent.addChild(_stats);
-}
+      _hits("mce.icache.hits", "logical instruction-cache hits"),
+      _misses("mce.icache.misses", "logical instruction-cache misses"),
+      _busBytes("mce.icache.bus_bytes",
+                "global bus bytes spent on logical-block delivery")
+{}
 
 void
 LogicalInstructionCache::touch(std::uint32_t block_id)
@@ -57,10 +47,8 @@ LogicalInstructionCache::execute(std::uint32_t block_id,
     if (!enabled()) {
         // No cache: the whole body streams over the bus every time.
         out.bytesFetched = body.bytes();
-        _busBytes += double(out.bytesFetched);
+        _busBytes += out.bytesFetched;
         ++_misses;
-        ++_mMisses;
-        _mBusBytes += out.bytesFetched;
         return out;
     }
 
@@ -68,19 +56,15 @@ LogicalInstructionCache::execute(std::uint32_t block_id,
         touch(block_id);
         out.hit = true;
         out.bytesFetched = replayTokenBytes;
-        _busBytes += double(replayTokenBytes);
+        _busBytes += replayTokenBytes;
         ++_hits;
-        ++_mHits;
-        _mBusBytes += replayTokenBytes;
         return out;
     }
 
     // Miss: stream the body and install it.
     out.bytesFetched = body.bytes();
-    _busBytes += double(out.bytesFetched);
+    _busBytes += out.bytesFetched;
     ++_misses;
-    ++_mMisses;
-    _mBusBytes += out.bytesFetched;
 
     if (body.size() <= _capacity) {
         evictUntilFits(body.size());

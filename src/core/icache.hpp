@@ -23,7 +23,6 @@
 
 #include "isa/trace.hpp"
 #include "sim/metrics.hpp"
-#include "sim/stats.hpp"
 
 namespace quest::core {
 
@@ -43,8 +42,8 @@ class LogicalInstructionCache
      * @param capacity_instructions Total instructions the buffer can
      *        hold (0 disables caching: every access streams).
      */
-    LogicalInstructionCache(std::size_t capacity_instructions,
-                            sim::StatGroup &parent);
+    explicit LogicalInstructionCache(
+        std::size_t capacity_instructions);
 
     std::size_t capacity() const { return _capacity; }
     bool enabled() const { return _capacity > 0; }
@@ -61,9 +60,9 @@ class LogicalInstructionCache
     /** Instructions currently resident. */
     std::size_t residentInstructions() const { return _resident; }
 
-    double hits() const { return _hits.value(); }
-    double misses() const { return _misses.value(); }
-    double busBytes() const { return _busBytes.value(); }
+    double hits() const { return double(_hits.value()); }
+    double misses() const { return double(_misses.value()); }
+    double busBytes() const { return double(_busBytes.value()); }
 
   private:
     std::size_t _capacity;
@@ -82,16 +81,11 @@ class LogicalInstructionCache
      */
     std::unordered_map<std::uint32_t, decltype(_lru)::iterator> _index;
 
-    sim::StatGroup _stats;
-    sim::Scalar &_hits;
-    sim::Scalar &_misses;
-    sim::Scalar &_busBytes;
-
-    // Constructor-bound registry counters (no function-local
-    // statics; they outlive registry resets).
-    sim::metrics::Counter &_mHits;
-    sim::metrics::Counter &_mMisses;
-    sim::metrics::Counter &_mBusBytes;
+    // Constructor-bound counts (no function-local statics; they
+    // outlive registry resets).
+    sim::metrics::Tally _hits;
+    sim::metrics::Tally _misses;
+    sim::metrics::Tally _busBytes;
 
     void touch(std::uint32_t block_id);
     void evictUntilFits(std::size_t need);

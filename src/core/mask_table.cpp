@@ -3,14 +3,11 @@
 namespace quest::core {
 
 MaskTable::MaskTable(const qecc::Lattice &lattice, MaskLayout layout,
-                     std::size_t d, sim::StatGroup &parent)
+                     std::size_t d)
     : _lattice(&lattice), _layout(layout), _full(lattice),
       _coalesced(lattice, d),
-      _stats("mask_table"),
-      _writes(_stats.scalar("writes", "mask table write operations"))
-{
-    parent.addChild(_stats);
-}
+      _writes("mask_table.writes", "mask table write operations")
+{}
 
 std::size_t
 MaskTable::capacityBits() const

@@ -20,7 +20,7 @@
 #include <memory>
 
 #include "qecc/logical_mask.hpp"
-#include "sim/stats.hpp"
+#include "sim/metrics.hpp"
 
 namespace quest::core {
 
@@ -41,7 +41,7 @@ class MaskTable
      * @param d Code distance (tile edge for the coalesced layout).
      */
     MaskTable(const qecc::Lattice &lattice, MaskLayout layout,
-              std::size_t d, sim::StatGroup &parent);
+              std::size_t d);
 
     MaskLayout layout() const { return _layout; }
 
@@ -60,7 +60,7 @@ class MaskTable
     /** Number of masked qubits on the tile. */
     std::size_t maskedQubitCount() const;
 
-    double writeCount() const { return _writes.value(); }
+    std::uint64_t writeCount() const { return _writes.value(); }
 
   private:
     const qecc::Lattice *_lattice;
@@ -68,8 +68,7 @@ class MaskTable
     qecc::FullMask _full;
     qecc::CoalescedMask _coalesced;
 
-    sim::StatGroup _stats;
-    sim::Scalar &_writes;
+    sim::metrics::Tally _writes;
 };
 
 } // namespace quest::core

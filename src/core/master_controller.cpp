@@ -68,53 +68,46 @@ MasterController::MasterController(const MasterConfig &cfg)
       _faults(cfg.faults),
       _deadline(deadlineConfigFor(cfg)),
       _missedHeartbeats(cfg.numMces, 0),
-      _stats("master"),
-      _network(networkConfigFor(cfg), _stats),
-      _bytesLogical(_stats.scalar(
-          "bus_bytes_logical", "logical instruction packets (bytes)")),
-      _bytesSync(_stats.scalar("bus_bytes_sync",
-                               "synchronization tokens (bytes)")),
-      _bytesSyndrome(_stats.scalar(
-          "bus_bytes_syndrome", "residual syndrome uploads (bytes)")),
-      _bytesCorrections(_stats.scalar(
-          "bus_bytes_corrections", "correction downloads (bytes)")),
-      _bytesCache(_stats.scalar(
-          "bus_bytes_cache",
-          "distillation block fills and replay tokens (bytes)")),
-      _bytesScrub(_stats.scalar(
-          "bus_bytes_scrub",
-          "microcode parity polls and image re-uploads (bytes)")),
-      _faultStats("faults"),
-      _seuInjected(_faultStats.scalar(
-          "seu_injected", "microcode SEU bit-flips injected")),
-      _seuDetected(_faultStats.scalar(
-          "seu_detected", "parity-failed words caught by scrubbing")),
-      _seuSilent(_faultStats.scalar(
-          "seu_silent_repaired",
-          "parity-masked flips cleared by an image rewrite")),
-      _scrubs(_faultStats.scalar(
-          "scrubs", "microcode image re-uploads")),
-      _decoderOverruns(_faultStats.scalar(
-          "decoder_overruns", "global decodes past the window deadline")),
-      _decoderFallbacks(_faultStats.scalar(
-          "decoder_fallbacks",
-          "windows degraded to the union-find cluster decoder")),
-      _heartbeats(_faultStats.scalar(
-          "heartbeats", "watchdog heartbeats sent")),
-      _heartbeatsMissed(_faultStats.scalar(
-          "heartbeats_missed", "heartbeats a wedged MCE failed to answer")),
-      _hangsInjected(_faultStats.scalar(
-          "hangs_injected", "MCE control hangs injected")),
-      _quarantines(_faultStats.scalar(
-          "quarantines", "tiles quarantined by the watchdog")),
-      _resumes(_faultStats.scalar(
-          "resumes", "quarantined tiles re-synced and resumed")),
-      _busEscalations(_faultStats.scalar(
-          "bus_escalations",
-          "supervisor re-issues after the link retry budget failed")),
-      _packetsAbandoned(_faultStats.scalar(
-          "packets_abandoned",
-          "bus packets abandoned to the out-of-band slow path"))
+      _network(networkConfigFor(cfg)),
+      _bytesLogical("master.bus_bytes_logical",
+                    "logical instruction packets (bytes)"),
+      _bytesSync("master.bus_bytes_sync",
+                 "synchronization tokens (bytes)"),
+      _bytesSyndrome("master.bus_bytes_syndrome",
+                     "residual syndrome uploads (bytes)"),
+      _bytesCorrections("master.bus_bytes_corrections",
+                        "correction downloads (bytes)"),
+      _bytesCache("master.bus_bytes_cache",
+                  "distillation block fills and replay tokens (bytes)"),
+      _bytesScrub("master.bus_bytes_scrub",
+                  "microcode parity polls and image re-uploads (bytes)"),
+      _seuInjected("faults.seu_injected",
+                   "microcode SEU bit-flips injected"),
+      _seuDetected("faults.seu_detected",
+                   "parity-failed words caught by scrubbing"),
+      _seuSilent("faults.seu_silent_repaired",
+                 "parity-masked flips cleared by an image rewrite"),
+      _scrubs("faults.scrubs", "microcode image re-uploads"),
+      _decoderOverruns("faults.decoder_overruns",
+                       "global decodes past the window deadline"),
+      _decoderFallbacks(
+          "faults.decoder_fallbacks",
+          "windows degraded to the union-find cluster decoder"),
+      _heartbeats("faults.heartbeats", "watchdog heartbeats sent"),
+      _heartbeatsMissed("faults.heartbeats_missed",
+                        "heartbeats a wedged MCE failed to answer"),
+      _hangsInjected("faults.hangs_injected",
+                     "MCE control hangs injected"),
+      _quarantines("faults.quarantines",
+                   "tiles quarantined by the watchdog"),
+      _resumes("faults.resumes",
+               "quarantined tiles re-synced and resumed"),
+      _busEscalations(
+          "faults.bus_escalations",
+          "supervisor re-issues after the link retry budget failed"),
+      _packetsAbandoned(
+          "faults.packets_abandoned",
+          "bus packets abandoned to the out-of-band slow path")
 {
     QUEST_ASSERT(cfg.numMces > 0, "need at least one MCE");
     _network.attachFaults(&_faults);
@@ -140,7 +133,6 @@ MasterController::MasterController(const MasterConfig &cfg)
         _mces.push_back(std::make_unique<Mce>(
             "mce" + std::to_string(i), mc));
         _mces.back()->attachFaults(&_faults);
-        _stats.addChild(_mces.back()->stats());
     }
     if (arbitrating()) {
         const auto &spec = qecc::protocolSpec(cfg.mce.protocol);
@@ -191,39 +183,6 @@ MasterController::MasterController(const MasterConfig &cfg)
                 });
         }
     }
-    // Link-level retry counters, mirrored so the faults group is the
-    // one-stop report a fault sweep reads.
-    _faultStats.formula("network_retransmits",
-                        "link-level retransmissions",
-                        [this] { return _network.retransmits(); });
-    _faultStats.formula("network_lost", "packets dropped in flight",
-                        [this] { return _network.lostPackets(); });
-    _faultStats.formula("network_corrupted",
-                        "packets rejected by CRC",
-                        [this] {
-                            return _network.corruptedPackets();
-                        });
-    _faultStats.formula("network_failures",
-                        "packets past the link retry budget",
-                        [this] {
-                            return _network.deliveryFailures();
-                        });
-    _faultStats.formula("network_overhead_bytes",
-                        "CRC/ACK protocol bytes",
-                        [this] {
-                            return _network.protocolOverheadBytes();
-                        });
-    _stats.addChild(_faultStats);
-    // The whole stat tree (bus categories, per-MCE groups, network,
-    // faults) becomes visible through the global metrics registry:
-    // metricsSnapshot() reports "master.*" rows alongside the
-    // registry's own counters.
-    sim::metrics::Registry::global().attachGroup(_stats);
-}
-
-MasterController::~MasterController()
-{
-    sim::metrics::Registry::global().detachGroup(_stats);
 }
 
 std::size_t
@@ -243,9 +202,9 @@ MasterController::streamStride() const
 
 void
 MasterController::sendOnBus(std::size_t mce_idx, std::size_t bytes,
-                            sim::Scalar &category)
+                            sim::metrics::Tally &category)
 {
-    category += double(bytes);
+    category += bytes;
     PacketTiming timing = _network.send(mce_idx, bytes);
     // The link-level ARQ gives up after its retry budget; the master
     // then re-issues the whole packet (a supervisor retransmission)
@@ -254,7 +213,7 @@ MasterController::sendOnBus(std::size_t mce_idx, std::size_t bytes,
     for (std::size_t esc = 0;
          !timing.delivered && esc < maxBusEscalations; ++esc) {
         ++_busEscalations;
-        category += double(bytes);
+        category += bytes;
         timing = _network.send(mce_idx, bytes);
     }
     if (!timing.delivered) {
@@ -480,8 +439,8 @@ MasterController::scrubNow()
         MicrocodeStore &store = _mces[i]->microcodeStore();
         if (store.parityErrorWords() == 0)
             continue; // parity-clean (even-flip corruption is silent)
-        _seuDetected += double(store.parityErrorWords());
-        _seuSilent += double(store.silentBits());
+        _seuDetected += store.parityErrorWords();
+        _seuSilent += store.silentBits();
         sendOnBus(i, store.imageBytes(), _bytesScrub);
         store.repair();
         ++_scrubs;
@@ -572,9 +531,9 @@ MasterController::decodeNow()
 double
 MasterController::totalBusBytes() const
 {
-    return _bytesLogical.value() + _bytesSync.value()
-        + _bytesSyndrome.value() + _bytesCorrections.value()
-        + _bytesCache.value() + _bytesScrub.value();
+    return double(_bytesLogical.value() + _bytesSync.value()
+                  + _bytesSyndrome.value() + _bytesCorrections.value()
+                  + _bytesCache.value() + _bytesScrub.value());
 }
 
 double

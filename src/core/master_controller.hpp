@@ -118,9 +118,6 @@ class MasterController
   public:
     explicit MasterController(const MasterConfig &cfg);
 
-    /** Detaches the stat tree from the global metrics registry. */
-    ~MasterController();
-
     std::size_t numMces() const { return _mces.size(); }
     Mce &mce(std::size_t i) { return *_mces.at(i); }
     const Mce &mce(std::size_t i) const { return *_mces.at(i); }
@@ -220,51 +217,71 @@ class MasterController
     void scrubNow();
 
     sim::FaultInjector &faultInjector() { return _faults; }
-    sim::StatGroup &faultStats() { return _faultStats; }
     const decode::DecodeDeadline &decodeDeadline() const
     {
         return _deadline;
     }
 
-    double seuInjected() const { return _seuInjected.value(); }
-    double seuDetected() const { return _seuDetected.value(); }
-    double seuSilentRepaired() const { return _seuSilent.value(); }
-    double scrubCount() const { return _scrubs.value(); }
-    double decoderOverruns() const { return _decoderOverruns.value(); }
+    double seuInjected() const { return double(_seuInjected.value()); }
+    double seuDetected() const { return double(_seuDetected.value()); }
+    double seuSilentRepaired() const
+    {
+        return double(_seuSilent.value());
+    }
+    double scrubCount() const { return double(_scrubs.value()); }
+    double decoderOverruns() const
+    {
+        return double(_decoderOverruns.value());
+    }
     double decoderFallbacks() const
     {
-        return _decoderFallbacks.value();
+        return double(_decoderFallbacks.value());
     }
-    double heartbeatsSent() const { return _heartbeats.value(); }
+    double heartbeatsSent() const { return double(_heartbeats.value()); }
     double heartbeatsMissed() const
     {
-        return _heartbeatsMissed.value();
+        return double(_heartbeatsMissed.value());
     }
-    double hangsInjected() const { return _hangsInjected.value(); }
-    double quarantineCount() const { return _quarantines.value(); }
-    double resumeCount() const { return _resumes.value(); }
-    double busEscalations() const { return _busEscalations.value(); }
+    double hangsInjected() const
+    {
+        return double(_hangsInjected.value());
+    }
+    double quarantineCount() const
+    {
+        return double(_quarantines.value());
+    }
+    double resumeCount() const { return double(_resumes.value()); }
+    double busEscalations() const
+    {
+        return double(_busEscalations.value());
+    }
     double packetsAbandoned() const
     {
-        return _packetsAbandoned.value();
+        return double(_packetsAbandoned.value());
     }
     ///@}
 
     /** @name Global bus accounting (bytes). */
     ///@{
-    double busBytesLogical() const { return _bytesLogical.value(); }
-    double busBytesSync() const { return _bytesSync.value(); }
-    double busBytesSyndrome() const { return _bytesSyndrome.value(); }
+    double busBytesLogical() const
+    {
+        return double(_bytesLogical.value());
+    }
+    double busBytesSync() const { return double(_bytesSync.value()); }
+    double busBytesSyndrome() const
+    {
+        return double(_bytesSyndrome.value());
+    }
     double busBytesCorrections() const
     {
-        return _bytesCorrections.value();
+        return double(_bytesCorrections.value());
     }
     double busBytesCacheTraffic() const
     {
-        return _bytesCache.value();
+        return double(_bytesCache.value());
     }
     /** Microcode scrub polls and image re-uploads. */
-    double busBytesScrub() const { return _bytesScrub.value(); }
+    double busBytesScrub() const { return double(_bytesScrub.value()); }
     double totalBusBytes() const;
     ///@}
 
@@ -279,8 +296,6 @@ class MasterController
 
     /** The packet-switched interconnect carrying all bus traffic. */
     PacketNetwork &network() { return _network; }
-
-    sim::StatGroup &stats() { return _stats; }
 
   private:
     MasterConfig _cfg;
@@ -311,29 +326,29 @@ class MasterController
     std::vector<sim::metrics::Counter *> _mTileBwWait;
     std::vector<sim::metrics::Gauge *> _mTileSlack;
 
-    sim::StatGroup _stats;
     PacketNetwork _network;
-    sim::Scalar &_bytesLogical;
-    sim::Scalar &_bytesSync;
-    sim::Scalar &_bytesSyndrome;
-    sim::Scalar &_bytesCorrections;
-    sim::Scalar &_bytesCache;
-    sim::Scalar &_bytesScrub;
+    /** Bus bytes by category (master.bus_bytes_* rows). */
+    sim::metrics::Tally _bytesLogical;
+    sim::metrics::Tally _bytesSync;
+    sim::metrics::Tally _bytesSyndrome;
+    sim::metrics::Tally _bytesCorrections;
+    sim::metrics::Tally _bytesCache;
+    sim::metrics::Tally _bytesScrub;
 
-    sim::StatGroup _faultStats;
-    sim::Scalar &_seuInjected;
-    sim::Scalar &_seuDetected;
-    sim::Scalar &_seuSilent;
-    sim::Scalar &_scrubs;
-    sim::Scalar &_decoderOverruns;
-    sim::Scalar &_decoderFallbacks;
-    sim::Scalar &_heartbeats;
-    sim::Scalar &_heartbeatsMissed;
-    sim::Scalar &_hangsInjected;
-    sim::Scalar &_quarantines;
-    sim::Scalar &_resumes;
-    sim::Scalar &_busEscalations;
-    sim::Scalar &_packetsAbandoned;
+    /** Classical fault and recovery events (faults.* rows). */
+    sim::metrics::Tally _seuInjected;
+    sim::metrics::Tally _seuDetected;
+    sim::metrics::Tally _seuSilent;
+    sim::metrics::Tally _scrubs;
+    sim::metrics::Tally _decoderOverruns;
+    sim::metrics::Tally _decoderFallbacks;
+    sim::metrics::Tally _heartbeats;
+    sim::metrics::Tally _heartbeatsMissed;
+    sim::metrics::Tally _hangsInjected;
+    sim::metrics::Tally _quarantines;
+    sim::metrics::Tally _resumes;
+    sim::metrics::Tally _busEscalations;
+    sim::metrics::Tally _packetsAbandoned;
 
     std::size_t decodeWindow() const;
 
@@ -352,7 +367,7 @@ class MasterController
      * re-issues when the link-level retry budget is exhausted.
      */
     void sendOnBus(std::size_t mce_idx, std::size_t bytes,
-                   sim::Scalar &category);
+                   sim::metrics::Tally &category);
 
     /** Per-round classical fault arrivals (hangs, SEUs). */
     void injectRoundFaults();

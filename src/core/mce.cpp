@@ -47,17 +47,6 @@ preflightVerifier()
     return g_preflightVerifier;
 }
 
-Mce::ExecUnitStats::ExecUnitStats(sim::StatGroup &parent)
-    : group("exec_unit"),
-      latches(group.scalar("latches", "uops latched onto switches")),
-      masterClocks(group.scalar("master_clocks",
-                                "master clock firings")),
-      fired(group.scalar("fired_instructions",
-                         "non-NOP quantum instructions executed"))
-{
-    parent.addChild(group);
-}
-
 Mce::Mce(std::string name, const MceConfig &cfg)
     : _name(std::move(name)), _cfg(cfg),
       _lattice(std::make_unique<qecc::Lattice>(
@@ -72,38 +61,29 @@ Mce::Mce(std::string name, const MceConfig &cfg)
       _ledger(_lattice->numQubits()),
       _channel(cfg.errorRates, _rng),
       _microcodeStore(microcodeImageBits(cfg, _lattice->numQubits())),
-      _stats(_name),
-      _mask(*_lattice, cfg.maskLayout, cfg.distance, _stats),
-      _execUnit(_stats),
-      _icache(cfg.icacheCapacity, _stats),
+      _mask(*_lattice, cfg.maskLayout, cfg.distance),
+      _icache(cfg.icacheCapacity),
       _lutDecoder(*_lattice),
-      _microcodeBits(_stats.scalar(
-          "microcode_bits",
-          "bits streamed out of the local microcode memory")),
-      _qeccUops(_stats.scalar("qecc_uops",
-                              "QECC uops issued to the exec unit")),
-      _logicalUops(_stats.scalar(
-          "logical_uops", "logical (transverse) uops issued")),
-      _eventsLocal(_stats.scalar(
-          "events_local", "detection events resolved by the LUT")),
-      _roundsStat(_stats.scalar("qecc_rounds", "QECC rounds executed")),
-      _seuUopErrors(_stats.scalar(
-          "seu_uop_errors",
-          "stray errors from SEU-corrupted microcode words")),
+      _latches("exec_unit.latches", "uops latched onto switches"),
+      _masterClocks("exec_unit.master_clocks", "master clock firings"),
+      _fired("exec_unit.fired_instructions",
+             "non-NOP quantum instructions executed"),
+      _microcodeBits("mce.replay.microcode_bits",
+                     "bits read out of the local microcode memory"),
+      _seuUopErrors("mce.replay.seu_uop_errors",
+                    "stray errors replayed from SEU-corrupted words"),
+      _logicalUops(_name + ".logical_uops",
+                   "logical (transverse) uops issued"),
+      _eventsLocal(_name + ".events_local",
+                   "detection events resolved by the LUT"),
       _mReplayRounds(sim::metrics::Registry::global().counter(
           "mce.replay.rounds",
           "QECC rounds replayed from microcode")),
       _mReplayUops(sim::metrics::Registry::global().counter(
           "mce.replay.uops", "non-Nop uops streamed per replay")),
-      _mReplayUcodeBits(sim::metrics::Registry::global().counter(
-          "mce.replay.microcode_bits",
-          "bits read out of the local microcode memory")),
       _mReplayHungRounds(sim::metrics::Registry::global().counter(
           "mce.replay.hung_rounds",
           "rounds skipped because the engine was wedged")),
-      _mReplaySeuErrors(sim::metrics::Registry::global().counter(
-          "mce.replay.seu_uop_errors",
-          "stray errors replayed from SEU-corrupted words")),
       _mLogicalInstrs(sim::metrics::Registry::global().counter(
           "mce.pipeline.logical_instrs",
           "logical instructions entering the MCE pipeline")),
@@ -282,7 +262,7 @@ Mce::applyTransverse(LogicalOpcode op, const LogicalQubit &lq)
             sim::panic("opcode %s is not transverse",
                        isa::logicalOpcodeName(op).c_str());
         }
-        ++_execUnit.latches; // the switch drops back to Nop
+        ++_latches; // the switch drops back to Nop
         ++_logicalUops;
     }
 }
@@ -354,7 +334,7 @@ Mce::executeLogical(const LogicalInstr &instr)
         QUEST_ASSERT(it != _logical.end(),
                      "instruction targets unknown logical qubit L%u",
                      instr.operand);
-        _logicalUops += double(it->second.footprint().size());
+        _logicalUops += it->second.footprint().size();
         return;
     }
 
@@ -369,7 +349,7 @@ Mce::executeBlock(std::uint32_t block_id, const isa::LogicalTrace &body)
     // Whether hit or miss, the block executes locally. The block
     // bodies operate on factory qubits modelled outside this tile,
     // so only delivery is accounted here.
-    _logicalUops += double(body.size());
+    _logicalUops += body.size();
     return access;
 }
 
@@ -483,7 +463,6 @@ Mce::runQeccRound()
             _frame.injectX(_lattice->index(
                 data[placement.uniformInt(data.size())]));
             ++_seuUopErrors;
-            ++_mReplaySeuErrors;
         }
     }
 
@@ -494,12 +473,10 @@ Mce::runQeccRound()
         ++_mSchedRounds;
         _mSchedCycles += _charge.schedCycles;
     }
-    _execUnit.latches += double(_charge.latches);
-    _execUnit.masterClocks += double(_charge.clocks);
-    _execUnit.fired += double(_charge.uops);
-    _microcodeBits += double(_charge.bits);
-    _mReplayUcodeBits += _charge.bits;
-    _qeccUops += double(_charge.uops);
+    _latches += _charge.latches;
+    _masterClocks += _charge.clocks;
+    _fired += _charge.uops;
+    _microcodeBits += _charge.bits;
     _mReplayUops += _charge.uops;
 
     // Functional effect: evolve the frame and read the syndromes.
@@ -509,7 +486,6 @@ Mce::runQeccRound()
     if (_windowBuffering)
         _window.push_back(_lastRound);
     ++_roundsRun;
-    ++_roundsStat;
     ++_mReplayRounds;
 
     if (_stretchRounds > 0 && --_stretchRounds == 0)
@@ -528,7 +504,7 @@ Mce::collectResidualEvents()
 
     decode::LocalDecodeResult local = _lutDecoder.decodeLocal(events);
     decode::applyCorrection(_ledger, local.correction);
-    _eventsLocal += double(local.resolvedEvents);
+    _eventsLocal += local.resolvedEvents;
 
     if (!_window.empty()) {
         _windowBaseline = _window.back();

@@ -39,7 +39,6 @@
 #include "quantum/error_model.hpp"
 #include "scheduler.hpp"
 #include "sim/metrics.hpp"
-#include "sim/stats.hpp"
 
 namespace quest::sim {
 class FaultInjector;
@@ -79,6 +78,33 @@ struct MceConfig
     /** Run the installed pre-flight verifier over the tile's
      *  artifacts at construction (see setPreflightVerifier). */
     bool verifyOnLoad = false;
+};
+
+/**
+ * One tile's counts of the prime-line execution unit (Section 2.3,
+ * Figure 4) and its mask table. The registry rows of the same names
+ * sum these over every tile.
+ */
+struct TileStats
+{
+    std::uint64_t latches = 0;      ///< uops latched onto the switches
+    std::uint64_t masterClocks = 0; ///< master-clock firings
+    std::uint64_t fired = 0;        ///< non-Nop instructions fired
+    std::uint64_t maskWrites = 0;   ///< mask-table write operations
+
+    /** Call `emit(name, value)` once per count, under its registry
+     *  row name (exec_unit.latches, ..., mask_table.writes). */
+    template <typename Emit>
+    void
+    visitValues(Emit &&emit) const
+    {
+        emit(std::string("exec_unit.latches"), double(latches));
+        emit(std::string("exec_unit.master_clocks"),
+             double(masterClocks));
+        emit(std::string("exec_unit.fired_instructions"),
+             double(fired));
+        emit(std::string("mask_table.writes"), double(maskWrites));
+    }
 };
 
 class Mce;
@@ -138,7 +164,14 @@ class Mce
     quantum::PauliFrame &frame() { return _frame; }
     LogicalInstructionCache &icache() { return _icache; }
     MaskTable &maskTable() { return _mask; }
-    sim::StatGroup &stats() { return _stats; }
+
+    /** This tile's execution-unit and mask-table counts. */
+    TileStats
+    stats() const
+    {
+        return { _latches.value(), _masterClocks.value(),
+                 _fired.value(), _mask.writeCount() };
+    }
 
     /** @name Logical qubit management (mask instructions). */
     ///@{
@@ -241,15 +274,19 @@ class Mce
     ///@{
     double microcodeBitsStreamed() const
     {
-        return _microcodeBits.value();
+        return double(_microcodeBits.value());
     }
-    double qeccUopsIssued() const { return _qeccUops.value(); }
-    double logicalUopsIssued() const { return _logicalUops.value(); }
+    /** Every streamed non-Nop uop fires once: the fired count. */
+    double qeccUopsIssued() const { return double(_fired.value()); }
+    double logicalUopsIssued() const
+    {
+        return double(_logicalUops.value());
+    }
     double eventsResolvedLocally() const
     {
-        return _eventsLocal.value();
+        return double(_eventsLocal.value());
     }
-    double seuUopErrors() const { return _seuUopErrors.value(); }
+    double seuUopErrors() const { return double(_seuUopErrors.value()); }
     ///@}
 
     /** @name Classical resilience (fault injection hooks). */
@@ -302,19 +339,6 @@ class Mce
     ///@}
 
   private:
-    /** Counters of the prime-line execution unit (Section 2.3,
-     *  Figure 4): uops latched onto the microwave switches, master
-     *  clock firings, and non-Nop instructions fired. */
-    struct ExecUnitStats
-    {
-        explicit ExecUnitStats(sim::StatGroup &parent);
-
-        sim::StatGroup group;
-        sim::Scalar &latches;
-        sim::Scalar &masterClocks;
-        sim::Scalar &fired;
-    };
-
     /** One round's replay charges; constant within a schedule
      *  epoch. Each streamed non-Nop uop fires once, so fired ==
      *  uops. */
@@ -358,9 +382,7 @@ class Mce
     double _stretchFactor = 1.0;
     std::size_t _stretchRounds = 0;
 
-    sim::StatGroup _stats;
     MaskTable _mask;
-    ExecUnitStats _execUnit;
     LogicalInstructionCache _icache;
     decode::LutDecoder _lutDecoder;
 
@@ -374,21 +396,19 @@ class Mce
     std::size_t _windowFirstRound = 0;
     qecc::SyndromeRound _lastRound;
 
-    sim::Scalar &_microcodeBits;
-    sim::Scalar &_qeccUops;
-    sim::Scalar &_logicalUops;
-    sim::Scalar &_eventsLocal;
-    sim::Scalar &_roundsStat;
-    sim::Scalar &_seuUopErrors;
-
-    // Registry counters bound at construction; never function-local
-    // statics (those outlive registry resets -- see the
-    // registry-lifetime regression test).
+    // Counts and registry counters bound at construction; never
+    // function-local statics (those outlive registry resets -- see
+    // the registry-lifetime regression test).
+    sim::metrics::Tally _latches;
+    sim::metrics::Tally _masterClocks;
+    sim::metrics::Tally _fired;
+    sim::metrics::Tally _microcodeBits;
+    sim::metrics::Tally _seuUopErrors;
+    sim::metrics::Tally _logicalUops;
+    sim::metrics::Tally _eventsLocal;
     sim::metrics::Counter &_mReplayRounds;
     sim::metrics::Counter &_mReplayUops;
-    sim::metrics::Counter &_mReplayUcodeBits;
     sim::metrics::Counter &_mReplayHungRounds;
-    sim::metrics::Counter &_mReplaySeuErrors;
     sim::metrics::Counter &_mLogicalInstrs;
     sim::metrics::Counter &_mSchedRounds;
     sim::metrics::Counter &_mSchedCycles;

@@ -31,58 +31,24 @@ treeDepth(const NetworkConfig &cfg)
     return depth;
 }
 
-/**
- * Upper bound of the latency histogram: the worst-case retransmit
- * path (a generously sized packet retried to the full budget with
- * every backoff step) rather than a fixed 1e6 ps that long retry
- * chains would silently saturate.
- */
-double
-latencyHistMax(const NetworkConfig &cfg, std::size_t depth)
-{
-    constexpr double worst_packet_bytes = 4096.0;
-    const double hops = double(depth + 1);
-    const double attempt = 2.0 * hops * double(cfg.hopLatency)
-        + (worst_packet_bytes + double(cfg.crcBytes)
-           + double(cfg.ackBytes))
-            / cfg.linkBytesPerTick;
-    double backoff = 0.0;
-    for (std::size_t k = 0; k < cfg.retryLimit; ++k)
-        backoff += double(cfg.retryBackoff << k);
-    const double worst =
-        double(cfg.retryLimit + 1) * attempt + backoff;
-    return std::max(1e6, worst);
-}
-
 } // namespace
 
-PacketNetwork::PacketNetwork(const NetworkConfig &cfg,
-                             sim::StatGroup &parent)
+PacketNetwork::PacketNetwork(const NetworkConfig &cfg)
     : _cfg(cfg),
       _depth(treeDepth(cfg)),
-      _stats("network"),
-      _bytes(_stats.scalar("bytes", "bytes carried by the network")),
-      _packets(_stats.scalar("packets", "packets delivered")),
-      _latencyTotal(_stats.scalar("latency_ticks",
-                                  "sum of packet latencies")),
-      _retransmits(_stats.scalar("retransmits",
-                                 "link-level retransmissions")),
-      _lost(_stats.scalar("packets_lost",
-                          "packets dropped in flight")),
-      _corrupted(_stats.scalar("packets_corrupted",
-                               "packets rejected by CRC")),
-      _failures(_stats.scalar(
-          "delivery_failures",
-          "packets abandoned after the retry budget")),
-      _overheadBytes(_stats.scalar(
-          "protocol_overhead_bytes",
-          "CRC trailers and ACK/NACK tokens (bytes)")),
-      _latencyHist(_stats.histogram("latency", "packet latency (ps)",
-                                    0, latencyHistMax(cfg, _depth),
-                                    32))
-{
-    parent.addChild(_stats);
-}
+      _bytes("network.bytes", "bytes carried by the network"),
+      _packets("network.packets", "packets delivered"),
+      _latencyTotal("network.latency_ticks", "sum of packet latencies"),
+      _retransmits("network.retransmits", "link-level retransmissions"),
+      _lost("network.packets_lost", "packets dropped in flight"),
+      _corrupted("network.packets_corrupted", "packets rejected by CRC"),
+      _failures("network.delivery_failures",
+                "packets abandoned after the retry budget"),
+      _overheadBytes("network.protocol_overhead_bytes",
+                     "CRC trailers and ACK/NACK tokens (bytes)"),
+      _latencyHist(sim::metrics::Registry::global().histogram(
+          "network.latency", "packet latency (ps)"))
+{}
 
 void
 PacketNetwork::attachFaults(sim::FaultInjector *faults)
@@ -125,10 +91,10 @@ PacketNetwork::send(std::size_t mce_index, std::size_t bytes)
         // Fault-free fast path: no CRC, no ACK, accounting identical
         // to the perfect-network model.
         timing.latency = hop_time + serialization(bytes);
-        _bytes += double(bytes);
+        _bytes += bytes;
         ++_packets;
-        _latencyTotal += double(timing.latency);
-        _latencyHist.sample(double(timing.latency));
+        _latencyTotal += timing.latency;
+        _latencyHist.record(timing.latency);
         return timing;
     }
 
@@ -154,8 +120,8 @@ PacketNetwork::send(std::size_t mce_index, std::size_t bytes)
             }
             timing.latency += wait;
         }
-        _bytes += double(wire_bytes);
-        _overheadBytes += double(_cfg.crcBytes);
+        _bytes += wire_bytes;
+        _overheadBytes += _cfg.crcBytes;
         timing.latency += hop_time + serialization(wire_bytes);
 
         if (_faults->fire(sim::FaultSite::NetworkLoss)) {
@@ -169,8 +135,8 @@ PacketNetwork::send(std::size_t mce_index, std::size_t bytes)
             _faults->fire(sim::FaultSite::NetworkCorruption);
         // The receiver answers either way: ACK on a clean CRC, NACK
         // when the trailer flags corruption.
-        _bytes += double(_cfg.ackBytes);
-        _overheadBytes += double(_cfg.ackBytes);
+        _bytes += _cfg.ackBytes;
+        _overheadBytes += _cfg.ackBytes;
         timing.latency += hop_time + serialization(_cfg.ackBytes);
         if (corrupt) {
             ++_corrupted;
@@ -183,16 +149,16 @@ PacketNetwork::send(std::size_t mce_index, std::size_t bytes)
         ++_failures;
 
     ++_packets;
-    _latencyTotal += double(timing.latency);
-    _latencyHist.sample(double(timing.latency));
+    _latencyTotal += timing.latency;
+    _latencyHist.record(timing.latency);
     return timing;
 }
 
 double
 PacketNetwork::meanLatencyTicks() const
 {
-    const double packets = _packets.value();
-    return packets > 0 ? _latencyTotal.value() / packets : 0.0;
+    const double packets = double(_packets.value());
+    return packets > 0 ? double(_latencyTotal.value()) / packets : 0.0;
 }
 
 } // namespace quest::core

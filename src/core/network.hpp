@@ -20,7 +20,7 @@
  * a lost packet times out and a corrupted one is NACKed, and the
  * sender retransmits with exponential backoff up to a bounded retry
  * budget. All retransmit bytes and latency are charged to the same
- * stats as first-try traffic, so the bandwidth figures stay honest
+ * counts as first-try traffic, so the bandwidth figures stay honest
  * under faults. A fault-free network (no injector, or all-zero
  * rates) takes the original zero-overhead path and its accounting
  * is bit-identical to the seed model.
@@ -32,8 +32,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/metrics.hpp"
 #include "sim/random.hpp"
-#include "sim/stats.hpp"
 #include "sim/types.hpp"
 
 namespace quest::sim {
@@ -85,7 +85,7 @@ struct PacketTiming
 class PacketNetwork
 {
   public:
-    PacketNetwork(const NetworkConfig &cfg, sim::StatGroup &parent);
+    explicit PacketNetwork(const NetworkConfig &cfg);
 
     const NetworkConfig &config() const { return _cfg; }
 
@@ -110,16 +110,22 @@ class PacketNetwork
     PacketTiming send(std::size_t mce_index, std::size_t bytes);
 
     /** Total bytes accepted by the network (incl. ARQ overhead). */
-    double bytesCarried() const { return _bytes.value(); }
-    double packetsCarried() const { return _packets.value(); }
+    double bytesCarried() const { return double(_bytes.value()); }
+    double packetsCarried() const { return double(_packets.value()); }
 
     /** @name CRC/retry protocol accounting. */
     ///@{
-    double retransmits() const { return _retransmits.value(); }
-    double lostPackets() const { return _lost.value(); }
-    double corruptedPackets() const { return _corrupted.value(); }
-    double deliveryFailures() const { return _failures.value(); }
-    double protocolOverheadBytes() const { return _overheadBytes.value(); }
+    double retransmits() const { return double(_retransmits.value()); }
+    double lostPackets() const { return double(_lost.value()); }
+    double corruptedPackets() const
+    {
+        return double(_corrupted.value());
+    }
+    double deliveryFailures() const { return double(_failures.value()); }
+    double protocolOverheadBytes() const
+    {
+        return double(_overheadBytes.value());
+    }
     ///@}
 
     /** Mean packet latency in ticks. */
@@ -137,7 +143,7 @@ class PacketNetwork
             return 0.0;
         const double capacity =
             _cfg.linkBytesPerTick * double(interval);
-        return _bytes.value() / capacity;
+        return double(_bytes.value()) / capacity;
     }
 
   private:
@@ -146,16 +152,15 @@ class PacketNetwork
     sim::FaultInjector *_faults = nullptr;
     sim::Rng _jitterRng; ///< backoff jitter; reseeded on attachFaults
 
-    sim::StatGroup _stats;
-    sim::Scalar &_bytes;
-    sim::Scalar &_packets;
-    sim::Scalar &_latencyTotal;
-    sim::Scalar &_retransmits;
-    sim::Scalar &_lost;
-    sim::Scalar &_corrupted;
-    sim::Scalar &_failures;
-    sim::Scalar &_overheadBytes;
-    sim::Histogram &_latencyHist;
+    sim::metrics::Tally _bytes;
+    sim::metrics::Tally _packets;
+    sim::metrics::Tally _latencyTotal;
+    sim::metrics::Tally _retransmits;
+    sim::metrics::Tally _lost;
+    sim::metrics::Tally _corrupted;
+    sim::metrics::Tally _failures;
+    sim::metrics::Tally _overheadBytes;
+    sim::metrics::Histogram &_latencyHist;
 };
 
 } // namespace quest::core

@@ -17,7 +17,6 @@
 #include "lut_decoder.hpp"
 #include "mwpm_decoder.hpp"
 #include "sim/metrics.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
 
@@ -89,26 +88,13 @@ class DecoderPipeline
   public:
     explicit DecoderPipeline(const qecc::Lattice &lattice)
         : _local(lattice), _global(lattice),
-          _stats("decoder"),
-          _eventsTotal(_stats.scalar("events_total",
-                                     "detection events observed")),
-          _eventsLocal(_stats.scalar("events_local",
-                                     "events resolved by the MCE LUT")),
-          _eventsGlobal(_stats.scalar(
-              "events_global",
-              "events forwarded to the master controller")),
-          _busBytes(_stats.scalar(
-              "syndrome_bus_bytes",
-              "syndrome bytes sent over the global bus")),
-          _mEventsLocal(sim::metrics::Registry::global().counter(
-              "decode.pipeline.events_local",
-              "events resolved by the MCE-local LUT decoder")),
+          _eventsLocal("decode.pipeline.events_local",
+                       "events resolved by the MCE-local LUT decoder"),
+          _busBytes("decode.pipeline.syndrome_bus_bytes",
+                    "syndrome bytes crossing the global bus"),
           _mEventsGlobal(sim::metrics::Registry::global().counter(
               "decode.pipeline.events_global",
-              "residual events escalated to the global decoder")),
-          _mBusBytes(sim::metrics::Registry::global().counter(
-              "decode.pipeline.syndrome_bus_bytes",
-              "syndrome bytes crossing the global bus"))
+              "residual events escalated to the global decoder"))
     {}
 
     /**
@@ -119,16 +105,12 @@ class DecoderPipeline
     decode(const DetectionEvents &events)
     {
         QUEST_TRACE_SCOPE("decode", "pipeline_decode");
-        _eventsTotal += double(events.total());
+        _eventsTotal += events.total();
 
         LocalDecodeResult local = _local.decodeLocal(events);
-        _eventsLocal += double(local.resolvedEvents);
-        _eventsGlobal += double(local.residual.total());
-        _busBytes += double(local.residual.total()
-                            * detectionEventBytes);
-        _mEventsLocal += local.resolvedEvents;
+        _eventsLocal += local.resolvedEvents;
         _mEventsGlobal += local.residual.total();
-        _mBusBytes += local.residual.total() * detectionEventBytes;
+        _busBytes += local.residual.total() * detectionEventBytes;
 
         Correction corr = local.correction;
         corr.merge(_global.decode(local.residual));
@@ -139,32 +121,27 @@ class DecoderPipeline
     double
     localCoverage() const
     {
-        const double total = _eventsTotal.value();
-        return total > 0.0 ? _eventsLocal.value() / total : 0.0;
+        return _eventsTotal > 0
+            ? double(_eventsLocal.value()) / double(_eventsTotal)
+            : 0.0;
     }
 
-    double busBytes() const { return _busBytes.value(); }
-
-    sim::StatGroup &stats() { return _stats; }
+    double busBytes() const { return double(_busBytes.value()); }
 
   private:
     LutDecoder _local;
     MwpmDecoder _global;
 
-    sim::StatGroup _stats;
-    sim::Scalar &_eventsTotal;
-    sim::Scalar &_eventsLocal;
-    sim::Scalar &_eventsGlobal;
-    sim::Scalar &_busBytes;
+    std::uint64_t _eventsTotal = 0; ///< detection events observed
 
     // Registry counters are bound at construction, never in the hot
     // path: a function-local `static auto &` binds once per process
     // and silently keeps pointing at whatever entry existed at first
     // call -- a lifetime hazard the registry-lifetime regression
     // test guards against.
-    sim::metrics::Counter &_mEventsLocal;
+    sim::metrics::Tally _eventsLocal;
+    sim::metrics::Tally _busBytes;
     sim::metrics::Counter &_mEventsGlobal;
-    sim::metrics::Counter &_mBusBytes;
 };
 
 } // namespace quest::decode

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "logging.hpp"
-#include "stats.hpp"
 
 namespace quest::sim {
 namespace metrics {
@@ -182,22 +181,6 @@ Registry::histogram(const std::string &name, const std::string &desc,
 }
 
 void
-Registry::attachGroup(const StatGroup &group)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _groups.push_back(&group);
-}
-
-void
-Registry::detachGroup(const StatGroup &group)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _groups.erase(std::remove(_groups.begin(), _groups.end(),
-                              &group),
-                  _groups.end());
-}
-
-void
 Registry::collect(
     bool include_wallclock,
     const std::function<void(const std::string &, double, bool)>
@@ -230,11 +213,6 @@ Registry::collect(
                 }
             }
         }
-        for (const StatGroup *group : _groups)
-            group->visitValues([&](const std::string &name,
-                                   double value) {
-                rows[name] = {value, false};
-            });
     }
     for (const auto &[name, row] : rows)
         emit(name, row.first, row.second);

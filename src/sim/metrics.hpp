@@ -3,14 +3,13 @@
  * Hierarchical metrics registry: process-wide counters, gauges and
  * latency histograms with deterministic snapshots.
  *
- * The StatGroup package (stats.hpp) models *per-component* state:
- * each Mce or DecoderPipeline owns its stats and they die with it.
- * The metrics registry is the orthogonal, *process-wide* layer the
- * cycle-accounting hooks report through: a decode hot path bumps a
- * named counter from any thread (relaxed atomic add), and a bench
- * or the CLI snapshots everything at exit. Component StatGroups can
- * be attached so one snapshot covers both layers (this is how the
- * master controller's ad-hoc `faults` group is absorbed).
+ * This is the simulator's one metrics system. A decode hot path
+ * bumps a named counter from any thread (relaxed atomic add), and a
+ * bench or the CLI snapshots everything at exit. A component that
+ * also reads a count back (a tile's exec-unit latches, a master's
+ * bus bytes) keeps it in a Tally: a plain per-instance integer that
+ * feeds the same registry counter, so each count is stored once per
+ * instance and reported once, summed over instances, in a snapshot.
  *
  * Determinism contract (the golden-trace tests): every Counter and
  * Histogram holds only integers, so concurrent accumulation is
@@ -33,12 +32,8 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace quest::sim {
-
-class StatGroup;
-
 namespace metrics {
 
 /** Is a metric reproducible across runs and thread counts? */
@@ -184,16 +179,8 @@ class Registry
                          Stability stability = Stability::Stable);
 
     /**
-     * Include a component StatGroup's values in snapshots for as
-     * long as it is attached. The caller must detach before the
-     * group is destroyed.
-     */
-    void attachGroup(const StatGroup &group);
-    void detachGroup(const StatGroup &group);
-
-    /**
      * Deterministic text snapshot: one "name value" line per
-     * metric (and per attached-group stat), sorted by name.
+     * metric, sorted by name.
      * Counters print as integers; doubles print with %.17g.
      * Wallclock metrics are excluded unless requested — the
      * golden-trace byte-identity contract covers the default form.
@@ -208,7 +195,7 @@ class Registry
     void writeJson(std::ostream &os,
                    bool include_wallclock = true) const;
 
-    /** Zero every metric; registrations and attachments persist. */
+    /** Zero every metric; registrations persist. */
     void reset();
 
   private:
@@ -229,28 +216,38 @@ class Registry
         const std::function<void(const std::string &, double,
                                  bool)> &emit) const;
 
-    mutable std::mutex _mutex; ///< registration / attachment only
+    mutable std::mutex _mutex; ///< registration only
     std::map<std::string, Entry> _entries;
-    std::vector<const StatGroup *> _groups;
 };
 
-/** RAII attach/detach of a component StatGroup. */
-class ScopedGroupAttach
+/**
+ * A component's own count that also feeds a registry counter.
+ * value() is this instance's tally; the registry row it was bound
+ * to at construction sums every instance bound to the same name.
+ * Not thread-safe: one instance belongs to one thread at a time.
+ */
+class Tally
 {
   public:
-    explicit ScopedGroupAttach(const StatGroup &group)
-        : _group(&group)
+    Tally(const std::string &name, const std::string &desc)
+        : _row(&Registry::global().counter(name, desc))
+    {}
+
+    void
+    add(std::uint64_t n = 1)
     {
-        Registry::global().attachGroup(group);
+        _value += n;
+        _row->add(n);
     }
 
-    ~ScopedGroupAttach() { Registry::global().detachGroup(*_group); }
+    Tally &operator+=(std::uint64_t n) { add(n); return *this; }
+    Tally &operator++() { add(1); return *this; }
 
-    ScopedGroupAttach(const ScopedGroupAttach &) = delete;
-    ScopedGroupAttach &operator=(const ScopedGroupAttach &) = delete;
+    std::uint64_t value() const { return _value; }
 
   private:
-    const StatGroup *_group;
+    std::uint64_t _value = 0;
+    Counter *_row;
 };
 
 } // namespace metrics

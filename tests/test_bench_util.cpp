@@ -1,0 +1,151 @@
+/**
+ * @file
+ * Tests for the gate benches' shared scaffolding in
+ * bench/bench_util.hpp: the strict flag parser and rep calibration.
+ */
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "bench_util.hpp"
+
+namespace {
+
+using quest::bench::calibrateReps;
+using quest::bench::Flags;
+
+const char *const usage = "bench [--smoke] [--trials=N]";
+
+/** Parse `args` as a bench's command line (argv[0] supplied). */
+Flags
+parse(std::vector<std::string> args)
+{
+    static std::vector<std::string> store;
+    store = std::move(args);
+    store.insert(store.begin(), "bench");
+    static std::vector<char *> argv;
+    argv.clear();
+    for (auto &a : store)
+        argv.push_back(a.data());
+    return Flags(int(argv.size()), argv.data(), usage);
+}
+
+TEST(BenchFlags, ReadsSwitchesAndValues)
+{
+    Flags f = parse({ "--smoke", "--trials=12", "--scale=0.25",
+                      "--out=x.json" });
+    EXPECT_TRUE(f.has("--smoke"));
+    EXPECT_FALSE(f.has("--check"));
+    EXPECT_EQ(f.count("--trials", 3, 1, 100), 12u);
+    EXPECT_EQ(f.number("--scale", 1.0, 0.0, 1.0), 0.25);
+    EXPECT_EQ(f.text("--out", "default.json"), "x.json");
+    f.done(); // every given flag was asked about: no exit
+}
+
+TEST(BenchFlags, AbsentFlagsTakeTheirFallbacks)
+{
+    Flags f = parse({});
+    EXPECT_FALSE(f.has("--smoke"));
+    EXPECT_EQ(f.count("--trials", 3, 1, 100), 3u);
+    EXPECT_EQ(f.number("--scale", 0.5, 0.0, 1.0), 0.5);
+    EXPECT_EQ(f.text("--out", "default.json"), "default.json");
+    f.done();
+}
+
+TEST(BenchFlags, RangeBoundsAreInclusive)
+{
+    Flags f = parse({ "--lo=1", "--hi=100", "--x=0", "--y=1" });
+    EXPECT_EQ(f.count("--lo", 5, 1, 100), 1u);
+    EXPECT_EQ(f.count("--hi", 5, 1, 100), 100u);
+    EXPECT_EQ(f.number("--x", 0.5, 0.0, 1.0), 0.0);
+    EXPECT_EQ(f.number("--y", 0.5, 0.0, 1.0), 1.0);
+}
+
+TEST(BenchFlagsDeathTest, MalformedIntegerExitsOne)
+{
+    EXPECT_EXIT(parse({ "--trials=abc" }).count("--trials", 3, 1, 100),
+                ::testing::ExitedWithCode(1),
+                "error: --trials expects an integer in \\[1, 100\\], "
+                "got 'abc'");
+    EXPECT_EXIT(parse({ "--trials=4x" }).count("--trials", 3, 1, 100),
+                ::testing::ExitedWithCode(1), "error: --trials ");
+    EXPECT_EXIT(parse({ "--trials=" }).count("--trials", 3, 1, 100),
+                ::testing::ExitedWithCode(1), "error: --trials ");
+}
+
+TEST(BenchFlagsDeathTest, NegativeIntegerExitsOneInsteadOfWrapping)
+{
+    EXPECT_EXIT(parse({ "--threads=-1" }).count("--threads", 1, 1, 256),
+                ::testing::ExitedWithCode(1), "error: --threads ");
+}
+
+TEST(BenchFlagsDeathTest, IntegerOutsideItsRangeExitsOne)
+{
+    EXPECT_EXIT(parse({ "--threads=0" }).count("--threads", 1, 1, 256),
+                ::testing::ExitedWithCode(1), "error: --threads ");
+    EXPECT_EXIT(parse({ "--threads=257" }).count("--threads", 1, 1, 256),
+                ::testing::ExitedWithCode(1), "error: --threads ");
+    EXPECT_EXIT(parse({ "--threads=99999999999999999999999" })
+                    .count("--threads", 1, 1, 256),
+                ::testing::ExitedWithCode(1), "error: --threads ");
+}
+
+TEST(BenchFlagsDeathTest, NonFiniteOrOutOfRangeNumberExitsOne)
+{
+    for (const char *bad : { "--scale=nan", "--scale=inf", "--scale=1.5",
+                             "--scale=0.5x", "--scale=" })
+        EXPECT_EXIT(parse({ bad }).number("--scale", 0.5, 0.0, 1.0),
+                    ::testing::ExitedWithCode(1), "error: --scale ")
+            << bad;
+}
+
+TEST(BenchFlagsDeathTest, ValueOnASwitchExitsOne)
+{
+    EXPECT_EXIT(parse({ "--smoke=1" }).has("--smoke"),
+                ::testing::ExitedWithCode(1),
+                "error: --smoke takes no value");
+}
+
+TEST(BenchFlagsDeathTest, ValueFlagWithoutAValueExitsOne)
+{
+    EXPECT_EXIT(parse({ "--rounds" }).count("--rounds", 8, 1, 100),
+                ::testing::ExitedWithCode(1),
+                "error: --rounds expects --rounds=VALUE");
+}
+
+TEST(BenchFlagsDeathTest, UnknownFlagExitsOneAtDone)
+{
+    EXPECT_EXIT(
+        {
+            Flags f = parse({ "--smoke", "--bogus" });
+            f.has("--smoke");
+            f.done();
+        },
+        ::testing::ExitedWithCode(1), "error: --bogus is not a known flag");
+}
+
+TEST(BenchFlagsDeathTest, PositionalArgumentExitsOneWithUsage)
+{
+    EXPECT_EXIT(parse({ "smoke" }), ::testing::ExitedWithCode(1),
+                "error: unexpected argument 'smoke'\nusage: bench ");
+}
+
+TEST(BenchCalibrateReps, StretchesTheProbeToTheWindow)
+{
+    // A 125 ms probe against a 1 s window needs 8 reps, plus one.
+    EXPECT_EQ(calibrateReps(0.125, 1.0), 9u);
+    // A probe already as long as the window runs once.
+    EXPECT_EQ(calibrateReps(0.5, 0.5), 1u);
+    EXPECT_EQ(calibrateReps(2.0, 0.5), 1u);
+}
+
+TEST(BenchCalibrateReps, CapsTinyOrUntimedProbes)
+{
+    EXPECT_EQ(calibrateReps(1e-9, 0.05), 4096u);
+    EXPECT_EQ(calibrateReps(0.0, 0.05), 4096u);
+    EXPECT_EQ(calibrateReps(-1.0, 0.05), 4096u);
+}
+
+} // namespace

@@ -107,8 +107,7 @@ TEST(FailureInjection, ICacheThrashingPatternStillCorrect)
     // More distinct blocks than the cache holds, accessed
     // round-robin: worst-case thrashing. Accounting must equal
     // all-miss behaviour exactly.
-    quest::sim::StatGroup stats("test");
-    core::LogicalInstructionCache cache(300, stats);
+    core::LogicalInstructionCache cache(300);
     const isa::LogicalTrace block =
         isa::generateDistillationRound(0); // 148 instructions
     for (int pass = 0; pass < 4; ++pass)

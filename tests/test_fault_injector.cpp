@@ -18,6 +18,7 @@
 #include "decode/pipeline.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/logging.hpp"
+#include "sim/metrics.hpp"
 #include "sim/random.hpp"
 #include "tech/jj_memory.hpp"
 
@@ -192,9 +193,8 @@ TEST(NetworkArq, FaultFreeNetworkMatchesNoInjector)
 {
     // An attached injector with all-zero rates must leave the
     // accounting bit-identical to a network with no injector at all.
-    sim::StatGroup sa("a"), sb("b");
-    core::PacketNetwork plain(netConfig(), sa);
-    core::PacketNetwork guarded(netConfig(), sb);
+    core::PacketNetwork plain(netConfig());
+    core::PacketNetwork guarded(netConfig());
     FaultInjector idle(FaultConfig::none());
     guarded.attachFaults(&idle);
 
@@ -213,8 +213,7 @@ TEST(NetworkArq, FaultFreeNetworkMatchesNoInjector)
 
 TEST(NetworkArq, LossIsRecoveredByRetransmission)
 {
-    sim::StatGroup stats("net");
-    core::PacketNetwork net(netConfig(), stats);
+    core::PacketNetwork net(netConfig());
     FaultConfig cfg;
     cfg.rate(FaultSite::NetworkLoss) = 0.4;
     cfg.seed = 99;
@@ -240,8 +239,7 @@ TEST(NetworkArq, LossIsRecoveredByRetransmission)
 
 TEST(NetworkArq, CorruptionIsRecoveredByRetransmission)
 {
-    sim::StatGroup stats("net");
-    core::PacketNetwork net(netConfig(), stats);
+    core::PacketNetwork net(netConfig());
     FaultConfig cfg;
     cfg.rate(FaultSite::NetworkCorruption) = 0.3;
     FaultInjector inj(cfg);
@@ -256,8 +254,7 @@ TEST(NetworkArq, CorruptionIsRecoveredByRetransmission)
 
 TEST(NetworkArq, RetryBudgetExhaustionIsReportedNotFatal)
 {
-    sim::StatGroup stats("net");
-    core::PacketNetwork net(netConfig(), stats);
+    core::PacketNetwork net(netConfig());
     FaultConfig cfg;
     cfg.rate(FaultSite::NetworkLoss) = 1.0; // nothing ever arrives
     FaultInjector inj(cfg);
@@ -271,16 +268,14 @@ TEST(NetworkArq, RetryBudgetExhaustionIsReportedNotFatal)
 
 TEST(NetworkArq, BackoffGrowsLatencyWithAttempts)
 {
-    sim::StatGroup stats("net");
-    core::PacketNetwork net(netConfig(), stats);
+    core::PacketNetwork net(netConfig());
     FaultConfig cfg;
     cfg.rate(FaultSite::NetworkLoss) = 1.0;
     FaultInjector inj(cfg);
     net.attachFaults(&inj);
 
     const auto worst = net.send(0, 8);
-    sim::StatGroup stats2("net2");
-    core::PacketNetwork clean(netConfig(), stats2);
+    core::PacketNetwork clean(netConfig());
     const auto best = clean.send(0, 8);
     // Full retry ladder (timeouts + exponential backoff) costs far
     // more than one clean traversal.
@@ -291,13 +286,53 @@ TEST(NetworkArq, SingleMceDegenerateTreeConstructs)
 {
     // Satellite fix: radix constraint must accept any radix when
     // there is only one MCE (depth-1 chain, no fan-out needed).
-    sim::StatGroup stats("net");
     core::NetworkConfig cfg;
     cfg.mceCount = 1;
     cfg.radix = 1;
-    core::PacketNetwork net(cfg, stats);
+    core::PacketNetwork net(cfg);
     EXPECT_TRUE(net.send(0, 4).delivered);
     EXPECT_GE(net.depth(), 1u);
+}
+
+TEST(NetworkArq, ProtocolCountsFeedTheNetworkRows)
+{
+    // The network's own counts are the only copy of the ARQ ledger:
+    // each `network.*` row moves by exactly what the accessor reads.
+    core::PacketNetwork net(netConfig());
+    FaultConfig cfg;
+    cfg.rate(FaultSite::NetworkLoss) = 0.5;
+    cfg.rate(FaultSite::NetworkCorruption) = 0.3;
+    cfg.seed = 5;
+    FaultInjector inj(cfg);
+    net.attachFaults(&inj);
+
+    auto &reg = sim::metrics::Registry::global();
+    const std::pair<const char *, double (core::PacketNetwork::*)()
+                                      const>
+        rows[] = {
+            { "network.retransmits", &core::PacketNetwork::retransmits },
+            { "network.packets_lost", &core::PacketNetwork::lostPackets },
+            { "network.packets_corrupted",
+              &core::PacketNetwork::corruptedPackets },
+            { "network.delivery_failures",
+              &core::PacketNetwork::deliveryFailures },
+            { "network.protocol_overhead_bytes",
+              &core::PacketNetwork::protocolOverheadBytes },
+        };
+    std::vector<std::uint64_t> before;
+    for (const auto &[name, get] : rows)
+        before.push_back(reg.counter(name, "").value());
+
+    for (int i = 0; i < 200; ++i)
+        net.send(std::size_t(i) % 4, 8);
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        const double own = (net.*rows[i].second)();
+        EXPECT_GT(own, 0.0) << rows[i].first;
+        EXPECT_EQ(double(reg.counter(rows[i].first, "").value()
+                         - before[i]),
+                  own)
+            << rows[i].first;
+    }
 }
 
 // --- MicrocodeStore parity model -----------------------------------

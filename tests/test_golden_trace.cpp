@@ -153,7 +153,7 @@ runGolden(std::size_t threads)
             ooo.runQeccRound();
         out.schedIssued = ooo.lastIssuePlan().issued;
 
-        // Snapshot while the master's stat tree is still attached.
+        // Every phase above has bumped its counters: snapshot them.
         out.snapshot = sim::metricsSnapshot();
         out.digest = tracer.countDigest();
     }

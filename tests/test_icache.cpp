@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/icache.hpp"
+#include "sim/metrics.hpp"
 
 namespace {
 
@@ -24,8 +25,7 @@ makeBlock(std::size_t size)
 
 TEST(ICache, FirstAccessMissesThenHits)
 {
-    quest::sim::StatGroup stats("test");
-    LogicalInstructionCache cache(1024, stats);
+    LogicalInstructionCache cache(1024);
     const LogicalTrace block = makeBlock(148);
 
     const ICacheAccess miss = cache.execute(1, block);
@@ -43,9 +43,8 @@ TEST(ICache, ReplayCutsBusTrafficByBlockRatio)
 {
     // The Section-5.3 effect: N replays cost ~one block fill plus
     // N-1 tokens instead of N block bodies.
-    quest::sim::StatGroup stats("test");
-    LogicalInstructionCache cached(1024, stats);
-    LogicalInstructionCache uncached(0, stats);
+    LogicalInstructionCache cached(1024);
+    LogicalInstructionCache uncached(0);
     const LogicalTrace block = makeBlock(148);
 
     const int replays = 1000;
@@ -58,8 +57,7 @@ TEST(ICache, ReplayCutsBusTrafficByBlockRatio)
 
 TEST(ICache, LruEvictionUnderPressure)
 {
-    quest::sim::StatGroup stats("test");
-    LogicalInstructionCache cache(300, stats); // fits two blocks
+    LogicalInstructionCache cache(300); // fits two blocks
     const LogicalTrace block = makeBlock(148);
 
     cache.execute(1, block); // miss, resident {1}
@@ -73,8 +71,7 @@ TEST(ICache, LruEvictionUnderPressure)
 
 TEST(ICache, OversizedBlockStreamsWithoutInstalling)
 {
-    quest::sim::StatGroup stats("test");
-    LogicalInstructionCache cache(100, stats);
+    LogicalInstructionCache cache(100);
     const LogicalTrace big = makeBlock(148);
     cache.execute(1, big);
     EXPECT_EQ(cache.residentInstructions(), 0u);
@@ -83,8 +80,7 @@ TEST(ICache, OversizedBlockStreamsWithoutInstalling)
 
 TEST(ICache, DisabledCacheAlwaysStreams)
 {
-    quest::sim::StatGroup stats("test");
-    LogicalInstructionCache cache(0, stats);
+    LogicalInstructionCache cache(0);
     EXPECT_FALSE(cache.enabled());
     const LogicalTrace block = makeBlock(10);
     for (int i = 0; i < 3; ++i) {
@@ -97,8 +93,7 @@ TEST(ICache, DisabledCacheAlwaysStreams)
 
 TEST(ICache, StatsCountHitsAndMisses)
 {
-    quest::sim::StatGroup stats("test");
-    LogicalInstructionCache cache(1024, stats);
+    LogicalInstructionCache cache(1024);
     const LogicalTrace block = makeBlock(50);
     cache.execute(1, block);
     cache.execute(1, block);
@@ -107,6 +102,35 @@ TEST(ICache, StatsCountHitsAndMisses)
     EXPECT_DOUBLE_EQ(cache.hits(), 2.0);
     EXPECT_DOUBLE_EQ(cache.busBytes(),
                      double(block.bytes() + 2 * replayTokenBytes));
+}
+
+TEST(ICache, EachCacheKeepsItsOwnCounts)
+{
+    // One cache per tile; the `mce.icache.*` rows sum every cache.
+    auto &reg = quest::sim::metrics::Registry::global();
+    LogicalInstructionCache a(1024);
+    LogicalInstructionCache b(0);
+    auto &hits = reg.counter("mce.icache.hits", "");
+    auto &misses = reg.counter("mce.icache.misses", "");
+    auto &bytes = reg.counter("mce.icache.bus_bytes", "");
+    const std::uint64_t h0 = hits.value();
+    const std::uint64_t m0 = misses.value();
+    const std::uint64_t b0 = bytes.value();
+
+    const LogicalTrace block = makeBlock(20);
+    a.execute(7, block);
+    a.execute(7, block);
+    b.execute(7, block);
+    b.execute(7, block);
+
+    EXPECT_DOUBLE_EQ(a.hits(), 1.0);
+    EXPECT_DOUBLE_EQ(a.misses(), 1.0);
+    EXPECT_DOUBLE_EQ(b.hits(), 0.0);
+    EXPECT_DOUBLE_EQ(b.misses(), 2.0);
+    EXPECT_DOUBLE_EQ(b.busBytes(), double(2 * block.bytes()));
+    EXPECT_EQ(double(hits.value() - h0), a.hits() + b.hits());
+    EXPECT_EQ(double(misses.value() - m0), a.misses() + b.misses());
+    EXPECT_EQ(double(bytes.value() - b0), a.busBytes() + b.busBytes());
 }
 
 } // namespace

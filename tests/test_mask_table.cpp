@@ -17,27 +17,26 @@ using quest::qecc::LogicalQubit;
 class MaskTableTest : public ::testing::Test
 {
   protected:
-    MaskTableTest() : lattice(11, 17), stats("test") {}
+    MaskTableTest() : lattice(11, 17) {}
     Lattice lattice;
-    quest::sim::StatGroup stats;
 };
 
 TEST_F(MaskTableTest, FullLayoutCapacityIsN)
 {
-    const MaskTable table(lattice, MaskLayout::Full, 3, stats);
+    const MaskTable table(lattice, MaskLayout::Full, 3);
     EXPECT_EQ(table.capacityBits(), lattice.numQubits());
 }
 
 TEST_F(MaskTableTest, CoalescedLayoutCapacityIsNOverD2)
 {
     // Section 4.5: N/d^2 mask bits.
-    const MaskTable table(lattice, MaskLayout::Coalesced, 3, stats);
+    const MaskTable table(lattice, MaskLayout::Coalesced, 3);
     EXPECT_LT(table.capacityBits(), lattice.numQubits() / 4);
 }
 
 TEST_F(MaskTableTest, ApplyMasksFootprint)
 {
-    MaskTable table(lattice, MaskLayout::Full, 3, stats);
+    MaskTable table(lattice, MaskLayout::Full, 3);
     const LogicalQubit lq(lattice, Coord{2, 2}, 3);
     table.apply(lq, true);
     for (std::size_t q : lq.maskedAncillas())
@@ -46,13 +45,13 @@ TEST_F(MaskTableTest, ApplyMasksFootprint)
 
     table.apply(lq, false);
     EXPECT_EQ(table.maskedQubitCount(), 0u);
-    EXPECT_DOUBLE_EQ(table.writeCount(), 2.0);
+    EXPECT_EQ(table.writeCount(), 2u);
 }
 
 TEST_F(MaskTableTest, CoalescedNeverUnderMasks)
 {
-    MaskTable full(lattice, MaskLayout::Full, 3, stats);
-    MaskTable coalesced(lattice, MaskLayout::Coalesced, 3, stats);
+    MaskTable full(lattice, MaskLayout::Full, 3);
+    MaskTable coalesced(lattice, MaskLayout::Coalesced, 3);
     const LogicalQubit lq(lattice, Coord{3, 4}, 3);
     full.apply(lq, true);
     coalesced.apply(lq, true);
@@ -60,6 +59,24 @@ TEST_F(MaskTableTest, CoalescedNeverUnderMasks)
         if (full.masked(q)) {
             EXPECT_TRUE(coalesced.masked(q)) << "qubit " << q;
         }
+}
+
+TEST_F(MaskTableTest, EachTableKeepsItsOwnWriteCount)
+{
+    // Tiles each own a table; the `mask_table.writes` row sums them.
+    auto &row = quest::sim::metrics::Registry::global().counter(
+        "mask_table.writes", "");
+    MaskTable a(lattice, MaskLayout::Full, 3);
+    MaskTable b(lattice, MaskLayout::Coalesced, 3);
+    const std::uint64_t before = row.value();
+    const LogicalQubit lq(lattice, Coord{2, 2}, 3);
+    a.apply(lq, true);
+    a.apply(lq, false);
+    a.clear(); // a recompute-from-scratch is a write too
+    b.apply(lq, true);
+    EXPECT_EQ(a.writeCount(), 3u);
+    EXPECT_EQ(b.writeCount(), 1u);
+    EXPECT_EQ(row.value() - before, 4u);
 }
 
 } // namespace

@@ -1,13 +1,25 @@
 /**
  * @file
- * Tests for the master controller: routing, bus accounting and the
- * global decode loop.
+ * Tests for the master controller: routing, bus accounting, the
+ * global decode loop, and how its counts reach the metrics snapshot.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/master_controller.hpp"
 #include "core/system.hpp"
+#include "decode/pipeline.hpp"
+#include "isa/trace.hpp"
+#include "sim/logging.hpp"
+#include "sim/metrics.hpp"
 
 namespace {
 
@@ -16,6 +28,7 @@ using quest::isa::LogicalInstr;
 using quest::isa::LogicalOpcode;
 using quest::isa::LogicalTrace;
 using quest::qecc::Coord;
+using quest::sim::metrics::Registry;
 
 MasterConfig
 smallMaster(std::size_t mces = 2)
@@ -135,6 +148,239 @@ TEST(Master, TotalIsSumOfCategories)
                          + master.busBytesSyndrome()
                          + master.busBytesCorrections()
                          + master.busBytesCacheTraffic());
+}
+
+/** Row `name` of the registry snapshot; nullopt when absent. */
+std::optional<double>
+snapshotRow(const std::string &name)
+{
+    std::string snap = "\n";
+    snap += quest::sim::metricsSnapshot();
+    const std::size_t at = snap.find("\n" + name + " ");
+    if (at == std::string::npos)
+        return std::nullopt;
+    return std::stod(snap.substr(at + name.size() + 2));
+}
+
+/** A tile's TileStats counts by row name. */
+std::map<std::string, double>
+tileCounts(Mce &mce)
+{
+    std::map<std::string, double> out;
+    mce.stats().visitValues(
+        [&](const std::string &name, double v) { out[name] = v; });
+    return out;
+}
+
+TEST(MasterStats, SnapshotSumsEveryTile)
+{
+    // Tiles 0 and 1 hold a logical qubit and tile 2 does not, so the
+    // tiles' counts differ; the snapshot must carry their sum, not
+    // whichever tile was visited last.
+    Registry::global().reset();
+    MasterController master(smallMaster(3));
+    master.mce(0).defineLogicalQubit(Coord{2, 2});
+    master.mce(1).defineLogicalQubit(Coord{2, 2});
+    master.dispatch(LogicalInstr{LogicalOpcode::Hadamard, 0});
+    master.runRounds(10);
+    ASSERT_NE(tileCounts(master.mce(0)), tileCounts(master.mce(2)));
+
+    for (const char *name :
+         { "exec_unit.latches", "exec_unit.master_clocks",
+           "exec_unit.fired_instructions", "mask_table.writes" }) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < master.numMces(); ++i)
+            sum += tileCounts(master.mce(i)).at(name);
+        EXPECT_GT(sum, 0.0) << name;
+        EXPECT_EQ(snapshotRow(name), sum) << name;
+    }
+}
+
+MasterConfig
+faultyMaster(std::uint64_t fault_seed)
+{
+    MasterConfig cfg = smallMaster(2);
+    cfg.faults = quest::sim::FaultConfig::uniform(0.01, fault_seed);
+    cfg.scrubIntervalRounds = 16;
+    cfg.heartbeatIntervalRounds = 8;
+    cfg.modelDecodeDeadline = true;
+    return cfg;
+}
+
+void
+runFaulty(QuestSystem &sys)
+{
+    quest::isa::TraceGenConfig tc;
+    tc.numInstructions = 96;
+    tc.logicalQubits = sys.master().numMces();
+    tc.maskFraction = 0.0;
+    sys.placeLogicalQubits();
+    sys.runMixedWorkload(quest::isa::generateApplicationTrace(tc),
+                         quest::isa::generateDistillationRound(0),
+                         /*rounds=*/64);
+}
+
+/** Every bus-byte and fault count of a master, by its row name. */
+std::vector<std::pair<std::string, double>>
+masterCounts(const MasterController &m)
+{
+    return {
+        { "master.bus_bytes_logical", m.busBytesLogical() },
+        { "master.bus_bytes_sync", m.busBytesSync() },
+        { "master.bus_bytes_syndrome", m.busBytesSyndrome() },
+        { "master.bus_bytes_corrections", m.busBytesCorrections() },
+        { "master.bus_bytes_cache", m.busBytesCacheTraffic() },
+        { "master.bus_bytes_scrub", m.busBytesScrub() },
+        { "faults.seu_injected", m.seuInjected() },
+        { "faults.seu_detected", m.seuDetected() },
+        { "faults.seu_silent_repaired", m.seuSilentRepaired() },
+        { "faults.scrubs", m.scrubCount() },
+        { "faults.decoder_overruns", m.decoderOverruns() },
+        { "faults.decoder_fallbacks", m.decoderFallbacks() },
+        { "faults.heartbeats", m.heartbeatsSent() },
+        { "faults.heartbeats_missed", m.heartbeatsMissed() },
+        { "faults.hangs_injected", m.hangsInjected() },
+        { "faults.quarantines", m.quarantineCount() },
+        { "faults.resumes", m.resumeCount() },
+        { "faults.bus_escalations", m.busEscalations() },
+        { "faults.packets_abandoned", m.packetsAbandoned() },
+    };
+}
+
+TEST(MasterStats, ConcurrentMastersKeepTheirOwnCounts)
+{
+    quest::sim::setQuiet(true);
+    // Reference counts: each master run on its own.
+    std::vector<std::pair<std::string, double>> solo[2];
+    for (std::uint64_t k = 0; k < 2; ++k) {
+        QuestSystem sys(faultyMaster(7 + k));
+        runFaulty(sys);
+        solo[k] = masterCounts(sys.master());
+    }
+
+    Registry::global().reset();
+    QuestSystem a(faultyMaster(7));
+    QuestSystem b(faultyMaster(8));
+    runFaulty(a);
+    runFaulty(b);
+    const auto ca = masterCounts(a.master());
+    const auto cb = masterCounts(b.master());
+    quest::sim::setQuiet(false);
+
+    EXPECT_EQ(ca, solo[0]);
+    EXPECT_EQ(cb, solo[1]);
+    EXPECT_NE(ca, cb);
+    EXPECT_GT(a.master().heartbeatsSent(), 0.0);
+    for (std::size_t i = 0; i < ca.size(); ++i)
+        EXPECT_EQ(snapshotRow(ca[i].first),
+                  ca[i].second + cb[i].second)
+            << ca[i].first;
+}
+
+TEST(MasterStats, SnapshotCarriesEachCountOnce)
+{
+    MasterController master(smallMaster(2));
+    quest::decode::DecoderPipeline pipeline(master.mce(0).lattice());
+    master.runRounds(3);
+    // Rows that only duplicated a registry counter (or, for the
+    // network histogram, were replaced by one) are gone ...
+    for (const char *row :
+         { "icache.hits", "icache.misses", "icache.bus_bytes",
+           "mce0.qecc_rounds", "mce0.qecc_uops", "mce0.microcode_bits",
+           "mce0.seu_uop_errors", "faults.network_retransmits",
+           "faults.network_lost", "faults.network_corrupted",
+           "faults.network_failures", "faults.network_overhead_bytes",
+           "network.latency::samples", "decoder.events_total",
+           "decoder.events_local", "decoder.events_global",
+           "decoder.syndrome_bus_bytes" })
+        EXPECT_EQ(snapshotRow(row), std::nullopt) << row;
+    // ... and the counts live on under one name each.
+    for (const char *row :
+         { "mce.icache.hits", "mce.replay.rounds", "mce.replay.uops",
+           "mce.replay.microcode_bits", "mce.replay.seu_uop_errors",
+           "mce0.logical_uops", "mce0.events_local",
+           "network.retransmits", "network.latency.count",
+           "decode.pipeline.events_local" })
+        EXPECT_NE(snapshotRow(row), std::nullopt) << row;
+}
+
+TEST(MasterStats, BusByteRowsMoveByTheMastersOwnCounts)
+{
+    MasterController master(smallMaster(2));
+    const auto before = masterCounts(master);
+    std::vector<double> rows0;
+    for (const auto &[name, v] : before)
+        rows0.push_back(snapshotRow(name).value());
+
+    master.mce(0).defineLogicalQubit(Coord{2, 2});
+    master.dispatch(LogicalInstr{LogicalOpcode::Hadamard, 0});
+    master.broadcastSync();
+    master.dispatchBlock(0, 1, quest::isa::generateDistillationRound(0));
+    master.dispatchBlock(0, 1, quest::isa::generateDistillationRound(0));
+    master.runRounds(4);
+
+    const auto after = masterCounts(master);
+    EXPECT_GT(master.busBytesLogical(), 0.0);
+    EXPECT_GT(master.busBytesSync(), 0.0);
+    EXPECT_GT(master.busBytesCacheTraffic(), 0.0);
+    for (std::size_t i = 0; i < after.size(); ++i)
+        EXPECT_EQ(snapshotRow(after[i].first).value() - rows0[i],
+                  after[i].second - before[i].second)
+            << after[i].first;
+}
+
+TEST(MasterStats, FaultFreeRunLeavesEveryFaultRowAtZero)
+{
+    Registry::global().reset();
+    MasterController master(smallMaster(2));
+    master.mce(0).defineLogicalQubit(Coord{2, 2});
+    master.dispatch(LogicalInstr{LogicalOpcode::Hadamard, 0});
+    master.runRounds(8);
+    for (const auto &[name, v] : masterCounts(master)) {
+        if (name.rfind("faults.", 0) != 0)
+            continue;
+        EXPECT_EQ(v, 0.0) << name;
+        EXPECT_EQ(snapshotRow(name), 0.0) << name;
+    }
+}
+
+/** The row names of the current snapshot, in order. */
+std::vector<std::string>
+snapshotRowNames()
+{
+    std::vector<std::string> names;
+    const std::string snap = quest::sim::metricsSnapshot();
+    for (std::size_t at = 0; at < snap.size();) {
+        const std::size_t end = snap.find('\n', at);
+        names.push_back(snap.substr(at, snap.find(' ', at) - at));
+        at = end + 1;
+    }
+    return names;
+}
+
+TEST(MasterStats, EveryRowExistsOnceTheMasterIsBuilt)
+{
+    // Counters register in constructors, so running work adds values
+    // but never rows: two passes over the same components (traced
+    // and untraced) always list the same rows. The one exception is
+    // by design: a registered histogram grows its .p50/.p99 rows with
+    // its first sample.
+    MasterController master(smallMaster(2));
+    const auto built = snapshotRowNames();
+    master.mce(0).defineLogicalQubit(Coord{2, 2});
+    master.dispatch(LogicalInstr{LogicalOpcode::Hadamard, 0});
+    master.broadcastSync();
+    master.dispatchBlock(1, 1, quest::isa::generateDistillationRound(0));
+    master.runRounds(6);
+    std::vector<std::string> added;
+    std::ranges::set_difference(snapshotRowNames(), built,
+                                std::back_inserter(added));
+    std::erase_if(added, [&](const std::string &row) {
+        const std::string stem = row.substr(0, row.size() - 4);
+        return (row.ends_with(".p50") || row.ends_with(".p99"))
+               && std::ranges::binary_search(built, stem + ".count");
+    });
+    EXPECT_EQ(added, std::vector<std::string>{});
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/mce.hpp"
 #include "core/system.hpp"
@@ -202,6 +204,69 @@ TEST(Mce, NoisyRunConvergesWithDecoding)
     EXPECT_LE(mce.residualErrorWeight(), 3u);
 }
 
+TEST(Mce, TileStatsVisitEmitsTheFourRowsInOrder)
+{
+    const TileStats stats{ 11, 22, 33, 44 };
+    std::vector<std::pair<std::string, double>> seen;
+    stats.visitValues([&](const std::string &name, double v) {
+        seen.emplace_back(name, v);
+    });
+    const std::vector<std::pair<std::string, double>> want = {
+        { "exec_unit.latches", 11.0 },
+        { "exec_unit.master_clocks", 22.0 },
+        { "exec_unit.fired_instructions", 33.0 },
+        { "mask_table.writes", 44.0 },
+    };
+    EXPECT_EQ(seen, want);
+}
+
+TEST(Mce, TileStatsAreTheTilesShareOfTheRows)
+{
+    // Two tiles doing different work: each tile's stats() is its own
+    // count, and each row it names moves by the two tiles' sum.
+    auto &reg = quest::sim::metrics::Registry::global();
+    const char *const names[] = { "exec_unit.latches",
+                                  "exec_unit.master_clocks",
+                                  "exec_unit.fired_instructions",
+                                  "mask_table.writes" };
+    const MceConfig cfg = tileConfigForLogicalQubits(3);
+    Mce busy("mce0", cfg);
+    Mce idle("mce1", cfg);
+    std::vector<std::uint64_t> before;
+    for (const char *name : names)
+        before.push_back(reg.counter(name, "").value());
+
+    busy.defineLogicalQubit(Coord{2, 2});
+    for (int r = 0; r < 3; ++r)
+        busy.runQeccRound();
+    idle.runQeccRound();
+
+    const TileStats b = busy.stats();
+    const TileStats i = idle.stats();
+    EXPECT_GT(b.latches, i.latches);
+    EXPECT_GT(b.maskWrites, i.maskWrites);
+    const std::uint64_t sums[] = { b.latches + i.latches,
+                                   b.masterClocks + i.masterClocks,
+                                   b.fired + i.fired,
+                                   b.maskWrites + i.maskWrites };
+    for (std::size_t k = 0; k < std::size(names); ++k)
+        EXPECT_EQ(reg.counter(names[k], "").value() - before[k], sums[k])
+            << names[k];
+}
+
+TEST(Mce, LocallyResolvedEventsFeedTheTileRow)
+{
+    auto &row = quest::sim::metrics::Registry::global().counter(
+        "mce_events.events_local", "");
+    Mce mce("mce_events", smallConfig());
+    const std::uint64_t before = row.value();
+    mce.frame().injectX(mce.lattice().index(Coord{2, 2}));
+    mce.runQeccRound();
+    mce.collectResidualEvents();
+    EXPECT_GT(mce.eventsResolvedLocally(), 0.0);
+    EXPECT_EQ(double(row.value() - before), mce.eventsResolvedLocally());
+}
+
 TEST(Mce, ExtractorAddressSurvivesMaskEdits)
 {
     // Streaming decoders keep a reference to the tile extractor, so
@@ -364,7 +429,7 @@ counter(const char *name)
         .value();
 }
 
-/** A scalar of the Mce's stat tree, by full dotted name. */
+/** One of the tile's TileStats counts, by its registry row name. */
 double
 statValue(Mce &mce, const std::string &name)
 {
@@ -470,13 +535,11 @@ TEST_P(ReplayCharges, MatchThePerSlotReferenceEveryRound)
         const quest::qecc::BraidPlan plan = planner.planLoop(
             quest::qecc::MaskSquare{c.defectA().topLeft, moving},
             t.defectA());
-        quest::sim::StatGroup scratch("scratch");
         for (std::size_t i = 1; i < plan.positions.size(); ++i) {
             quest::qecc::LogicalQubit at = c;
             at.setDefectA(
                 quest::qecc::MaskSquare{plan.positions[i], moving});
-            MaskTable mask(mce.lattice(), cfg.maskLayout, cfg.distance,
-                           scratch);
+            MaskTable mask(mce.lattice(), cfg.maskLayout, cfg.distance);
             mask.apply(at, true);
             mask.apply(t, true);
             const RoundSchedule program =

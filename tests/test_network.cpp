@@ -13,6 +13,7 @@
 #include "core/network.hpp"
 #include "core/system.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/metrics.hpp"
 
 namespace {
 
@@ -21,30 +22,28 @@ using quest::sim::nanoseconds;
 
 TEST(Network, TreeDepthGrowsWithMceCount)
 {
-    quest::sim::StatGroup stats("test");
     NetworkConfig small;
     small.mceCount = 4;
     small.radix = 4;
-    EXPECT_EQ(PacketNetwork(small, stats).depth(), 1u);
+    EXPECT_EQ(PacketNetwork(small).depth(), 1u);
 
     NetworkConfig medium = small;
     medium.mceCount = 16;
-    EXPECT_EQ(PacketNetwork(medium, stats).depth(), 2u);
+    EXPECT_EQ(PacketNetwork(medium).depth(), 2u);
 
     NetworkConfig large = small;
     large.mceCount = 17;
-    EXPECT_EQ(PacketNetwork(large, stats).depth(), 3u);
+    EXPECT_EQ(PacketNetwork(large).depth(), 3u);
 }
 
 TEST(Network, PacketLatencyIsHopsPlusSerialization)
 {
-    quest::sim::StatGroup stats("test");
     NetworkConfig cfg;
     cfg.mceCount = 4;
     cfg.radix = 4;
     cfg.hopLatency = nanoseconds(5);
     cfg.linkBytesPerTick = 0.004; // 4 GB/s
-    PacketNetwork net(cfg, stats);
+    PacketNetwork net(cfg);
 
     // depth 1 -> 2 hops; 2 bytes at 0.004 B/tick -> 500 ticks.
     const PacketTiming t = net.send(0, 2);
@@ -54,10 +53,9 @@ TEST(Network, PacketLatencyIsHopsPlusSerialization)
 
 TEST(Network, AccountingAccumulates)
 {
-    quest::sim::StatGroup stats("test");
     NetworkConfig cfg;
     cfg.mceCount = 2;
-    PacketNetwork net(cfg, stats);
+    PacketNetwork net(cfg);
     net.send(0, 100);
     net.send(1, 300);
     EXPECT_DOUBLE_EQ(net.bytesCarried(), 400.0);
@@ -67,11 +65,10 @@ TEST(Network, AccountingAccumulates)
 
 TEST(Network, RootUtilizationReflectsLoad)
 {
-    quest::sim::StatGroup stats("test");
     NetworkConfig cfg;
     cfg.mceCount = 2;
     cfg.linkBytesPerTick = 0.004;
-    PacketNetwork net(cfg, stats);
+    PacketNetwork net(cfg);
     net.send(0, 4);
     // 4 bytes over 1e6 ticks at 0.004 B/tick capacity -> 0.1%.
     EXPECT_NEAR(net.rootLinkUtilization(1000000), 1e-3, 1e-9);
@@ -81,10 +78,9 @@ TEST(Network, RootUtilizationReflectsLoad)
 TEST(Network, OutOfRangeMcePanics)
 {
     quest::sim::setQuiet(true);
-    quest::sim::StatGroup stats("test");
     NetworkConfig cfg;
     cfg.mceCount = 2;
-    PacketNetwork net(cfg, stats);
+    PacketNetwork net(cfg);
     EXPECT_THROW(net.send(5, 10), quest::sim::SimError);
     quest::sim::setQuiet(false);
 }
@@ -144,12 +140,11 @@ std::vector<quest::sim::Tick>
 lossyLatencies(const NetworkConfig &cfg, std::uint64_t fault_seed,
                int n)
 {
-    quest::sim::StatGroup stats("test");
     quest::sim::FaultConfig fc;
     fc.seed = fault_seed;
     fc.rate(quest::sim::FaultSite::NetworkLoss) = 0.3;
     quest::sim::FaultInjector inj(fc);
-    PacketNetwork net(cfg, stats);
+    PacketNetwork net(cfg);
     net.attachFaults(&inj);
     std::vector<quest::sim::Tick> lat;
     lat.reserve(std::size_t(n));
@@ -193,12 +188,11 @@ TEST(NetworkJitter, FaultFreePathIgnoresJitterEntirely)
 {
     // No injector attached: the zero-overhead path must be
     // bit-identical whatever the jitter knob says.
-    quest::sim::StatGroup stats("test");
     NetworkConfig a;
     a.mceCount = 4;
     NetworkConfig b = a;
     b.retryJitter = 0.9;
-    PacketNetwork na(a, stats), nb(b, stats);
+    PacketNetwork na(a), nb(b);
     for (int i = 0; i < 64; ++i) {
         const PacketTiming ta = na.send(i % 4, 16);
         const PacketTiming tb = nb.send(i % 4, 16);
@@ -206,6 +200,53 @@ TEST(NetworkJitter, FaultFreePathIgnoresJitterEntirely)
         EXPECT_EQ(ta.attempts, 1u);
         EXPECT_EQ(tb.attempts, 1u);
     }
+}
+
+/** The registry counter `name`, registered by the network. */
+std::uint64_t
+row(const char *name)
+{
+    return quest::sim::metrics::Registry::global().counter(name, "")
+        .value();
+}
+
+TEST(Network, EachNetworkKeepsItsOwnTotals)
+{
+    NetworkConfig cfg;
+    cfg.mceCount = 4;
+    PacketNetwork a(cfg);
+    PacketNetwork b(cfg);
+    const std::uint64_t bytes0 = row("network.bytes");
+    const std::uint64_t packets0 = row("network.packets");
+    a.send(0, 100);
+    a.send(3, 20);
+    b.send(1, 7);
+    EXPECT_DOUBLE_EQ(a.bytesCarried(), 120.0);
+    EXPECT_DOUBLE_EQ(a.packetsCarried(), 2.0);
+    EXPECT_DOUBLE_EQ(b.bytesCarried(), 7.0);
+    EXPECT_DOUBLE_EQ(b.packetsCarried(), 1.0);
+    EXPECT_EQ(row("network.bytes") - bytes0, 127u);
+    EXPECT_EQ(row("network.packets") - packets0, 3u);
+}
+
+TEST(Network, LatencyHistogramRecordsEveryPacket)
+{
+    NetworkConfig cfg;
+    cfg.mceCount = 4;
+    PacketNetwork net(cfg);
+    auto &hist = quest::sim::metrics::Registry::global().histogram(
+        "network.latency", "");
+    const std::uint64_t count0 = hist.count();
+    const std::uint64_t sum0 = hist.sum();
+    const std::uint64_t ticks0 = row("network.latency_ticks");
+
+    quest::sim::Tick total = 0;
+    for (const std::size_t bytes : {2u, 64u, 512u})
+        total += net.send(2, bytes).latency;
+    EXPECT_EQ(hist.count() - count0, 3u);
+    EXPECT_EQ(hist.sum() - sum0, total);
+    EXPECT_EQ(row("network.latency_ticks") - ticks0, total);
+    EXPECT_DOUBLE_EQ(net.meanLatencyTicks(), double(total) / 3.0);
 }
 
 } // namespace

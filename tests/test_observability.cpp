@@ -2,21 +2,22 @@
  * @file
  * Unit tests for the observability layer: sim/trace.hpp (scoped
  * event tracing, ring buffers, count digests, Chrome export) and
- * sim/metrics.hpp (registry, counters, gauges, histograms, StatGroup
- * absorption), plus the EventQueue's dispatch attribution.
+ * sim/metrics.hpp (registry, counters, gauges, histograms, tallies).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
 #include "qecc/extractor.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -184,6 +185,33 @@ TEST(MetricsCounter, AccumulatesAndResets)
     EXPECT_EQ(c.value(), 0u);
 }
 
+TEST(MetricsCounter, ConcurrentAddsSumExactly)
+{
+    // Decode workers bump shared counters from many threads; relaxed
+    // adds must still lose nothing.
+    metrics::Counter c;
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t)
+        workers.emplace_back([&c, t] {
+            for (int i = 0; i < 10000; ++i)
+                c.add(std::uint64_t(t + 1));
+        });
+    for (auto &w : workers)
+        w.join();
+    EXPECT_EQ(c.value(), 10000u * (1 + 2 + 3 + 4));
+}
+
+TEST(MetricsGauge, LastWriteWinsAndResets)
+{
+    metrics::Gauge g;
+    EXPECT_EQ(g.value(), 0.0);
+    g.set(2.5);
+    g.set(-0.125);
+    EXPECT_EQ(g.value(), -0.125);
+    g.reset();
+    EXPECT_EQ(g.value(), 0.0);
+}
+
 TEST(MetricsHistogram, EmptyPercentileIsDefinedSentinel)
 {
     metrics::Histogram h;
@@ -224,6 +252,97 @@ TEST(MetricsHistogram, BucketsMinMaxMean)
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_TRUE(std::isnan(h.percentile(0.5)));
+}
+
+TEST(MetricsHistogram, WeightedRecordMatchesRepeatedSamples)
+{
+    metrics::Histogram weighted;
+    metrics::Histogram repeated;
+    weighted.record(12, 5);
+    weighted.record(3, 2);
+    weighted.record(99, 0); // a zero weight records nothing
+    for (int i = 0; i < 5; ++i)
+        repeated.record(12);
+    repeated.record(3);
+    repeated.record(3);
+
+    EXPECT_EQ(weighted.count(), repeated.count());
+    EXPECT_EQ(weighted.sum(), repeated.sum());
+    EXPECT_EQ(weighted.minSample(), repeated.minSample());
+    EXPECT_EQ(weighted.maxSample(), repeated.maxSample());
+    EXPECT_EQ(weighted.maxSample(), 12u);
+    for (std::size_t i = 0; i < metrics::Histogram::numBuckets; ++i)
+        EXPECT_EQ(weighted.bucketCount(i), repeated.bucketCount(i))
+            << "bucket " << i;
+    for (const double q : {0.0, 0.3, 0.5, 1.0})
+        EXPECT_EQ(weighted.percentile(q), repeated.percentile(q))
+            << "q=" << q;
+}
+
+TEST(MetricsHistogram, PercentileIsMonotoneAndClamped)
+{
+    metrics::Histogram h;
+    for (std::uint64_t v = 5; v <= 500; v += 5)
+        h.record(v);
+    double last = h.percentile(0.0);
+    EXPECT_GE(last, 5.0);
+    for (double q = 0.05; q <= 1.0; q += 0.05) {
+        const double p = h.percentile(q);
+        EXPECT_GE(p, last) << "q=" << q;
+        EXPECT_LE(p, 500.0) << "q=" << q;
+        last = p;
+    }
+    // Out-of-range quantiles clamp to the observed extremes rather
+    // than reading past either end of the bucket array.
+    EXPECT_EQ(h.percentile(-1.0), h.percentile(0.0));
+    EXPECT_EQ(h.percentile(2.0), 500.0);
+}
+
+TEST(MetricsHistogram, BucketIsTheSampleBitWidth)
+{
+    metrics::Histogram h;
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    for (const std::uint64_t v : {std::uint64_t(0), std::uint64_t(1),
+                                  std::uint64_t(2), std::uint64_t(3),
+                                  std::uint64_t(4), top})
+        h.record(v);
+    EXPECT_EQ(h.bucketCount(0), 1u);  // 0
+    EXPECT_EQ(h.bucketCount(1), 1u);  // 1
+    EXPECT_EQ(h.bucketCount(2), 2u);  // 2, 3
+    EXPECT_EQ(h.bucketCount(3), 1u);  // 4
+    EXPECT_EQ(h.bucketCount(64), 1u); // the largest sample
+    EXPECT_EQ(h.minSample(), 0u);
+    EXPECT_EQ(h.maxSample(), top);
+    EXPECT_EQ(h.percentile(1.0), double(top));
+}
+
+TEST(MetricsHistogram, ConcurrentRecordingIsOrderIndependent)
+{
+    // The golden snapshot is byte-identical across thread counts
+    // only if interleaved recording lands in the same state as a
+    // serial pass over the same samples.
+    metrics::Histogram serial;
+    for (std::uint64_t t = 0; t < 4; ++t)
+        for (std::uint64_t i = 0; i < 2000; ++i)
+            serial.record(i * (t + 1) % 1013);
+
+    metrics::Histogram shared;
+    std::vector<std::thread> workers;
+    for (std::uint64_t t = 0; t < 4; ++t)
+        workers.emplace_back([&shared, t] {
+            for (std::uint64_t i = 0; i < 2000; ++i)
+                shared.record(i * (t + 1) % 1013);
+        });
+    for (auto &w : workers)
+        w.join();
+
+    EXPECT_EQ(shared.count(), serial.count());
+    EXPECT_EQ(shared.sum(), serial.sum());
+    EXPECT_EQ(shared.minSample(), serial.minSample());
+    EXPECT_EQ(shared.maxSample(), serial.maxSample());
+    for (std::size_t i = 0; i < metrics::Histogram::numBuckets; ++i)
+        EXPECT_EQ(shared.bucketCount(i), serial.bucketCount(i))
+            << "bucket " << i;
 }
 
 TEST(MetricsRegistry, ReturnsStableReferences)
@@ -295,61 +414,100 @@ TEST(MetricsRegistry, JsonIsWellFormedAndExpandsHistograms)
               std::string::npos);
 }
 
-TEST(MetricsRegistry, AbsorbsAttachedStatGroups)
+TEST(MetricsRegistry, SnapshotExpandsHistogramsIntoSubrows)
 {
-    StatGroup group("test_group");
-    Scalar &s = group.scalar("absorbed", "a component stat");
-    s += 3.0;
-    {
-        metrics::ScopedGroupAttach attach(group);
-        const std::string snap = metricsSnapshot();
-        EXPECT_NE(snap.find("test_group.absorbed 3"),
-                  std::string::npos);
-    }
-    // Detached: gone from the next snapshot.
-    EXPECT_EQ(metricsSnapshot().find("test_group.absorbed"),
+    auto &h = Registry::global().histogram("test.snaphist",
+                                           "histogram rows");
+    h.reset();
+    const std::string empty = metricsSnapshot();
+    EXPECT_NE(empty.find("test.snaphist.count 0\n"), std::string::npos);
+    EXPECT_EQ(empty.find("test.snaphist.p50"), std::string::npos);
+
+    h.record(4);
+    h.record(6);
+    const std::string snap = metricsSnapshot();
+    for (const char *row :
+         { "test.snaphist.count 2\n", "test.snaphist.sum 10\n",
+           "test.snaphist.mean 5\n", "test.snaphist.min 4\n",
+           "test.snaphist.max 6\n", "test.snaphist.p50 ",
+           "test.snaphist.p99 " })
+        EXPECT_NE(snap.find(row), std::string::npos) << row;
+    h.reset();
+}
+
+TEST(MetricsRegistry, ResetZeroesEveryKindAndKeepsTheRows)
+{
+    auto &reg = Registry::global();
+    auto &c = reg.counter("test.reset.counter", "counter");
+    auto &g = reg.gauge("test.reset.gauge", "gauge");
+    auto &h = reg.histogram("test.reset.hist", "histogram");
+    c += 3;
+    g.set(1.5);
+    h.record(8);
+
+    reg.reset();
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_EQ(g.value(), 0.0);
+    EXPECT_EQ(h.count(), 0u);
+    const std::string snap = metricsSnapshot();
+    EXPECT_NE(snap.find("test.reset.counter 0\n"), std::string::npos);
+    EXPECT_NE(snap.find("test.reset.gauge 0\n"), std::string::npos);
+    EXPECT_NE(snap.find("test.reset.hist.count 0\n"),
+              std::string::npos);
+
+    // Cached references keep feeding the same rows afterwards.
+    ++c;
+    EXPECT_EQ(reg.counter("test.reset.counter", "counter").value(), 1u);
+}
+
+TEST(MetricsTally, KeepsItsOwnCountAndFeedsTheRow)
+{
+    auto &row = Registry::global().counter("test.tally", "");
+    row.reset();
+    metrics::Tally a("test.tally", "a tallied count");
+    metrics::Tally b("test.tally", "a tallied count");
+    a += 3;
+    ++b;
+    EXPECT_EQ(a.value(), 3u);
+    EXPECT_EQ(b.value(), 1u);
+    EXPECT_EQ(row.value(), 4u);
+    EXPECT_NE(metricsSnapshot().find("test.tally 4\n"),
+              std::string::npos);
+
+    // A registry reset zeroes the row, not an instance's own count.
+    row.reset();
+    a.add(2);
+    EXPECT_EQ(a.value(), 5u);
+    EXPECT_EQ(row.value(), 2u);
+}
+
+TEST(MetricsTally, RegistersItsRowAtConstruction)
+{
+    // A row must exist as soon as its component does, so two passes
+    // that construct the same components list the same rows whether
+    // or not either ever counted anything.
+    EXPECT_EQ(metricsSnapshot().find("test.tally.eager "),
+              std::string::npos);
+    const metrics::Tally t("test.tally.eager", "never bumped");
+    EXPECT_EQ(t.value(), 0u);
+    EXPECT_NE(metricsSnapshot().find("test.tally.eager 0\n"),
               std::string::npos);
 }
 
-TEST(EventQueueAttribution, DispatchCountsPerLabel)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(10, [&] { ++fired; }, defaultPriority, "tick");
-    q.schedule(20, [&] { ++fired; }, defaultPriority, "tick");
-    q.schedule(30, [&] { ++fired; }, defaultPriority, "decode");
-    q.scheduleIn(5, [&] { ++fired; }); // default label
-
-    EXPECT_EQ(q.run(), 4u);
-    EXPECT_EQ(fired, 4);
-    const auto &counts = q.dispatchCounts();
-    EXPECT_EQ(counts.at("tick"), 2u);
-    EXPECT_EQ(counts.at("decode"), 1u);
-    EXPECT_EQ(counts.at("event"), 1u);
-
-    q.clear();
-    EXPECT_TRUE(q.dispatchCounts().empty());
-}
-
-TEST(EventQueueAttribution, GlobalCountersTrackScheduling)
+TEST(MetricsTally, InstancesOnDifferentRowsStayApart)
 {
     auto &reg = Registry::global();
-    auto &scheduled =
-        reg.counter("sim.queue.scheduled", "events entered into any "
-                                           "queue");
-    auto &executed =
-        reg.counter("sim.queue.executed", "events dispatched by any "
-                                          "queue");
-    const std::uint64_t sched0 = scheduled.value();
-    const std::uint64_t exec0 = executed.value();
-
-    EventQueue q;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(Tick(i), [] {}, defaultPriority, "counted");
-    q.run();
-
-    EXPECT_EQ(scheduled.value() - sched0, 5u);
-    EXPECT_EQ(executed.value() - exec0, 5u);
+    metrics::Tally x("test.tally.x", "first row");
+    metrics::Tally y("test.tally.y", "second row");
+    reg.counter("test.tally.x", "").reset();
+    reg.counter("test.tally.y", "").reset();
+    x += 10;
+    y += 1;
+    ++y;
+    EXPECT_EQ(x.value(), 10u);
+    EXPECT_EQ(y.value(), 2u);
+    EXPECT_EQ(reg.counter("test.tally.x", "").value(), 10u);
+    EXPECT_EQ(reg.counter("test.tally.y", "").value(), 2u);
 }
 
 TEST(MetricsRegistry, DecoderCountersRegisterAtConstruction)

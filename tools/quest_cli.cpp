@@ -30,6 +30,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.hpp"
@@ -295,6 +296,36 @@ cmdTraceGen(const Options &opts)
     return 0;
 }
 
+/** One "faults.<name> <value>" line per fault count, in a fixed
+ *  order: the master's own counts, then the network's ARQ counts. */
+void
+printFaultsReport(core::MasterController &m)
+{
+    const core::PacketNetwork &net = m.network();
+    const std::pair<const char *, double> rows[] = {
+        { "seu_injected", m.seuInjected() },
+        { "seu_detected", m.seuDetected() },
+        { "seu_silent_repaired", m.seuSilentRepaired() },
+        { "scrubs", m.scrubCount() },
+        { "decoder_overruns", m.decoderOverruns() },
+        { "decoder_fallbacks", m.decoderFallbacks() },
+        { "heartbeats", m.heartbeatsSent() },
+        { "heartbeats_missed", m.heartbeatsMissed() },
+        { "hangs_injected", m.hangsInjected() },
+        { "quarantines", m.quarantineCount() },
+        { "resumes", m.resumeCount() },
+        { "bus_escalations", m.busEscalations() },
+        { "packets_abandoned", m.packetsAbandoned() },
+        { "network_retransmits", net.retransmits() },
+        { "network_lost", net.lostPackets() },
+        { "network_corrupted", net.corruptedPackets() },
+        { "network_failures", net.deliveryFailures() },
+        { "network_overhead_bytes", net.protocolOverheadBytes() },
+    };
+    for (const auto &[name, value] : rows)
+        std::printf("faults.%s %.0f\n", name, value);
+}
+
 int
 cmdReplay(const Options &opts)
 {
@@ -338,7 +369,7 @@ cmdReplay(const Options &opts)
                             rounds);
     std::printf("%s\n", system.report().toString().c_str());
     if (opts.has("faults-report"))
-        system.master().faultStats().dump(std::cout);
+        printFaultsReport(system.master());
     return 0;
 }
 

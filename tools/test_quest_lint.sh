@@ -2,12 +2,12 @@
 # Regression test for the det-unordered-iteration,
 # det-simd-dispatch and det-metric-local-static determinism rules.
 #
-# PR 8 audited the two known std::unordered_* / same-tick ordering
-# hot spots (LogicalInstructionCache::_index, point-access only, and
-# the EventQueue FIFO tie-break): this script pins the audit. It
-# checks that (1) the audited files stay clean, (2) a result-
-# affecting module that iterates an unordered_map trips the rule,
-# and (3) an explicit quest-lint allow() suppression still works.
+# The known std::unordered_* hot spot was audited
+# (LogicalInstructionCache::_index, point-access only): this script
+# pins the audit. It checks that (1) the audited files stay clean,
+# (2) a result-affecting module that iterates an unordered_map trips
+# the rule, and (3) an explicit quest-lint allow() suppression still
+# works.
 #
 # The corrupted fixture is staged in a throwaway repo skeleton
 # (tools/quest_lint derives the repo root from its own location, and
@@ -22,10 +22,9 @@ if ! command -v python3 >/dev/null 2>&1; then
     exit 0
 fi
 
-# 1. The audited point-access users must stay clean.
+# 1. The audited point-access user must stay clean.
 python3 "$root/tools/quest_lint" \
-    "$root/src/core/icache.hpp" "$root/src/core/icache.cpp" \
-    "$root/src/sim/event_queue.hpp" "$root/src/sim/event_queue.cpp"
+    "$root/src/core/icache.hpp" "$root/src/core/icache.cpp"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -113,8 +112,8 @@ python3 "$tmp/tools/quest_lint" "$tmp/src/quantum/bad_simd.cpp"
 
 # 7. A function-local static bound to the metrics registry must
 #    trip det-metric-local-static (the registry-lifetime hazard the
-#    bound-at-construction members in DynamicScheduler/EventQueue
-#    exist to avoid), including when the initializer wraps lines.
+#    bound-at-construction members in DynamicScheduler/Mce exist
+#    to avoid), including when the initializer wraps lines.
 cat > "$tmp/src/core/bad_metric.cpp" <<'EOF'
 #include "sim/metrics.hpp"
 
