@@ -13,7 +13,7 @@
 #include "bench_util.hpp"
 #include "decode/cluster_decoder.hpp"
 #include "decode/detection.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/parallel.hpp"
 
 namespace {
@@ -21,33 +21,6 @@ namespace {
 using namespace quest;
 using decode::ClusterDecoder;
 using decode::MwpmDecoder;
-
-struct Experiment
-{
-    explicit Experiment(std::size_t d)
-        : lattice(qecc::Lattice::forDistance(d)),
-          schedule(qecc::buildRoundSchedule(
-              lattice, qecc::protocolSpec(qecc::Protocol::Steane))),
-          extractor(schedule)
-    {}
-
-    bool
-    logicalError(quantum::PauliFrame &frame) const
-    {
-        if (extractor.runRound(frame, nullptr).any())
-            return true;
-        std::size_t x = 0, z = 0;
-        for (const qecc::Coord c : lattice.logicalZSupport())
-            x += frame.xError(lattice.index(c)) ? 1 : 0;
-        for (const qecc::Coord c : lattice.logicalXSupport())
-            z += frame.zError(lattice.index(c)) ? 1 : 0;
-        return (x % 2) || (z % 2);
-    }
-
-    qecc::Lattice lattice;
-    qecc::RoundSchedule schedule;
-    qecc::SyndromeExtractor extractor;
-};
 
 void
 printFigure()
@@ -60,17 +33,14 @@ printFigure()
                    "UF cluster", "mean cluster size" });
 
     for (std::size_t d : { 3u, 5u, 7u }) {
-        const Experiment exp(d);
-        MwpmDecoder exact(exp.lattice, 14);
-        MwpmDecoder greedy(exp.lattice, 0);
-        ClusterDecoder cluster(exp.lattice);
+        const qecc::MemoryExperiment exp(d);
+        MwpmDecoder exact(exp.lattice(), 14);
+        MwpmDecoder greedy(exp.lattice(), 0);
+        ClusterDecoder cluster(exp.lattice());
 
-        // Trials run 64 to a BatchPauliFrame word: lane t of batch
-        // b is trial b*64 + t, whose BatchErrorChannel lane stream
-        // is exactly Rng::substream(99, b*64 + t) — the stream the
-        // scalar sweep gave that trial — so the sampled windows
-        // (and this table) are bit-identical to the scalar engine
-        // for any thread count.
+        // Trials run 64 to a batch, sampled from seed 99 (see
+        // MemoryExperiment::sampleBatch), so the table is
+        // bit-identical to a scalar sweep for any thread count.
         struct TrialOutcome
         {
             std::uint8_t failExact = 0, failGreedy = 0,
@@ -79,25 +49,18 @@ printFigure()
         };
         constexpr std::size_t lanes =
             quantum::BatchPauliFrame::lanes;
-        const std::uint64_t num_batches =
-            (std::uint64_t(trials) + lanes - 1) / lanes;
         const auto batches =
             sim::parallelMap<std::vector<TrialOutcome>>(
-                num_batches, [&](std::uint64_t b) {
+                (trials + lanes - 1) / lanes, [&](std::uint64_t b) {
                     quantum::BatchPauliFrame bframe(
-                        exp.lattice.numQubits());
-                    quantum::BatchErrorChannel channel(
-                        quantum::ErrorRates{ p, 0, 0, 0, p }, 99,
-                        b * lanes);
-                    auto history = exp.extractor.runRoundsBatch(
-                        bframe, &channel,
-                        exp.lattice.rows() / 2 + 1);
-                    history.push_back(
-                        exp.extractor.runRoundBatch(bframe,
-                                                    nullptr));
+                        exp.lattice().numQubits());
+                    std::vector<qecc::BatchSyndromeRound> history;
+                    exp.sampleBatch(
+                        quantum::ErrorRates{ p, 0, 0, 0, p }, 99, b,
+                        bframe, history);
                     const auto lane_events =
                         decode::extractDetectionEventsBatch(
-                            history, exp.extractor);
+                            history, exp.extractor());
 
                     const std::uint64_t count =
                         std::min<std::uint64_t>(
@@ -118,10 +81,10 @@ printFigure()
                         decode::applyCorrection(
                             fc, cluster.decode(events, stats));
                         TrialOutcome &o = out[t];
-                        o.failExact = exp.logicalError(fe) ? 1 : 0;
-                        o.failGreedy = exp.logicalError(fg) ? 1 : 0;
+                        o.failExact = exp.logicalFailure(fe) ? 1 : 0;
+                        o.failGreedy = exp.logicalFailure(fg) ? 1 : 0;
                         o.failCluster =
-                            exp.logicalError(fc) ? 1 : 0;
+                            exp.logicalFailure(fc) ? 1 : 0;
                         if (stats.clusters) {
                             o.hasClusters = 1;
                             o.clusterRatio = double(events.total())

@@ -10,12 +10,11 @@
  * perf trajectory of the hot path is tracked across PRs.
  *
  * Each trial is a d-round memory experiment sampled through the
- * bit-parallel batch engine (lane t of batch b carries trial
- * b*64 + t, whose lane stream is Rng::substream(seed, b*64 + t) —
- * the stream the scalar engine gave that trial, so the windows are
- * unchanged); the multi-thread run must reproduce the single-thread
- * per-trial correction weights bit-for-bit (verified here) — the
- * determinism contract of sim/parallel.hpp.
+ * bit-parallel batch engine (qecc::MemoryExperiment::sampleBatch,
+ * whose lanes reproduce the scalar engine's trials); the
+ * multi-thread run must reproduce the single-thread per-trial
+ * correction weights bit-for-bit (verified here) — the determinism
+ * contract of sim/parallel.hpp.
  *
  * Measurement method: each configuration is decoded once untimed
  * (warm-up: faults the pool's worker threads awake, warms caches
@@ -49,7 +48,7 @@
 
 #include "bench_util.hpp"
 #include "decode/cluster_decoder.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
@@ -62,55 +61,33 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t sampleSeed = 0xDEC0DE;
 
-struct Experiment
+/**
+ * Sample every trial's detection events up front through the
+ * batched frame engine, 64 trials per batch (see
+ * MemoryExperiment::sampleBatch for the lane-to-trial mapping).
+ */
+std::vector<decode::DetectionEvents>
+sampleAll(const qecc::MemoryExperiment &exp, double p,
+          std::uint64_t trials, sim::ThreadPool &pool)
 {
-    explicit Experiment(std::size_t d)
-        : lattice(qecc::Lattice::forDistance(d)),
-          schedule(qecc::buildRoundSchedule(
-              lattice, qecc::protocolSpec(qecc::Protocol::Steane))),
-          extractor(schedule)
-    {}
-
-    /**
-     * Sample every trial's detection events up front through the
-     * batched frame engine, 64 trials per word: trial i = lane
-     * i % 64 of batch i / 64, seeded so its draw stream equals the
-     * scalar engine's Rng::substream(sampleSeed, i).
-     */
-    std::vector<decode::DetectionEvents>
-    sampleAll(double p, std::uint64_t trials,
-              sim::ThreadPool &pool) const
-    {
-        constexpr std::size_t lanes =
-            quantum::BatchPauliFrame::lanes;
-        const std::uint64_t batches = (trials + lanes - 1) / lanes;
-        auto per_batch =
-            sim::parallelMap<std::vector<decode::DetectionEvents>>(
-                pool, batches, [&](std::uint64_t b) {
-                    quantum::BatchPauliFrame frame(
-                        lattice.numQubits());
-                    quantum::BatchErrorChannel channel(
-                        quantum::ErrorRates{p, 0, 0, 0, p},
-                        sampleSeed, b * lanes);
-                    auto history = extractor.runRoundsBatch(
-                        frame, &channel, lattice.rows() / 2 + 1);
-                    history.push_back(
-                        extractor.runRoundBatch(frame, nullptr));
-                    return decode::extractDetectionEventsBatch(
-                        history, extractor);
-                });
-        std::vector<decode::DetectionEvents> events;
-        events.reserve(trials);
-        for (std::uint64_t i = 0; i < trials; ++i)
-            events.push_back(
-                std::move(per_batch[i / lanes][i % lanes]));
-        return events;
-    }
-
-    qecc::Lattice lattice;
-    qecc::RoundSchedule schedule;
-    qecc::SyndromeExtractor extractor;
-};
+    constexpr std::size_t lanes = quantum::BatchPauliFrame::lanes;
+    auto per_batch =
+        sim::parallelMap<std::vector<decode::DetectionEvents>>(
+            pool, (trials + lanes - 1) / lanes, [&](std::uint64_t b) {
+                quantum::BatchPauliFrame frame(
+                    exp.lattice().numQubits());
+                std::vector<qecc::BatchSyndromeRound> history;
+                exp.sampleBatch(quantum::ErrorRates{p, 0, 0, 0, p},
+                                sampleSeed, b, frame, history);
+                return decode::extractDetectionEventsBatch(
+                    history, exp.extractor());
+            });
+    std::vector<decode::DetectionEvents> events;
+    events.reserve(trials);
+    for (std::uint64_t i = 0; i < trials; ++i)
+        events.push_back(std::move(per_batch[i / lanes][i % lanes]));
+    return events;
+}
 
 /** One timed run: per-trial latencies plus total wall time. */
 struct Timing
@@ -254,12 +231,12 @@ main(int argc, char **argv)
 
     std::vector<ConfigResult> results;
     for (const std::size_t d : distances) {
-        const Experiment exp(d);
-        const decode::MwpmDecoder exact(exp.lattice, 14);
-        const decode::MwpmDecoder greedy(exp.lattice, 0);
-        const decode::ClusterDecoder cluster(exp.lattice);
+        const qecc::MemoryExperiment exp(d);
+        const decode::MwpmDecoder exact(exp.lattice(), 14);
+        const decode::MwpmDecoder greedy(exp.lattice(), 0);
+        const decode::ClusterDecoder cluster(exp.lattice());
         const std::vector<decode::DetectionEvents> events =
-            exp.sampleAll(p, trials, pool);
+            sampleAll(exp, p, trials, pool);
 
         const auto run = [&](const std::string &name,
                              const auto &decode_one) {

@@ -12,12 +12,12 @@
  *    (row-major layout, one row-loop of single-bit updates per
  *    gate), driven through the identical gate/measure sequence as
  *    the production Tableau so ns/op compare like for like.
- *  - The scalar frame sweep runs PauliFrame + ErrorChannel one trial
+ *  - The scalar frame sweep samples one qecc::MemoryExperiment shot
  *    at a time from Rng::substream(seed, trial); the batched sweep
- *    runs the same trials 64 to a BatchPauliFrame word. Lane t of
- *    batch b is trial b*64 + t, so both sweeps see identical error
- *    patterns — the bench cross-checks their detection-event digests
- *    and refuses to report a speedup for diverging engines.
+ *    samples the same trials 64 to a batch (sampleBatch), so both
+ *    sweeps see identical error patterns — the bench cross-checks
+ *    their detection-event digests and refuses to report a speedup
+ *    for diverging engines.
  *
  * The frame sweeps are timed like bench/decoder_throughput: one warm
  * probe pass calibrates a rep count that stretches the timed window
@@ -46,7 +46,7 @@
 
 #include "bench_util.hpp"
 #include "decode/detection.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
@@ -444,22 +444,6 @@ foldEvents(std::uint64_t h, const decode::DetectionEvents &events)
     return h;
 }
 
-struct SweepSetup
-{
-    explicit SweepSetup(std::size_t d)
-        : distance(d),
-          lattice(qecc::Lattice::forDistance(d)),
-          schedule(qecc::buildRoundSchedule(
-              lattice, qecc::protocolSpec(qecc::Protocol::Steane))),
-          extractor(schedule)
-    {}
-
-    std::size_t distance;
-    qecc::Lattice lattice;
-    qecc::RoundSchedule schedule;
-    qecc::SyndromeExtractor extractor;
-};
-
 constexpr quantum::ErrorRates sweepRates{ 2e-3, 0, 0, 0, 2e-3 };
 
 /**
@@ -468,7 +452,7 @@ constexpr quantum::ErrorRates sweepRates{ 2e-3, 0, 0, 0, 2e-3 };
  * seeds, so `digest` lands on the single-rep value.
  */
 double
-runScalarSweep(const SweepSetup &s, std::uint64_t trials,
+runScalarSweep(const qecc::MemoryExperiment &s, std::uint64_t trials,
                std::uint64_t &digest, std::uint64_t reps = 1)
 {
     const auto t0 = Clock::now();
@@ -476,14 +460,10 @@ runScalarSweep(const SweepSetup &s, std::uint64_t trials,
         digest = 0xcbf29ce484222325ull;
         for (std::uint64_t i = 0; i < trials; ++i) {
             sim::Rng rng = sim::Rng::substream(benchSeed, i);
-            quantum::ErrorChannel channel(sweepRates, rng);
-            quantum::PauliFrame frame(s.lattice.numQubits());
-            auto history = s.extractor.runRounds(frame, &channel,
-                                                 s.distance);
-            history.push_back(s.extractor.runRound(frame, nullptr));
+            const auto shot = s.sampleShot(sweepRates, rng);
             digest = foldEvents(
-                digest,
-                decode::extractDetectionEvents(history, s.extractor));
+                digest, decode::extractDetectionEvents(
+                            shot.history, s.extractor()));
         }
     }
     return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -491,29 +471,24 @@ runScalarSweep(const SweepSetup &s, std::uint64_t trials,
 
 /** Batched engine: the same trials, 64 lanes per frame word. */
 double
-runBatchedSweep(const SweepSetup &s, std::uint64_t trials,
+runBatchedSweep(const qecc::MemoryExperiment &s, std::uint64_t trials,
                 std::uint64_t &digest, std::uint64_t reps = 1)
 {
     constexpr std::size_t lanes = quantum::BatchPauliFrame::lanes;
     const std::uint64_t batches = (trials + lanes - 1) / lanes;
-    // Frame and event scratch live across batches: at 2e-3 error
-    // rates the per-batch work is small enough that allocator
+    // Frame, round and event scratch live across batches: at 2e-3
+    // error rates the per-batch work is small enough that allocator
     // round-trips would otherwise dominate the measurement.
-    quantum::BatchPauliFrame frame(s.lattice.numQubits());
+    quantum::BatchPauliFrame frame(s.lattice().numQubits());
+    std::vector<qecc::BatchSyndromeRound> history;
     std::vector<decode::DetectionEvents> events;
     const auto t0 = Clock::now();
     for (std::uint64_t rep = 0; rep < reps; ++rep) {
         digest = 0xcbf29ce484222325ull;
         for (std::uint64_t b = 0; b < batches; ++b) {
-            frame.clear();
-            quantum::BatchErrorChannel channel(sweepRates, benchSeed,
-                                               b * lanes);
-            auto history = s.extractor.runRoundsBatch(frame, &channel,
-                                                      s.distance);
-            history.push_back(
-                s.extractor.runRoundBatch(frame, nullptr));
+            s.sampleBatch(sweepRates, benchSeed, b, frame, history);
             decode::extractDetectionEventsBatchInto(
-                history, s.extractor, nullptr, 0, events);
+                history, s.extractor(), nullptr, 0, events);
             const std::uint64_t want =
                 std::min<std::uint64_t>(lanes, trials - b * lanes);
             for (std::uint64_t t = 0; t < want; ++t)
@@ -525,26 +500,22 @@ runBatchedSweep(const SweepSetup &s, std::uint64_t trials,
 
 /** Batched engine fanned out on a pool (throughput row only). */
 double
-runBatchedSweepParallel(const SweepSetup &s, std::uint64_t trials,
-                        sim::ThreadPool &pool, std::uint64_t reps = 1)
+runBatchedSweepParallel(const qecc::MemoryExperiment &s,
+                        std::uint64_t trials, sim::ThreadPool &pool,
+                        std::uint64_t reps = 1)
 {
     constexpr std::size_t lanes = quantum::BatchPauliFrame::lanes;
-    const std::uint64_t batches = (trials + lanes - 1) / lanes;
     const auto t0 = Clock::now();
     for (std::uint64_t rep = 0; rep < reps; ++rep) {
         const auto sizes = sim::parallelMap<std::size_t>(
-            pool, batches, [&](std::uint64_t b) {
-                quantum::BatchPauliFrame frame(s.lattice.numQubits());
-                quantum::BatchErrorChannel channel(
-                    sweepRates, benchSeed, b * lanes);
-                auto history = s.extractor.runRoundsBatch(
-                    frame, &channel, s.distance);
-                history.push_back(
-                    s.extractor.runRoundBatch(frame, nullptr));
+            pool, (trials + lanes - 1) / lanes, [&](std::uint64_t b) {
+                quantum::BatchPauliFrame frame(s.lattice().numQubits());
+                std::vector<qecc::BatchSyndromeRound> history;
+                s.sampleBatch(sweepRates, benchSeed, b, frame, history);
                 thread_local std::vector<decode::DetectionEvents>
                     events;
                 decode::extractDetectionEventsBatchInto(
-                    history, s.extractor, nullptr, 0, events);
+                    history, s.extractor(), nullptr, 0, events);
                 std::size_t total = 0;
                 for (const auto &lane : events)
                     total += lane.xEvents.size()
@@ -613,7 +584,7 @@ main(int argc, char **argv)
     // trial, detection events extracted — the Monte-Carlo inner
     // loop everything upstream of the decoder pays per trial.
     const std::uint64_t trials = smoke ? 256 : 4096;
-    const SweepSetup sweep(7);
+    const qecc::MemoryExperiment sweep(7);
     FrameResult frames;
     frames.distance = 7;
     frames.trials = trials;

@@ -37,7 +37,7 @@
 #include "bench_util.hpp"
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/random.hpp"
@@ -49,45 +49,6 @@ using namespace quest;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t sampleSeed = 0x57AE;
-
-struct Experiment
-{
-    explicit Experiment(std::size_t d)
-        : lattice(qecc::Lattice::forDistance(d)),
-          schedule(qecc::buildRoundSchedule(
-              lattice, qecc::protocolSpec(qecc::Protocol::Steane))),
-          extractor(schedule)
-    {}
-
-    std::vector<qecc::SyndromeRound>
-    sampleShot(quantum::PauliFrame &frame, double p,
-               std::uint64_t trial, std::size_t rounds) const
-    {
-        sim::Rng rng(sim::Rng::substream(sampleSeed, trial));
-        quantum::ErrorChannel channel(
-            quantum::ErrorRates{p, 0, 0, 0, p}, rng);
-        auto history = extractor.runRounds(frame, &channel, rounds);
-        history.push_back(extractor.runRound(frame, nullptr));
-        return history;
-    }
-
-    bool
-    logicalFailure(quantum::PauliFrame &frame) const
-    {
-        if (extractor.runRound(frame, nullptr).any())
-            return true;
-        std::size_t x = 0, z = 0;
-        for (const qecc::Coord c : lattice.logicalZSupport())
-            x += frame.xError(lattice.index(c)) ? 1 : 0;
-        for (const qecc::Coord c : lattice.logicalXSupport())
-            z += frame.zError(lattice.index(c)) ? 1 : 0;
-        return (x % 2) || (z % 2);
-    }
-
-    qecc::Lattice lattice;
-    qecc::RoundSchedule schedule;
-    qecc::SyndromeExtractor extractor;
-};
 
 struct ConfigResult
 {
@@ -217,6 +178,7 @@ main(int argc, char **argv)
     sim::metrics::Registry::global().reset();
 
     const double p = 2e-3;
+    const quantum::ErrorRates rates{p, 0, 0, 0, p};
     const std::vector<std::size_t> distances =
         smoke ? std::vector<std::size_t>{5}
               : std::vector<std::size_t>{5, 7};
@@ -228,25 +190,25 @@ main(int argc, char **argv)
     int gate_failures = 0;
     std::vector<ConfigResult> results;
     for (const std::size_t d : distances) {
-        const Experiment exp(d);
         const std::size_t shot_rounds = 2 * d;
+        const qecc::MemoryExperiment exp(d, qecc::Protocol::Steane,
+                                         shot_rounds);
 
         // Offline baseline: end-of-shot barrier.
         {
-            decode::DecoderPipeline pipeline(exp.lattice);
+            decode::DecoderPipeline pipeline(exp.lattice());
             ConfigResult r;
             r.distance = d;
             r.shape = "offline";
             const auto t0 = Clock::now();
             for (std::uint64_t t = 0; t < trials; ++t) {
-                quantum::PauliFrame frame(exp.lattice.numQubits());
-                const auto history =
-                    exp.sampleShot(frame, p, t, shot_rounds);
+                sim::Rng rng = sim::Rng::substream(sampleSeed, t);
+                auto shot = exp.sampleShot(rates, rng);
                 decode::applyCorrection(
-                    frame,
+                    shot.frame,
                     pipeline.decode(decode::extractDetectionEvents(
-                        history, exp.extractor)));
-                r.failures += exp.logicalFailure(frame) ? 1 : 0;
+                        shot.history, exp.extractor())));
+                r.failures += exp.logicalFailure(shot.frame) ? 1 : 0;
             }
             const double wall = std::chrono::duration<double>(
                 Clock::now() - t0).count();
@@ -271,31 +233,30 @@ main(int argc, char **argv)
             std::uint64_t windows = 0;
             const auto t0 = Clock::now();
             for (std::uint64_t t = 0; t < trials; ++t) {
-                quantum::PauliFrame frame(exp.lattice.numQubits());
-                const auto history =
-                    exp.sampleShot(frame, p, t, shot_rounds);
+                sim::Rng rng = sim::Rng::substream(sampleSeed, t);
+                auto shot = exp.sampleShot(rates, rng);
                 decode::StreamConfig cfg;
                 cfg.windowRounds = window;
                 cfg.strideRounds = stride;
-                decode::StreamingDecoder streamer(exp.extractor,
+                decode::StreamingDecoder streamer(exp.extractor(),
                                                   cfg);
                 decode::Correction total;
-                for (const auto &round : history)
+                for (const auto &round : shot.history)
                     if (auto c = streamer.pushRound(round))
                         total.merge(c->correction);
                 if (auto c = streamer.finish())
                     total.merge(c->correction);
                 windows += streamer.windowsDecoded();
-                decode::applyCorrection(frame, total);
+                decode::applyCorrection(shot.frame, total);
                 if (check
-                    && exp.extractor.runRound(frame, nullptr)
+                    && exp.extractor().runRound(shot.frame, nullptr)
                            .any()) {
                     std::cout << "check: d=" << d << " " << r.shape
                               << " trial " << t
                               << " left residual syndrome\n";
                     ++gate_failures;
                 }
-                r.failures += exp.logicalFailure(frame) ? 1 : 0;
+                r.failures += exp.logicalFailure(shot.frame) ? 1 : 0;
             }
             const double wall = std::chrono::duration<double>(
                 Clock::now() - t0).count();
@@ -310,18 +271,17 @@ main(int argc, char **argv)
         // Gate: a single window spanning the whole shot reproduces
         // the offline pipeline bit for bit.
         if (check) {
-            decode::DecoderPipeline pipeline(exp.lattice);
+            decode::DecoderPipeline pipeline(exp.lattice());
             for (std::uint64_t t = 0; t < trials; ++t) {
-                quantum::PauliFrame frame(exp.lattice.numQubits());
-                const auto history =
-                    exp.sampleShot(frame, p, t, shot_rounds);
+                sim::Rng rng = sim::Rng::substream(sampleSeed, t);
+                const auto history = exp.sampleShot(rates, rng).history;
                 const decode::Correction offline = pipeline.decode(
                     decode::extractDetectionEvents(history,
-                                                   exp.extractor));
+                                                   exp.extractor()));
                 decode::StreamConfig cfg;
                 cfg.windowRounds = history.size() + 1;
                 cfg.strideRounds = 1;
-                decode::StreamingDecoder streamer(exp.extractor,
+                decode::StreamingDecoder streamer(exp.extractor(),
                                                   cfg);
                 for (const auto &round : history)
                     streamer.pushRound(round);

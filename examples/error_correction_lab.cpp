@@ -16,69 +16,21 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "decode/pipeline.hpp"
-#include "qecc/distance.hpp"
-#include "qecc/extractor.hpp"
+#include "example_args.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/table.hpp"
-
-namespace {
-
-using namespace quest;
-
-struct TrialResult
-{
-    bool logicalError = false;
-};
-
-/**
- * One memory experiment: d rounds of noisy extraction, decode,
- * then check the residual for a logical X/Z operator crossing.
- */
-TrialResult
-runTrial(const qecc::Lattice &lattice,
-         const qecc::SyndromeExtractor &extractor,
-         decode::DecoderPipeline &pipeline, double p, sim::Rng &rng)
-{
-    quantum::PauliFrame frame(lattice.numQubits());
-    quantum::ErrorChannel channel(
-        quantum::ErrorRates{p, 0, 0, 0, p}, rng);
-
-    auto history = extractor.runRounds(
-        frame, &channel, lattice.rows() / 2 + 1);
-    // Close the decode window with one perfect round so last-round
-    // measurement flips pair up in time instead of being mistaken
-    // for data errors (the standard memory-experiment protocol).
-    history.push_back(extractor.runRound(frame, nullptr));
-    const auto events =
-        decode::extractDetectionEvents(history, extractor);
-    decode::applyCorrection(frame, pipeline.decode(events));
-
-    // A final noiseless round projects back to the code space.
-    const auto check = extractor.runRound(frame, nullptr);
-    if (check.any()) {
-        // Residual syndrome: count as failure (decoder missed).
-        return TrialResult{true};
-    }
-
-    std::size_t x_cross = 0, z_cross = 0;
-    for (const qecc::Coord c : lattice.logicalZSupport())
-        x_cross += frame.xError(lattice.index(c)) ? 1 : 0;
-    for (const qecc::Coord c : lattice.logicalXSupport())
-        z_cross += frame.zError(lattice.index(c)) ? 1 : 0;
-    return TrialResult{(x_cross % 2) != 0 || (z_cross % 2) != 0};
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace quest;
 
-    const int trials = argc > 1 ? std::atoi(argv[1]) : 2000;
+    examples::checkArgCount(argc, argv, 1, "error_correction_lab [trials]");
+    const auto trials = std::size_t(
+        examples::numberArg(argc, argv, 1, "trials", 2000, 1, 1e7));
     sim::Rng rng(2027);
 
     sim::Table table("Logical error rate vs physical error rate "
@@ -92,17 +44,19 @@ main(int argc, char **argv)
         std::vector<std::string> row{ sim::formatCount(p) };
         std::string lut_coverage;
         for (std::size_t d : { 3u, 5u, 7u }) {
-            const qecc::Lattice lattice = qecc::Lattice::forDistance(d);
-            const auto schedule = qecc::buildRoundSchedule(
-                lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-            const qecc::SyndromeExtractor extractor(schedule);
-            decode::DecoderPipeline pipeline(lattice);
+            const qecc::MemoryExperiment exp(d);
+            decode::DecoderPipeline pipeline(exp.lattice());
 
-            int failures = 0;
-            for (int t = 0; t < trials; ++t)
-                if (runTrial(lattice, extractor, pipeline, p, rng)
-                        .logicalError)
-                    ++failures;
+            std::size_t failures = 0;
+            for (std::size_t t = 0; t < trials; ++t) {
+                auto shot = exp.sampleShot(
+                    quantum::ErrorRates{p, 0, 0, 0, p}, rng);
+                decode::applyCorrection(
+                    shot.frame,
+                    pipeline.decode(decode::extractDetectionEvents(
+                        shot.history, exp.extractor())));
+                failures += exp.logicalFailure(shot.frame) ? 1 : 0;
+            }
             char cell[32];
             std::snprintf(cell, sizeof(cell), "%.2e",
                           double(failures) / double(trials));

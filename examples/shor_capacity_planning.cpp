@@ -16,11 +16,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "core/microcode.hpp"
+#include "example_args.hpp"
 #include "sim/table.hpp"
 #include "sim/types.hpp"
 #include "workloads/estimator.hpp"
@@ -34,7 +34,8 @@ main(int argc, char **argv)
     if (argc > 1) {
         sizes.clear();
         for (int i = 1; i < argc; ++i)
-            sizes.push_back(std::size_t(std::atoi(argv[i])));
+            sizes.push_back(std::size_t(
+                examples::numberArg(argc, argv, i, "bits", 0, 16, 65536)));
     }
 
     workloads::EstimatorConfig cfg;

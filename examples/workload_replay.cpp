@@ -14,9 +14,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/system.hpp"
+#include "example_args.hpp"
 #include "isa/rotations.hpp"
 #include "isa/trace.hpp"
 #include "sim/types.hpp"
@@ -26,8 +26,12 @@ main(int argc, char **argv)
 {
     using namespace quest;
 
-    const int rotations = argc > 1 ? std::atoi(argv[1]) : 48;
-    const double precision = argc > 2 ? std::atof(argv[2]) : 1e-10;
+    examples::checkArgCount(argc, argv, 2,
+                            "workload_replay [rotations] [precision]");
+    const int rotations =
+        int(examples::numberArg(argc, argv, 1, "rotations", 48, 1, 65536));
+    const double precision = examples::numberArg(
+        argc, argv, 2, "precision", 1e-10, 1e-15, 0.5, true);
     const std::size_t mces = 4;
 
     // --- "Compile": synthesize rotations into Clifford+T ----------

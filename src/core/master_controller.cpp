@@ -57,6 +57,8 @@ streamDeadlineFor(const MasterConfig &cfg, std::size_t stride)
 
 /** Heartbeat ping/response token size (a sync-class packet). */
 constexpr std::size_t heartbeatBytes = tech::logicalInstrBytes;
+/** Missed heartbeats before a tile is quarantined/re-synced. */
+constexpr std::size_t watchdogMissThreshold = 2;
 
 /** Microcode parity status poll size. */
 constexpr std::size_t scrubPollBytes = tech::logicalInstrBytes;
@@ -238,13 +240,6 @@ MasterController::dispatch(const isa::LogicalInstr &instr)
     _mces[target]->executeLogical(local);
 }
 
-void
-MasterController::dispatchTrace(const isa::LogicalTrace &trace)
-{
-    for (const auto &instr : trace)
-        dispatch(instr);
-}
-
 ICacheAccess
 MasterController::dispatchBlock(std::size_t mce_idx,
                                 std::uint32_t block_id,
@@ -404,8 +399,7 @@ MasterController::heartbeatNow()
         if (_mces[i]->hung()) {
             // No response: the engine is wedged.
             ++_heartbeatsMissed;
-            if (++_missedHeartbeats[i]
-                >= _cfg.watchdogMissThreshold)
+            if (++_missedHeartbeats[i] >= watchdogMissThreshold)
                 quarantineAndResync(i);
             continue;
         }
@@ -493,9 +487,8 @@ MasterController::decodeTile(std::size_t mce_idx)
     sendOnBus(mce_idx, residual.total() * decode::detectionEventBytes,
               _bytesSyndrome);
 
-    bool use_cluster =
-        _cfg.globalDecoder == GlobalDecoderKind::Cluster;
-    if (!use_cluster && _cfg.modelDecodeDeadline) {
+    bool use_cluster = false;
+    if (_cfg.modelDecodeDeadline) {
         const bool injected =
             _faults.fire(sim::FaultSite::DecoderOverrun);
         const bool analytic = _deadline.overruns(residual.total());

@@ -27,19 +27,11 @@
 
 namespace quest::core {
 
-/** Which algorithm the master's global decoder runs. */
-enum class GlobalDecoderKind
-{
-    Mwpm,    ///< exact/greedy minimum-weight matching
-    Cluster, ///< union-find cluster decoder (real-time oriented)
-};
-
 /** Configuration of the whole control processor. */
 struct MasterConfig
 {
     std::size_t numMces = 4;
     MceConfig mce;
-    GlobalDecoderKind globalDecoder = GlobalDecoderKind::Mwpm;
     /** QECC rounds between global decodes; 0 means one code
      *  distance's worth (the standard decode cadence). */
     std::size_t decodeWindowRounds = 0;
@@ -76,9 +68,6 @@ struct MasterConfig
 
     /** Rounds between MCE heartbeats (0 disables the watchdog). */
     std::size_t heartbeatIntervalRounds = 0;
-
-    /** Missed heartbeats before a tile is quarantined/re-synced. */
-    std::size_t watchdogMissThreshold = 2;
 
     /** Model the global decoder's real-time deadline: an MWPM
      *  decode that would overrun the window degrades to the
@@ -129,9 +118,6 @@ class MasterController
      * global bus.
      */
     void dispatch(const isa::LogicalInstr &instr);
-
-    /** Dispatch a whole trace instruction by instruction. */
-    void dispatchTrace(const isa::LogicalTrace &trace);
 
     /**
      * Dispatch a distillation block to an MCE through its icache;
@@ -215,12 +201,6 @@ class MasterController
      * re-upload the full image of any corrupted tile.
      */
     void scrubNow();
-
-    sim::FaultInjector &faultInjector() { return _faults; }
-    const decode::DecodeDeadline &decodeDeadline() const
-    {
-        return _deadline;
-    }
 
     double seuInjected() const { return double(_seuInjected.value()); }
     double seuDetected() const { return double(_seuDetected.value()); }

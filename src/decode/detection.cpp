@@ -55,18 +55,8 @@ extractDetectionEventsBatch(
     const std::vector<qecc::BatchSyndromeRound> &history,
     const qecc::SyndromeExtractor &extractor)
 {
-    return extractDetectionEventsBatch(history, extractor, nullptr, 0);
-}
-
-std::vector<DetectionEvents>
-extractDetectionEventsBatch(
-    const std::vector<qecc::BatchSyndromeRound> &history,
-    const qecc::SyndromeExtractor &extractor,
-    const qecc::BatchSyndromeRound *baseline, std::size_t first_round)
-{
     std::vector<DetectionEvents> out;
-    extractDetectionEventsBatchInto(history, extractor, baseline,
-                                    first_round, out);
+    extractDetectionEventsBatchInto(history, extractor, nullptr, 0, out);
     return out;
 }
 

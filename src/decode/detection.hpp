@@ -79,24 +79,16 @@ std::vector<DetectionEvents> extractDetectionEventsBatch(
     const qecc::SyndromeExtractor &extractor);
 
 /**
- * As extractDetectionEventsBatch, but difference the first round
- * against an explicit per-lane baseline (the last batched round of
- * the previous decode window) and offset the reported round numbers
- * by `first_round` -- lane-for-lane parity with
- * extractDetectionEventsWindow.
- */
-std::vector<DetectionEvents> extractDetectionEventsBatch(
-    const std::vector<qecc::BatchSyndromeRound> &history,
-    const qecc::SyndromeExtractor &extractor,
-    const qecc::BatchSyndromeRound *baseline, std::size_t first_round);
-
-/**
  * Allocation-reusing core of extractDetectionEventsBatch: `out` is
  * resized to the lane count and every per-lane event vector is
  * cleared in place, so a caller that keeps `out` across batches pays
  * no allocator traffic in steady state (events are sparse at
  * physical error rates, which makes the allocator the dominant cost
- * of the by-value variants — see bench/kernel_speed `frames`).
+ * of the by-value variant — see bench/kernel_speed `frames`). The
+ * first round is differenced against `baseline` (the last batched
+ * round of the previous decode window; nullptr for all-zero) and
+ * round numbers are offset by `first_round` -- lane-for-lane parity
+ * with extractDetectionEventsWindow.
  */
 void extractDetectionEventsBatchInto(
     const std::vector<qecc::BatchSyndromeRound> &history,

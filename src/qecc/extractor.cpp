@@ -441,18 +441,6 @@ SyndromeExtractor::runRoundBatch(BatchPauliFrame &frame,
     return out;
 }
 
-std::vector<BatchSyndromeRound>
-SyndromeExtractor::runRoundsBatch(BatchPauliFrame &frame,
-                                  BatchErrorChannel *channel,
-                                  std::size_t rounds) const
-{
-    std::vector<BatchSyndromeRound> history;
-    history.reserve(rounds);
-    for (std::size_t r = 0; r < rounds; ++r)
-        history.push_back(runRoundBatch(frame, channel));
-    return history;
-}
-
 std::vector<SyndromeRound>
 SyndromeExtractor::runRounds(PauliFrame &frame, ErrorChannel *channel,
                              std::size_t rounds) const
@@ -462,18 +450,6 @@ SyndromeExtractor::runRounds(PauliFrame &frame, ErrorChannel *channel,
     for (std::size_t r = 0; r < rounds; ++r)
         history.push_back(runRound(frame, channel));
     return history;
-}
-
-void
-SyndromeExtractor::runRoundsStreaming(
-    PauliFrame &frame, ErrorChannel *channel, std::size_t rounds,
-    const std::function<void(const SyndromeRound &)> &sink) const
-{
-    SyndromeRound scratch;
-    for (std::size_t r = 0; r < rounds; ++r) {
-        scratch = runRound(frame, channel);
-        sink(scratch);
-    }
 }
 
 SyndromeRound

@@ -38,7 +38,6 @@
 #define QUEST_QECC_EXTRACTOR_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "quantum/error_model.hpp"
@@ -119,20 +118,6 @@ class SyndromeExtractor
               std::size_t rounds) const;
 
     /**
-     * Execute `rounds` rounds, handing each round to `sink` as soon
-     * as it is extracted instead of accumulating a history vector --
-     * the round hand-off for streaming decoders, which must see
-     * syndromes without an end-of-shot barrier. The round passed to
-     * the sink is a scratch value that is reused; copy it if it must
-     * outlive the callback.
-     */
-    void
-    runRoundsStreaming(
-        quantum::PauliFrame &frame, quantum::ErrorChannel *channel,
-        std::size_t rounds,
-        const std::function<void(const SyndromeRound &)> &sink) const;
-
-    /**
      * Execute one round on 64 trials at once. The per-lane noise
      * draw order matches runRound exactly (see BatchErrorChannel),
      * so lane t reproduces a scalar run seeded with trial t's
@@ -143,12 +128,6 @@ class SyndromeExtractor
     BatchSyndromeRound
     runRoundBatch(quantum::BatchPauliFrame &frame,
                   quantum::BatchErrorChannel *channel) const;
-
-    /** Execute `rounds` batched rounds and collect the history. */
-    std::vector<BatchSyndromeRound>
-    runRoundsBatch(quantum::BatchPauliFrame &frame,
-                   quantum::BatchErrorChannel *channel,
-                   std::size_t rounds) const;
 
   private:
     /**

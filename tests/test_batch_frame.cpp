@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "decode/detection.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "quantum/batch_pauli_frame.hpp"
 #include "quantum/error_model.hpp"
 #include "sim/parallel.hpp"
@@ -105,15 +105,8 @@ TEST(BatchFrame, KernelsMatchScalarOpForOp)
 }
 
 // ---------------------------------------------------------------
-// Full syndrome-extraction equivalence per distance.
+// Full memory-experiment equivalence per distance.
 // ---------------------------------------------------------------
-
-struct ScalarTrial
-{
-    std::vector<qecc::SyndromeRound> history;
-    PauliFrame frame{1};
-    decode::DetectionEvents events;
-};
 
 class BatchSweepDifferential
     : public ::testing::TestWithParam<std::size_t>
@@ -122,60 +115,49 @@ class BatchSweepDifferential
 
 TEST_P(BatchSweepDifferential, LanesMatchScalarTrials)
 {
-    const std::size_t d = GetParam();
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(d);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
+    const qecc::MemoryExperiment exp(GetParam());
     const ErrorRates rates = ErrorRates::uniform(2e-3);
-    const std::size_t rounds = d;
+    BatchPauliFrame frame(exp.lattice().numQubits());
+    std::vector<qecc::BatchSyndromeRound> history;
 
-    // 64 scalar reference trials: trial t draws only from
-    // Rng::substream(diffSeed, t).
-    std::vector<ScalarTrial> ref(BatchPauliFrame::lanes);
-    for (std::size_t t = 0; t < ref.size(); ++t) {
-        sim::Rng rng = sim::Rng::substream(diffSeed, t);
-        ErrorChannel channel(rates, rng);
-        ref[t].frame = PauliFrame(lattice.numQubits());
-        ref[t].history = extractor.runRounds(ref[t].frame, &channel,
-                                             rounds);
-        ref[t].history.push_back(
-            extractor.runRound(ref[t].frame, nullptr));
-        ref[t].events =
-            decode::extractDetectionEvents(ref[t].history, extractor);
-    }
+    // Batch b covers trials 64b .. 64b+63; each lane must equal the
+    // scalar shot drawn from Rng::substream(diffSeed, trial).
+    for (const std::uint64_t b : { 0u, 1u }) {
+        exp.sampleBatch(rates, diffSeed, b, frame, history);
+        const auto events =
+            decode::extractDetectionEventsBatch(history, exp.extractor());
+        ASSERT_EQ(events.size(), BatchPauliFrame::lanes);
+        ASSERT_EQ(history.size(), exp.rounds() + 1);
 
-    // One batched run covering the same 64 trials.
-    BatchPauliFrame frame(lattice.numQubits());
-    BatchErrorChannel channel(rates, diffSeed, 0);
-    auto history = extractor.runRoundsBatch(frame, &channel, rounds);
-    history.push_back(extractor.runRoundBatch(frame, nullptr));
-    const auto events =
-        decode::extractDetectionEventsBatch(history, extractor);
+        for (std::size_t t = 0; t < BatchPauliFrame::lanes; ++t) {
+            sim::Rng rng = sim::Rng::substream(
+                diffSeed, b * BatchPauliFrame::lanes + t);
+            const auto ref = exp.sampleShot(rates, rng);
+            const auto ref_events = decode::extractDetectionEvents(
+                ref.history, exp.extractor());
 
-    ASSERT_EQ(events.size(), BatchPauliFrame::lanes);
-    for (std::size_t t = 0; t < BatchPauliFrame::lanes; ++t) {
-        // Syndrome flips, round by round.
-        ASSERT_EQ(history.size(), ref[t].history.size());
-        for (std::size_t r = 0; r < history.size(); ++r) {
-            const qecc::SyndromeRound lane = history[r].lane(t);
-            EXPECT_EQ(lane.xFlips, ref[t].history[r].xFlips)
-                << "lane " << t << " round " << r;
-            EXPECT_EQ(lane.zFlips, ref[t].history[r].zFlips)
-                << "lane " << t << " round " << r;
+            // Syndrome flips, round by round.
+            ASSERT_EQ(history.size(), ref.history.size());
+            for (std::size_t r = 0; r < history.size(); ++r) {
+                const qecc::SyndromeRound lane = history[r].lane(t);
+                EXPECT_EQ(lane.xFlips, ref.history[r].xFlips)
+                    << "batch " << b << " lane " << t << " round " << r;
+                EXPECT_EQ(lane.zFlips, ref.history[r].zFlips)
+                    << "batch " << b << " lane " << t << " round " << r;
+            }
+            // Residual error frame.
+            for (std::size_t q = 0; q < exp.lattice().numQubits(); ++q) {
+                ASSERT_EQ(frame.xError(q, t), ref.frame.xError(q))
+                    << "batch " << b << " lane " << t << " qubit " << q;
+                ASSERT_EQ(frame.zError(q, t), ref.frame.zError(q))
+                    << "batch " << b << " lane " << t << " qubit " << q;
+            }
+            // Detection events, including ordering.
+            EXPECT_EQ(events[t].xEvents, ref_events.xEvents)
+                << "batch " << b << " lane " << t;
+            EXPECT_EQ(events[t].zEvents, ref_events.zEvents)
+                << "batch " << b << " lane " << t;
         }
-        // Residual error frame.
-        for (std::size_t q = 0; q < lattice.numQubits(); ++q) {
-            ASSERT_EQ(frame.xError(q, t), ref[t].frame.xError(q))
-                << "lane " << t << " qubit " << q;
-            ASSERT_EQ(frame.zError(q, t), ref[t].frame.zError(q))
-                << "lane " << t << " qubit " << q;
-        }
-        // Detection events, including ordering.
-        EXPECT_EQ(events[t].xEvents, ref[t].events.xEvents)
-            << "lane " << t;
-        EXPECT_EQ(events[t].zEvents, ref[t].events.zEvents)
-            << "lane " << t;
     }
 }
 
@@ -190,23 +172,16 @@ INSTANTIATE_TEST_SUITE_P(Distances, BatchSweepDifferential,
 std::vector<std::uint64_t>
 runBatchedSweep(std::size_t threads)
 {
-    const std::size_t d = 5;
     const std::uint64_t batches = 4; // 256 trials
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(d);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
+    const qecc::MemoryExperiment exp(5);
 
     sim::ThreadPool pool(threads);
     return sim::parallelMap<std::uint64_t>(
         pool, batches, [&](std::uint64_t b) {
-            BatchPauliFrame frame(lattice.numQubits());
-            // Lane t of batch b is trial b*64 + t.
-            BatchErrorChannel channel(ErrorRates::uniform(3e-3),
-                                      diffSeed,
-                                      b * BatchPauliFrame::lanes);
-            const auto history =
-                extractor.runRoundsBatch(frame, &channel, d);
+            BatchPauliFrame frame(exp.lattice().numQubits());
+            std::vector<qecc::BatchSyndromeRound> history;
+            exp.sampleBatch(ErrorRates::uniform(3e-3), diffSeed, b,
+                            frame, history);
             std::uint64_t digest = 0xcbf29ce484222325ull;
             auto mix = [&digest](std::uint64_t w) {
                 digest = (digest ^ w) * 0x100000001b3ull;
@@ -217,7 +192,7 @@ runBatchedSweep(std::size_t threads)
                 for (const std::uint64_t w : round.zFlips)
                     mix(w);
             }
-            for (std::size_t q = 0; q < lattice.numQubits(); ++q) {
+            for (std::size_t q = 0; q < exp.lattice().numQubits(); ++q) {
                 mix(frame.measureZFlipMask(q));
                 mix(frame.measureXFlipMask(q));
             }

@@ -11,7 +11,7 @@
 
 #include "decode/cluster_decoder.hpp"
 #include "qecc/distance.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -24,12 +24,7 @@ using quest::sim::Rng;
 struct Harness
 {
     explicit Harness(std::size_t d)
-        : lattice(Lattice::forDistance(d)),
-          schedule(buildRoundSchedule(lattice,
-                                      protocolSpec(Protocol::Steane))),
-          extractor(schedule),
-          cluster(lattice),
-          mwpm(lattice)
+        : exp(d), cluster(lattice), mwpm(lattice)
     {}
 
     DetectionEvents
@@ -46,22 +41,9 @@ struct Harness
         return !extractor.runRound(frame, nullptr).any();
     }
 
-    bool
-    logicalError(PauliFrame &frame)
-    {
-        if (!clean(frame))
-            return true;
-        std::size_t x = 0, z = 0;
-        for (const Coord c : lattice.logicalZSupport())
-            x += frame.xError(lattice.index(c)) ? 1 : 0;
-        for (const Coord c : lattice.logicalXSupport())
-            z += frame.zError(lattice.index(c)) ? 1 : 0;
-        return (x % 2) || (z % 2);
-    }
-
-    Lattice lattice;
-    RoundSchedule schedule;
-    SyndromeExtractor extractor;
+    MemoryExperiment exp;
+    const Lattice &lattice = exp.lattice();
+    const SyndromeExtractor &extractor = exp.extractor();
     ClusterDecoder cluster;
     MwpmDecoder mwpm;
 };
@@ -99,7 +81,7 @@ TEST(ClusterDecoder, SeparatedErrorsFormSeparateClusters)
     const Correction corr = h.cluster.decode(events, stats);
     EXPECT_EQ(stats.clusters, 2u);
     applyCorrection(frame, corr);
-    EXPECT_FALSE(h.logicalError(frame));
+    EXPECT_FALSE(h.exp.logicalFailure(frame));
 }
 
 TEST(ClusterDecoder, BoundaryEventBecomesNeutralCluster)
@@ -114,7 +96,7 @@ TEST(ClusterDecoder, BoundaryEventBecomesNeutralCluster)
     const Correction corr = h.cluster.decode(events, stats);
     EXPECT_EQ(stats.clusters, 1u);
     applyCorrection(frame, corr);
-    EXPECT_FALSE(h.logicalError(frame));
+    EXPECT_FALSE(h.exp.logicalFailure(frame));
 }
 
 /** Parameterized: every single error corrected at d = 3, 5, 7. */
@@ -134,7 +116,7 @@ TEST_P(ClusterSingleSweep, EverySingleErrorCorrected)
                 frame.injectZ(h.lattice.index(data));
             const auto events = h.eventsFor(frame);
             applyCorrection(frame, h.cluster.decode(events));
-            EXPECT_FALSE(h.logicalError(frame))
+            EXPECT_FALSE(h.exp.logicalFailure(frame))
                 << "d=" << GetParam() << " (" << data.row << ","
                 << data.col << ") pauli " << pauli;
         }
@@ -160,7 +142,7 @@ TEST(ClusterDecoder, RandomErrorsWithinGuaranteeCorrected)
                 frame.injectX(h.lattice.index(data[k]));
             const auto events = h.eventsFor(frame);
             applyCorrection(frame, h.cluster.decode(events));
-            EXPECT_FALSE(h.logicalError(frame))
+            EXPECT_FALSE(h.exp.logicalFailure(frame))
                 << "d=" << d << " trial " << trial;
         }
     }
@@ -172,16 +154,13 @@ TEST(ClusterDecoder, AgreesWithMwpmOnRandomNoise)
     // may differ by stabilizers but never disagree on validity.
     Rng rng(2718);
     Harness h(7);
-    quest::quantum::ErrorChannel channel(
-        quest::quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3}, rng);
     for (int trial = 0; trial < 40; ++trial) {
-        PauliFrame frame(h.lattice.numQubits());
-        auto history = h.extractor.runRounds(frame, &channel, 7);
-        history.push_back(h.extractor.runRound(frame, nullptr));
+        const auto shot = h.exp.sampleShot(
+            quest::quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3}, rng);
         const auto events =
-            extractDetectionEvents(history, h.extractor);
+            extractDetectionEvents(shot.history, h.extractor);
 
-        PauliFrame a = frame, b = frame;
+        PauliFrame a = shot.frame, b = shot.frame;
         applyCorrection(a, h.cluster.decode(events));
         applyCorrection(b, h.mwpm.decode(events));
         EXPECT_TRUE(h.clean(a)) << "cluster left syndrome, trial "

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "decode/pipeline.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/metrics.hpp"
 
 namespace {
@@ -19,11 +19,7 @@ class PipelineTest : public ::testing::Test
 {
   protected:
     PipelineTest()
-        : lattice(Lattice::forDistance(5)),
-          schedule(buildRoundSchedule(lattice,
-                                      protocolSpec(Protocol::Steane))),
-          extractor(schedule),
-          pipeline(lattice)
+        : exp(5), pipeline(lattice)
     {}
 
     DetectionEvents
@@ -33,9 +29,9 @@ class PipelineTest : public ::testing::Test
         return extractDetectionEvents(history, extractor);
     }
 
-    Lattice lattice;
-    RoundSchedule schedule;
-    SyndromeExtractor extractor;
+    MemoryExperiment exp;
+    const Lattice &lattice = exp.lattice();
+    const SyndromeExtractor &extractor = exp.extractor();
     DecoderPipeline pipeline;
 };
 

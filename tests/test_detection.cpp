@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "decode/detection.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "quantum/batch_pauli_frame.hpp"
 #include "quantum/error_model.hpp"
 
@@ -21,16 +22,11 @@ using quest::quantum::PauliFrame;
 class DetectionTest : public ::testing::Test
 {
   protected:
-    DetectionTest()
-        : lattice(Lattice::forDistance(3)),
-          schedule(buildRoundSchedule(lattice,
-                                      protocolSpec(Protocol::Steane))),
-          extractor(schedule)
-    {}
+    DetectionTest() : exp(3) {}
 
-    Lattice lattice;
-    RoundSchedule schedule;
-    SyndromeExtractor extractor;
+    MemoryExperiment exp;
+    const Lattice &lattice = exp.lattice();
+    const SyndromeExtractor &extractor = exp.extractor();
 };
 
 TEST_F(DetectionTest, PersistentErrorYieldsOneEventPerCheck)
@@ -192,11 +188,11 @@ TEST_F(DetectionTest, BatchWindowMatchesScalarWindowPerLane)
     // extraction must agree with the scalar window API lane for
     // lane, including the baseline differencing and the round
     // offset the batch path used to drop.
+    const MemoryExperiment six(3, Protocol::Steane, 5);
     quest::quantum::BatchPauliFrame frame(lattice.numQubits());
-    quest::quantum::BatchErrorChannel channel(
-        quest::quantum::ErrorRates{5e-3, 0, 0, 0, 5e-3}, 0xB17, 0);
-    const auto history =
-        extractor.runRoundsBatch(frame, &channel, 6);
+    std::vector<BatchSyndromeRound> history;
+    six.sampleBatch(quest::quantum::ErrorRates{5e-3, 0, 0, 0, 5e-3},
+                    0xB17, 0, frame, history);
 
     const std::vector<BatchSyndromeRound> first(history.begin(),
                                                 history.begin() + 3);
@@ -216,10 +212,10 @@ TEST_F(DetectionTest, BatchWindowMatchesScalarWindowPerLane)
         const DetectionEvents s2 = extractDetectionEventsWindow(
             lane_second, extractor, &baseline, 3);
 
-        const auto b1 =
-            extractDetectionEventsBatch(first, extractor, nullptr, 0);
-        const auto b2 = extractDetectionEventsBatch(
-            second, extractor, &first.back(), 3);
+        std::vector<DetectionEvents> b1, b2;
+        extractDetectionEventsBatchInto(first, extractor, nullptr, 0, b1);
+        extractDetectionEventsBatchInto(second, extractor, &first.back(),
+                                        3, b2);
 
         EXPECT_EQ(b1[lane].xEvents, s1.xEvents) << "lane " << lane;
         EXPECT_EQ(b1[lane].zEvents, s1.zEvents) << "lane " << lane;

@@ -14,7 +14,7 @@
 #include "core/system.hpp"
 #include "decode/cluster_decoder.hpp"
 #include "isa/trace.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 
 namespace {
 
@@ -26,10 +26,9 @@ TEST(FailureInjection, BurstBeyondGuaranteeIsDetectedNotFatal)
     // data qubits: far beyond floor((d-1)/2). The decoder must
     // still return the system to the code space (possibly with a
     // logical error), never crash or leave residual syndrome.
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(5);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
+    const qecc::MemoryExperiment exp(5);
+    const qecc::Lattice &lattice = exp.lattice();
+    const qecc::SyndromeExtractor &extractor = exp.extractor();
     const decode::MwpmDecoder decoder(lattice);
 
     quantum::PauliFrame frame(lattice.numQubits());
@@ -258,7 +257,6 @@ TEST(ClassicalFaults, WatchdogQuarantinesAndResumesWedgedMce)
 {
     core::MasterConfig cfg = faultyMaster();
     cfg.heartbeatIntervalRounds = 4;
-    cfg.watchdogMissThreshold = 2;
     core::MasterController master(cfg);
 
     master.mce(1).wedge();
@@ -388,10 +386,9 @@ TEST(FailureInjection, ClusterDecoderSurvivesDenseEvents)
 {
     // Dense event soup (every other check fires): cluster growth
     // must converge and return a syndrome-consistent correction.
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(5);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
+    const qecc::MemoryExperiment exp(5);
+    const qecc::Lattice &lattice = exp.lattice();
+    const qecc::SyndromeExtractor &extractor = exp.extractor();
     const decode::ClusterDecoder decoder(lattice);
 
     quantum::PauliFrame frame(lattice.numQubits());

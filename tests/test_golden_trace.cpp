@@ -22,7 +22,7 @@
 #include "decode/detection.hpp"
 #include "decode/mwpm_decoder.hpp"
 #include "decode/streaming.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
 #include "sim/thread_pool.hpp"
@@ -71,46 +71,28 @@ runGolden(std::size_t threads)
         // draws from Rng::substream(seed, trial), so the sampled
         // windows — and therefore every counter bump and trace
         // event — are a pure function of the trial index.
-        const qecc::Lattice lattice =
-            qecc::Lattice::forDistance(goldenDistance);
-        const auto schedule = qecc::buildRoundSchedule(
-            lattice,
-            qecc::protocolSpec(qecc::Protocol::Steane));
-        const qecc::SyndromeExtractor extractor(schedule);
-        const decode::MwpmDecoder decoder(lattice);
+        const qecc::MemoryExperiment exp(goldenDistance);
+        const quantum::ErrorRates rates{3e-3, 0, 0, 0, 3e-3};
+        const decode::MwpmDecoder decoder(exp.lattice());
         sim::ThreadPool pool(threads);
         sim::parallelFor(pool, goldenTrials, [&](std::uint64_t i) {
             sim::Rng rng = sim::Rng::substream(goldenSeed, i);
-            quantum::ErrorChannel channel(
-                quantum::ErrorRates{3e-3, 0, 0, 0, 3e-3}, rng);
-            quantum::PauliFrame frame(lattice.numQubits());
-            auto history = extractor.runRounds(frame, &channel,
-                                               goldenDistance);
-            history.push_back(extractor.runRound(frame, nullptr));
-            const decode::DetectionEvents events =
-                decode::extractDetectionEvents(history, extractor);
-            decoder.decode(events);
+            decoder.decode(decode::extractDetectionEvents(
+                exp.sampleShot(rates, rng).history, exp.extractor()));
         });
 
         // Phase 3: the same sweep through the bit-parallel batch
         // engine — two 64-lane batches fanned out on the pool. The
         // batch counters (qecc.batch.*) and the per-lane decodes
         // must land in the snapshot identically for every thread
-        // count: lane t of batch b is trial b*64 + t by
-        // construction, so scheduling cannot reorder any draw.
+        // count: sampleBatch draws each lane from its trial's own
+        // substream, so scheduling cannot reorder any draw.
         sim::parallelFor(pool, goldenBatches, [&](std::uint64_t b) {
-            quantum::BatchPauliFrame frame(lattice.numQubits());
-            quantum::BatchErrorChannel channel(
-                quantum::ErrorRates{3e-3, 0, 0, 0, 3e-3},
-                goldenSeed,
-                b * quantum::BatchPauliFrame::lanes);
-            auto history = extractor.runRoundsBatch(
-                frame, &channel, goldenDistance);
-            history.push_back(
-                extractor.runRoundBatch(frame, nullptr));
-            const auto events =
-                decode::extractDetectionEventsBatch(history,
-                                                    extractor);
+            quantum::BatchPauliFrame frame(exp.lattice().numQubits());
+            std::vector<qecc::BatchSyndromeRound> history;
+            exp.sampleBatch(rates, goldenSeed, b, frame, history);
+            const auto events = decode::extractDetectionEventsBatch(
+                history, exp.extractor());
             for (const auto &lane : events)
                 decoder.decode(lane);
         });
@@ -123,17 +105,10 @@ runGolden(std::size_t threads)
         const decode::StreamConfig stream_cfg{ 4, 2, {} };
         sim::parallelFor(pool, goldenTrials, [&](std::uint64_t i) {
             sim::Rng rng = sim::Rng::substream(goldenSeed + 1, i);
-            quantum::ErrorChannel channel(
-                quantum::ErrorRates{3e-3, 0, 0, 0, 3e-3}, rng);
-            quantum::PauliFrame frame(lattice.numQubits());
-            decode::StreamingDecoder streamer(extractor,
+            decode::StreamingDecoder streamer(exp.extractor(),
                                               stream_cfg);
-            extractor.runRoundsStreaming(
-                frame, &channel, goldenDistance,
-                [&](const qecc::SyndromeRound &round) {
-                    streamer.pushRound(round);
-                });
-            streamer.pushRound(extractor.runRound(frame, nullptr));
+            for (const auto &round : exp.sampleShot(rates, rng).history)
+                streamer.pushRound(round);
             streamer.finish();
         });
 

@@ -9,7 +9,7 @@
 
 #include "decode/lut_decoder.hpp"
 #include "decode/mwpm_decoder.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 
 namespace {
 
@@ -21,11 +21,7 @@ class LutTest : public ::testing::Test
 {
   protected:
     LutTest()
-        : lattice(Lattice::forDistance(5)),
-          schedule(buildRoundSchedule(lattice,
-                                      protocolSpec(Protocol::Steane))),
-          extractor(schedule),
-          lut(lattice)
+        : exp(5), lut(lattice)
     {}
 
     DetectionEvents
@@ -36,9 +32,9 @@ class LutTest : public ::testing::Test
         return extractDetectionEvents(history, extractor);
     }
 
-    Lattice lattice;
-    RoundSchedule schedule;
-    SyndromeExtractor extractor;
+    MemoryExperiment exp;
+    const Lattice &lattice = exp.lattice();
+    const SyndromeExtractor &extractor = exp.extractor();
     LutDecoder lut;
 };
 

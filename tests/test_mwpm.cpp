@@ -11,6 +11,7 @@
 
 #include "decode/mwpm_decoder.hpp"
 #include "qecc/distance.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
 
@@ -24,13 +25,7 @@ using quest::sim::Rng;
 /** Everything needed to decode on a distance-d code. */
 struct Harness
 {
-    explicit Harness(std::size_t d)
-        : lattice(Lattice::forDistance(d)),
-          schedule(buildRoundSchedule(lattice,
-                                      protocolSpec(Protocol::Steane))),
-          extractor(schedule),
-          decoder(lattice)
-    {}
+    explicit Harness(std::size_t d) : exp(d), decoder(lattice) {}
 
     /** Decode the syndrome of `frame` and return the residual. */
     PauliFrame
@@ -45,30 +40,9 @@ struct Harness
         return frame;
     }
 
-    /**
-     * @return true when the residual on `frame` is a logical error:
-     * the syndrome is clean but the residual anticommutes with a
-     * logical operator (odd overlap with the crossing chain).
-     */
-    bool
-    isLogicalError(PauliFrame &frame)
-    {
-        const SyndromeRound check = extractor.runRound(frame, nullptr);
-        if (check.any())
-            return true; // not even back in the code space
-        std::size_t x_overlap = 0, z_overlap = 0;
-        for (const Coord c : lattice.logicalZSupport())
-            if (frame.xError(lattice.index(c)))
-                ++x_overlap; // X residual crossing logical Z
-        for (const Coord c : lattice.logicalXSupport())
-            if (frame.zError(lattice.index(c)))
-                ++z_overlap;
-        return (x_overlap % 2) || (z_overlap % 2);
-    }
-
-    Lattice lattice;
-    RoundSchedule schedule;
-    SyndromeExtractor extractor;
+    MemoryExperiment exp;
+    const Lattice &lattice = exp.lattice();
+    const SyndromeExtractor &extractor = exp.extractor();
     MwpmDecoder decoder;
 };
 
@@ -139,7 +113,7 @@ TEST_P(SingleErrorSweep, EverySingleErrorCorrected)
             if (pauli == 1 || pauli == 2)
                 frame.injectZ(h.lattice.index(data));
             PauliFrame residual = h.decodeResidual(frame);
-            EXPECT_FALSE(h.isLogicalError(residual))
+            EXPECT_FALSE(h.exp.logicalFailure(residual))
                 << "d=" << GetParam() << " data (" << data.row << ","
                 << data.col << ") pauli " << pauli;
         }
@@ -160,7 +134,7 @@ TEST(Mwpm, EveryDoubleXErrorCorrectedAtDistance5)
             frame.injectX(h.lattice.index(data[i]));
             frame.injectX(h.lattice.index(data[j]));
             PauliFrame residual = h.decodeResidual(frame);
-            EXPECT_FALSE(h.isLogicalError(residual))
+            EXPECT_FALSE(h.exp.logicalFailure(residual))
                 << "pair " << i << "," << j;
         }
     }
@@ -183,7 +157,7 @@ TEST(MwpmProperty, RandomErrorsWithinGuaranteeCorrected)
             for (std::size_t k : picked)
                 frame.injectX(h.lattice.index(data[k]));
             PauliFrame residual = h.decodeResidual(frame);
-            EXPECT_FALSE(h.isLogicalError(residual))
+            EXPECT_FALSE(h.exp.logicalFailure(residual))
                 << "d=" << d << " trial " << trial;
         }
     }

@@ -16,7 +16,7 @@
 
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 
@@ -519,12 +519,9 @@ TEST(MetricsRegistry, DecoderCountersRegisterAtConstruction)
     // the member-bound references must keep writing into the live
     // registry entries across a Registry::reset().
     auto &reg = Registry::global();
-    const quest::qecc::Lattice lattice =
-        quest::qecc::Lattice::forDistance(3);
-    const auto schedule = quest::qecc::buildRoundSchedule(
-        lattice,
-        quest::qecc::protocolSpec(quest::qecc::Protocol::Steane));
-    const quest::qecc::SyndromeExtractor extractor(schedule);
+    const quest::qecc::MemoryExperiment exp(3);
+    const quest::qecc::Lattice &lattice = exp.lattice();
+    const quest::qecc::SyndromeExtractor &extractor = exp.extractor();
 
     quest::decode::DecoderPipeline pipeline(lattice);
     quest::decode::StreamingDecoder streamer(extractor);

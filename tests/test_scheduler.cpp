@@ -985,7 +985,6 @@ TEST(ArbiterIntegration, QuarantinedTileRejoinsTheGrantRotation)
     core::MasterConfig cfg = arbitratedMaster(2, 4);
     cfg.arbiterPolicy = ArbiterPolicy::OldestFirst;
     cfg.heartbeatIntervalRounds = 4;
-    cfg.watchdogMissThreshold = 2;
     core::MasterController master(cfg);
     master.mce(1).wedge();
 

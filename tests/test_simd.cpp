@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "decode/detection.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "quantum/batch_pauli_frame.hpp"
 #include "quantum/error_model.hpp"
 #include "quantum/tableau.hpp"
@@ -273,62 +273,55 @@ TEST(SimdTableau, MeasureLayerBatchRngIdenticalAcrossTargets)
 
 struct ScalarTrialRef
 {
-    std::vector<qecc::SyndromeRound> history;
-    quantum::PauliFrame frame{ 1 };
+    qecc::MemoryExperiment::Shot shot;
     decode::DetectionEvents events;
 };
 
 void
 runSweepDifferential(std::size_t d)
 {
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(d);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(qecc::Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
+    const qecc::MemoryExperiment exp(d);
+    const qecc::Lattice &lattice = exp.lattice();
+    const qecc::SyndromeExtractor &extractor = exp.extractor();
     const quantum::ErrorRates rates =
         quantum::ErrorRates::uniform(2e-3);
     constexpr std::size_t lanes = quantum::BatchPauliFrame::lanes;
 
-    std::vector<ScalarTrialRef> ref(lanes);
+    std::vector<ScalarTrialRef> ref;
     for (std::size_t t = 0; t < lanes; ++t) {
         Rng rng = Rng::substream(simdSeed, t);
-        quantum::ErrorChannel channel(rates, rng);
-        ref[t].frame = quantum::PauliFrame(lattice.numQubits());
-        ref[t].history =
-            extractor.runRounds(ref[t].frame, &channel, d);
-        ref[t].history.push_back(
-            extractor.runRound(ref[t].frame, nullptr));
-        ref[t].events =
-            decode::extractDetectionEvents(ref[t].history, extractor);
+        auto shot = exp.sampleShot(rates, rng);
+        auto events = decode::extractDetectionEvents(shot.history,
+                                                     extractor);
+        ref.push_back({ std::move(shot), std::move(events) });
     }
 
     for (const SimdTarget target : availableTargets()) {
         TargetGuard guard(target);
         quantum::BatchPauliFrame frame(lattice.numQubits());
-        quantum::BatchErrorChannel channel(rates, simdSeed, 0);
-        auto history = extractor.runRoundsBatch(frame, &channel, d);
-        history.push_back(extractor.runRoundBatch(frame, nullptr));
+        std::vector<qecc::BatchSyndromeRound> history;
+        exp.sampleBatch(rates, simdSeed, 0, frame, history);
         std::vector<decode::DetectionEvents> events;
         decode::extractDetectionEventsBatchInto(history, extractor,
                                                 nullptr, 0, events);
 
         ASSERT_EQ(events.size(), lanes);
         for (std::size_t t = 0; t < lanes; ++t) {
-            ASSERT_EQ(history.size(), ref[t].history.size());
+            ASSERT_EQ(history.size(), ref[t].shot.history.size());
             for (std::size_t r = 0; r < history.size(); ++r) {
                 const qecc::SyndromeRound lane = history[r].lane(t);
-                ASSERT_EQ(lane.xFlips, ref[t].history[r].xFlips)
+                ASSERT_EQ(lane.xFlips, ref[t].shot.history[r].xFlips)
                     << sim::simdTargetName(target) << " d=" << d
                     << " lane " << t << " round " << r;
-                ASSERT_EQ(lane.zFlips, ref[t].history[r].zFlips)
+                ASSERT_EQ(lane.zFlips, ref[t].shot.history[r].zFlips)
                     << sim::simdTargetName(target) << " d=" << d
                     << " lane " << t << " round " << r;
             }
             for (std::size_t q = 0; q < lattice.numQubits(); ++q) {
-                ASSERT_EQ(frame.xError(q, t), ref[t].frame.xError(q))
+                ASSERT_EQ(frame.xError(q, t), ref[t].shot.frame.xError(q))
                     << sim::simdTargetName(target) << " d=" << d
                     << " lane " << t << " qubit " << q;
-                ASSERT_EQ(frame.zError(q, t), ref[t].frame.zError(q))
+                ASSERT_EQ(frame.zError(q, t), ref[t].shot.frame.zError(q))
                     << sim::simdTargetName(target) << " d=" << d
                     << " lane " << t << " qubit " << q;
             }

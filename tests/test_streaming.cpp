@@ -18,27 +18,22 @@
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
 #include "isa/trace.hpp"
-#include "quantum/error_model.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/random.hpp"
 
 namespace {
 
 using namespace quest::decode;
 using namespace quest::qecc;
-using quest::quantum::ErrorChannel;
 using quest::quantum::ErrorRates;
 using quest::quantum::PauliFrame;
 
-/** A noisy history of `rounds` rounds plus one quiet closing round. */
-std::vector<SyndromeRound>
-noisyHistory(const SyndromeExtractor &extractor, PauliFrame &frame,
-             double p, std::uint64_t seed, std::size_t rounds)
+/** One shot of `exp` at rate p, seeded with `seed`. */
+MemoryExperiment::Shot
+noisyShot(const MemoryExperiment &exp, double p, std::uint64_t seed)
 {
     quest::sim::Rng rng(seed);
-    ErrorChannel channel(ErrorRates{p, 0, 0, 0, p}, rng);
-    auto history = extractor.runRounds(frame, &channel, rounds);
-    history.push_back(extractor.runRound(frame, nullptr));
-    return history;
+    return exp.sampleShot(ErrorRates{p, 0, 0, 0, p}, rng);
 }
 
 /** Stream a whole history and return the accumulated correction. */
@@ -58,25 +53,18 @@ streamDecode(StreamingDecoder &streamer,
 class StreamingTest : public ::testing::Test
 {
   protected:
-    StreamingTest()
-        : lattice(Lattice::forDistance(5)),
-          schedule(buildRoundSchedule(
-              lattice, protocolSpec(Protocol::Steane))),
-          extractor(schedule)
-    {}
+    StreamingTest() : exp(5, Protocol::Steane, 6) {}
 
-    Lattice lattice;
-    RoundSchedule schedule;
-    SyndromeExtractor extractor;
+    MemoryExperiment exp;
+    const Lattice &lattice = exp.lattice();
+    const SyndromeExtractor &extractor = exp.extractor();
 };
 
 TEST_F(StreamingTest, FullShotSingleWindowMatchesOfflinePipeline)
 {
     DecoderPipeline pipeline(lattice);
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        PauliFrame frame(lattice.numQubits());
-        const auto history =
-            noisyHistory(extractor, frame, 2e-3, seed, 6);
+        const auto history = noisyShot(exp, 2e-3, seed).history;
 
         const Correction offline = pipeline.decode(
             extractDetectionEvents(history, extractor));
@@ -109,25 +97,20 @@ TEST_F(StreamingTest, WindowedCommitsClearTheSyndrome)
         { 2, 1 }, { 3, 3 }, { 4, 2 }, { 6, 3 },
     };
     for (const std::size_t d : distances) {
-        const Lattice lat = Lattice::forDistance(d);
-        const auto sched =
-            buildRoundSchedule(lat, protocolSpec(Protocol::Steane));
-        const SyndromeExtractor ext(sched);
+        const MemoryExperiment shots(d, Protocol::Steane, 2 * d);
+        const SyndromeExtractor &ext = shots.extractor();
         for (const auto &[window, stride] : shapes) {
             for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-                PauliFrame frame(lat.numQubits());
-                const auto history =
-                    noisyHistory(ext, frame, 2e-3,
-                                 seed * 31 + d, 2 * d);
+                auto shot = noisyShot(shots, 2e-3, seed * 31 + d);
 
                 StreamConfig cfg;
                 cfg.windowRounds = window;
                 cfg.strideRounds = stride;
                 StreamingDecoder streamer(ext, cfg);
-                applyCorrection(frame,
-                                streamDecode(streamer, history));
+                applyCorrection(shot.frame,
+                                streamDecode(streamer, shot.history));
 
-                EXPECT_FALSE(ext.runRound(frame, nullptr).any())
+                EXPECT_FALSE(ext.runRound(shot.frame, nullptr).any())
                     << "d=" << d << " window=" << window
                     << " stride=" << stride << " seed=" << seed;
                 EXPECT_EQ(streamer.committedRounds(),

@@ -17,7 +17,7 @@
 #include "core/microcode.hpp"
 #include "core/system.hpp"
 #include "decode/cluster_decoder.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/parallel.hpp"
 #include "workloads/estimator.hpp"
 
@@ -220,24 +220,18 @@ std::vector<SweepOutcome>
 runDecoderSweep(std::size_t threads)
 {
     sim::ThreadPool pool(threads);
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(5);
-    const qecc::RoundSchedule schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(Protocol::Steane));
-    const qecc::SyndromeExtractor extractor(schedule);
-    const decode::MwpmDecoder exact(lattice, 12);
-    const decode::ClusterDecoder cluster(lattice);
+    const qecc::MemoryExperiment exp(5, Protocol::Steane, 3);
+    const decode::MwpmDecoder exact(exp.lattice(), 12);
+    const decode::ClusterDecoder cluster(exp.lattice());
 
     constexpr std::uint64_t trials = 96;
     return sim::parallelMap<SweepOutcome>(pool, trials,
         [&](std::uint64_t t) {
             sim::Rng rng = sim::Rng::substream(0xBADA55, t);
-            quantum::ErrorChannel channel(
-                quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3}, rng);
-            quantum::PauliFrame frame(lattice.numQubits());
-            auto history = extractor.runRounds(frame, &channel, 3);
-            history.push_back(extractor.runRound(frame, nullptr));
-            const auto events =
-                decode::extractDetectionEvents(history, extractor);
+            const auto events = decode::extractDetectionEvents(
+                exp.sampleShot(quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3},
+                               rng).history,
+                exp.extractor());
 
             SweepOutcome out;
             const decode::Correction mw = exact.decode(events);
@@ -270,22 +264,17 @@ TEST(ParallelSweep, ReducedErrorRateBitIdenticalAcrossThreadCounts)
     // association-stable, not just the per-trial map outputs.
     const auto rate = [](std::size_t threads) {
         sim::ThreadPool pool(threads);
-        const qecc::Lattice lattice = qecc::Lattice::forDistance(5);
-        const qecc::RoundSchedule schedule = qecc::buildRoundSchedule(
-            lattice, qecc::protocolSpec(Protocol::Steane));
-        const qecc::SyndromeExtractor extractor(schedule);
-        const decode::MwpmDecoder greedy(lattice, 0);
+        const qecc::MemoryExperiment exp(5, Protocol::Steane, 3);
+        const decode::MwpmDecoder greedy(exp.lattice(), 0);
         constexpr std::uint64_t trials = 64;
         const double sum = sim::parallelReduce(pool, trials, 0.0,
             [&](std::uint64_t t) {
                 sim::Rng rng = sim::Rng::substream(77, t);
-                quantum::ErrorChannel channel(
+                const auto shot = exp.sampleShot(
                     quantum::ErrorRates{3e-3, 0, 0, 0, 3e-3}, rng);
-                quantum::PauliFrame frame(lattice.numQubits());
-                auto history = extractor.runRounds(frame, &channel, 3);
-                history.push_back(extractor.runRound(frame, nullptr));
                 const auto corr = greedy.decode(
-                    decode::extractDetectionEvents(history, extractor));
+                    decode::extractDetectionEvents(shot.history,
+                                                   exp.extractor()));
                 return double(corr.weight()) * 1e-3 + 1e-9;
             },
             [](double a, double b) { return a + b; }, /*chunk=*/3);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the inter-MCE logical qubit transfer (footnote-9
- * extension) and the pluggable global-decoder strategy.
+ * extension).
  */
 
 #include <gtest/gtest.h>
@@ -69,41 +69,6 @@ TEST(Transfer, SameMceTransferPanics)
     EXPECT_THROW(master.transferLogicalQubit(0, id, 0, Coord{2, 2}),
                  quest::sim::SimError);
     quest::sim::setQuiet(false);
-}
-
-TEST(GlobalDecoderKind, ClusterStrategyDecodesChains)
-{
-    MasterConfig cfg = twoTileConfig();
-    cfg.numMces = 1;
-    cfg.globalDecoder = GlobalDecoderKind::Cluster;
-    cfg.decodeWindowRounds = 2;
-    MasterController master(cfg);
-    Mce &mce = master.mce(0);
-
-    mce.frame().injectX(mce.lattice().index(Coord{3, 3}));
-    mce.frame().injectX(mce.lattice().index(Coord{3, 5}));
-    master.runRounds(2);
-
-    EXPECT_EQ(mce.residualErrorWeight(), 0u);
-    EXPECT_GT(master.busBytesCorrections(), 0.0);
-}
-
-TEST(GlobalDecoderKind, StrategiesAgreeOnNoisyRun)
-{
-    auto run = [](GlobalDecoderKind kind) {
-        MasterConfig cfg;
-        cfg.numMces = 1;
-        cfg.mce.distance = 5;
-        cfg.mce.errorRates =
-            quest::quantum::ErrorRates{1e-3, 0, 0, 0, 0};
-        cfg.mce.seed = 21;
-        cfg.globalDecoder = kind;
-        MasterController master(cfg);
-        master.runRounds(300);
-        return master.mce(0).residualErrorWeight();
-    };
-    EXPECT_LE(run(GlobalDecoderKind::Mwpm), 3u);
-    EXPECT_LE(run(GlobalDecoderKind::Cluster), 3u);
 }
 
 } // namespace

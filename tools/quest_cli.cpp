@@ -28,6 +28,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -37,7 +38,7 @@
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
 #include "isa/trace.hpp"
-#include "qecc/extractor.hpp"
+#include "qecc/memory_experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/table.hpp"
 #include "sim/trace.hpp"
@@ -50,7 +51,11 @@ namespace {
 
 using namespace quest;
 
-/** Tiny --flag=value / --flag value option parser. */
+/**
+ * Tiny --flag=value / --flag value option parser. Every accessor
+ * records the flag it asked about, and done() rejects the rest, so
+ * a misspelt flag stops the run instead of leaving a default.
+ */
 class Options
 {
   public:
@@ -78,13 +83,14 @@ class Options
 
     bool has(const std::string &key) const
     {
+        _asked.insert(key);
         return _values.contains(key);
     }
 
     std::string
     get(const std::string &key, const std::string &fallback) const
     {
-        const auto it = _values.find(key);
+        const auto it = find(key);
         return it == _values.end() ? fallback : it->second;
     }
 
@@ -92,7 +98,7 @@ class Options
     double
     getDouble(const std::string &key, double fallback) const
     {
-        const auto it = _values.find(key);
+        const auto it = find(key);
         if (it == _values.end())
             return fallback;
         const char *text = it->second.c_str();
@@ -119,7 +125,7 @@ class Options
     std::uint64_t
     getCount(const std::string &key, std::uint64_t fallback) const
     {
-        const auto it = _values.find(key);
+        const auto it = find(key);
         if (it == _values.end())
             return fallback;
         const std::string &text = it->second;
@@ -157,8 +163,30 @@ class Options
         return std::size_t(d);
     }
 
+    /**
+     * Fail on a flag no accessor asked about. A subcommand calls
+     * this once it has read all its flags, before any work runs;
+     * main() reads the observability flags for every subcommand.
+     */
+    void
+    done() const
+    {
+        for (const auto &[key, value] : _values)
+            if (!_asked.contains(key) && key != "trace-out"
+                && key != "metrics-out")
+                sim::fatal("--%s is not a known flag", key.c_str());
+    }
+
   private:
     std::map<std::string, std::string> _values;
+    mutable std::set<std::string> _asked;
+
+    std::map<std::string, std::string>::const_iterator
+    find(const std::string &key) const
+    {
+        _asked.insert(key);
+        return _values.find(key);
+    }
 };
 
 tech::Technology
@@ -194,9 +222,9 @@ parseDesign(const std::string &name)
 workloads::Workload
 parseWorkload(const Options &opts)
 {
+    const std::string name = opts.get("workload", "SHOR-512");
     if (opts.has("shor"))
         return workloads::shor(std::size_t(opts.getCount("shor", 512)));
-    const std::string name = opts.get("workload", "SHOR-512");
     for (const auto &w : workloads::workloadSuite())
         if (w.name == name)
             return w;
@@ -213,6 +241,7 @@ cmdEstimate(const Options &opts)
     cfg.protocol = parseProtocol(opts.get("protocol", "Steane"));
 
     const workloads::Workload w = parseWorkload(opts);
+    opts.done();
     const auto r = workloads::ResourceEstimator(cfg).estimate(w);
 
     sim::Table table("estimate: " + w.name);
@@ -249,6 +278,7 @@ cmdMicrocode(const Options &opts)
         std::size_t(opts.getCount("capacity", 4096));
     const tech::Technology technology =
         parseTechnology(opts.get("tech", "ProjectedD"));
+    opts.done();
     const tech::JJMemoryModel mem;
 
     sim::Table table("microcode design space @ "
@@ -286,6 +316,7 @@ cmdTraceGen(const Options &opts)
     cfg.seed = opts.getCount("seed", 1);
     cfg.maskFraction = opts.getRate("mask-fraction", 0.0);
     const std::string out = opts.get("out", "trace.qtrace");
+    opts.done();
 
     const isa::LogicalTrace trace = generateApplicationTrace(cfg);
     trace.saveBinary(out);
@@ -336,6 +367,11 @@ cmdReplay(const Options &opts)
     const std::size_t distance = opts.getDistance(3);
     const double p = opts.getRate("error-rate", 1e-4);
     const double fault_rate = opts.getRate("fault-rate", 0.0);
+    const std::uint64_t fault_seed =
+        opts.getCount("fault-seed", 0x5EEDFAB5);
+    const bool verify_on_load = opts.has("verify-on-load");
+    const bool faults_report = opts.has("faults-report");
+    opts.done();
 
     const isa::LogicalTrace trace = isa::LogicalTrace::loadBinary(path);
 
@@ -349,14 +385,13 @@ cmdReplay(const Options &opts)
     // decode-deadline fallback).
     // Pre-flight gate: statically verify every tile's microcode,
     // budget and hazard properties before the system accepts it.
-    if (opts.has("verify-on-load")) {
+    if (verify_on_load) {
         verify::installPreflightGate();
         cfg.mce.verifyOnLoad = true;
     }
 
     if (fault_rate > 0.0) {
-        cfg.faults = sim::FaultConfig::uniform(
-            fault_rate, opts.getCount("fault-seed", 0x5EEDFAB5));
+        cfg.faults = sim::FaultConfig::uniform(fault_rate, fault_seed);
         cfg.scrubIntervalRounds = 64;
         cfg.heartbeatIntervalRounds = 16;
         cfg.modelDecodeDeadline = true;
@@ -368,7 +403,7 @@ cmdReplay(const Options &opts)
                             isa::generateDistillationRound(0),
                             rounds);
     std::printf("%s\n", system.report().toString().c_str());
-    if (opts.has("faults-report"))
+    if (faults_report)
         printFaultsReport(system.master());
     return 0;
 }
@@ -385,58 +420,46 @@ cmdSimulate(const Options &opts)
     // --stream-stride M sets the commit distance (default N/2).
     const auto stream_window =
         std::size_t(opts.getCount("stream-window", 0));
+    const auto stream_stride =
+        std::size_t(opts.getCount("stream-stride", 0));
+    if (opts.has("stream-stride") && !stream_window)
+        sim::fatal("--stream-stride needs --stream-window");
     decode::StreamConfig stream_cfg;
     if (stream_window) {
         stream_cfg.windowRounds = stream_window;
-        stream_cfg.strideRounds =
-            std::size_t(opts.getCount("stream-stride", 0));
-        if (stream_cfg.strideRounds == 0)
-            stream_cfg.strideRounds =
-                std::max<std::size_t>(1, stream_window / 2);
+        stream_cfg.strideRounds = stream_stride
+            ? stream_stride
+            : std::max<std::size_t>(1, stream_window / 2);
     }
-
-    const qecc::Lattice lattice = qecc::Lattice::forDistance(d);
-    const auto schedule = qecc::buildRoundSchedule(
-        lattice, qecc::protocolSpec(
-                     parseProtocol(opts.get("protocol", "Steane"))));
-    const qecc::SyndromeExtractor extractor(schedule);
-    decode::DecoderPipeline pipeline(lattice);
+    const qecc::Protocol protocol =
+        parseProtocol(opts.get("protocol", "Steane"));
     sim::Rng rng(opts.getCount("seed", 1));
+    opts.done();
+
+    const qecc::MemoryExperiment exp(d, protocol);
+    const quantum::ErrorRates rates{p, 0, 0, 0, p};
+    decode::DecoderPipeline pipeline(exp.lattice());
 
     std::size_t failures = 0;
     for (std::size_t t = 0; t < trials; ++t) {
-        quantum::PauliFrame frame(lattice.numQubits());
-        quantum::ErrorChannel channel(
-            quantum::ErrorRates{p, 0, 0, 0, p}, rng);
-        auto history = extractor.runRounds(frame, &channel, d);
-        history.push_back(extractor.runRound(frame, nullptr));
+        auto shot = exp.sampleShot(rates, rng);
         decode::Correction corr;
         if (stream_window) {
             // One streamer per shot: rounds are pushed as extracted
             // and the committed corrections accumulate.
-            decode::StreamingDecoder streamer(extractor, stream_cfg);
-            for (const auto &round : history)
+            decode::StreamingDecoder streamer(exp.extractor(),
+                                              stream_cfg);
+            for (const auto &round : shot.history)
                 if (auto commit = streamer.pushRound(round))
                     corr.merge(commit->correction);
             if (auto commit = streamer.finish())
                 corr.merge(commit->correction);
         } else {
-            const auto events =
-                decode::extractDetectionEvents(history, extractor);
-            corr = pipeline.decode(events);
+            corr = pipeline.decode(decode::extractDetectionEvents(
+                shot.history, exp.extractor()));
         }
-        decode::applyCorrection(frame, corr);
-
-        bool failed = extractor.runRound(frame, nullptr).any();
-        if (!failed) {
-            std::size_t x = 0, z = 0;
-            for (const qecc::Coord c : lattice.logicalZSupport())
-                x += frame.xError(lattice.index(c)) ? 1 : 0;
-            for (const qecc::Coord c : lattice.logicalXSupport())
-                z += frame.zError(lattice.index(c)) ? 1 : 0;
-            failed = (x % 2) || (z % 2);
-        }
-        failures += failed ? 1 : 0;
+        decode::applyCorrection(shot.frame, corr);
+        failures += exp.logicalFailure(shot.frame) ? 1 : 0;
     }
     if (stream_window) {
         const auto &lag =
@@ -613,32 +636,33 @@ cmdVerify(const Options &opts)
         std::size_t(opts.getCountAtLeast("tiles", 1, 1));
     const auto timingRounds =
         std::size_t(opts.getCountAtLeast("rounds", 1, 1));
-    const std::size_t distance = opts.getDistance(3);
+    core::MceConfig base;
+    base.distance = opts.getDistance(3);
+    base.technology = parseTechnology(opts.get("tech", "ProjectedD"));
+    base.memoryConfig.channels =
+        std::size_t(opts.getCount("channels", 4));
+    base.memoryConfig.bankBits =
+        std::size_t(opts.getCount("bank-bits", 1024));
+    base.icacheCapacity = std::size_t(opts.getCount("icache", 1024));
+    const double epsilon = opts.getDouble("epsilon", 0.0);
+    const bool json = opts.has("json");
+    const std::string json_path = opts.get("json", "verify.json");
+    opts.done();
     std::vector<TimingRow> timingRows;
 
     verify::Report combined;
     for (const qecc::Protocol p : protocols) {
         for (const core::MicrocodeDesign d : designs) {
-            core::MceConfig cfg;
-            cfg.distance = distance;
+            core::MceConfig cfg = base;
             cfg.protocol = p;
-            cfg.technology =
-                parseTechnology(opts.get("tech", "ProjectedD"));
             cfg.microcodeDesign = d;
-            cfg.memoryConfig.channels =
-                std::size_t(opts.getCount("channels", 4));
-            cfg.memoryConfig.bankBits =
-                std::size_t(opts.getCount("bank-bits", 1024));
-            cfg.icacheCapacity =
-                std::size_t(opts.getCount("icache", 1024));
 
             const std::string label = qecc::protocolName(p) + "/"
                 + core::microcodeDesignName(d);
             verify::TileBundle bundle =
                 verify::buildTileBundle(cfg, label);
             bundle.artifacts.trace = trace;
-            bundle.artifacts.rotationEpsilon =
-                opts.getDouble("epsilon", 0.0);
+            bundle.artifacts.rotationEpsilon = epsilon;
             if (timing) {
                 bundle.artifacts.timing.rounds = timingRounds;
                 bundle.artifacts.timing.contentionTiles =
@@ -707,17 +731,16 @@ cmdVerify(const Options &opts)
         table.print(std::cout);
     }
 
-    if (opts.has("json")) {
-        const std::string path = opts.get("json", "verify.json");
-        std::ofstream os(path);
+    if (json) {
+        std::ofstream os(json_path);
         if (!os)
             sim::fatal("cannot write diagnostics to %s",
-                       path.c_str());
+                       json_path.c_str());
         combined.writeJson(os, 0,
                            timing ? timingJsonSection(timingRows)
                                   : std::string());
         std::fprintf(stderr, "wrote diagnostics to %s\n",
-                     path.c_str());
+                     json_path.c_str());
     }
     std::printf("%s\n", combined.toString().c_str());
     return combined.ok() && timingGatesPass ? 0 : 1;

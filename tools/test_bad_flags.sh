@@ -1,6 +1,7 @@
 #!/bin/sh
-# Bad numeric flags must stop the CLI with exit status 1 and an
-# `error: --<flag> ...` diagnostic before any work runs. Checking both
+# Bad numeric flags and flags a subcommand does not know must stop the
+# CLI with exit status 1 and an `error: --<flag> ...` diagnostic before
+# any work runs. Checking both
 # the status and the message rules out a crash or a run with a
 # silently wrong value, which a bare WILL_FAIL test would accept.
 #
@@ -34,5 +35,9 @@ expect_error --distance simulate --distance 4
 expect_error --trials simulate --trials -5
 expect_error --mces replay --mces 0
 expect_error --qubits trace-gen --qubits 1 --out /dev/null
+expect_error --trails simulate --trails 50
+expect_error --distnace simulate --distnace 7
+expect_error --stream-windw simulate --stream-windw 6
+expect_error --stream-stride simulate --stream-stride 3
 
 exit $status
