@@ -1,25 +1,19 @@
 /**
  * @file
- * Raw kernel performance: word-parallel tableau gates and batched
- * Pauli-frame extraction versus the scalar reference kernels they
- * replaced. These are the loops whose throughput bounds how large a
- * lattice — and how many Monte-Carlo trials — the simulator itself
- * can sustain, so the bench emits BENCH_kernel_speed.json to track
- * the perf trajectory across PRs.
+ * Raw kernel performance: the batched Pauli-frame sweep versus the
+ * scalar one it replaced. This is the loop whose throughput bounds
+ * how many Monte-Carlo trials the simulator itself can sustain, so
+ * the bench emits BENCH_kernel_speed.json to track the perf
+ * trajectory across changes.
  *
- * The scalar baselines are compiled into this binary:
- *  - RefTableau reproduces the pre-word-parallel CHP kernels
- *    (row-major layout, one row-loop of single-bit updates per
- *    gate), driven through the identical gate/measure sequence as
- *    the production Tableau so ns/op compare like for like.
- *  - The scalar frame sweep samples one qecc::MemoryExperiment shot
- *    at a time from Rng::substream(seed, trial); the batched sweep
- *    samples the same trials 64 to a batch (sampleBatch), so both
- *    sweeps see identical error patterns — the bench cross-checks
- *    their detection-event digests and refuses to report a speedup
- *    for diverging engines.
+ * The scalar sweep samples one qecc::MemoryExperiment shot at a
+ * time from Rng::substream(seed, trial); the batched sweep samples
+ * the same trials 64 to a batch (sampleBatch), so both sweeps see
+ * identical error patterns — the bench cross-checks their
+ * detection-event digests and refuses to report a speedup for
+ * diverging engines.
  *
- * The frame sweeps are timed like bench/decoder_throughput: one warm
+ * The sweeps are timed like bench/decoder_throughput: one warm
  * probe pass calibrates a rep count that stretches the timed window
  * past the minimum, so fast engines are not measured over
  * millisecond-scale windows. The multi-threaded row defaults to the
@@ -27,15 +21,14 @@
  * where it could only measure pool overhead.
  *
  * Flags: --smoke (CI-sized run), --check (exit non-zero unless the
- * word-parallel kernels beat the scalar reference AND measure_rand
- * at n=169 clears 4x -- the random-measurement wall this bench
- * exists to police), --threads=N (multi-threaded batched row),
- * --out=PATH. The active SIMD dispatch target is recorded in the
- * JSON so perf trajectories compare like targets.
+ * digests match and the batched sweep is at least as fast as the
+ * scalar one), --threads=N (multi-threaded batched row),
+ * --out=PATH. The active SIMD dispatch target (it runs BatchRng's
+ * mask kernel) is recorded in the JSON so perf trajectories compare
+ * like targets.
  */
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -52,7 +45,6 @@
 #include "sim/parallel.hpp"
 #include "sim/simd.hpp"
 #include "sim/table.hpp"
-#include "quantum/tableau.hpp"
 
 namespace {
 
@@ -60,366 +52,6 @@ using namespace quest;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t benchSeed = 0x5ABE11ull;
-
-/**
- * The pre-PR CHP tableau, verbatim semantics: bit-packed over
- * qubits, row-major, every gate a loop over 2n rows doing
- * single-bit reads/writes, measurement via per-row rowsum. Kept
- * bench-local as the scalar reference the word-parallel Tableau is
- * measured against.
- */
-class RefTableau
-{
-  public:
-    explicit RefTableau(std::size_t num_qubits)
-        : _n(num_qubits),
-          _words((num_qubits + 63) / 64),
-          _x((2 * num_qubits + 1) * _words, 0),
-          _z((2 * num_qubits + 1) * _words, 0),
-          _r(2 * num_qubits + 1, 0)
-    {
-        for (std::size_t i = 0; i < _n; ++i) {
-            setX(i, i, true);
-            setZ(_n + i, i, true);
-        }
-    }
-
-    void
-    h(std::size_t q)
-    {
-        for (std::size_t row = 0; row < 2 * _n; ++row) {
-            const bool xv = getX(row, q);
-            const bool zv = getZ(row, q);
-            if (xv && zv)
-                _r[row] ^= 1;
-            setX(row, q, zv);
-            setZ(row, q, xv);
-        }
-    }
-
-    void
-    s(std::size_t q)
-    {
-        for (std::size_t row = 0; row < 2 * _n; ++row) {
-            const bool xv = getX(row, q);
-            const bool zv = getZ(row, q);
-            if (xv && zv)
-                _r[row] ^= 1;
-            setZ(row, q, zv ^ xv);
-        }
-    }
-
-    void
-    cnot(std::size_t control, std::size_t target)
-    {
-        for (std::size_t row = 0; row < 2 * _n; ++row) {
-            const bool xc = getX(row, control);
-            const bool zc = getZ(row, control);
-            const bool xt = getX(row, target);
-            const bool zt = getZ(row, target);
-            if (xc && zt && (xt == zc))
-                _r[row] ^= 1;
-            setX(row, target, xt ^ xc);
-            setZ(row, control, zc ^ zt);
-        }
-    }
-
-    bool
-    measureZ(std::size_t q, sim::Rng &rng)
-    {
-        std::size_t p = 0;
-        bool found = false;
-        for (std::size_t row = _n; row < 2 * _n; ++row) {
-            if (getX(row, q)) {
-                p = row;
-                found = true;
-                break;
-            }
-        }
-        if (found) {
-            for (std::size_t row = 0; row < 2 * _n; ++row)
-                if (row != p && row != p - _n && getX(row, q))
-                    rowsum(row, p);
-            copyRow(p - _n, p);
-            zeroRow(p);
-            setZ(p, q, true);
-            const bool outcome = rng.bernoulli(0.5);
-            _r[p] = outcome ? 1 : 0;
-            return outcome;
-        }
-        const std::size_t scratch = 2 * _n;
-        zeroRow(scratch);
-        for (std::size_t i = 0; i < _n; ++i)
-            if (getX(i, q))
-                rowsum(scratch, i + _n);
-        return _r[scratch] != 0;
-    }
-
-  private:
-    bool
-    getX(std::size_t row, std::size_t col) const
-    {
-        return _x[row * _words + col / 64]
-            & (std::uint64_t(1) << (col % 64));
-    }
-
-    bool
-    getZ(std::size_t row, std::size_t col) const
-    {
-        return _z[row * _words + col / 64]
-            & (std::uint64_t(1) << (col % 64));
-    }
-
-    void
-    setX(std::size_t row, std::size_t col, bool v)
-    {
-        auto &w = _x[row * _words + col / 64];
-        const std::uint64_t m = std::uint64_t(1) << (col % 64);
-        w = v ? (w | m) : (w & ~m);
-    }
-
-    void
-    setZ(std::size_t row, std::size_t col, bool v)
-    {
-        auto &w = _z[row * _words + col / 64];
-        const std::uint64_t m = std::uint64_t(1) << (col % 64);
-        w = v ? (w | m) : (w & ~m);
-    }
-
-    void
-    zeroRow(std::size_t row)
-    {
-        for (std::size_t w = 0; w < _words; ++w) {
-            _x[row * _words + w] = 0;
-            _z[row * _words + w] = 0;
-        }
-        _r[row] = 0;
-    }
-
-    void
-    copyRow(std::size_t dst, std::size_t src)
-    {
-        for (std::size_t w = 0; w < _words; ++w) {
-            _x[dst * _words + w] = _x[src * _words + w];
-            _z[dst * _words + w] = _z[src * _words + w];
-        }
-        _r[dst] = _r[src];
-    }
-
-    int
-    phaseOfProduct(std::size_t h_row, std::size_t i) const
-    {
-        std::int64_t total = 0;
-        for (std::size_t w = 0; w < _words; ++w) {
-            const std::uint64_t x1 = _x[i * _words + w];
-            const std::uint64_t z1 = _z[i * _words + w];
-            const std::uint64_t x2 = _x[h_row * _words + w];
-            const std::uint64_t z2 = _z[h_row * _words + w];
-            const std::uint64_t y1 = x1 & z1;
-            std::uint64_t plus = y1 & z2 & ~x2;
-            std::uint64_t minus = y1 & x2 & ~z2;
-            const std::uint64_t xonly = x1 & ~z1;
-            plus |= xonly & z2 & x2;
-            minus |= xonly & z2 & ~x2;
-            const std::uint64_t zonly = ~x1 & z1;
-            plus |= zonly & x2 & ~z2;
-            minus |= zonly & x2 & z2;
-            total += std::popcount(plus);
-            total -= std::popcount(minus);
-        }
-        return static_cast<int>(((total % 4) + 4) % 4);
-    }
-
-    void
-    rowsum(std::size_t h_row, std::size_t i)
-    {
-        const int phase =
-            (2 * _r[h_row] + 2 * _r[i] + phaseOfProduct(h_row, i))
-            % 4;
-        _r[h_row] = phase == 2 ? 1 : 0;
-        for (std::size_t w = 0; w < _words; ++w) {
-            _x[h_row * _words + w] ^= _x[i * _words + w];
-            _z[h_row * _words + w] ^= _z[i * _words + w];
-        }
-    }
-
-    std::size_t _n;
-    std::size_t _words;
-    std::vector<std::uint64_t> _x, _z;
-    std::vector<std::uint8_t> _r;
-};
-
-/** Repeat f until min_seconds of wall time, return ns per op. */
-template <typename F>
-double
-timePerOp(F &&f, double ops_per_call, double min_seconds)
-{
-    f(); // warm caches, touch all pages
-    std::size_t calls = 0;
-    const auto t0 = Clock::now();
-    double elapsed = 0.0;
-    do {
-        f();
-        ++calls;
-        elapsed =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-    } while (elapsed < min_seconds);
-    return elapsed * 1e9 / (double(calls) * ops_per_call);
-}
-
-struct GateResult
-{
-    std::string kernel;
-    std::size_t n = 0;
-    double refNs = 0.0;
-    double wordNs = 0.0;
-
-    double
-    speedup() const
-    {
-        return wordNs > 0.0 ? refNs / wordNs : 0.0;
-    }
-};
-
-/**
- * Drive the scalar reference and the word-parallel tableau through
- * the identical warm state (a scrambled n-qubit circuit) and the
- * identical gate sequences, timing each.
- */
-std::vector<GateResult>
-runGateKernels(std::size_t n, double min_seconds,
-               std::uint64_t &witness)
-{
-    std::vector<GateResult> out;
-
-    const auto scrambleRef = [n](RefTableau &t) {
-        sim::Rng rng(benchSeed);
-        for (std::size_t g = 0; g < 4 * n; ++g) {
-            const std::size_t q = rng.uniformInt(n);
-            switch (rng.uniformInt(3)) {
-              case 0: t.h(q); break;
-              case 1: t.s(q); break;
-              case 2: {
-                const std::size_t b = rng.uniformInt(n);
-                if (b != q)
-                    t.cnot(q, b);
-                break;
-              }
-            }
-        }
-    };
-    const auto scrambleWord = [n](quantum::Tableau &t) {
-        sim::Rng rng(benchSeed);
-        for (std::size_t g = 0; g < 4 * n; ++g) {
-            const std::size_t q = rng.uniformInt(n);
-            switch (rng.uniformInt(3)) {
-              case 0: t.h(q); break;
-              case 1: t.s(q); break;
-              case 2: {
-                const std::size_t b = rng.uniformInt(n);
-                if (b != q)
-                    t.cnot(q, b);
-                break;
-              }
-            }
-        }
-    };
-
-    RefTableau ref(n);
-    quantum::Tableau word(n);
-    scrambleRef(ref);
-    scrambleWord(word);
-
-    {
-        GateResult r{ "h_layer", n, 0.0, 0.0 };
-        r.refNs = timePerOp(
-            [&] {
-                for (std::size_t q = 0; q < n; ++q)
-                    ref.h(q);
-            },
-            double(n), min_seconds);
-        r.wordNs = timePerOp(
-            [&] {
-                for (std::size_t q = 0; q < n; ++q)
-                    word.h(q);
-            },
-            double(n), min_seconds);
-        out.push_back(r);
-    }
-    {
-        GateResult r{ "s_layer", n, 0.0, 0.0 };
-        r.refNs = timePerOp(
-            [&] {
-                for (std::size_t q = 0; q < n; ++q)
-                    ref.s(q);
-            },
-            double(n), min_seconds);
-        r.wordNs = timePerOp(
-            [&] {
-                for (std::size_t q = 0; q < n; ++q)
-                    word.s(q);
-            },
-            double(n), min_seconds);
-        out.push_back(r);
-    }
-    {
-        GateResult r{ "cnot_layer", n, 0.0, 0.0 };
-        r.refNs = timePerOp(
-            [&] {
-                for (std::size_t q = 0; q + 1 < n; q += 2)
-                    ref.cnot(q, q + 1);
-            },
-            double(n / 2), min_seconds);
-        r.wordNs = timePerOp(
-            [&] {
-                for (std::size_t q = 0; q + 1 < n; q += 2)
-                    word.cnot(q, q + 1);
-            },
-            double(n / 2), min_seconds);
-        out.push_back(r);
-    }
-    {
-        // Random-branch measurement: measure a random qubit, then
-        // re-superpose it with H so every call stays on the rowsum
-        // path. Both engines are driven by their own copy of the
-        // same Rng stream, so the qubit/outcome sequences match
-        // draw for draw for as long as both keep being timed.
-        GateResult r{ "measure_rand", n, 0.0, 0.0 };
-        constexpr std::size_t per_call = 16;
-        {
-            sim::Rng rng(benchSeed + 1);
-            std::uint64_t acc = 0;
-            r.refNs = timePerOp(
-                [&] {
-                    for (std::size_t i = 0; i < per_call; ++i) {
-                        const std::size_t q = rng.uniformInt(n);
-                        acc ^= std::uint64_t(ref.measureZ(q, rng))
-                            << (i % 64);
-                        ref.h(q);
-                    }
-                },
-                double(per_call), min_seconds);
-            witness ^= acc;
-        }
-        {
-            sim::Rng rng(benchSeed + 1);
-            std::uint64_t acc = 0;
-            r.wordNs = timePerOp(
-                [&] {
-                    for (std::size_t i = 0; i < per_call; ++i) {
-                        const std::size_t q = rng.uniformInt(n);
-                        acc ^= std::uint64_t(word.measureZ(q, rng))
-                            << (i % 64);
-                        word.h(q);
-                    }
-                },
-                double(per_call), min_seconds);
-            witness ^= acc;
-        }
-        out.push_back(r);
-    }
-    return out;
-}
 
 /** Fold one trial's detection events into a running FNV digest. */
 std::uint64_t
@@ -567,18 +199,7 @@ main(int argc, char **argv)
 
     sim::metrics::Registry::global().reset();
 
-    // Gate kernels at the d=7 surface-code size (13x13 = 169 data
-    // qubits) and, in the full run, at a distillation-block size.
     const double min_seconds = smoke ? 0.02 : 0.2;
-    const std::vector<std::size_t> sizes =
-        smoke ? std::vector<std::size_t>{ 169 }
-              : std::vector<std::size_t>{ 169, 625 };
-    std::uint64_t witness = 0;
-    std::vector<GateResult> gates;
-    for (const std::size_t n : sizes) {
-        const auto rs = runGateKernels(n, min_seconds, witness);
-        gates.insert(gates.end(), rs.begin(), rs.end());
-    }
 
     // Frame sweeps at d=7: d noisy rounds + one quiet round per
     // trial, detection events extracted — the Monte-Carlo inner
@@ -631,17 +252,10 @@ main(int argc, char **argv)
             wall > 0.0 ? double(trials * reps) / wall : 0.0;
     }
 
-    sim::Table table("Kernel speed: scalar reference vs "
-                     "word-parallel (n qubits / d=7 frames)");
-    table.header({ "kernel", "n", "scalar ns/op", "word ns/op",
-                   "speedup" });
+    sim::Table table("Kernel speed: scalar vs batched d=7 frame "
+                     "sweep");
+    table.header({ "kernel", "n", "scalar", "batched", "speedup" });
     char b1[32], b2[32], b3[32];
-    for (const GateResult &g : gates) {
-        std::snprintf(b1, sizeof(b1), "%.1f", g.refNs);
-        std::snprintf(b2, sizeof(b2), "%.1f", g.wordNs);
-        std::snprintf(b3, sizeof(b3), "%.1fx", g.speedup());
-        table.row({ g.kernel, std::to_string(g.n), b1, b2, b3 });
-    }
     std::snprintf(b1, sizeof(b1), "%.0f/s", frames.scalarPerSec);
     std::snprintf(b2, sizeof(b2), "%.0f/s", frames.batchedPerSec);
     std::snprintf(b3, sizeof(b3), "%.1fx", frames.speedup());
@@ -671,17 +285,7 @@ main(int argc, char **argv)
     os << "{\n  \"bench\": \"kernel_speed\",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
        << "  \"simd_target\": \"" << simd_target << "\",\n"
-       << "  \"witness\": " << witness << ",\n"
-       << "  \"gate_kernels\": [\n";
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-        const GateResult &g = gates[i];
-        os << "  {\"kernel\": \"" << g.kernel << "\", \"n\": "
-           << g.n << ", \"scalar_ns_per_op\": " << g.refNs
-           << ", \"word_ns_per_op\": " << g.wordNs
-           << ", \"speedup\": " << g.speedup() << "}"
-           << (i + 1 < gates.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"frames\": {\n"
+       << "  \"frames\": {\n"
        << "    \"distance\": " << frames.distance << ",\n"
        << "    \"trials\": " << frames.trials << ",\n"
        << "    \"scalar_reps\": " << frames.scalarReps << ",\n"
@@ -712,40 +316,10 @@ main(int argc, char **argv)
                       << frames.speedup() << "x)\n";
             ok = false;
         }
-        for (const GateResult &g : gates) {
-            if (g.speedup() < 1.0) {
-                std::cerr << "CHECK FAILED: " << g.kernel << " n="
-                          << g.n << " slower than scalar ("
-                          << g.speedup() << "x)\n";
-                ok = false;
-            }
-        }
-        // The random-measurement wall is the kernel the batched
-        // collapse exists to break: hold it to 4x at the d=7
-        // lattice size so a regression cannot hide behind the
-        // (much larger) unitary-gate speedups. A borderline result
-        // is confirmed once at a longer window first — the smoke
-        // windows are short enough for host noise to dip a passing
-        // kernel below the floor.
-        const auto measureRand169 =
-            [](const std::vector<GateResult> &gs) {
-                for (const GateResult &g : gs)
-                    if (g.kernel == "measure_rand" && g.n == 169)
-                        return g.speedup();
-                return 0.0;
-            };
-        double mr = measureRand169(gates);
-        if (mr < 4.0)
-            mr = measureRand169(runGateKernels(169, 0.25, witness));
-        if (mr < 4.0) {
-            std::cerr << "CHECK FAILED: measure_rand n=169 speedup "
-                      << mr << "x below the 4x floor\n";
-            ok = false;
-        }
         if (!ok)
             return 2;
-        std::cout << "check passed: word-parallel kernels beat the "
-                     "scalar reference\n";
+        std::cout << "check passed: batched frame sweep matches and "
+                     "beats the scalar one\n";
     }
     return 0;
 }

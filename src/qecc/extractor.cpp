@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "quantum/tableau.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"

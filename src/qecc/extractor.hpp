@@ -42,9 +42,12 @@
 
 #include "quantum/error_model.hpp"
 #include "quantum/pauli_frame.hpp"
-#include "quantum/tableau.hpp"
 #include "schedule.hpp"
 #include "sim/metrics.hpp"
+
+namespace quest::quantum {
+class Tableau;
+} // namespace quest::quantum
 
 namespace quest::qecc {
 

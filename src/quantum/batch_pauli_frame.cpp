@@ -1,8 +1,7 @@
 #include "batch_pauli_frame.hpp"
 
+#include <algorithm>
 #include <bit>
-
-#include "sim/simd.hpp"
 
 namespace quest::quantum {
 
@@ -33,9 +32,8 @@ BatchPauliFrame::laneWeight(std::size_t lane) const
 void
 BatchPauliFrame::clear()
 {
-    const sim::SimdKernels &k = sim::simdKernels();
-    k.zeroWords(_xerr.data(), _xerr.size());
-    k.zeroWords(_zerr.data(), _zerr.size());
+    std::fill(_xerr.begin(), _xerr.end(), 0);
+    std::fill(_zerr.begin(), _zerr.end(), 0);
 }
 
 std::size_t

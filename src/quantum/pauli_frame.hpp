@@ -12,9 +12,9 @@
  * set. This is O(1) per gate and scales to millions of qubits.
  *
  * Storage is bit-packed: qubit q's X (Z) error bit lives at bit
- * q%64 of word q/64 of the X (Z) plane, the same word layout the
- * word-parallel Tableau kernels and the 64-trial BatchPauliFrame
- * use. Whole-frame operations (weight, clear, toPauliString) are
+ * q%64 of word q/64 of the X (Z) plane (BatchPauliFrame instead
+ * gives each qubit a word of 64 trials). Whole-frame operations
+ * (weight, clear, toPauliString) are
  * word ops; the per-gate accessors are branch-free mask updates
  * with debug-only bounds checks (QUEST_DEBUG_ASSERT) instead of the
  * old bounds-checked `.at()` round trips.

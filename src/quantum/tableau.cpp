@@ -1,6 +1,7 @@
 #include "tableau.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "sim/logging.hpp"
 
@@ -11,14 +12,11 @@ namespace {
 constexpr std::size_t wordBits = 64;
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-/** Column stride: ceil(2n/64) words, padded to a multiple of 8 so
- *  the widest SIMD backend can run whole-vector column ops. */
+/** Column stride: ceil(2n/64) words, one bit per generator row. */
 std::size_t
 columnStride(std::size_t num_qubits)
 {
-    const std::size_t words =
-        (2 * num_qubits + wordBits - 1) / wordBits;
-    return (words + 7) & ~std::size_t(7);
+    return (2 * num_qubits + wordBits - 1) / wordBits;
 }
 
 /** Inclusive prefix-parity of a word: bit k = parity of bits 0..k. */
@@ -67,9 +65,9 @@ setBit(std::uint64_t *v, std::size_t i, bool b)
 Tableau::Tableau(std::size_t num_qubits)
     : _n(num_qubits),
       _rw(columnStride(num_qubits)),
-      _x(num_qubits * _rw),
-      _z(num_qubits * _rw),
-      _r(_rw)
+      _x(num_qubits * _rw, 0),
+      _z(num_qubits * _rw, 0),
+      _r(_rw, 0)
 {
     QUEST_ASSERT(_n > 0, "tableau needs at least one qubit");
     // Destabilizer i = X_i; stabilizer i = Z_i (the |0..0> state).
@@ -107,14 +105,24 @@ void
 Tableau::h(std::size_t q)
 {
     QUEST_ASSERT(q < _n, "qubit %zu out of range", q);
-    sim::simdKernels().tabH(xcol(q), zcol(q), _r.data(), _rw);
+    std::uint64_t *x = xcol(q);
+    std::uint64_t *z = zcol(q);
+    for (std::size_t w = 0; w < _rw; ++w) {
+        _r[w] ^= x[w] & z[w];
+        std::swap(x[w], z[w]);
+    }
 }
 
 void
 Tableau::s(std::size_t q)
 {
     QUEST_ASSERT(q < _n, "qubit %zu out of range", q);
-    sim::simdKernels().tabS(xcol(q), zcol(q), _r.data(), _rw);
+    const std::uint64_t *x = xcol(q);
+    std::uint64_t *z = zcol(q);
+    for (std::size_t w = 0; w < _rw; ++w) {
+        _r[w] ^= x[w] & z[w];
+        z[w] ^= x[w];
+    }
 }
 
 void
@@ -129,21 +137,28 @@ void
 Tableau::x(std::size_t q)
 {
     QUEST_ASSERT(q < _n, "qubit %zu out of range", q);
-    sim::simdKernels().tabSignXor(_r.data(), zcol(q), _rw);
+    const std::uint64_t *z = zcol(q);
+    for (std::size_t w = 0; w < _rw; ++w)
+        _r[w] ^= z[w];
 }
 
 void
 Tableau::z(std::size_t q)
 {
     QUEST_ASSERT(q < _n, "qubit %zu out of range", q);
-    sim::simdKernels().tabSignXor(_r.data(), xcol(q), _rw);
+    const std::uint64_t *x = xcol(q);
+    for (std::size_t w = 0; w < _rw; ++w)
+        _r[w] ^= x[w];
 }
 
 void
 Tableau::y(std::size_t q)
 {
     QUEST_ASSERT(q < _n, "qubit %zu out of range", q);
-    sim::simdKernels().tabSignXor2(_r.data(), xcol(q), zcol(q), _rw);
+    const std::uint64_t *x = xcol(q);
+    const std::uint64_t *z = zcol(q);
+    for (std::size_t w = 0; w < _rw; ++w)
+        _r[w] ^= x[w] ^ z[w];
 }
 
 void
@@ -151,9 +166,17 @@ Tableau::cnot(std::size_t control, std::size_t target)
 {
     QUEST_ASSERT(control < _n && target < _n && control != target,
                  "bad CNOT operands (%zu, %zu)", control, target);
-    sim::simdKernels().tabCnot(xcol(control), zcol(control),
-                               xcol(target), zcol(target), _r.data(),
-                               _rw);
+    const std::uint64_t *xc = xcol(control);
+    std::uint64_t *zc = zcol(control);
+    std::uint64_t *xt = xcol(target);
+    const std::uint64_t *zt = zcol(target);
+    for (std::size_t w = 0; w < _rw; ++w) {
+        // Sign flips where the row has X on the control, Z on the
+        // target and xt == zc (the CHP rule).
+        _r[w] ^= xc[w] & zt[w] & ~(xt[w] ^ zc[w]);
+        xt[w] ^= xc[w];
+        zc[w] ^= zt[w];
+    }
 }
 
 void
@@ -262,24 +285,17 @@ Tableau::selectedProductPhase(const std::uint64_t *m_src,
 }
 
 const std::uint64_t *
-Tableau::zProductMask(std::size_t q) const
+Tableau::partnerStabilizers(const std::uint64_t *rows) const
 {
     thread_local std::vector<std::uint64_t> m;
     m.assign(_rw, 0);
-    // Z_q is the product of the stabilizers whose destabilizer
-    // partner anticommutes with it — rows i < n with an X bit in
-    // column q — so shift the destabilizer half of the column up by
-    // n into the stabilizer row range.
-    const std::uint64_t *cx = xcol(q);
     const std::size_t ws = _n / wordBits;
     const std::size_t bs = _n % wordBits;
-    for (std::size_t w = _rw; w-- > 0;) {
-        if (w < ws)
-            break;
-        const std::uint64_t lo = cx[w - ws] & rowsBelowWord(w - ws, _n);
+    for (std::size_t w = _rw; w-- > ws;) {
+        const std::uint64_t lo = rows[w - ws] & rowsBelowWord(w - ws, _n);
         std::uint64_t v = bs ? (lo << bs) : lo;
         if (bs && w > ws)
-            v |= (cx[w - ws - 1] & rowsBelowWord(w - ws - 1, _n))
+            v |= (rows[w - ws - 1] & rowsBelowWord(w - ws - 1, _n))
                  >> (wordBits - bs);
         m[w] = v;
     }
@@ -289,7 +305,10 @@ Tableau::zProductMask(std::size_t q) const
 bool
 Tableau::deterministicZ(std::size_t q) const
 {
-    const int phase = selectedProductPhase(zProductMask(q), nullptr);
+    // Z_q is the product of the stabilizers whose destabilizer
+    // partner anticommutes with it: rows i < n with X in column q.
+    const int phase =
+        selectedProductPhase(partnerStabilizers(xcol(q)), nullptr);
     QUEST_ASSERT(phase == 0 || phase == 2,
                  "deterministic measurement with imaginary phase %d",
                  phase);
@@ -321,16 +340,113 @@ Tableau::peekZ(std::size_t q) const
 void
 Tableau::collapseRandom(std::size_t q, std::size_t p, bool outcome)
 {
-    sim::TableauCollapseArgs args;
-    args.x = _x.data();
-    args.z = _z.data();
-    args.r = _r.data();
-    args.n = _n;
-    args.stride = _rw;
-    args.q = q;
-    args.p = p;
-    args.outcome = outcome;
-    sim::simdKernels().tabCollapse(args);
+    const std::size_t d = p - _n;
+    const std::size_t wp = p / wordBits, bp = p % wordBits;
+    const std::size_t wd = d / wordBits, bd = d % wordBits;
+    const std::uint64_t pbit = std::uint64_t(1) << bp;
+    const std::uint64_t dbit = std::uint64_t(1) << bd;
+
+    // Row mask of the rowsum targets: every row with X in column q
+    // except the pivot and its destabilizer partner.
+    thread_local std::vector<std::uint64_t> mv;
+    mv.assign(xcol(q), xcol(q) + _rw);
+    mv[wp] &= ~pbit;
+    mv[wd] &= ~dbit;
+    const bool rp = (_r[wp] >> bp) & 1u;
+
+    // Pass 1: after a few collapses most rows have small support, so
+    // in almost every column bits p and d are both clear and there
+    // is nothing to do. Otherwise classify the pivot row's Pauli at
+    // this column and move bit p down to bit d (bit d := bit p, then
+    // bit p := 0 — ordering that stays correct when wp == wd, i.e.
+    // n < 64).
+    thread_local std::vector<std::uint32_t> colsX, colsZ, colsY;
+    colsX.clear();
+    colsZ.clear();
+    colsY.clear();
+    for (std::size_t c = 0; c < _n; ++c) {
+        std::uint64_t *cx = xcol(c);
+        std::uint64_t *cz = zcol(c);
+        if ((((cx[wp] | cz[wp]) & pbit) | ((cx[wd] | cz[wd]) & dbit))
+            == 0)
+            continue;
+        const std::uint64_t x1 = (cx[wp] >> bp) & 1u;
+        const std::uint64_t z1 = (cz[wp] >> bp) & 1u;
+        cx[wd] = (cx[wd] & ~dbit) | (x1 << bd);
+        cx[wp] &= ~pbit;
+        cz[wd] = (cz[wd] & ~dbit) | (z1 << bd);
+        cz[wp] &= ~pbit;
+        const unsigned cls = unsigned(x1) | (unsigned(z1) << 1);
+        if (cls == 1)
+            colsX.push_back(std::uint32_t(c));
+        else if (cls == 2)
+            colsZ.push_back(std::uint32_t(c));
+        else if (cls == 3)
+            colsY.push_back(std::uint32_t(c));
+    }
+
+    // Phase cascade over the classified columns only: per-row Z4
+    // counters in two carry-save planes, g-masks fixed per class.
+    // Bits p and d of the column words were already rewritten by
+    // pass 1, but both rows are masked out of mv, so the fold
+    // below never reads them.
+    thread_local std::vector<std::uint64_t> cnt1v, cnt2v;
+    cnt1v.assign(_rw, 0);
+    cnt2v.assign(_rw, 0);
+    const auto runCascade = [&](const std::vector<std::uint32_t> &cols,
+                                unsigned cls) {
+        for (const std::uint32_t c : cols) {
+            std::uint64_t *cx = xcol(c);
+            std::uint64_t *cz = zcol(c);
+            for (std::size_t w = 0; w < _rw; ++w) {
+                const std::uint64_t x2 = cx[w];
+                const std::uint64_t z2 = cz[w];
+                std::uint64_t plus, minus;
+                if (cls == 3) { // Y: plus z&~x, minus x&~z
+                    plus = z2 & ~x2;
+                    minus = x2 & ~z2;
+                } else if (cls == 1) { // X: plus x&z, minus z&~x
+                    plus = x2 & z2;
+                    minus = z2 & ~x2;
+                } else { // Z: plus x&~z, minus x&z
+                    plus = x2 & ~z2;
+                    minus = x2 & z2;
+                }
+                plus &= mv[w];
+                minus &= mv[w];
+                cnt2v[w] ^= cnt1v[w] & plus;
+                cnt1v[w] ^= plus;
+                cnt2v[w] ^= ~cnt1v[w] & minus;
+                cnt1v[w] ^= minus;
+
+                // Rowsum bit flips: multiply the pivot into the
+                // selected rows (X class flips X, Z flips Z, Y flips
+                // both).
+                if (cls != 2)
+                    cx[w] = x2 ^ mv[w];
+                if (cls != 1)
+                    cz[w] = z2 ^ mv[w];
+            }
+        }
+    };
+    runCascade(colsX, 1);
+    runCascade(colsZ, 2);
+    runCascade(colsY, 3);
+
+    // Fold phases into signs: each selected row's g total must be
+    // even (real phase), and bit 1 of the counter decides the flip;
+    // the pivot's own old sign propagates to every selected row.
+    for (std::size_t w = 0; w < _rw; ++w) {
+        QUEST_ASSERT((cnt1v[w] & mv[w]) == 0,
+                     "rowsum produced imaginary phase");
+        _r[w] ^= (cnt2v[w] & mv[w]) ^ (rp ? mv[w] : std::uint64_t(0));
+    }
+
+    // Row p := Z_q with the measured sign; its old value already
+    // moved to row d in pass 1, which also receives the old sign.
+    zcol(q)[wp] |= pbit;
+    _r[wp] = (_r[wp] & ~pbit) | (std::uint64_t(outcome ? 1 : 0) << bp);
+    _r[wd] = (_r[wd] & ~dbit) | (std::uint64_t(rp ? 1 : 0) << bd);
 }
 
 bool
@@ -344,48 +460,6 @@ Tableau::measureZ(std::size_t q, sim::Rng &rng)
         return outcome;
     }
     return deterministicZ(q);
-}
-
-std::vector<std::uint64_t>
-Tableau::measureZLayer(const std::vector<std::size_t> &qubits,
-                       sim::Rng &rng)
-{
-    std::vector<std::uint64_t> out((qubits.size() + 63) / 64, 0);
-    for (std::size_t i = 0; i < qubits.size(); ++i)
-        if (measureZ(qubits[i], rng))
-            out[i / 64] |= std::uint64_t(1) << (i % 64);
-    return out;
-}
-
-std::vector<std::uint64_t>
-Tableau::measureZLayer(const std::vector<std::size_t> &qubits,
-                       sim::BatchRng &rng)
-{
-    std::vector<std::uint64_t> out((qubits.size() + 63) / 64, 0);
-    // Classification stays sequential — a collapse can flip a later
-    // column from deterministic to random and vice versa — but the
-    // draws are pooled: one 64-lane mask generation covers the next
-    // 64 random outcomes.
-    std::uint64_t pool = 0;
-    std::size_t nrand = 0;
-    for (std::size_t i = 0; i < qubits.size(); ++i) {
-        const std::size_t q = qubits[i];
-        QUEST_ASSERT(q < _n, "qubit %zu out of range", q);
-        bool outcome;
-        const std::size_t p = findPivot(q);
-        if (p != npos) {
-            if (nrand % 64 == 0)
-                pool = rng.bernoulliMask(0.5);
-            outcome = (pool >> (nrand % 64)) & 1u;
-            ++nrand;
-            collapseRandom(q, p, outcome);
-        } else {
-            outcome = deterministicZ(q);
-        }
-        if (outcome)
-            out[i / 64] |= std::uint64_t(1) << (i % 64);
-    }
-    return out;
 }
 
 bool
@@ -460,26 +534,10 @@ Tableau::expectation(const PauliString &p) const
             return 0;
 
     // Otherwise p is (up to sign) the product of the stabilizers
-    // whose destabilizer partner anticommutes with it: shift the
-    // destabilizer half of the parity column into stabilizer range
-    // and fold the selected product's phase word-parallel.
-    thread_local std::vector<std::uint64_t> m_src;
-    m_src.assign(_rw, 0);
-    const std::size_t ws = _n / wordBits;
-    const std::size_t bs = _n % wordBits;
-    for (std::size_t w = _rw; w-- > 0;) {
-        if (w < ws)
-            break;
-        const std::uint64_t lo =
-            par[w - ws] & rowsBelowWord(w - ws, _n);
-        std::uint64_t v = bs ? (lo << bs) : lo;
-        if (bs && w > ws)
-            v |= (par[w - ws - 1] & rowsBelowWord(w - ws - 1, _n))
-                 >> (wordBits - bs);
-        m_src[w] = v;
-    }
-
-    const int acc_phase = selectedProductPhase(m_src.data(), &p);
+    // whose destabilizer partner anticommutes with it; fold that
+    // product's phase word-parallel.
+    const int acc_phase =
+        selectedProductPhase(partnerStabilizers(par.data()), &p);
     const std::uint8_t rel = static_cast<std::uint8_t>(
         (acc_phase - p.phaseExponent()) & 3u);
     QUEST_ASSERT(rel == 0 || rel == 2, "imaginary expectation phase");

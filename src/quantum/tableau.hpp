@@ -13,23 +13,18 @@
  * (row r lives at bit r%64 of word r/64). A gate on qubit q touches
  * only columns q (and its partner), so each gate is O(2n/64) whole-
  * word operations instead of 2n per-bit get/set round trips; the
- * sign row is a bit-vector updated with the same word ops. Columns
- * are padded to a multiple of 8 words and 64-byte aligned so every
- * column op runs as whole-vector loads/stores on the dispatched
- * sim::simdKernels() backend (AVX-512/AVX2/NEON/portable — see
- * sim/simd.hpp); padding rows stay zero because all updates are
- * row-masked linear ops.
+ * sign row is a bit-vector updated with the same word ops. The
+ * kernels are plain std::uint64_t loops: the tableau is a
+ * validation oracle, not a hot path, so it carries no SIMD dispatch.
  *
  * Random measurement collapses do every required rowsum
  * simultaneously via a row-mask (one XOR per column word) with the
- * Z4 phase tracked in two carry-save bit planes; the collapse kernel
- * additionally skips, per column, the all-identity common case with
- * one wide mask test (see simd_kernels.inc). Deterministic outcomes
- * (and expectation values) are computed without mutating or copying
- * the tableau using word-wide prefix-parity accumulation, with
- * popcounts folding the per-row phase counters at the end. Layers of
- * measurements can amortize RNG draws 64-at-a-time through the
- * sim::BatchRng overload of measureZLayer.
+ * Z4 phase tracked in two carry-save bit planes, skipping the
+ * columns where the pivot row and its destabilizer partner are
+ * both the identity. Deterministic outcomes (and expectation
+ * values) are computed without mutating or copying the tableau
+ * using word-wide prefix-parity accumulation, with popcounts
+ * folding the per-row phase counters at the end.
  *
  * The tableau is the ground-truth quantum substrate: the
  * surface-code syndrome circuits in src/qecc are executed against it
@@ -44,9 +39,7 @@
 #include <vector>
 
 #include "pauli.hpp"
-#include "sim/batch_random.hpp"
 #include "sim/random.hpp"
-#include "sim/simd.hpp"
 
 namespace quest::quantum {
 
@@ -81,33 +74,6 @@ class Tableau
      * @return the classical outcome (0 or 1).
      */
     bool measureZ(std::size_t q, sim::Rng &rng);
-
-    /**
-     * Measure a layer of qubits in order, drawing randomness exactly
-     * as the equivalent sequential measureZ loop would (one
-     * rng.bernoulli(0.5) per random outcome, in qubit order).
-     * @return outcomes packed little-endian: bit i%64 of word i/64
-     *         is the outcome of qubits[i].
-     */
-    std::vector<std::uint64_t>
-    measureZLayer(const std::vector<std::size_t> &qubits,
-                  sim::Rng &rng);
-
-    /**
-     * Measure a layer of qubits with draws amortized 64 at a time: a
-     * layer with k random outcomes costs ceil(k/64) calls to
-     * rng.bernoulliMask(0.5) instead of k scalar draws. The j-th
-     * random measurement of the layer (counting in qubit order)
-     * consumes bit j%64 of pool mask j/64; deterministic
-     * measurements consume nothing; unused trailing bits of the last
-     * mask are discarded. Because bernoulliMask's lane t mirrors
-     * Rng::substream(seed, first+t), the draw stream is still
-     * reconstructable from scalar generators (asserted by
-     * tests/test_tableau.cpp).
-     */
-    std::vector<std::uint64_t>
-    measureZLayer(const std::vector<std::size_t> &qubits,
-                  sim::BatchRng &rng);
 
     /**
      * Collapse qubit q onto the given Z outcome *if* its measurement
@@ -150,16 +116,16 @@ class Tableau
 
   private:
     std::size_t _n;
-    std::size_t _rw; ///< words per column: ceil(2n/64) padded to 8k
+    std::size_t _rw; ///< words per column: ceil(2n/64)
 
     // Column-major bit matrices: qubit column q occupies words
     // [q*_rw, (q+1)*_rw); bit r of the vector is generator row r.
     // Rows 0..n-1: destabilizers; n..2n-1: stabilizers. Bits >= 2n
-    // (including the padding words) are always zero — all updates
-    // are row-masked linear ops, so the invariant is preserved.
-    sim::AlignedWords _x;
-    sim::AlignedWords _z;
-    sim::AlignedWords _r; ///< sign bit-vector (1 == -1)
+    // are always zero — all updates are row-masked linear ops, so
+    // the invariant is preserved.
+    std::vector<std::uint64_t> _x;
+    std::vector<std::uint64_t> _z;
+    std::vector<std::uint64_t> _r; ///< sign bit-vector (1 == -1)
 
     std::uint64_t *xcol(std::size_t q) { return _x.data() + q * _rw; }
     std::uint64_t *zcol(std::size_t q) { return _z.data() + q * _rw; }
@@ -189,7 +155,7 @@ class Tableau
      * Multiply stabilizer row p into every row selected by the mask
      * (the batched CHP rowsum of a random-outcome collapse), then
      * rewrite row p-n := old row p and row p := Z_q with the
-     * measured sign. Dispatches to the active SIMD backend.
+     * measured sign.
      */
     void collapseRandom(std::size_t q, std::size_t p, bool outcome);
 
@@ -204,11 +170,15 @@ class Tableau
                              const PauliString *expect) const;
 
     /**
-     * Row mask of the stabilizer rows whose product is Z_q (the
-     * destabilizer-x column shifted into stabilizer row range),
-     * written into thread_local scratch; @return the scratch span.
+     * Row mask of the stabilizer rows n+i for every destabilizer
+     * row i < n selected in `rows` (the destabilizer half shifted
+     * up by n), written into thread_local scratch; @return the
+     * scratch span. For an operator P that commutes with every
+     * stabilizer, passing the rows that anticommute with P selects
+     * the stabilizers whose product is ±P.
      */
-    const std::uint64_t *zProductMask(std::size_t q) const;
+    const std::uint64_t *partnerStabilizers(const std::uint64_t *rows)
+        const;
 
     /** Deterministic Z outcome of qubit q (no state disturbance). */
     bool deterministicZ(std::size_t q) const;

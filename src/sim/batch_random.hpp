@@ -6,7 +6,7 @@
  * BatchRng holds 64 independent xoshiro256** generators in
  * structure-of-arrays layout: state word k of lane t lives at
  * _s{k}[t], so stepping all lanes is a flat loop of shifts/xors over
- * contiguous arrays that the compiler auto-vectorizes — no per-draw
+ * contiguous arrays, run on the dispatched SIMD kernel — no per-draw
  * call overhead, which is what actually bounds the batched engine's
  * trials/sec (the frame updates themselves are already one word op
  * per 64 trials).
@@ -27,7 +27,6 @@
 
 #include "logging.hpp"
 #include "random.hpp"
-#include "simd.hpp"
 
 namespace quest::sim {
 
@@ -97,12 +96,7 @@ class BatchRng
      * multiply; every backend runs the identical arithmetic, so the
      * mask (and the lane states) are bit-identical across targets.
      */
-    std::uint64_t
-    thresholdMask(std::uint64_t threshold)
-    {
-        return simdKernels().rngThresholdMask(_s0, _s1, _s2, _s3,
-                                              threshold);
-    }
+    std::uint64_t thresholdMask(std::uint64_t threshold);
 
     static std::uint64_t
     splitmix64(std::uint64_t &x)

@@ -75,7 +75,7 @@ initialTarget()
 
 // Constinit so simdKernels() is one relaxed load + a never-taken
 // branch in steady state — no static-local guard on the hot path
-// (every gate and every RNG mask goes through it).
+// (every BatchRng mask goes through it).
 constinit std::atomic<const SimdKernels *> g_table{ nullptr };
 constinit std::atomic<SimdTarget> g_target{ SimdTarget::Portable };
 

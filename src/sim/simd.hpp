@@ -2,17 +2,16 @@
  * @file
  * Explicit SIMD facade: one header owning every intrinsic in the
  * repo, a runtime-dispatched kernel table, and the word-op wrapper
- * types the shared kernel bodies are instantiated over.
+ * types the shared kernel body is instantiated over.
  *
- * Why a facade: the hot batched kernels (tableau column ops, the
- * random-measurement collapse cascade, the 64-lane xoshiro step)
- * were previously auto-vectorized at whatever ISA the base build
- * assumed (SSE2), with one ad-hoc target_clones attribute on the
- * RNG. This header replaces that with explicit backends — AVX2,
- * AVX-512, NEON and a portable std::uint64_t fallback — selected
- * once at runtime by CPUID, overridable with QUEST_SIMD=
+ * The one dispatched kernel is the 64-lane xoshiro step behind
+ * sim::BatchRng::bernoulliMask, which bounds the batched Pauli-frame
+ * sweeps: they run about 3x the trials/s vectorized that they do on
+ * the portable backend. Backends —
+ * AVX2, AVX-512, NEON and a portable std::uint64_t fallback — are
+ * selected once at runtime by CPUID, overridable with QUEST_SIMD=
  * avx2|avx512|neon|portable for testing and CI. Every backend runs
- * the identical arithmetic, so outcomes and RNG draw order are
+ * the identical arithmetic, so masks and RNG draw order are
  * bit-identical across targets (asserted by tests/test_simd.cpp).
  *
  * Layering: callers see only SimdKernels (a table of function
@@ -20,7 +19,7 @@
  * (simd_portable.cpp, simd_avx2.cpp, simd_avx512.cpp,
  * simd_neon.cpp) are compiled with their ISA flags, define the
  * matching word-op struct from this header, and instantiate the
- * shared kernel bodies in simd_kernels.inc. No other file may
+ * shared kernel body in simd_kernels.inc. No other file may
  * include <immintrin.h>/<arm_neon.h> or call
  * __builtin_cpu_supports — the det-simd-dispatch lint rule
  * enforces exactly that allowlist.
@@ -29,11 +28,8 @@
 #ifndef QUEST_SIM_SIMD_HPP
 #define QUEST_SIM_SIMD_HPP
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 // Intrinsic headers are visible only inside the backend TUs, which
 // are the only TUs compiled with the matching -m flags. Every other
@@ -78,26 +74,6 @@ SimdTarget simdActiveTarget();
 void simdForceTarget(SimdTarget t);
 
 /**
- * The batched random-outcome collapse of Tableau::measureZ: pivot
- * stabilizer row p anticommutes with Z_q and every other row with
- * an X bit in column q gets row p multiplied in, then row p-n :=
- * old row p and row p := Z_q with the measured sign. Bit matrices
- * are column-major with a padded per-column stride (a multiple of
- * 8 words) so backends can run whole-vector column ops.
- */
-struct TableauCollapseArgs
-{
-    std::uint64_t *x;   ///< X bit matrix base
-    std::uint64_t *z;   ///< Z bit matrix base
-    std::uint64_t *r;   ///< sign bit-vector (stride words)
-    std::size_t n;      ///< qubit (column) count
-    std::size_t stride; ///< words per column, multiple of 8
-    std::size_t q;      ///< measured qubit
-    std::size_t p;      ///< pivot stabilizer row, n <= p < 2n
-    bool outcome;       ///< measured sign for the new row p
-};
-
-/**
  * One backend's kernel set. All pointers are always non-null and
  * all backends compute bit-identical results; only the vector
  * width and instruction selection differ.
@@ -105,24 +81,6 @@ struct TableauCollapseArgs
 struct SimdKernels
 {
     const char *name;
-
-    /** @name Tableau column kernels over nw padded words. */
-    ///@{
-    void (*tabH)(std::uint64_t *x, std::uint64_t *z,
-                 std::uint64_t *r, std::size_t nw);
-    void (*tabS)(std::uint64_t *x, std::uint64_t *z,
-                 std::uint64_t *r, std::size_t nw);
-    /** r ^= a (Pauli X/Z sign flips). */
-    void (*tabSignXor)(std::uint64_t *r, const std::uint64_t *a,
-                       std::size_t nw);
-    /** r ^= a ^ b (Pauli Y sign flips). */
-    void (*tabSignXor2)(std::uint64_t *r, const std::uint64_t *a,
-                        const std::uint64_t *b, std::size_t nw);
-    void (*tabCnot)(std::uint64_t *xc, std::uint64_t *zc,
-                    std::uint64_t *xt, std::uint64_t *zt,
-                    std::uint64_t *r, std::size_t nw);
-    void (*tabCollapse)(const TableauCollapseArgs &a);
-    ///@}
 
     /**
      * Advance all 64 BatchRng lanes once and pack the per-lane
@@ -134,13 +92,6 @@ struct SimdKernels
                                       std::uint64_t *s2,
                                       std::uint64_t *s3,
                                       std::uint64_t threshold);
-
-    /** @name Batched-frame plane ops. */
-    ///@{
-    void (*zeroWords)(std::uint64_t *w, std::size_t nw);
-    std::uint64_t (*popcountSum)(const std::uint64_t *w,
-                                 std::size_t nw);
-    ///@}
 };
 
 /** The active backend's kernel table (one atomic pointer load). */
@@ -172,89 +123,11 @@ simdCpuHasAvx512()
 }
 ///@}
 
-/**
- * A zero-initialized word buffer whose first element is 64-byte
- * aligned, so whole-cache-line vector loads/stores are legal on
- * every backend. Copy/move re-derive the aligned view.
- */
-class AlignedWords
-{
-  public:
-    AlignedWords() = default;
-
-    explicit AlignedWords(std::size_t n) : _buf(n + slack, 0), _n(n)
-    {
-        _off = alignOffset();
-    }
-
-    AlignedWords(const AlignedWords &o) : _buf(o._buf), _n(o._n)
-    {
-        _off = alignOffset();
-        // The copied storage may land at a different alignment;
-        // re-home the payload at the new aligned offset.
-        if (_off != o._off && _n > 0)
-            std::copy(o.data(), o.data() + _n, data());
-    }
-
-    AlignedWords &
-    operator=(const AlignedWords &o)
-    {
-        if (this != &o) {
-            AlignedWords tmp(o);
-            swap(tmp);
-        }
-        return *this;
-    }
-
-    AlignedWords(AlignedWords &&o) noexcept { swap(o); }
-
-    AlignedWords &
-    operator=(AlignedWords &&o) noexcept
-    {
-        swap(o);
-        return *this;
-    }
-
-    std::uint64_t *data() { return _buf.data() + _off; }
-    const std::uint64_t *data() const { return _buf.data() + _off; }
-    std::size_t size() const { return _n; }
-
-    std::uint64_t &operator[](std::size_t i) { return data()[i]; }
-    std::uint64_t
-    operator[](std::size_t i) const
-    {
-        return data()[i];
-    }
-
-    void
-    swap(AlignedWords &o) noexcept
-    {
-        _buf.swap(o._buf);
-        std::swap(_n, o._n);
-        std::swap(_off, o._off);
-    }
-
-  private:
-    static constexpr std::size_t slack = 7; // 64B worst-case shift
-
-    std::size_t
-    alignOffset() const
-    {
-        const auto a = reinterpret_cast<std::uintptr_t>(_buf.data());
-        return ((64 - (a & 63)) & 63) / sizeof(std::uint64_t);
-    }
-
-    std::vector<std::uint64_t> _buf;
-    std::size_t _n = 0;
-    std::size_t _off = 0;
-};
-
 // ---------------------------------------------------------------
 // Word-op wrapper types. Each is visible only to TUs compiled with
 // the matching ISA; simd_kernels.inc instantiates the shared kernel
-// bodies over exactly one of them per backend TU. All loads/stores
-// through load/store require 64-byte-aligned addresses (column
-// strides are padded to guarantee it); loadu tolerates anything.
+// body over exactly one of them per backend TU. load/store require
+// 64-byte-aligned addresses (BatchRng's lane state is alignas(64)).
 // ---------------------------------------------------------------
 
 /** Baseline word ops: one std::uint64_t per "vector". */
@@ -264,15 +137,9 @@ struct WordOpsPortable
     static constexpr std::size_t lanes = 1;
 
     static V load(const std::uint64_t *p) { return *p; }
-    static V loadu(const std::uint64_t *p) { return *p; }
     static void store(std::uint64_t *p, V v) { *p = v; }
-    static void storeu(std::uint64_t *p, V v) { *p = v; }
-    static V zero() { return 0; }
     static V set1(std::uint64_t v) { return v; }
     static V xor_(V a, V b) { return a ^ b; }
-    static V and_(V a, V b) { return a & b; }
-    static V andnot(V a, V b) { return ~a & b; }
-    static V or_(V a, V b) { return a | b; }
     static V shl(V a, int k) { return a << k; }
     static V shr(V a, int k) { return a >> k; }
     template <int K> static V rotl(V a)
@@ -280,7 +147,6 @@ struct WordOpsPortable
         return (a << K) | (a >> (64 - K));
     }
     static V add(V a, V b) { return a + b; }
-    static bool anyAnd(V a, V b) { return (a & b) != 0; }
     /** Lane bitmask of a < b (operands < 2^63). */
     static unsigned ltMask(V a, V b) { return a < b ? 1u : 0u; }
 };
@@ -297,32 +163,17 @@ struct WordOpsAvx2
     {
         return _mm256_load_si256(reinterpret_cast<const __m256i *>(p));
     }
-    static V
-    loadu(const std::uint64_t *p)
-    {
-        return _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(p));
-    }
     static void
     store(std::uint64_t *p, V v)
     {
         _mm256_store_si256(reinterpret_cast<__m256i *>(p), v);
     }
-    static void
-    storeu(std::uint64_t *p, V v)
-    {
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
-    }
-    static V zero() { return _mm256_setzero_si256(); }
     static V
     set1(std::uint64_t v)
     {
         return _mm256_set1_epi64x(std::int64_t(v));
     }
     static V xor_(V a, V b) { return _mm256_xor_si256(a, b); }
-    static V and_(V a, V b) { return _mm256_and_si256(a, b); }
-    static V andnot(V a, V b) { return _mm256_andnot_si256(a, b); }
-    static V or_(V a, V b) { return _mm256_or_si256(a, b); }
     static V shl(V a, int k) { return _mm256_slli_epi64(a, k); }
     static V shr(V a, int k) { return _mm256_srli_epi64(a, k); }
     template <int K> static V rotl(V a)
@@ -331,11 +182,6 @@ struct WordOpsAvx2
                                _mm256_srli_epi64(a, 64 - K));
     }
     static V add(V a, V b) { return _mm256_add_epi64(a, b); }
-    static bool
-    anyAnd(V a, V b)
-    {
-        return _mm256_testz_si256(a, b) == 0;
-    }
     static unsigned
     ltMask(V a, V b)
     {
@@ -360,28 +206,16 @@ struct WordOpsAvx512
     {
         return _mm512_load_si512(p);
     }
-    static V loadu(const std::uint64_t *p)
-    {
-        return _mm512_loadu_si512(p);
-    }
     static void store(std::uint64_t *p, V v)
     {
         _mm512_store_si512(p, v);
     }
-    static void storeu(std::uint64_t *p, V v)
-    {
-        _mm512_storeu_si512(p, v);
-    }
-    static V zero() { return _mm512_setzero_si512(); }
     static V
     set1(std::uint64_t v)
     {
         return _mm512_set1_epi64(std::int64_t(v));
     }
     static V xor_(V a, V b) { return _mm512_xor_si512(a, b); }
-    static V and_(V a, V b) { return _mm512_and_si512(a, b); }
-    static V andnot(V a, V b) { return _mm512_andnot_si512(a, b); }
-    static V or_(V a, V b) { return _mm512_or_si512(a, b); }
     static V shl(V a, int k) { return _mm512_slli_epi64(a, k); }
     static V shr(V a, int k) { return _mm512_srli_epi64(a, k); }
     /** Single-instruction rotate (VPROLQ) — the xoshiro hot op.
@@ -392,11 +226,6 @@ struct WordOpsAvx512
         return _mm512_rol_epi64(a, K);
     }
     static V add(V a, V b) { return _mm512_add_epi64(a, b); }
-    static bool
-    anyAnd(V a, V b)
-    {
-        return _mm512_test_epi64_mask(a, b) != 0;
-    }
     static unsigned
     ltMask(V a, V b)
     {
@@ -413,15 +242,9 @@ struct WordOpsNeon
     static constexpr std::size_t lanes = 2;
 
     static V load(const std::uint64_t *p) { return vld1q_u64(p); }
-    static V loadu(const std::uint64_t *p) { return vld1q_u64(p); }
     static void store(std::uint64_t *p, V v) { vst1q_u64(p, v); }
-    static void storeu(std::uint64_t *p, V v) { vst1q_u64(p, v); }
-    static V zero() { return vdupq_n_u64(0); }
     static V set1(std::uint64_t v) { return vdupq_n_u64(v); }
     static V xor_(V a, V b) { return veorq_u64(a, b); }
-    static V and_(V a, V b) { return vandq_u64(a, b); }
-    static V andnot(V a, V b) { return vbicq_u64(b, a); }
-    static V or_(V a, V b) { return vorrq_u64(a, b); }
     static V
     shl(V a, int k)
     {
@@ -437,12 +260,6 @@ struct WordOpsNeon
         return vorrq_u64(vshlq_n_u64(a, K), vshrq_n_u64(a, 64 - K));
     }
     static V add(V a, V b) { return vaddq_u64(a, b); }
-    static bool
-    anyAnd(V a, V b)
-    {
-        const V m = vandq_u64(a, b);
-        return (vgetq_lane_u64(m, 0) | vgetq_lane_u64(m, 1)) != 0;
-    }
     static unsigned
     ltMask(V a, V b)
     {

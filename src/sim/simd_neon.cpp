@@ -7,11 +7,7 @@
 
 #include "simd_backend.hpp"
 
-#include <bit>
 #include <cstdint>
-#include <vector>
-
-#include "logging.hpp"
 
 namespace quest::sim {
 

@@ -1,17 +1,13 @@
 /**
  * @file
- * Portable SIMD backend: the shared kernel bodies instantiated over
+ * Portable SIMD backend: the shared kernel body instantiated over
  * plain std::uint64_t words. Always available; the bit-exact
  * reference every vector backend is differentially tested against.
  */
 
 #include "simd_backend.hpp"
 
-#include <bit>
 #include <cstdint>
-#include <vector>
-
-#include "logging.hpp"
 
 namespace quest::sim {
 

@@ -209,4 +209,40 @@ TEST(BatchFrame, SweepBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(one, five);
 }
 
+/**
+ * clear() zeroes both planes on every qubit and lane, so a reused
+ * frame then behaves exactly like a freshly constructed one.
+ */
+TEST(BatchFrame, ClearZeroesEveryPlaneForReuse)
+{
+    const std::size_t n = 169; // the d = 7 data + ancilla count
+    sim::Rng rng = sim::Rng::substream(diffSeed, 11);
+    BatchPauliFrame reused(n);
+    for (std::size_t q = 0; q < n; ++q)
+        reused.injectMasks(q, rng.next(), rng.next());
+    ASSERT_GT(reused.totalErrorBits(), 0u);
+
+    reused.clear();
+    EXPECT_EQ(reused.totalErrorBits(), 0u);
+    for (std::size_t q = 0; q < n; ++q) {
+        ASSERT_EQ(reused.measureZFlipMask(q), 0u) << "qubit " << q;
+        ASSERT_EQ(reused.measureXFlipMask(q), 0u) << "qubit " << q;
+    }
+
+    BatchPauliFrame fresh(n);
+    for (int step = 0; step < 200; ++step) {
+        const std::size_t q = rng.uniformInt(n);
+        const std::uint64_t mask = rng.next();
+        reused.injectY(q, mask);
+        fresh.injectY(q, mask);
+        const std::size_t r = (q + 1) % n;
+        reused.cnot(q, r);
+        fresh.cnot(q, r);
+    }
+    for (std::size_t q = 0; q < n; ++q) {
+        ASSERT_EQ(reused.measureZFlipMask(q), fresh.measureZFlipMask(q));
+        ASSERT_EQ(reused.measureXFlipMask(q), fresh.measureXFlipMask(q));
+    }
+}
+
 } // namespace

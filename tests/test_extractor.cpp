@@ -11,6 +11,7 @@
 
 #include "qecc/extractor.hpp"
 #include "qecc/logical_mask.hpp"
+#include "quantum/tableau.hpp"
 #include "sim/metrics.hpp"
 
 namespace {

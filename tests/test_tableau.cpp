@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -323,105 +327,99 @@ TEST(Tableau, ExpectationConcurrentOnSharedTableau)
         EXPECT_EQ(bad[std::size_t(w)], 0) << "worker " << w;
 }
 
-/** Scramble a tableau with a fixed Clifford circuit. */
-void
-scramble(Tableau &t, std::size_t n, Rng &rng, int gates)
+/** One golden measurement circuit and its recorded results. */
+struct GoldenCircuit
 {
-    for (int g = 0; g < gates; ++g) {
-        switch (rng.uniformInt(3)) {
-          case 0: t.h(rng.uniformInt(n)); break;
-          case 1: t.s(rng.uniformInt(n)); break;
-          case 2: {
-            const std::size_t a = rng.uniformInt(n);
-            const std::size_t b = rng.uniformInt(n);
-            if (a != b)
-                t.cnot(a, b);
-            break;
-          }
-        }
-    }
-}
+    std::size_t n;
+    std::vector<std::uint64_t> outcomes; ///< packed measureZ results
+    std::uint64_t digest; ///< FNV-1a of every generator's string
+};
 
 /**
- * measureZLayer(Rng&) is the sequential measureZ loop, bit for bit:
- * same outcomes and same number of draws consumed.
+ * Seeded random Clifford + Z-measurement circuits at sizes that
+ * straddle the 64-bit row-word boundary. The expected outcome words
+ * and generator digests were recorded from the dispatched AVX-512,
+ * AVX2 and portable SIMD kernels (identical on all three) that the
+ * plain word loops replaced, so the loops are held bit-identical to
+ * them: any change to a gate, the pivot search or the collapse
+ * cascade moves an outcome or the digest.
  */
-TEST(TableauLayer, ScalarLayerEqualsSequentialMeasurements)
+TEST(TableauGolden, MeasurementCircuitsMatchRecordedResults)
 {
-    Rng setup(0xA11CE);
-    for (const std::size_t n : { 5u, 33u, 70u }) {
-        Tableau a(n);
-        scramble(a, n, setup, 200);
-        Tableau b = a;
-
-        std::vector<std::size_t> layer;
-        for (std::size_t q = 0; q < n; ++q)
-            layer.push_back(q);
-        // Measure some qubits twice: the second measurement is
-        // deterministic and must consume no randomness.
-        for (std::size_t q = 0; q < n; q += 3)
-            layer.push_back(q);
-
-        Rng rng_a(42), rng_b(42);
-        const auto packed = a.measureZLayer(layer, rng_a);
-        ASSERT_EQ(packed.size(), (layer.size() + 63) / 64);
-        for (std::size_t i = 0; i < layer.size(); ++i) {
-            const bool want = b.measureZ(layer[i], rng_b);
-            const bool got = (packed[i / 64] >> (i % 64)) & 1u;
-            ASSERT_EQ(got, want) << "n=" << n << " index " << i;
-        }
-        // Draw streams stayed in lockstep throughout.
-        EXPECT_EQ(rng_a.next(), rng_b.next()) << "n=" << n;
-        ASSERT_TRUE(a.checkInvariants());
-    }
-}
-
-/**
- * measureZLayer(BatchRng&) consumes bit j%64 of pooled mask j/64
- * for the j-th *random* measurement and nothing for deterministic
- * ones, so its outcomes are reconstructable from a clone of the
- * pool via peekZ + projectZ.
- */
-TEST(TableauLayer, BatchRngLayerMatchesDrawOrderReconstruction)
-{
-    Rng setup(0xB0B);
-    for (const std::size_t n : { 9u, 64u, 70u }) {
-        Tableau a(n);
-        scramble(a, n, setup, 250);
-        Tableau b = a;
-
-        std::vector<std::size_t> layer;
-        for (std::size_t q = 0; q < n; ++q)
-            layer.push_back(q);
-        for (std::size_t q = 0; q < n; q += 2)
-            layer.push_back(q);
-
-        quest::sim::BatchRng pool(7, 0), clone(7, 0);
-        const auto packed = a.measureZLayer(layer, pool);
-
-        std::size_t nrand = 0;
-        std::uint64_t mask = 0;
-        for (std::size_t i = 0; i < layer.size(); ++i) {
-            const std::size_t q = layer[i];
-            bool want = false;
-            const int peek = b.peekZ(q);
-            if (peek >= 0) {
-                want = peek != 0;
-                ASSERT_FALSE(b.projectZ(q, true))
-                    << "projectZ must not disturb a deterministic "
-                       "qubit";
-            } else {
-                if (nrand % 64 == 0)
-                    mask = clone.bernoulliMask(0.5);
-                want = (mask >> (nrand % 64)) & 1u;
-                ++nrand;
-                ASSERT_TRUE(b.projectZ(q, want));
+    const std::vector<GoldenCircuit> golden = {
+        { 31,
+          { 0x20a507c6a4360108ull, 0x3c359a219a368bf2ull,
+            0x0015f2fe2106c102ull },
+          0x97f4793e20e531c3ull },
+        { 32,
+          { 0x77dfacd261618000ull, 0x18c29e03dee42da7ull,
+            0xf9af28f88d8760aaull, 0x000000000007d7bbull },
+          0x17ae7c8e7b07ef21ull },
+        { 33,
+          { 0x8661f21303500000ull, 0x175d5286ad1b2778ull,
+            0x06b57209033ae055ull },
+          0x6d5d6f07b82aef9full },
+        { 64,
+          { 0xc241a0a242e40800ull, 0xcfd48572a17d2426ull,
+            0xe0233dd95e68dbb2ull, 0x000000000000154cull },
+          0xba0b048d9ae263efull },
+        { 65,
+          { 0x800c860928014020ull, 0x8e200840107c0533ull,
+            0x42bee856824463caull, 0x000000000000914full },
+          0x3a8061bcdb86b8e1ull },
+        { 70,
+          { 0xb0482800d8000000ull, 0xae4a561d3382d4caull,
+            0x7d9f1d668b9ee27eull, 0x000000000b82b4f7ull },
+          0x7376401cf99f9286ull },
+        { 169,
+          { 0x1224082901220000ull, 0x7af80782ece4b081ull,
+            0x487cac53d0b48625ull, 0x00000000002d184cull },
+          0xd33d7a1320e4b0f7ull },
+    };
+    for (const GoldenCircuit &want : golden) {
+        const std::size_t n = want.n;
+        Rng rng(0x51D3Dull + n);
+        Tableau t(n);
+        std::vector<std::uint64_t> outcomes;
+        std::size_t nm = 0;
+        for (int g = 0; g < 600; ++g) {
+            switch (rng.uniformInt(6)) {
+              case 0: t.h(rng.uniformInt(n)); break;
+              case 1: t.s(rng.uniformInt(n)); break;
+              case 2: {
+                const std::size_t a = rng.uniformInt(n);
+                const std::size_t b = rng.uniformInt(n);
+                if (a != b)
+                    t.cnot(a, b);
+                break;
+              }
+              case 3: t.x(rng.uniformInt(n)); break;
+              case 4:
+              case 5: {
+                const bool o = t.measureZ(rng.uniformInt(n), rng);
+                if (nm % 64 == 0)
+                    outcomes.push_back(0);
+                outcomes.back() |= std::uint64_t(o) << (nm % 64);
+                ++nm;
+                break;
+              }
             }
-            const bool got = (packed[i / 64] >> (i % 64)) & 1u;
-            ASSERT_EQ(got, want) << "n=" << n << " index " << i;
         }
-        ASSERT_TRUE(a.checkInvariants());
-        ASSERT_TRUE(b.checkInvariants());
+        ASSERT_TRUE(t.checkInvariants()) << "n=" << n;
+
+        std::uint64_t digest = 14695981039346656037ull;
+        const auto mix = [&digest](const std::string &str) {
+            for (const unsigned char c : str + '\n') {
+                digest ^= c;
+                digest *= 1099511628211ull;
+            }
+        };
+        for (std::size_t i = 0; i < n; ++i) {
+            mix(t.stabilizer(i).toString());
+            mix(t.destabilizer(i).toString());
+        }
+        EXPECT_EQ(outcomes, want.outcomes) << "n=" << n;
+        EXPECT_EQ(digest, want.digest) << "n=" << n;
     }
 }
 
@@ -449,6 +447,215 @@ TEST(Tableau, ProjectZForcesRandomOutcomes)
     EXPECT_EQ(t.peekZ(1), 0);
     EXPECT_EQ(t.peekZ(2), 0);
     ASSERT_TRUE(t.checkInvariants());
+}
+
+/** @return the n-qubit Pauli with `ops` on the given qubits. */
+PauliString
+sparsePauli(std::size_t n,
+            std::initializer_list<std::pair<std::size_t, Pauli>> ops,
+            bool negative = false)
+{
+    PauliString p(n);
+    for (const auto &[q, op] : ops)
+        p.set(q, op);
+    p.setPhaseExponent(negative ? 2 : 0);
+    return p;
+}
+
+/**
+ * Every gate conjugates the generators of a qubit in the top row
+ * word exactly as its Clifford table says. At n = 65 qubit 64's
+ * destabilizer row (64) and stabilizer row (129) sit in different
+ * words, and its stabilizer row is in the partially filled top
+ * word, so a loop that stops a word short or masks the wrong tail
+ * moves a generator or a sign.
+ */
+TEST(Tableau, GatesConjugateGeneratorsInTheTopRowWord)
+{
+    const std::size_t n = 65, q = 64, c = 0;
+    struct Case
+    {
+        const char *gate;
+        void (*apply)(Tableau &);
+        PauliString stab, destab;
+    };
+    const std::vector<Case> cases = {
+        { "h", [](Tableau &t) { t.h(q); },
+          sparsePauli(n, { { q, Pauli::X } }),
+          sparsePauli(n, { { q, Pauli::Z } }) },
+        { "s", [](Tableau &t) { t.s(q); },
+          sparsePauli(n, { { q, Pauli::Z } }),
+          sparsePauli(n, { { q, Pauli::Y } }) },
+        { "sdg", [](Tableau &t) { t.sdg(q); },
+          sparsePauli(n, { { q, Pauli::Z } }),
+          sparsePauli(n, { { q, Pauli::Y } }, true) },
+        // After H the stabilizer row (top word) carries the X bit.
+        { "h,s", [](Tableau &t) { t.h(q); t.s(q); },
+          sparsePauli(n, { { q, Pauli::Y } }),
+          sparsePauli(n, { { q, Pauli::Z } }) },
+        { "h,sdg", [](Tableau &t) { t.h(q); t.sdg(q); },
+          sparsePauli(n, { { q, Pauli::Y } }, true),
+          sparsePauli(n, { { q, Pauli::Z } }) },
+        { "x", [](Tableau &t) { t.x(q); },
+          sparsePauli(n, { { q, Pauli::Z } }, true),
+          sparsePauli(n, { { q, Pauli::X } }) },
+        { "y", [](Tableau &t) { t.y(q); },
+          sparsePauli(n, { { q, Pauli::Z } }, true),
+          sparsePauli(n, { { q, Pauli::X } }, true) },
+        { "z", [](Tableau &t) { t.z(q); },
+          sparsePauli(n, { { q, Pauli::Z } }),
+          sparsePauli(n, { { q, Pauli::X } }, true) },
+        // CNOT(c, q): Z_q -> Z_c Z_q; X_q is unchanged.
+        { "cnot", [](Tableau &t) { t.cnot(c, q); },
+          sparsePauli(n, { { c, Pauli::Z }, { q, Pauli::Z } }),
+          sparsePauli(n, { { q, Pauli::X } }) },
+        // CNOT(q, c): Z_q is unchanged; X_q -> X_q X_c.
+        { "cnot_rev", [](Tableau &t) { t.cnot(q, c); },
+          sparsePauli(n, { { q, Pauli::Z } }),
+          sparsePauli(n, { { c, Pauli::X }, { q, Pauli::X } }) },
+        // CZ: X_q -> Z_c X_q.
+        { "cz", [](Tableau &t) { t.cz(c, q); },
+          sparsePauli(n, { { q, Pauli::Z } }),
+          sparsePauli(n, { { c, Pauli::Z }, { q, Pauli::X } }) },
+    };
+    for (const Case &k : cases) {
+        Tableau t(n);
+        k.apply(t);
+        EXPECT_EQ(t.stabilizer(q).toString(), k.stab.toString())
+            << k.gate;
+        EXPECT_EQ(t.destabilizer(q).toString(), k.destab.toString())
+            << k.gate;
+        ASSERT_TRUE(t.checkInvariants()) << k.gate;
+    }
+}
+
+/**
+ * Every gate is an exact conjugation, signs included: a random
+ * circuit followed by its inverse in reverse order returns all 2n
+ * generators to +Z_i / +X_i, at sizes whose rows straddle a word.
+ */
+TEST(TableauProperty, InverseCircuitRestoresTheInitialTableau)
+{
+    Rng rng(2468);
+    for (const std::size_t n : { 31u, 32u, 33u, 64u, 65u, 70u }) {
+        struct Gate
+        {
+            int kind;
+            std::size_t a, b;
+        };
+        std::vector<Gate> circuit;
+        for (int g = 0; g < 300; ++g) {
+            const std::size_t a = rng.uniformInt(n);
+            const std::size_t b = (a + 1 + rng.uniformInt(n - 1)) % n;
+            circuit.push_back({ int(rng.uniformInt(9)), a, b });
+        }
+        Tableau t(n);
+        auto apply = [&t](const Gate &g, bool inverse) {
+            switch (g.kind) {
+              case 0: t.h(g.a); break;
+              case 1: inverse ? t.sdg(g.a) : t.s(g.a); break;
+              case 2: inverse ? t.s(g.a) : t.sdg(g.a); break;
+              case 3: t.x(g.a); break;
+              case 4: t.y(g.a); break;
+              case 5: t.z(g.a); break;
+              case 6: t.cnot(g.a, g.b); break;
+              case 7: t.cz(g.a, g.b); break;
+              case 8: t.swapQubits(g.a, g.b); break;
+            }
+        };
+        for (const Gate &g : circuit)
+            apply(g, false);
+        ASSERT_TRUE(t.checkInvariants()) << "n=" << n;
+        for (auto it = circuit.rbegin(); it != circuit.rend(); ++it)
+            apply(*it, true);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(t.stabilizer(i).toString(),
+                      sparsePauli(n, { { i, Pauli::Z } }).toString())
+                << "n=" << n << " i=" << i;
+            ASSERT_EQ(t.destabilizer(i).toString(),
+                      sparsePauli(n, { { i, Pauli::X } }).toString())
+                << "n=" << n << " i=" << i;
+        }
+    }
+}
+
+/**
+ * expectation() of a product of several stabilizer generators is
+ * +1 (the partner-row mask selects many rows across words), and
+ * multiplying in a destabilizer makes it anticommute with one
+ * generator, so its expectation is 0.
+ */
+TEST(TableauProperty, ExpectationOfStabilizerProductsAcrossWordBoundaries)
+{
+    Rng rng(1357);
+    for (const std::size_t n : { 31u, 32u, 33u, 64u, 65u, 70u }) {
+        Tableau t(n);
+        for (int g = 0; g < 400; ++g) {
+            switch (rng.uniformInt(5)) {
+              case 0: t.h(rng.uniformInt(n)); break;
+              case 1: t.s(rng.uniformInt(n)); break;
+              case 2: {
+                const std::size_t a = rng.uniformInt(n);
+                t.cnot(a, (a + 1 + rng.uniformInt(n - 1)) % n);
+                break;
+              }
+              case 3: t.y(rng.uniformInt(n)); break;
+              case 4: t.measureZ(rng.uniformInt(n), rng); break;
+            }
+        }
+        for (int trial = 0; trial < 20; ++trial) {
+            PauliString product(n);
+            for (std::size_t i = 0; i < n; ++i)
+                if (rng.uniformInt(2))
+                    product *= t.stabilizer(i);
+            ASSERT_EQ(t.expectation(product), 1)
+                << "n=" << n << " trial " << trial;
+            PauliString negated = product;
+            negated.setPhaseExponent(
+                (negated.phaseExponent() + 2) & 3u);
+            ASSERT_EQ(t.expectation(negated), -1)
+                << "n=" << n << " trial " << trial;
+            product *= t.destabilizer(rng.uniformInt(n));
+            ASSERT_EQ(t.expectation(product), 0)
+                << "n=" << n << " trial " << trial;
+        }
+    }
+}
+
+/**
+ * Measuring one qubit of an n-qubit GHZ state collapses every
+ * other qubit onto the same outcome: the rowsum cascade must reach
+ * rows in every word of the tableau.
+ */
+TEST(Tableau, GhzCollapseReachesEveryRowWord)
+{
+    Rng rng(8642);
+    for (const std::size_t n : { 33u, 64u, 65u, 70u }) {
+        for (const std::size_t measured : { std::size_t(0), n - 1 }) {
+            Tableau t(n);
+            t.h(0);
+            for (std::size_t q = 1; q < n; ++q)
+                t.cnot(0, q);
+            PauliString all_x(n);
+            for (std::size_t q = 0; q < n; ++q) {
+                ASSERT_EQ(t.peekZ(q), -1) << "n=" << n;
+                all_x.set(q, Pauli::X);
+            }
+            EXPECT_EQ(t.expectation(all_x), 1) << "n=" << n;
+            EXPECT_EQ(t.expectation(sparsePauli(
+                          n, { { 0, Pauli::Z }, { n - 1, Pauli::Z } })),
+                      1)
+                << "n=" << n;
+
+            const int outcome = t.measureZ(measured, rng) ? 1 : 0;
+            for (std::size_t q = 0; q < n; ++q)
+                ASSERT_EQ(t.peekZ(q), outcome)
+                    << "n=" << n << " measured " << measured
+                    << " q=" << q;
+            EXPECT_EQ(t.expectation(all_x), 0) << "n=" << n;
+            ASSERT_TRUE(t.checkInvariants()) << "n=" << n;
+        }
+    }
 }
 
 /** Property: peekZ predicts measureZ whenever deterministic. */
