@@ -36,7 +36,7 @@ printFigure()
         const qecc::MemoryExperiment exp(d);
         MwpmDecoder exact(exp.lattice(), 14);
         MwpmDecoder greedy(exp.lattice(), 0);
-        ClusterDecoder cluster(exp.lattice());
+        ClusterDecoder cluster(exact);
 
         // Trials run 64 to a batch, sampled from seed 99 (see
         // MemoryExperiment::sampleBatch), so the table is

@@ -234,7 +234,7 @@ main(int argc, char **argv)
         const qecc::MemoryExperiment exp(d);
         const decode::MwpmDecoder exact(exp.lattice(), 14);
         const decode::MwpmDecoder greedy(exp.lattice(), 0);
-        const decode::ClusterDecoder cluster(exp.lattice());
+        const decode::ClusterDecoder cluster(exact);
         const std::vector<decode::DetectionEvents> events =
             sampleAll(exp, p, trials, pool);
 

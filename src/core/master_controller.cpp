@@ -20,39 +20,34 @@ networkConfigFor(const MasterConfig &cfg)
     return net;
 }
 
+/**
+ * The real-time budget for one global decode: the wall-clock that
+ * `rounds` rounds take to extract. The offline decoder must keep up
+ * with its decode cadence (decodeWindow()), a streamer with its
+ * slide rate (streamStride()); with streamStrideRounds ==
+ * decodeWindowRounds the two budgets coincide, which the W==S
+ * equivalence tests rely on. Overruns draw from `faults`.
+ */
 decode::DeadlineConfig
-deadlineConfigFor(const MasterConfig &cfg)
+deadlineFor(const MasterConfig &cfg, std::size_t rounds,
+            sim::FaultInjector &faults)
 {
     decode::DeadlineConfig dl;
     if (!cfg.modelDecodeDeadline)
         return dl; // windowTicks 0: deadline arithmetic disabled
     const auto &spec = qecc::protocolSpec(cfg.mce.protocol);
     const auto lat = tech::gateLatencies(cfg.mce.technology);
-    const std::size_t window = cfg.decodeWindowRounds
-        ? cfg.decodeWindowRounds
-        : cfg.mce.distance;
-    dl.windowTicks = sim::Tick(window) * spec.roundDuration(lat);
+    dl.windowTicks = sim::Tick(rounds) * spec.roundDuration(lat);
+    dl.faults = &faults;
     return dl;
 }
 
-/**
- * Streaming deadline: the real-time budget for one window is the
- * wall-clock the stride's worth of rounds takes to extract -- the
- * decoder must keep up with the slide rate, exactly as the offline
- * decoder must keep up with its decode cadence. With
- * streamStrideRounds == decodeWindowRounds the two budgets coincide,
- * which the W==S equivalence test relies on.
- */
-decode::DeadlineConfig
-streamDeadlineFor(const MasterConfig &cfg, std::size_t stride)
+/** Decoder mask predicate: masked regions of the tile are open
+ *  boundaries. */
+decode::MwpmDecoder::MaskPredicate
+maskedOn(Mce &mce)
 {
-    decode::DeadlineConfig dl;
-    if (!cfg.modelDecodeDeadline)
-        return dl;
-    const auto &spec = qecc::protocolSpec(cfg.mce.protocol);
-    const auto lat = tech::gateLatencies(cfg.mce.technology);
-    dl.windowTicks = sim::Tick(stride) * spec.roundDuration(lat);
-    return dl;
+    return [&mce](std::size_t q) { return mce.maskTable().masked(q); };
 }
 
 /** Heartbeat ping/response token size (a sync-class packet). */
@@ -68,7 +63,6 @@ constexpr std::size_t scrubPollBytes = tech::logicalInstrBytes;
 MasterController::MasterController(const MasterConfig &cfg)
     : _cfg(cfg),
       _faults(cfg.faults),
-      _deadline(deadlineConfigFor(cfg)),
       _missedHeartbeats(cfg.numMces, 0),
       _network(networkConfigFor(cfg)),
       _bytesLogical("master.bus_bytes_logical",
@@ -151,38 +145,35 @@ MasterController::MasterController(const MasterConfig &cfg)
                                                 uop_bits)
             * round_seconds;
     }
-    for (const auto &m : _mces) {
-        _decoders.emplace_back(m->lattice());
-        _clusterDecoders.emplace_back(m->lattice());
-    }
-    // Defect awareness: masked regions are open boundaries for the
-    // global decoder.
-    for (std::size_t i = 0; i < _mces.size(); ++i) {
-        Mce *mce = _mces[i].get();
-        auto predicate = [mce](std::size_t q) {
-            return mce->maskTable().masked(q);
-        };
-        _decoders[i].setMaskPredicate(predicate);
-        _clusterDecoders[i].setMaskPredicate(predicate);
-    }
+    // One global decode path per tile, built only for the mode that
+    // runs. Defect awareness: masked regions are open boundaries for
+    // the tile's one matcher, which its cluster fallback borrows.
     if (streamingDecode()) {
         decode::StreamConfig sc;
         sc.windowRounds = _cfg.streamWindowRounds;
         sc.strideRounds = streamStride();
-        sc.deadline = streamDeadlineFor(_cfg, sc.strideRounds);
-        for (std::size_t i = 0; i < _mces.size(); ++i) {
+        sc.deadline = deadlineFor(_cfg, sc.strideRounds, _faults);
+        for (const auto &m : _mces) {
             // The MCE stops accumulating its offline decode window:
             // every extracted round is handed to the streamer
             // instead, so nothing is double-decoded.
-            _mces[i]->setWindowBuffering(false);
+            m->setWindowBuffering(false);
             _streamers.push_back(
                 std::make_unique<decode::StreamingDecoder>(
-                    _mces[i]->extractor(), sc));
-            Mce *mce = _mces[i].get();
-            _streamers.back()->setMaskPredicate(
-                [mce](std::size_t q) {
-                    return mce->maskTable().masked(q);
-                });
+                    m->extractor(), sc));
+            _streamers.back()->setMaskPredicate(maskedOn(*m));
+        }
+    } else {
+        _deadline = decode::DecodeDeadline(
+            deadlineFor(_cfg, decodeWindow(), _faults));
+        // Reserved up front: each cluster decoder keeps a pointer to
+        // its tile's matcher.
+        _decoders.reserve(_mces.size());
+        _clusterDecoders.reserve(_mces.size());
+        for (const auto &m : _mces) {
+            _decoders.emplace_back(m->lattice());
+            _decoders.back().setMaskPredicate(maskedOn(*m));
+            _clusterDecoders.emplace_back(_decoders.back());
         }
     }
 }
@@ -452,16 +443,23 @@ MasterController::commitStream(std::size_t mce_idx,
                   commit.forwardedEvents
                       * decode::detectionEventBytes,
                   _bytesSyndrome);
-    if (commit.fallback) {
-        ++_decoderOverruns;
-        ++_decoderFallbacks;
-        _mces[mce_idx]->stretchNoise(commit.stretch, streamStride());
-    }
+    if (commit.fallback)
+        recordFallback(mce_idx, commit.stretch, streamStride());
     if (commit.correction.weight() > 0)
         sendOnBus(mce_idx,
                   commit.correction.weight() * correctionEntryBytes,
                   _bytesCorrections);
     _mces[mce_idx]->applyCorrection(commit.correction);
+}
+
+void
+MasterController::recordFallback(std::size_t mce_idx, double stretch,
+                                 std::size_t rounds)
+{
+    // The late window is charged as stretched noise on the tile.
+    ++_decoderOverruns;
+    ++_decoderFallbacks;
+    _mces[mce_idx]->stretchNoise(stretch, rounds);
 }
 
 void
@@ -487,24 +485,13 @@ MasterController::decodeTile(std::size_t mce_idx)
     sendOnBus(mce_idx, residual.total() * decode::detectionEventBytes,
               _bytesSyndrome);
 
-    bool use_cluster = false;
-    if (_cfg.modelDecodeDeadline) {
-        const bool injected =
-            _faults.fire(sim::FaultSite::DecoderOverrun);
-        const bool analytic = _deadline.overruns(residual.total());
-        if (injected || analytic) {
-            // The exact matcher would miss the window: degrade to
-            // the union-find cluster decoder for this window, and
-            // charge the lateness as stretched noise on the tile.
-            ++_decoderOverruns;
-            ++_decoderFallbacks;
-            use_cluster = true;
-            _mces[mce_idx]->stretchNoise(
-                _deadline.stretch(residual.total()),
-                decodeWindow());
-        }
-    }
-    const decode::Correction corr = use_cluster
+    // An overrun (injected or analytic) means the exact matcher would
+    // miss the window: degrade to the union-find cluster decoder.
+    const bool fallback = _deadline.overruns(residual.total());
+    if (fallback)
+        recordFallback(mce_idx, _deadline.stretch(residual.total()),
+                       decodeWindow());
+    const decode::Correction corr = fallback
         ? _clusterDecoders[mce_idx].decode(residual)
         : _decoders[mce_idx].decode(residual);
     if (corr.weight() > 0)

@@ -72,7 +72,9 @@ struct MasterConfig
     /** Model the global decoder's real-time deadline: an MWPM
      *  decode that would overrun the window degrades to the
      *  union-find cluster decoder and the tile's noise is stretched
-     *  for the late window (host::delivery's inflation model). */
+     *  for the late window (host::delivery's inflation model).
+     *  Injected DecoderOverrun faults apply only under this model,
+     *  to offline decodes and streaming windows alike. */
     bool modelDecodeDeadline = false;
     ///@}
 
@@ -280,6 +282,8 @@ class MasterController
   private:
     MasterConfig _cfg;
     std::vector<std::unique_ptr<Mce>> _mces;
+    /** Per-tile offline matcher and its cluster fallback, which
+     *  borrows it; empty in streaming mode. */
     std::vector<decode::MwpmDecoder> _decoders;
     std::vector<decode::ClusterDecoder> _clusterDecoders;
     /** Per-tile streaming decoders; empty in offline mode. */
@@ -289,6 +293,7 @@ class MasterController
     std::size_t _roundsSinceDecode = 0;
 
     sim::FaultInjector _faults;
+    /** Offline decode deadline (streamers carry their own). */
     decode::DecodeDeadline _deadline;
     std::vector<std::size_t> _missedHeartbeats;
 
@@ -338,6 +343,14 @@ class MasterController
     /** Bus/fault accounting for one streaming window commit. */
     void commitStream(std::size_t mce_idx,
                       const decode::StreamCommit &commit);
+
+    /**
+     * Fallback bookkeeping shared by both decode paths: count the
+     * overrun and the degraded decode, and stretch the tile's noise
+     * by `stretch` for the next `rounds` rounds.
+     */
+    void recordFallback(std::size_t mce_idx, double stretch,
+                        std::size_t rounds);
 
     /** Flush tile i's streaming decoder (commit everything). */
     void flushStreamTile(std::size_t mce_idx);

@@ -95,7 +95,8 @@ ClusterDecoder::decodeType(const std::vector<DetectionEvent> &events,
     std::size_t max_round = 0;
     for (const auto &e : events)
         max_round = std::max(max_round, e.round);
-    const std::size_t radius_cap = _lattice->rows() + _lattice->cols()
+    const qecc::Lattice &lattice = _matcher->lattice();
+    const std::size_t radius_cap = lattice.rows() + lattice.cols()
         + max_round + 2;
 
     while (!all_neutral()) {
@@ -109,11 +110,11 @@ ClusterDecoder::decodeType(const std::vector<DetectionEvent> &events,
             for (std::size_t j = 0; j < n; ++j) {
                 if (j == i)
                     continue;
-                if (_matcher.distance(events[i], events[j])
+                if (_matcher->distance(events[i], events[j])
                         <= 2 * radius)
                     uf.unite(i, j);
             }
-            if (_matcher.boundaryDistance(events[i]) <= radius)
+            if (_matcher->boundaryDistance(events[i]) <= radius)
                 uf.markBoundary(i);
         }
     }
@@ -137,25 +138,14 @@ ClusterDecoder::decodeType(const std::vector<DetectionEvent> &events,
             std::max(stats.largestCluster, cluster.size());
 
     // Per-thread scratch: clusters are resolved thousands of times
-    // per sweep trial, so keep the event and path buffers warm.
+    // per sweep trial, so keep the event buffer warm.
     static thread_local std::vector<DetectionEvent> local;
-    static thread_local std::vector<std::size_t> path;
     for (const auto &cluster : clusters) {
         local.clear();
         local.reserve(cluster.size());
         for (std::size_t idx : cluster)
             local.push_back(events[idx]);
-        const MatchingResult mr = _matcher.matchEvents(local);
-        for (const Match &m : mr.matches) {
-            path.clear();
-            if (m.toBoundary)
-                _matcher.pathToBoundary(local[m.a].ancilla, path);
-            else
-                _matcher.pathBetween(local[m.a].ancilla,
-                                     local[m.b].ancilla, path);
-            for (std::size_t q : path)
-                bits[q] ^= 1;
-        }
+        _matcher->matchInto(local, bits);
     }
 }
 
@@ -173,8 +163,9 @@ ClusterDecoder::decode(const DetectionEvents &events,
     QUEST_TRACE_SCOPE("decode", "cluster_decode");
     ++_mDecodes;
 
-    std::vector<std::uint8_t> xflip(_lattice->numQubits(), 0);
-    std::vector<std::uint8_t> zflip(_lattice->numQubits(), 0);
+    const std::size_t sites = _matcher->lattice().numQubits();
+    std::vector<std::uint8_t> xflip(sites, 0);
+    std::vector<std::uint8_t> zflip(sites, 0);
 
     const std::size_t clusters_before = stats.clusters;
     const std::size_t growth_before = stats.growthSteps;
@@ -185,14 +176,7 @@ ClusterDecoder::decode(const DetectionEvents &events,
     if (stats.largestCluster > 0)
         _mClusterSize.record(stats.largestCluster);
 
-    Correction out;
-    for (std::size_t q = 0; q < xflip.size(); ++q) {
-        if (xflip[q])
-            out.xFlips.push_back(q);
-        if (zflip[q])
-            out.zFlips.push_back(q);
-    }
-    return out;
+    return Correction::fromFlipMaps(xflip, zflip);
 }
 
 } // namespace quest::decode

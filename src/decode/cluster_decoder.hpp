@@ -14,10 +14,12 @@
  * This implementation follows that scheme with one simplification:
  * intra-cluster pairing is delegated to the exact matcher (clusters
  * are tiny at any error rate where the code works, so this is both
- * fast and at least as accurate as peeling). It serves as the
- * scalable alternative to full MWPM and as a cross-check in tests:
- * both decoders must agree on correctability for all guaranteed
- * patterns.
+ * fast and at least as accurate as peeling). That matcher is
+ * borrowed, not owned: a tile has one MwpmDecoder, whose distance
+ * tables, boundary model and mask predicate both decoders read. It
+ * serves as the scalable alternative to full MWPM and as a
+ * cross-check in tests: both decoders must agree on correctability
+ * for all guaranteed patterns.
  */
 
 #ifndef QUEST_DECODE_CLUSTER_DECODER_HPP
@@ -43,8 +45,13 @@ struct ClusterStats
 class ClusterDecoder
 {
   public:
-    explicit ClusterDecoder(const qecc::Lattice &lattice)
-        : _lattice(&lattice), _matcher(lattice),
+    /**
+     * @param matcher The tile's matcher (must outlive the decoder):
+     *        it supplies distances, boundaries, masks and the
+     *        per-cluster pairing.
+     */
+    explicit ClusterDecoder(const MwpmDecoder &matcher)
+        : _matcher(&matcher),
           _mDecodes(sim::metrics::Registry::global().counter(
               "decode.cluster.decodes",
               "calls to ClusterDecoder::decode")),
@@ -57,13 +64,6 @@ class ClusterDecoder
               "decode.cluster.size", "events per resolved cluster"))
     {}
 
-    /** Forward a mask predicate to the boundary model. */
-    void
-    setMaskPredicate(MwpmDecoder::MaskPredicate masked)
-    {
-        _matcher.setMaskPredicate(std::move(masked));
-    }
-
     /** Decode all events; Z-check events give X corrections. */
     Correction decode(const DetectionEvents &events) const;
 
@@ -72,8 +72,7 @@ class ClusterDecoder
                       ClusterStats &stats) const;
 
   private:
-    const qecc::Lattice *_lattice;
-    MwpmDecoder _matcher;
+    const MwpmDecoder *_matcher;
 
     // Constructor-bound registry counters (no function-local
     // statics; they outlive registry resets).

@@ -165,6 +165,20 @@ Correction::merge(const Correction &other)
     xor_into(zFlips, other.zFlips);
 }
 
+Correction
+Correction::fromFlipMaps(const std::vector<std::uint8_t> &xflip,
+                         const std::vector<std::uint8_t> &zflip)
+{
+    Correction out;
+    for (std::size_t q = 0; q < xflip.size(); ++q) {
+        if (xflip[q])
+            out.xFlips.push_back(q);
+        if (zflip[q])
+            out.zFlips.push_back(q);
+    }
+    return out;
+}
+
 void
 applyCorrection(quantum::PauliFrame &frame, const Correction &corr)
 {

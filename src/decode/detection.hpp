@@ -109,6 +109,13 @@ struct Correction
 
     /** Merge another correction into this one (XOR semantics). */
     void merge(const Correction &other);
+
+    /**
+     * Fold per-site flip maps (one byte per lattice site, odd = flip)
+     * into a canonical correction: sorted, duplicate-free.
+     */
+    static Correction fromFlipMaps(const std::vector<std::uint8_t> &xflip,
+                                   const std::vector<std::uint8_t> &zflip);
 };
 
 /** Apply a correction to a Pauli frame. */

@@ -215,8 +215,7 @@ MwpmDecoder::distance(const DetectionEvent &a, const DetectionEvent &b) const
     if (!_spatial.empty()) {
         const std::uint32_t ia = _ancillaId[_lattice->index(a.ancilla)];
         const std::uint32_t ib = _ancillaId[_lattice->index(b.ancilla)];
-        return _spaceWeight * _spatial[ia * _numAncilla + ib]
-            + _timeWeight * dt;
+        return _spatial[ia * _numAncilla + ib] + dt;
     }
     const std::uint64_t dr = std::uint64_t(std::abs(a.ancilla.row
                                                     - b.ancilla.row));
@@ -224,7 +223,7 @@ MwpmDecoder::distance(const DetectionEvent &a, const DetectionEvent &b) const
                                                     - b.ancilla.col));
     QUEST_ASSERT(dr % 2 == 0 && dc % 2 == 0,
                  "same-type checks must differ by even steps");
-    return _spaceWeight * ((dr + dc) / 2) + _timeWeight * dt;
+    return (dr + dc) / 2 + dt;
 }
 
 std::uint64_t
@@ -275,7 +274,7 @@ MwpmDecoder::boundaryDistance(const DetectionEvent &e) const
     std::uint64_t dist = edgeDistance(e);
     if (const auto masked = nearestMaskedCheck(e))
         dist = std::min(dist, masked->first);
-    return _spaceWeight * dist;
+    return dist;
 }
 
 void
@@ -473,45 +472,37 @@ MwpmDecoder::matchEvents(const std::vector<DetectionEvent> &events) const
     return mr;
 }
 
+void
+MwpmDecoder::matchInto(const std::vector<DetectionEvent> &events,
+                       std::vector<std::uint8_t> &bits) const
+{
+    const MatchingResult mr = matchEvents(events);
+    std::vector<std::size_t> &path = scratch().path;
+    for (const Match &m : mr.matches) {
+        path.clear();
+        if (m.toBoundary)
+            pathToBoundary(events[m.a].ancilla, path);
+        else
+            pathBetween(events[m.a].ancilla, events[m.b].ancilla, path);
+        for (std::size_t q : path)
+            bits[q] ^= 1;
+    }
+}
+
 Correction
 MwpmDecoder::decode(const DetectionEvents &events) const
 {
     QUEST_TRACE_SCOPE("decode", "mwpm_decode");
     ++_mDecodes;
-    Correction out;
     Scratch &s = scratch();
 
     // Flip parity per data qubit, then collect odd-parity qubits.
     s.xflip.assign(_lattice->numQubits(), 0);
     s.zflip.assign(_lattice->numQubits(), 0);
-
-    const auto apply_matches =
-        [&](const std::vector<DetectionEvent> &evts,
-            std::vector<std::uint8_t> &bits) {
-            const MatchingResult mr = matchEvents(evts);
-            for (const Match &m : mr.matches) {
-                s.path.clear();
-                if (m.toBoundary)
-                    pathToBoundary(evts[m.a].ancilla, s.path);
-                else
-                    pathBetween(evts[m.a].ancilla, evts[m.b].ancilla,
-                                s.path);
-                for (std::size_t q : s.path)
-                    bits[q] ^= 1;
-            }
-        };
-
     // Z-check events locate X errors; X-check events locate Z errors.
-    apply_matches(events.zEvents, s.xflip);
-    apply_matches(events.xEvents, s.zflip);
-
-    for (std::size_t q = 0; q < s.xflip.size(); ++q) {
-        if (s.xflip[q])
-            out.xFlips.push_back(q);
-        if (s.zflip[q])
-            out.zFlips.push_back(q);
-    }
-    return out;
+    matchInto(events.zEvents, s.xflip);
+    matchInto(events.xEvents, s.zflip);
+    return Correction::fromFlipMaps(s.xflip, s.zflip);
 }
 
 } // namespace quest::decode

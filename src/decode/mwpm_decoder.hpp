@@ -93,26 +93,8 @@ class MwpmDecoder
         _masked = std::move(masked);
     }
 
-    /**
-     * Relative cost of crossing one round in time vs one data qubit
-     * in space. Matching weights are -log(p) ratios: when the
-     * measurement flip rate is lower than the data error rate,
-     * time-like edges should cost more than space-like ones (and
-     * vice versa). Both weights default to 1 (the balanced
-     * phenomenological model).
-     */
-    void
-    setEdgeWeights(std::uint64_t space_weight,
-                   std::uint64_t time_weight)
-    {
-        QUEST_ASSERT(space_weight > 0 && time_weight > 0,
-                     "edge weights must be positive");
-        _spaceWeight = space_weight;
-        _timeWeight = time_weight;
-    }
-
-    std::uint64_t spaceWeight() const { return _spaceWeight; }
-    std::uint64_t timeWeight() const { return _timeWeight; }
+    /** The code geometry this decoder matches on. */
+    const qecc::Lattice &lattice() const { return *_lattice; }
 
     /**
      * Decode all detection events into a correction.
@@ -123,6 +105,15 @@ class MwpmDecoder
     /** Match one same-type event set (exposed for tests/benches). */
     MatchingResult matchEvents(
         const std::vector<DetectionEvent> &events) const;
+
+    /**
+     * Match one same-type event set and XOR each matched path into
+     * `bits`, a flip map with one byte per lattice site. decode()
+     * runs this once per stabilizer type; ClusterDecoder once per
+     * cluster.
+     */
+    void matchInto(const std::vector<DetectionEvent> &events,
+                   std::vector<std::uint8_t> &bits) const;
 
     /**
      * Space-time distance between two same-type events: data qubits
@@ -154,8 +145,6 @@ class MwpmDecoder
     const qecc::Lattice *_lattice;
     std::size_t _exactLimit;
     MaskPredicate _masked;
-    std::uint64_t _spaceWeight = 1;
-    std::uint64_t _timeWeight = 1;
 
     /**
      * Per-lattice distance cache, built once at construction: the
@@ -165,8 +154,7 @@ class MwpmDecoder
      * dominated the profile. `_ancillaId` maps a lattice site index
      * to a compact ancilla id; `_spatial` holds (dr+dc)/2 for every
      * ancilla pair; `_edge` holds each ancilla's data-qubit count to
-     * the nearest lattice edge. Weights are applied at lookup so
-     * setEdgeWeights() stays cheap. Empty (= disabled) when the
+     * the nearest lattice edge. Empty (= disabled) when the
      * all-pairs table would be unreasonably large.
      */
     std::vector<std::uint32_t> _ancillaId;

@@ -16,6 +16,7 @@
 
 #include "lut_decoder.hpp"
 #include "mwpm_decoder.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
@@ -34,34 +35,48 @@ struct DeadlineConfig
 {
     /** Decode budget in ticks (the decode window); 0 disables. */
     sim::Tick windowTicks = 0;
-    sim::Tick mwpmBaseTicks = sim::nanoseconds(50);
-    sim::Tick mwpmTicksPerEventSq = sim::nanoseconds(20);
+    /** Source of injected overruns (FaultSite::DecoderOverrun);
+     *  null injects none. Must outlive the deadline. */
+    sim::FaultInjector *faults = nullptr;
 };
 
-/** Deadline arithmetic shared by the master and the benches. */
+/** The one overrun rule, shared by offline and streaming decode. */
 class DecodeDeadline
 {
   public:
+    /** Fixed cost of one MWPM decode. */
+    static constexpr sim::Tick mwpmBaseTicks = sim::nanoseconds(50);
+    /** Quadratic MWPM cost per squared residual event. */
+    static constexpr sim::Tick mwpmTicksPerEventSq =
+        sim::nanoseconds(20);
+
     DecodeDeadline() = default;
     explicit DecodeDeadline(const DeadlineConfig &cfg) : _cfg(cfg) {}
 
-    const DeadlineConfig &config() const { return _cfg; }
-
     /** Modelled MWPM decode time for a residual batch. */
-    sim::Tick
-    mwpmTicks(std::size_t events) const
+    static sim::Tick
+    mwpmTicks(std::size_t events)
     {
-        return _cfg.mwpmBaseTicks
-            + _cfg.mwpmTicksPerEventSq
-            * sim::Tick(events) * sim::Tick(events);
+        return mwpmBaseTicks
+            + mwpmTicksPerEventSq * sim::Tick(events)
+            * sim::Tick(events);
     }
 
-    /** Would an MWPM decode of this batch miss the window? */
+    /**
+     * Does an MWPM decode of this batch miss the window? Either the
+     * injector's DecoderOverrun trial fires or the modelled decode
+     * time exceeds the budget. With a budget the trial is drawn on
+     * every call, before the analytic check; without one (windowTicks
+     * == 0) nothing overruns and the injector is never touched.
+     */
     bool
     overruns(std::size_t events) const
     {
-        return _cfg.windowTicks != 0
-            && mwpmTicks(events) > _cfg.windowTicks;
+        if (_cfg.windowTicks == 0)
+            return false;
+        const bool injected = _cfg.faults != nullptr
+            && _cfg.faults->fire(sim::FaultSite::DecoderOverrun);
+        return injected || mwpmTicks(events) > _cfg.windowTicks;
     }
 
     /**

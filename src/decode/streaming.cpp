@@ -11,7 +11,7 @@ StreamingDecoder::StreamingDecoder(
     const qecc::SyndromeExtractor &extractor, const StreamConfig &cfg)
     : _extractor(&extractor), _cfg(cfg), _deadline(cfg.deadline),
       _lut(extractor.lattice()), _mwpm(extractor.lattice()),
-      _cluster(extractor.lattice()),
+      _cluster(_mwpm),
       _mWindows(sim::metrics::Registry::global().counter(
           "decode.stream.windows", "sliding decode windows decoded")),
       _mRounds(sim::metrics::Registry::global().counter(
@@ -48,13 +48,6 @@ StreamingDecoder::StreamingDecoder(
                      && _cfg.strideRounds <= _cfg.windowRounds,
                  "stream stride %zu must be in (0, window %zu]",
                  _cfg.strideRounds, _cfg.windowRounds);
-}
-
-void
-StreamingDecoder::setMaskPredicate(MwpmDecoder::MaskPredicate masked)
-{
-    _mwpm.setMaskPredicate(masked);
-    _cluster.setMaskPredicate(std::move(masked));
 }
 
 std::optional<StreamCommit>
@@ -221,12 +214,7 @@ StreamingDecoder::decodeWindow(bool flush)
         // errors -- same order as the offline decoders.
         decode_type(local.residual.zEvents, carry.zEvents, xflip);
         decode_type(local.residual.xEvents, carry.xEvents, zflip);
-        for (std::size_t q = 0; q < n; ++q) {
-            if (xflip[q])
-                global.xFlips.push_back(q);
-            if (zflip[q])
-                global.zFlips.push_back(q);
-        }
+        global = Correction::fromFlipMaps(xflip, zflip);
     }
     commit.deferredEvents = deferred;
     commit.correction = local.correction;

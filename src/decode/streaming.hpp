@@ -23,10 +23,11 @@
  *    becomes the next baseline, and the deferred events reappear
  *    identically in the next extraction (re-differencing against
  *    the carried baseline reproduces them bit for bit);
- *  - a window whose residual event count would overrun the
- *    DecodeDeadline degrades to the union-find ClusterDecoder over
- *    the commit region only (the PR-1 real-time fallback), reporting
- *    the lateness stretch for the noise model.
+ *  - a window the DecodeDeadline judges overrun (its residual
+ *    event count misses the budget, or an injected DecoderOverrun
+ *    fault fires) degrades to the union-find ClusterDecoder over
+ *    the commit region only, reporting the lateness stretch for
+ *    the noise model.
  *
  * Each window runs the same LUT -> MWPM two-level pipeline as the
  * offline path, so a single window spanning the entire shot (or a
@@ -45,6 +46,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cluster_decoder.hpp"
@@ -65,8 +67,9 @@ struct StreamConfig
      *  windowRounds == strideRounds gives non-overlapping windows
      *  (the offline master's cadence). */
     std::size_t strideRounds = 4;
-    /** Real-time decode budget; windowTicks == 0 disables the
-     *  ClusterDecoder fallback. */
+    /** Real-time decode budget per window; windowTicks == 0
+     *  disables the ClusterDecoder fallback (and its injected
+     *  overruns). */
     DeadlineConfig deadline;
 };
 
@@ -100,18 +103,26 @@ struct StreamCommit
  * Decode a continuous syndrome stream in overlapping windows.
  *
  * Not thread-safe: one instance per stream (per tile). The extractor
- * must outlive the decoder.
+ * must outlive the decoder. Neither copyable nor movable: the
+ * cluster fallback borrows the streamer's own matcher.
  */
 class StreamingDecoder
 {
   public:
     explicit StreamingDecoder(const qecc::SyndromeExtractor &extractor,
                               const StreamConfig &cfg = {});
+    StreamingDecoder(const StreamingDecoder &) = delete;
+    StreamingDecoder &operator=(const StreamingDecoder &) = delete;
 
     const StreamConfig &config() const { return _cfg; }
 
-    /** Forward a mask predicate to both global decoders. */
-    void setMaskPredicate(MwpmDecoder::MaskPredicate masked);
+    /** Mask predicate for the window matcher (the cluster fallback
+     *  reads it through the same matcher). */
+    void
+    setMaskPredicate(MwpmDecoder::MaskPredicate masked)
+    {
+        _mwpm.setMaskPredicate(std::move(masked));
+    }
 
     /**
      * Feed one extracted round. When the buffer reaches a full
@@ -151,6 +162,7 @@ class StreamingDecoder
 
     LutDecoder _lut;
     MwpmDecoder _mwpm;
+    /** Deadline fallback; borrows _mwpm. */
     ClusterDecoder _cluster;
 
     /** Buffered rounds awaiting a full window; front() is round

@@ -17,7 +17,14 @@ namespace quest::sim {
 
 #define QUEST_SIMD_W WordOpsAvx512
 #define QUEST_SIMD_NAME "avx512"
+// GCC 12 raises a false -Wuninitialized (-Wmaybe-uninitialized in
+// sanitizer builds) inside avx512fintrin.h for the kernels'
+// intrinsics; the kernels initialise every vector.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include "simd_kernels.inc"
+#pragma GCC diagnostic pop
 #undef QUEST_SIMD_W
 #undef QUEST_SIMD_NAME
 

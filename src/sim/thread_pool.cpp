@@ -1,7 +1,9 @@
 #include "thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 #include "logging.hpp"
 
@@ -12,6 +14,9 @@ namespace {
 /** Set while the current thread is inside a pool job: nested
     forRange calls run inline rather than deadlocking the pool. */
 thread_local bool t_inJob = false;
+
+/** Largest QUEST_THREADS honoured (the gate benches' --threads cap). */
+constexpr std::size_t maxEnvThreads = 1024;
 
 } // namespace
 
@@ -39,9 +44,15 @@ std::size_t
 ThreadPool::defaultThreads()
 {
     if (const char *env = std::getenv("QUEST_THREADS")) {
-        const long n = std::atol(env);
-        if (n >= 1)
-            return std::size_t(n);
+        // The whole string must be one count in [1, maxEnvThreads]:
+        // "4x" is a typo, not 4, and a runaway value must not spawn
+        // that many threads.
+        const char *end = env + std::strlen(env);
+        std::size_t n = 0;
+        const auto [ptr, ec] = std::from_chars(env, end, n);
+        if (ec == std::errc() && ptr == end && n >= 1
+            && n <= maxEnvThreads)
+            return n;
         warn("ignoring invalid QUEST_THREADS=%s", env);
     }
     const unsigned hw = std::thread::hardware_concurrency();

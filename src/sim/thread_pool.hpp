@@ -77,7 +77,8 @@ class ThreadPool
 
     /**
      * Default degree of parallelism: the QUEST_THREADS environment
-     * variable when set (>= 1), otherwise the hardware concurrency.
+     * variable when it is a whole decimal count in [1, 1024],
+     * otherwise (with a warning if set) the hardware concurrency.
      */
     static std::size_t defaultThreads();
 

@@ -157,9 +157,8 @@ class BudgetPass final : public Pass
 
         // --- Bandwidth ------------------------------------------------
         const std::size_t uop_bits =
-            a.design == core::MicrocodeDesign::Ram
-            ? isa::ramUopBits(opcodes, a.lattice->numQubits())
-            : isa::fifoUopBits(opcodes);
+            core::MicrocodeModel(*a.spec, a.technology)
+                .uopBits(a.design, a.lattice->numQubits());
         const double round_seconds = sim::ticksToSeconds(
             a.spec->roundDuration(tech::gateLatencies(a.technology)));
         const double required_uops =

@@ -5,7 +5,7 @@
  * The bound derivation and the soundness argument live in
  * timing.hpp and DESIGN.md §17; this file keeps the two abstract
  * machines (the closed-form in-order barrier pipeline and the
- * out-of-order front-sweep recurrence) and the admission check.
+ * out-of-order front-sweep recurrence).
  */
 
 #include "timing.hpp"
@@ -293,65 +293,6 @@ TimingOracle::boundOutOfOrder(const DependencyOracle &oracle,
     b.widthBoundCycles = wMax;
     b.totalBoundCycles = tMax;
     return b;
-}
-
-AdmissionDecision
-admitTiles(const std::vector<TileTimingRequest> &tiles,
-           const core::SchedulerConfig &cfg,
-           std::size_t sharedFetchBandwidth,
-           core::ArbiterPolicy policy)
-{
-    AdmissionDecision d;
-    d.sharedBandwidth = sharedFetchBandwidth;
-    if (tiles.empty()) {
-        d.admitted = true;
-        return d;
-    }
-    QUEST_ASSERT(sharedFetchBandwidth > 0,
-                 "admitTiles needs fetch bandwidth");
-
-    const TimingOracle oracle(cfg);
-    const FetchGrant grant = worstCaseGrant(
-        tiles.size(), cfg.fetchWidth, sharedFetchBandwidth, policy);
-
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-        const TileTimingRequest &req = tiles[i];
-        QUEST_ASSERT(req.oracle != nullptr,
-                     "admitTiles: tile %zu has no oracle", i);
-        QUEST_ASSERT(req.deadlineCycles > 0,
-                     "admitTiles: tile %zu has no deadline", i);
-        const std::size_t slots =
-            req.oracle->depth() * req.oracle->numQubits();
-        d.aggregateDemand +=
-            double(slots) / double(req.deadlineCycles);
-        const TimingBound b = oracle.bound(
-            *req.oracle, req.mode, 1, grant);
-        d.tileBoundCycles.push_back(b.totalBoundCycles);
-    }
-
-    if (d.aggregateDemand > double(sharedFetchBandwidth)) {
-        char msg[128];
-        std::snprintf(msg, sizeof(msg),
-                      "overcommit: aggregate fetch demand %.3f "
-                      "slots/cycle exceeds shared bandwidth %zu",
-                      d.aggregateDemand, sharedFetchBandwidth);
-        d.reason = msg;
-        return d;
-    }
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-        if (d.tileBoundCycles[i] > tiles[i].deadlineCycles) {
-            char msg[160];
-            std::snprintf(
-                msg, sizeof(msg),
-                "starvation: tile %zu worst-case round takes %zu "
-                "cycles under contention but its deadline is %zu",
-                i, d.tileBoundCycles[i], tiles[i].deadlineCycles);
-            d.reason = msg;
-            return d;
-        }
-    }
-    d.admitted = true;
-    return d;
 }
 
 namespace {

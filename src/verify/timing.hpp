@@ -44,9 +44,9 @@
  * rotating-priority grant (and, empirically, oldest-first on
  * homogeneous tiles), any N consecutive cycles grant a contending
  * tile at least min(f,B) slots on its priority cycle plus
- * min(f, B-(N-1)f) on each other cycle. `admitTiles()` turns this
- * into the static co-residency check ROADMAP item 1's multi-tenant
- * scheduler calls before placing programs on a shared substrate.
+ * min(f, B-(N-1)f) on each other cycle. The contention pass checks
+ * the bound under that grant against the round deadline for N
+ * co-resident copies of a tile.
  */
 
 #ifndef QUEST_VERIFY_TIMING_HPP
@@ -54,8 +54,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "core/scheduler.hpp"
 #include "dependency.hpp"
@@ -142,43 +140,6 @@ class TimingOracle
 
     core::SchedulerConfig _cfg;
 };
-
-/** One tile's admission request. */
-struct TileTimingRequest
-{
-    const DependencyOracle *oracle = nullptr;
-    core::SchedulingMode mode = core::SchedulingMode::InOrder;
-    /** Cycles available per round (the syndrome-cycle deadline). */
-    std::size_t deadlineCycles = 0;
-};
-
-/** The admission verdict for a candidate co-resident tile set. */
-struct AdmissionDecision
-{
-    bool admitted = false;
-    /** Sum over tiles of slotsPerRound / deadlineCycles. */
-    double aggregateDemand = 0.0;
-    /** The shared bandwidth the demand was checked against. */
-    std::size_t sharedBandwidth = 0;
-    /** Per-tile contended worst-case round cycles. */
-    std::vector<std::size_t> tileBoundCycles;
-    /** Empty when admitted; otherwise why the set was rejected. */
-    std::string reason;
-};
-
-/**
- * Static co-residency admission check (ROADMAP item 1): decide,
- * without running anything, whether every tile in the set meets its
- * per-round deadline when all of them contend for
- * `sharedFetchBandwidth` slots per cycle under `policy`. Rejects on
- * aggregate fetch-slot overcommit first, then on any tile whose
- * contended worst-case bound misses its deadline.
- */
-AdmissionDecision
-admitTiles(const std::vector<TileTimingRequest> &tiles,
-           const core::SchedulerConfig &cfg,
-           std::size_t sharedFetchBandwidth,
-           core::ArbiterPolicy policy);
 
 /** @name The timing verifier passes (see verifier.hpp). */
 ///@{

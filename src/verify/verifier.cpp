@@ -30,12 +30,6 @@ Verifier::Verifier()
     _passes.push_back(makeContentionPass());
 }
 
-void
-Verifier::addPass(std::unique_ptr<Pass> pass)
-{
-    _passes.push_back(std::move(pass));
-}
-
 Report
 Verifier::run(const TileArtifacts &artifacts) const
 {

@@ -138,9 +138,6 @@ class Verifier
     /** Constructs the standard seven-pass pipeline. */
     Verifier();
 
-    /** Append a custom pass after the standard ones. */
-    void addPass(std::unique_ptr<Pass> pass);
-
     /** Run every pass and collect the findings. */
     Report run(const TileArtifacts &artifacts) const;
 

@@ -24,7 +24,7 @@ using quest::sim::Rng;
 struct Harness
 {
     explicit Harness(std::size_t d)
-        : exp(d), cluster(lattice), mwpm(lattice)
+        : exp(d), mwpm(lattice), cluster(mwpm)
     {}
 
     DetectionEvents
@@ -44,8 +44,8 @@ struct Harness
     MemoryExperiment exp;
     const Lattice &lattice = exp.lattice();
     const SyndromeExtractor &extractor = exp.extractor();
-    ClusterDecoder cluster;
     MwpmDecoder mwpm;
+    ClusterDecoder cluster;
 };
 
 TEST(ClusterDecoder, EmptyEventsEmptyCorrection)
@@ -184,45 +184,27 @@ TEST(ClusterDecoder, TimeLikePairClusterNeedsNoDataCorrection)
     EXPECT_EQ(corr.weight(), 0u);
 }
 
-TEST(MwpmWeights, TimeWeightSteersMatching)
+TEST(ClusterDecoder, MatchesToTheTileMatchersMaskedBoundary)
 {
-    const Lattice lattice = Lattice::forDistance(5);
-    MwpmDecoder decoder(lattice);
+    // The cluster decoder reads its boundaries through the tile's
+    // matcher: masking a check there opens a defect boundary next to
+    // the event, closer than the lattice edge three data qubits
+    // north.
+    Harness h(7);
+    const Coord event{5, 6};
+    const Coord masked{7, 6};
+    const std::size_t masked_index = h.lattice.index(masked);
+    h.mwpm.setMaskPredicate(
+        [masked_index](std::size_t q) { return q == masked_index; });
 
-    // Two events two rounds apart at adjacent checks: with balanced
-    // weights the time-like pairing (cost 2) ties the space pairing
-    // plus rounds; raising the time weight makes spatial matching
-    // through the boundary cheaper.
-    const DetectionEvent a{0, Coord{1, 2}, SiteType::ZAncilla};
-    const DetectionEvent b{3, Coord{1, 2}, SiteType::ZAncilla};
-    EXPECT_EQ(decoder.distance(a, b), 3u);
-
-    decoder.setEdgeWeights(/*space=*/1, /*time=*/5);
-    EXPECT_EQ(decoder.distance(a, b), 15u);
-    // Boundary (1 data qubit) is now the cheap way out for each.
-    const MatchingResult mr = decoder.matchEvents({ a, b });
-    ASSERT_EQ(mr.matches.size(), 2u);
-    EXPECT_TRUE(mr.matches[0].toBoundary);
-    EXPECT_TRUE(mr.matches[1].toBoundary);
-}
-
-TEST(MwpmWeights, SpaceWeightScalesBoundary)
-{
-    const Lattice lattice = Lattice::forDistance(5);
-    MwpmDecoder decoder(lattice);
-    const DetectionEvent e{0, Coord{3, 2}, SiteType::ZAncilla};
-    const std::uint64_t base = decoder.boundaryDistance(e);
-    decoder.setEdgeWeights(3, 1);
-    EXPECT_EQ(decoder.boundaryDistance(e), base * 3);
-}
-
-TEST(MwpmWeights, ZeroWeightPanics)
-{
-    quest::sim::setQuiet(true);
-    const Lattice lattice = Lattice::forDistance(3);
-    MwpmDecoder decoder(lattice);
-    EXPECT_THROW(decoder.setEdgeWeights(0, 1), quest::sim::SimError);
-    quest::sim::setQuiet(false);
+    DetectionEvents events;
+    events.zEvents.push_back(
+        DetectionEvent{0, event, SiteType::ZAncilla});
+    const Correction corr = h.cluster.decode(events);
+    EXPECT_EQ(corr.xFlips,
+              std::vector<std::size_t>{h.lattice.index(Coord{6, 6})});
+    EXPECT_TRUE(corr.zFlips.empty());
+    EXPECT_EQ(corr.xFlips, h.mwpm.decode(events).xFlips);
 }
 
 } // namespace

@@ -115,6 +115,20 @@ TEST(Correction, MergeIsXor)
     EXPECT_TRUE(a.zFlips.empty());
 }
 
+TEST(Correction, FromFlipMapsFoldsOddSitesInOrder)
+{
+    // One byte per site; a site flipped an odd number of times is
+    // set. The fold is canonical: ascending, one entry per site.
+    const std::vector<std::uint8_t> xflip{0, 1, 0, 1, 1, 0};
+    const std::vector<std::uint8_t> zflip{1, 0, 0, 0, 0, 1};
+    const Correction c = Correction::fromFlipMaps(xflip, zflip);
+    EXPECT_EQ(c.xFlips, (std::vector<std::size_t>{1, 3, 4}));
+    EXPECT_EQ(c.zFlips, (std::vector<std::size_t>{0, 5}));
+
+    const std::vector<std::uint8_t> clean(6, 0);
+    EXPECT_EQ(Correction::fromFlipMaps(clean, clean).weight(), 0u);
+}
+
 /**
  * The pre-rewrite find+erase merge: for each incoming flip, cancel
  * one matching entry if present, otherwise append. The sort-and-

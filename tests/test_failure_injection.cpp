@@ -389,7 +389,8 @@ TEST(FailureInjection, ClusterDecoderSurvivesDenseEvents)
     const qecc::MemoryExperiment exp(5);
     const qecc::Lattice &lattice = exp.lattice();
     const qecc::SyndromeExtractor &extractor = exp.extractor();
-    const decode::ClusterDecoder decoder(lattice);
+    const decode::MwpmDecoder matcher(lattice);
+    const decode::ClusterDecoder decoder(matcher);
 
     quantum::PauliFrame frame(lattice.numQubits());
     const auto data = lattice.sites(qecc::SiteType::Data);

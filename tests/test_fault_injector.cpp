@@ -408,8 +408,6 @@ TEST(DecodeDeadline, QuadraticCostCrossesTheWindow)
 {
     decode::DeadlineConfig cfg;
     cfg.windowTicks = sim::nanoseconds(1000);
-    cfg.mwpmBaseTicks = sim::nanoseconds(50);
-    cfg.mwpmTicksPerEventSq = sim::nanoseconds(20);
     decode::DecodeDeadline dl(cfg);
 
     // 50 + 20 E^2 <= 1000  <=>  E <= 6.
@@ -421,6 +419,43 @@ TEST(DecodeDeadline, QuadraticCostCrossesTheWindow)
     EXPECT_DOUBLE_EQ(dl.stretch(10),
                      double(dl.mwpmTicks(10))
                          / double(cfg.windowTicks));
+}
+
+TEST(DecodeDeadline, DisabledWindowNeverDrawsInjectedOverruns)
+{
+    // No budget, no deadline model: the DecoderOverrun stream stays
+    // untouched even at rate 1, so a run without the model keeps
+    // every other consumer's fault stream where it was.
+    FaultInjector faults(FaultConfig::uniform(1.0));
+    decode::DeadlineConfig cfg; // windowTicks == 0
+    cfg.faults = &faults;
+    const decode::DecodeDeadline dl(cfg);
+    for (std::size_t events : {1u, 7u, 100000u})
+        EXPECT_FALSE(dl.overruns(events));
+    EXPECT_EQ(faults.trialCount(FaultSite::DecoderOverrun), 0u);
+}
+
+TEST(DecodeDeadline, InjectedOverrunDrawsOncePerDecode)
+{
+    // A generous budget: analytically nothing overruns, so every
+    // overrun below is injected. The trial is drawn on every call,
+    // including calls the analytic check alone would fail.
+    FaultInjector faults(FaultConfig::uniform(1.0));
+    decode::DeadlineConfig cfg;
+    cfg.windowTicks = sim::microseconds(1000);
+    cfg.faults = &faults;
+    const decode::DecodeDeadline dl(cfg);
+    EXPECT_TRUE(dl.overruns(1));
+    EXPECT_TRUE(dl.overruns(2));
+    EXPECT_EQ(faults.trialCount(FaultSite::DecoderOverrun), 2u);
+    EXPECT_DOUBLE_EQ(dl.stretch(2), 1.0);
+
+    // At rate 0 the site never fires and draws nothing.
+    FaultInjector quiet(FaultConfig::none());
+    cfg.faults = &quiet;
+    const decode::DecodeDeadline calm(cfg);
+    EXPECT_FALSE(calm.overruns(1));
+    EXPECT_EQ(quiet.trialCount(FaultSite::DecoderOverrun), 0u);
 }
 
 } // namespace

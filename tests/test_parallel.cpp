@@ -3,8 +3,11 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "sim/logging.hpp"
@@ -171,6 +174,65 @@ TEST(ParallelEngine, BodyExceptionPropagatesAndPoolSurvives)
         sum.fetch_add(i);
     });
     EXPECT_EQ(sum.load(), 99u * 100u / 2);
+}
+
+namespace {
+
+/**
+ * Sets QUEST_THREADS for one test and restores the caller's value
+ * afterwards. Only ThreadPool::defaultThreads() is queried under it:
+ * no pool is ever built from these values.
+ */
+class QuestThreadsEnv : public ::testing::Test
+{
+  protected:
+    QuestThreadsEnv()
+    {
+        if (const char *v = std::getenv("QUEST_THREADS"))
+            _saved = v;
+        unsetenv("QUEST_THREADS");
+        hardware = ThreadPool::defaultThreads();
+        quest::sim::setQuiet(true); // rejected values warn
+    }
+
+    ~QuestThreadsEnv() override
+    {
+        quest::sim::setQuiet(false);
+        if (_saved)
+            setenv("QUEST_THREADS", _saved->c_str(), 1);
+        else
+            unsetenv("QUEST_THREADS");
+    }
+
+    static std::size_t
+    threadsFor(const char *value)
+    {
+        setenv("QUEST_THREADS", value, 1);
+        return ThreadPool::defaultThreads();
+    }
+
+    /** defaultThreads() with QUEST_THREADS unset. */
+    std::size_t hardware = 0;
+
+  private:
+    std::optional<std::string> _saved;
+};
+
+} // namespace
+
+TEST_F(QuestThreadsEnv, AcceptsWholeCountsUpTo1024)
+{
+    EXPECT_EQ(threadsFor("4"), 4u);
+    EXPECT_EQ(threadsFor("1"), 1u);
+    EXPECT_EQ(threadsFor("1024"), 1024u);
+}
+
+TEST_F(QuestThreadsEnv, RejectsMalformedOrOutOfRangeCounts)
+{
+    for (const char *bad : {"4x", "3x", "5x", "0", "-3", "99999999",
+                            "1025", "", "abc", " 4", "4 ", "+4",
+                            "4.0", "18446744073709551616"})
+        EXPECT_EQ(threadsFor(bad), hardware) << "'" << bad << "'";
 }
 
 TEST(ParallelEngine, GlobalPoolAndDefaultThreads)

@@ -19,6 +19,7 @@
 #include "decode/streaming.hpp"
 #include "isa/trace.hpp"
 #include "qecc/memory_experiment.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -160,6 +161,42 @@ TEST_F(StreamingTest, DeadlineOverrunFallsBackToClusterDecoder)
     }
 }
 
+TEST_F(StreamingTest, InjectedOverrunDegradesEveryResidualWindow)
+{
+    // A budget no residual set can miss analytically: every fallback
+    // is an injected DecoderOverrun, drawn once per window with
+    // residual events, and leaves the noise unstretched.
+    quest::sim::FaultInjector faults(quest::sim::FaultConfig::uniform(1.0));
+    StreamConfig cfg;
+    cfg.windowRounds = 3;
+    cfg.strideRounds = 3;
+    cfg.deadline.windowTicks = quest::sim::milliseconds(1);
+    cfg.deadline.faults = &faults;
+
+    PauliFrame frame(lattice.numQubits());
+    frame.injectX(lattice.index(Coord{3, 3}));
+    frame.injectX(lattice.index(Coord{3, 5}));
+    auto history = extractor.runRounds(frame, nullptr, 3);
+    // Two quiet windows follow: nothing to decode, nothing drawn.
+    const auto quiet = extractor.runRounds(frame, nullptr, 6);
+    history.insert(history.end(), quiet.begin(), quiet.end());
+
+    StreamingDecoder streamer(extractor, cfg);
+    std::size_t windows = 0;
+    for (const auto &round : history) {
+        if (auto commit = streamer.pushRound(round)) {
+            EXPECT_EQ(commit->fallback, windows == 0)
+                << "window " << windows;
+            EXPECT_DOUBLE_EQ(commit->stretch, 1.0);
+            ++windows;
+        }
+    }
+    EXPECT_EQ(windows, 3u);
+    EXPECT_EQ(streamer.fallbacks(), 1u);
+    EXPECT_EQ(faults.trialCount(quest::sim::FaultSite::DecoderOverrun),
+              1u);
+}
+
 TEST_F(StreamingTest, QuietStreamCommitsNothing)
 {
     StreamConfig cfg;
@@ -223,6 +260,55 @@ TEST(StreamingMaster, WindowEqualsStrideMatchesOfflineCadence)
             << "tile " << i;
     }
     // The syndrome bus carries the same residual events either way.
+    EXPECT_DOUBLE_EQ(streaming.busBytesSyndrome(),
+                     offline.busBytesSyndrome());
+}
+
+TEST(StreamingMaster, InjectedOverrunsDegradeEveryResidualWindow)
+{
+    // Under a modelled deadline an injected decoder overrun degrades
+    // a streaming window exactly as it does an offline decode. At
+    // W == S every window is one offline decode window, and the
+    // offline path degrades each decode with residual events when
+    // the DecoderOverrun site fires at rate 1: the streaming master
+    // must degrade the same windows and leave the same tiles.
+    using namespace quest::core;
+
+    MasterConfig offline_cfg;
+    offline_cfg.numMces = 2;
+    offline_cfg.mce = tileConfigForLogicalQubits(3);
+    offline_cfg.mce.errorRates =
+        quest::quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3};
+    offline_cfg.decodeWindowRounds = 3;
+    offline_cfg.modelDecodeDeadline = true;
+    offline_cfg.faults.rate(quest::sim::FaultSite::DecoderOverrun) = 1.0;
+
+    MasterConfig stream_cfg = offline_cfg;
+    stream_cfg.streamWindowRounds = 3;
+    stream_cfg.streamStrideRounds = 3;
+
+    MasterController offline(offline_cfg);
+    MasterController streaming(stream_cfg);
+    offline.runRounds(30);
+    streaming.runRounds(30);
+
+    EXPECT_GT(offline.decoderOverruns(), 0.0);
+    EXPECT_EQ(streaming.decoderOverruns(), offline.decoderOverruns());
+    EXPECT_EQ(streaming.decoderFallbacks(), streaming.decoderOverruns());
+    std::size_t windows_degraded = 0;
+    for (std::size_t i = 0; i < 2; ++i) {
+        windows_degraded += streaming.streamer(i).fallbacks();
+        EXPECT_EQ(streaming.mce(i).correctionLedger().xWords(),
+                  offline.mce(i).correctionLedger().xWords())
+            << "tile " << i;
+        EXPECT_EQ(streaming.mce(i).correctionLedger().zWords(),
+                  offline.mce(i).correctionLedger().zWords())
+            << "tile " << i;
+        EXPECT_EQ(streaming.mce(i).residualErrorWeight(),
+                  offline.mce(i).residualErrorWeight())
+            << "tile " << i;
+    }
+    EXPECT_EQ(double(windows_degraded), streaming.decoderOverruns());
     EXPECT_DOUBLE_EQ(streaming.busBytesSyndrome(),
                      offline.busBytesSyndrome());
 }

@@ -222,7 +222,10 @@ runDecoderSweep(std::size_t threads)
     sim::ThreadPool pool(threads);
     const qecc::MemoryExperiment exp(5, Protocol::Steane, 3);
     const decode::MwpmDecoder exact(exp.lattice(), 12);
-    const decode::ClusterDecoder cluster(exp.lattice());
+    // The cluster decoder pairs within clusters through a matcher at
+    // the default exact limit.
+    const decode::MwpmDecoder matcher(exp.lattice());
+    const decode::ClusterDecoder cluster(matcher);
 
     constexpr std::uint64_t trials = 96;
     return sim::parallelMap<SweepOutcome>(pool, trials,

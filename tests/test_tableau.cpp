@@ -250,8 +250,9 @@ TEST(TableauProperty, InvariantsAcrossWordBoundaries)
               case 5: {
                 const std::size_t q = rng.uniformInt(n);
                 const int peek = t.peekZ(q);
-                if (peek >= 0)
+                if (peek >= 0) {
                     ASSERT_EQ(t.measureZ(q, rng) ? 1 : 0, peek);
+                }
                 break;
               }
             }

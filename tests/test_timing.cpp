@@ -9,7 +9,7 @@
  * the same seeded random-program corpus the replay-equivalence
  * harness trusts — while staying within 1.5x of the observed
  * cycles on every shipped protocol x design configuration (so the
- * bound is a usable admission signal, not just a true one).
+ * bound is a usable deadline check, not just a true one).
  *
  * Four batteries:
  *  1. model pins: latency constants, grant-window arithmetic, and
@@ -20,9 +20,8 @@
  *  3. contended soundness fuzz: N homogeneous tiles arbitrated
  *     over shared bandwidth under both policies, the contended
  *     grant bound covers every tile's observed schedule;
- *  4. admission: admitTiles() accepts every shipped single-tile
- *     config against its real syndrome deadline and rejects
- *     overcommitted / starved co-residency sets.
+ *  4. contended bound: worst-case arbitration phasing stretches
+ *     a round the tile alone finishes in time past its deadline.
  */
 
 #include <gtest/gtest.h>
@@ -34,8 +33,6 @@
 #include "core/microcode.hpp"
 #include "core/scheduler.hpp"
 #include "qecc/protocol.hpp"
-#include "sim/types.hpp"
-#include "tech/parameters.hpp"
 #include "verify/program.hpp"
 #include "verify/timing.hpp"
 #include "verify/verifier.hpp"
@@ -74,17 +71,6 @@ oracleFor(const verify::TileBundle &bundle)
         verify::expandRam(bundle.artifacts.ram);
     return DependencyOracle(*bundle.artifacts.lattice,
                             stream.qubits, stream.subCycles);
-}
-
-/** Syndrome-round deadline in JJ-clock cycles. */
-std::size_t
-deadlineCyclesFor(const qecc::ProtocolSpec &spec,
-                  tech::Technology technology)
-{
-    return std::size_t(
-        sim::ticksToSeconds(
-            spec.roundDuration(tech::gateLatencies(technology)))
-        * tech::jjClockHz);
 }
 
 // ---------------------------------------------------------------------------
@@ -326,76 +312,31 @@ TEST(TimingTightness, ShippedConfigsWithinOneAndAHalf)
 }
 
 // ---------------------------------------------------------------------------
-// Admission (ROADMAP item 1's static hook)
+// Contended bound against the round deadline
 // ---------------------------------------------------------------------------
 
-TEST(AdmitTiles, AdmitsEveryShippedSingleTileConfig)
-{
-    for (const qecc::Protocol protocol : qecc::allProtocols)
-        for (const tech::Technology technology :
-             tech::allTechnologies) {
-            core::MceConfig mce;
-            mce.protocol = protocol;
-            mce.technology = technology;
-            const verify::TileBundle bundle =
-                verify::buildTileBundle(mce);
-            const DependencyOracle dep = oracleFor(bundle);
-            const std::size_t deadline = deadlineCyclesFor(
-                qecc::protocolSpec(protocol), technology);
-            const verify::AdmissionDecision d = verify::admitTiles(
-                {{&dep, SchedulingMode::InOrder, deadline}},
-                SchedulerConfig{}, SchedulerConfig{}.fetchWidth,
-                ArbiterPolicy::RoundRobin);
-            EXPECT_TRUE(d.admitted)
-                << qecc::protocolSpec(protocol).name << " x "
-                << tech::technologyName(technology) << ": "
-                << d.reason;
-            EXPECT_EQ(d.tileBoundCycles.size(), 1u);
-        }
-}
-
-TEST(AdmitTiles, RejectsAggregateOvercommit)
-{
-    const RandomProgram p = makeRandomProgram(7);
-    const DependencyOracle dep = oracleFor(p);
-    // 16 tenants, each demanding its full round every 100 cycles,
-    // on a single shared fetch slot: hopeless.
-    std::vector<verify::TileTimingRequest> tiles(
-        16, {&dep, SchedulingMode::InOrder, 100});
-    const verify::AdmissionDecision d = verify::admitTiles(
-        tiles, SchedulerConfig{}, 1, ArbiterPolicy::RoundRobin);
-    EXPECT_FALSE(d.admitted);
-    EXPECT_GT(d.aggregateDemand, 1.0);
-    EXPECT_NE(d.reason.find("overcommit"), std::string::npos)
-        << d.reason;
-}
-
-TEST(AdmitTiles, RejectsPhasingStarvation)
+TEST(ContendedBound, PhasingStarvationMissesATightDeadline)
 {
     core::MceConfig mce; // Steane d=3 unit cell
     const verify::TileBundle bundle = verify::buildTileBundle(mce);
     const DependencyOracle dep = oracleFor(bundle);
-    // 8 tenants on bandwidth 8: aggregate demand fits easily, but
-    // each tile's worst-case grant is one priority burst every 8
-    // cycles, stretching the round past the tight deadline.
+    // 8 tiles on bandwidth 8: aggregate demand fits easily, but each
+    // tile's worst-case grant is one priority burst every 8 cycles,
+    // stretching the round past a deadline the tile alone meets.
     const std::size_t slots = dep.depth() * dep.numQubits();
     const std::size_t deadline = 2 * slots / 8 * 8;
-    std::vector<verify::TileTimingRequest> tiles(
-        8, {&dep, SchedulingMode::InOrder, deadline});
-    const verify::AdmissionDecision d = verify::admitTiles(
-        tiles, SchedulerConfig{}, 8, ArbiterPolicy::RoundRobin);
-    EXPECT_LE(d.aggregateDemand, 8.0);
-    EXPECT_FALSE(d.admitted);
-    EXPECT_NE(d.reason.find("starvation"), std::string::npos)
-        << d.reason;
-}
+    const std::size_t tiles = 8;
+    EXPECT_LE(double(tiles * slots) / double(deadline), 8.0);
 
-TEST(AdmitTiles, EmptySetIsAdmitted)
-{
-    const verify::AdmissionDecision d = verify::admitTiles(
-        {}, SchedulerConfig{}, 4, ArbiterPolicy::RoundRobin);
-    EXPECT_TRUE(d.admitted);
-    EXPECT_EQ(d.aggregateDemand, 0.0);
+    const SchedulerConfig cfg;
+    const TimingOracle oracle(cfg);
+    const TimingBound alone = oracle.bound(dep, SchedulingMode::InOrder);
+    const FetchGrant grant = verify::worstCaseGrant(
+        tiles, cfg.fetchWidth, 8, ArbiterPolicy::RoundRobin);
+    const TimingBound contended =
+        oracle.bound(dep, SchedulingMode::InOrder, 1, grant);
+    EXPECT_LE(alone.totalBoundCycles, deadline);
+    EXPECT_GT(contended.totalBoundCycles, deadline);
 }
 
 } // namespace

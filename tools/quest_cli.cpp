@@ -76,7 +76,9 @@ class Options
                        && std::strncmp(argv[i + 1], "--", 2) != 0) {
                 _values[arg] = argv[++i];
             } else {
-                _values[arg] = "1";
+                // Move-assign a temporary: assigning the literal trips
+                // GCC 12's -Wrestrict false positive at -O3.
+                _values[arg] = std::string("1");
             }
         }
     }
