@@ -28,6 +28,11 @@
  * the decoder — the sub-single-thread numbers once reported at
  * d=9 were exactly that.
  *
+ * The JSON's `metrics` section is captured before any timing: every
+ * configuration decodes its trial set exactly once, single-threaded,
+ * so the counters do not scale with the calibrated rep count and two
+ * runs of one build write the same section.
+ *
  * Flags: --smoke (CI-sized run), --threads=N (multi-thread degree,
  * default ThreadPool::defaultThreads()), --trials=N, --out=PATH,
  * --min-window-ms=N (timed-window floor, default 50),
@@ -40,8 +45,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,6 +95,39 @@ sampleAll(const qecc::MemoryExperiment &exp, double p,
         events.push_back(std::move(per_batch[i / lanes][i % lanes]));
     return events;
 }
+
+/** One distance's decoders and its pre-sampled trial set. */
+struct Workload
+{
+    explicit Workload(std::size_t d)
+        : distance(d), exp(d), exact(exp.lattice(), 14),
+          greedy(exp.lattice(), 0), cluster(exact)
+    {
+    }
+
+    /** Call f(name, decode_one) for each decoder under test. */
+    template <typename F>
+    void
+    forEachDecoder(F &&f) const
+    {
+        f("mwpm_exact", [this](const decode::DetectionEvents &e) {
+            return exact.decode(e);
+        });
+        f("mwpm_greedy", [this](const decode::DetectionEvents &e) {
+            return greedy.decode(e);
+        });
+        f("uf_cluster", [this](const decode::DetectionEvents &e) {
+            return cluster.decode(e);
+        });
+    }
+
+    std::size_t distance;
+    qecc::MemoryExperiment exp;
+    decode::MwpmDecoder exact;
+    decode::MwpmDecoder greedy;
+    decode::ClusterDecoder cluster;
+    std::vector<decode::DetectionEvents> events;
+};
 
 /** One timed run: per-trial latencies plus total wall time. */
 struct Timing
@@ -229,30 +269,41 @@ main(int argc, char **argv)
         smoke ? std::vector<std::size_t>{5}
               : std::vector<std::size_t>{5, 9};
 
-    std::vector<ConfigResult> results;
+    // A deque never moves its elements, and each Workload's
+    // decoders reference its lattice.
+    std::deque<Workload> workloads;
     for (const std::size_t d : distances) {
-        const qecc::MemoryExperiment exp(d);
-        const decode::MwpmDecoder exact(exp.lattice(), 14);
-        const decode::MwpmDecoder greedy(exp.lattice(), 0);
-        const decode::ClusterDecoder cluster(exact);
-        const std::vector<decode::DetectionEvents> events =
-            sampleAll(exp, p, trials, pool);
+        Workload &w = workloads.emplace_back(d);
+        w.events = sampleAll(w.exp, p, trials, pool);
+    }
 
-        const auto run = [&](const std::string &name,
-                             const auto &decode_one) {
+    // The cycle-accounting snapshot: one untimed single-thread
+    // decode per trial per decoder, captured before calibration.
+    for (const Workload &w : workloads) {
+        w.forEachDecoder([&](const char *, const auto &decode_one) {
+            for (const decode::DetectionEvents &e : w.events)
+                decode_one(e);
+        });
+    }
+    std::ostringstream metrics_json;
+    sim::metricsWriteJson(metrics_json);
+
+    std::vector<ConfigResult> results;
+    for (const Workload &w : workloads) {
+        w.forEachDecoder([&](const char *name, const auto &decode_one) {
             ConfigResult r;
-            r.distance = d;
+            r.distance = w.distance;
             r.decoder = name;
             std::vector<std::uint64_t> w_single, w_multi;
             // Calibrate the rep count on a warm single-thread
             // probe, then time both runs over identical work.
             const Timing probe =
-                runTrials(serial, events, decode_one, w_single, 1);
+                runTrials(serial, w.events, decode_one, w_single, 1);
             const std::uint64_t reps = bench::calibrateReps(
                 probe.wallSeconds, min_window_ms / 1e3);
-            r.single = runTrials(serial, events, decode_one,
+            r.single = runTrials(serial, w.events, decode_one,
                                  w_single, reps);
-            r.multi = runTrials(pool, events, decode_one,
+            r.multi = runTrials(pool, w.events, decode_one,
                                 w_multi, reps);
             r.scaling = r.single.trialsPerSec > 0.0
                 ? r.multi.trialsPerSec / r.single.trialsPerSec
@@ -261,17 +312,8 @@ main(int argc, char **argv)
             QUEST_ASSERT(r.deterministic,
                          "multi-thread decode diverged from "
                          "single-thread on %s d=%zu",
-                         name.c_str(), d);
+                         name, w.distance);
             results.push_back(r);
-        };
-        run("mwpm_exact", [&](const decode::DetectionEvents &e) {
-            return exact.decode(e);
-        });
-        run("mwpm_greedy", [&](const decode::DetectionEvents &e) {
-            return greedy.decode(e);
-        });
-        run("uf_cluster", [&](const decode::DetectionEvents &e) {
-            return cluster.decode(e);
         });
     }
 
@@ -317,9 +359,7 @@ main(int argc, char **argv)
            << (r.deterministic ? "true" : "false") << "\n  }"
            << (i + 1 < results.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"metrics\": ";
-    sim::metricsWriteJson(os);
-    os << "\n}\n";
+    os << "  ],\n  \"metrics\": " << metrics_json.str() << "\n}\n";
     std::cout << "\nwrote " << out_path << "\n";
 
     if (check_scaling > 0.0) {

@@ -62,7 +62,7 @@ runPoint(double fault_rate)
         pt.residualWeight += master.mce(i).residualErrorWeight();
     pt.retransmits = master.network().retransmits();
     pt.scrubs = master.scrubCount();
-    pt.fallbacks = master.decoderFallbacks();
+    pt.fallbacks = master.decoderOverruns();
     pt.quarantines = master.quarantineCount();
     pt.busBytes = master.totalBusBytes()
         + master.network().protocolOverheadBytes();

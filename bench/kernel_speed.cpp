@@ -23,9 +23,7 @@
  * Flags: --smoke (CI-sized run), --check (exit non-zero unless the
  * digests match and the batched sweep is at least as fast as the
  * scalar one), --threads=N (multi-threaded batched row),
- * --out=PATH. The active SIMD dispatch target (it runs BatchRng's
- * mask kernel) is recorded in the JSON so perf trajectories compare
- * like targets.
+ * --out=PATH.
  */
 
 #include <algorithm>
@@ -41,9 +39,7 @@
 #include "decode/detection.hpp"
 #include "qecc/memory_experiment.hpp"
 #include "sim/logging.hpp"
-#include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
-#include "sim/simd.hpp"
 #include "sim/table.hpp"
 
 namespace {
@@ -197,8 +193,6 @@ main(int argc, char **argv)
         flags.text("--out", "BENCH_kernel_speed.json");
     flags.done();
 
-    sim::metrics::Registry::global().reset();
-
     const double min_seconds = smoke ? 0.02 : 0.2;
 
     // Frame sweeps at d=7: d noisy rounds + one quiet round per
@@ -272,10 +266,7 @@ main(int argc, char **argv)
                     std::to_string(frames.parThreads) + "T", "-", b1,
                     "-" });
     }
-    const char *simd_target =
-        sim::simdTargetName(sim::simdActiveTarget());
-    table.caption("simd " + std::string(simd_target)
-                  + "; frame digests "
+    table.caption("frame digests "
                   + std::string(frames.identical ? "match"
                                                  : "DIVERGE")
                   + ": lane t of batch b is trial b*64+t");
@@ -284,7 +275,6 @@ main(int argc, char **argv)
     std::ofstream os(out_path);
     os << "{\n  \"bench\": \"kernel_speed\",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"simd_target\": \"" << simd_target << "\",\n"
        << "  \"frames\": {\n"
        << "    \"distance\": " << frames.distance << ",\n"
        << "    \"trials\": " << frames.trials << ",\n"
@@ -302,10 +292,7 @@ main(int argc, char **argv)
     os << "    \"parallel_threads\": " << frames.parThreads << ",\n"
        << "    \"speedup\": " << frames.speedup() << ",\n"
        << "    \"digests_identical\": "
-       << (frames.identical ? "true" : "false") << "\n  },\n"
-       << "  \"metrics\": ";
-    sim::metricsWriteJson(os);
-    os << "\n}\n";
+       << (frames.identical ? "true" : "false") << "\n  }\n}\n";
     std::cout << "\nwrote " << out_path << "\n";
 
     if (check) {

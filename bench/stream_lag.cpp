@@ -10,23 +10,17 @@
  * decodes the same shots through DecoderPipeline; its "lag" is the
  * whole shot by construction.
  *
- * A merge micro-bench rides along: Correction::merge was rewritten
- * from O(n^2) find+erase to sort-and-cancel, and this bench tracks
- * ns/merge for both so the speedup stays visible across PRs.
- *
  * Flags:
  *   --smoke      CI-sized run (d=5 only, fewer trials)
  *   --trials=N   shots per configuration
  *   --out=PATH   JSON output (default BENCH_stream_lag.json)
  *   --check      gate mode: exit 1 unless (a) the full-shot
  *                single-window stream is bit-identical to the
- *                offline pipeline on every trial, (b) every windowed
- *                shape clears the syndrome on every trial, and
- *                (c) the merge rewrite is parity-equal to the
- *                find+erase reference on randomized inputs.
+ *                offline pipeline on every trial, and (b) every
+ *                windowed shape clears the syndrome on every trial.
  */
 
-#include <algorithm>
+#include <cstdio>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -62,100 +56,6 @@ struct ConfigResult
     double lagP50 = 0.0;
     double lagP99 = 0.0;
 };
-
-/** The pre-rewrite find+erase merge, kept as the timing baseline. */
-void
-referenceMerge(std::vector<std::size_t> &dst,
-               const std::vector<std::size_t> &src)
-{
-    for (const std::size_t q : src) {
-        const auto it = std::find(dst.begin(), dst.end(), q);
-        if (it != dst.end())
-            dst.erase(it);
-        else
-            dst.push_back(q);
-    }
-}
-
-struct MergeBench
-{
-    std::size_t flips = 0;
-    double oldNsPerOp = 0.0;
-    double newNsPerOp = 0.0;
-    bool parity = true;
-};
-
-MergeBench
-benchMerge(std::uint64_t reps, std::size_t flips)
-{
-    // Deterministic pseudo-random flip lists over a 4096-qubit
-    // tile. Both loops copy the same destination list from lhs; the
-    // new path's source Correction is pre-built so only the merge
-    // itself is timed.
-    std::uint64_t state = 0x9E3779B97F4A7C15ull ^ flips;
-    const auto next = [&state] {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        return state;
-    };
-    std::vector<std::vector<std::size_t>> lhs(reps);
-    std::vector<decode::Correction> rhs(reps);
-    for (std::uint64_t r = 0; r < reps; ++r) {
-        for (std::size_t i = 0; i < flips; ++i) {
-            lhs[r].push_back(next() % 4096);
-            rhs[r].xFlips.push_back(next() % 4096);
-        }
-    }
-
-    MergeBench mb;
-    mb.flips = flips;
-    std::size_t sink = 0;
-    const auto t0 = Clock::now();
-    std::vector<std::vector<std::size_t>> ref(reps);
-    for (std::uint64_t r = 0; r < reps; ++r) {
-        ref[r] = lhs[r];
-        referenceMerge(ref[r], rhs[r].xFlips);
-        sink += ref[r].size();
-    }
-    const auto t1 = Clock::now();
-    std::vector<decode::Correction> merged(reps);
-    for (std::uint64_t r = 0; r < reps; ++r) {
-        merged[r].xFlips = lhs[r];
-        merged[r].merge(rhs[r]);
-        sink += merged[r].xFlips.size();
-    }
-    const auto t2 = Clock::now();
-    if (sink == 0) // defeat dead-code elimination
-        std::cerr << "";
-
-    const double old_ns = double(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    const double new_ns = double(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
-            .count());
-    mb.oldNsPerOp = old_ns / double(reps);
-    mb.newNsPerOp = new_ns / double(reps);
-
-    // Parity equivalence: per-qubit XOR semantics must agree even
-    // with repeated entries.
-    for (std::uint64_t r = 0; r < reps && mb.parity; ++r) {
-        std::vector<std::size_t> want = ref[r];
-        std::sort(want.begin(), want.end());
-        std::vector<std::size_t> folded;
-        for (std::size_t i = 0; i < want.size();) {
-            std::size_t j = i;
-            while (j < want.size() && want[j] == want[i])
-                ++j;
-            if ((j - i) % 2)
-                folded.push_back(want[i]);
-            i = j;
-        }
-        mb.parity = folded == merged[r].xFlips;
-    }
-    return mb;
-}
 
 } // namespace
 
@@ -299,23 +199,6 @@ main(int argc, char **argv)
         }
     }
 
-    // Merge sizes span the regimes: a handful of flips (one quiet
-    // window) where find+erase's small constant wins, through the
-    // large residual batches where its O(n^2) scan dominated.
-    const std::vector<std::pair<std::size_t, std::uint64_t>>
-        merge_sizes = { { 16, 2000 }, { 256, 400 }, { 2048, 50 } };
-    std::vector<MergeBench> merges;
-    for (const auto &[flips, base_reps] : merge_sizes) {
-        merges.push_back(
-            benchMerge(smoke ? base_reps : base_reps * 8, flips));
-        if (check && !merges.back().parity) {
-            std::cout << "check: merge rewrite diverged from "
-                         "find+erase parity at " << flips
-                      << " flips\n";
-            ++gate_failures;
-        }
-    }
-
     sim::Table table("Streaming decode lag (p=" + std::to_string(p)
                      + ", " + std::to_string(trials) + " shots)");
     table.header({ "distance", "window x stride", "failures",
@@ -333,15 +216,6 @@ main(int argc, char **argv)
                   "sliding windows bound it by window size at the "
                   "cost of committing matches early");
     table.print(std::cout);
-    for (const MergeBench &mb : merges)
-        std::printf("merge @%zu flips: find+erase %.0f ns/op, "
-                    "sort-and-cancel %.0f ns/op (%.1fx), parity "
-                    "%s\n",
-                    mb.flips, mb.oldNsPerOp, mb.newNsPerOp,
-                    mb.newNsPerOp > 0.0
-                        ? mb.oldNsPerOp / mb.newNsPerOp
-                        : 0.0,
-                    mb.parity ? "ok" : "DIVERGED");
 
     std::ofstream os(out_path);
     os << "{\n  \"bench\": \"stream_lag\",\n"
@@ -360,15 +234,6 @@ main(int argc, char **argv)
            << r.lagP99 << "}"
            << (i + 1 < results.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"merge\": [\n";
-    for (std::size_t i = 0; i < merges.size(); ++i) {
-        const MergeBench &mb = merges[i];
-        os << "  {\"flips\": " << mb.flips
-           << ", \"find_erase_ns\": " << mb.oldNsPerOp
-           << ", \"sort_cancel_ns\": " << mb.newNsPerOp
-           << ", \"parity\": " << (mb.parity ? "true" : "false")
-           << "}" << (i + 1 < merges.size() ? "," : "") << "\n";
-    }
     os << "  ],\n  \"metrics\": ";
     sim::metricsWriteJson(os);
     os << "\n}\n";
@@ -380,8 +245,8 @@ main(int argc, char **argv)
                       << " gate failure(s)\n";
             return 1;
         }
-        std::cout << "check: full-shot equivalence, syndrome "
-                     "closure and merge parity all hold\n";
+        std::cout << "check: full-shot equivalence and syndrome "
+                     "closure both hold\n";
     }
     return 0;
 }

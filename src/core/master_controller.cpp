@@ -85,10 +85,8 @@ MasterController::MasterController(const MasterConfig &cfg)
                  "parity-masked flips cleared by an image rewrite"),
       _scrubs("faults.scrubs", "microcode image re-uploads"),
       _decoderOverruns("faults.decoder_overruns",
-                       "global decodes past the window deadline"),
-      _decoderFallbacks(
-          "faults.decoder_fallbacks",
-          "windows degraded to the union-find cluster decoder"),
+                       "decodes past the window deadline, degraded "
+                       "to the union-find cluster decoder"),
       _heartbeats("faults.heartbeats", "watchdog heartbeats sent"),
       _heartbeatsMissed("faults.heartbeats_missed",
                         "heartbeats a wedged MCE failed to answer"),
@@ -458,7 +456,6 @@ MasterController::recordFallback(std::size_t mce_idx, double stretch,
 {
     // The late window is charged as stretched noise on the tile.
     ++_decoderOverruns;
-    ++_decoderFallbacks;
     _mces[mce_idx]->stretchNoise(stretch, rounds);
 }
 

@@ -215,10 +215,6 @@ class MasterController
     {
         return double(_decoderOverruns.value());
     }
-    double decoderFallbacks() const
-    {
-        return double(_decoderFallbacks.value());
-    }
     double heartbeatsSent() const { return double(_heartbeats.value()); }
     double heartbeatsMissed() const
     {
@@ -326,7 +322,6 @@ class MasterController
     sim::metrics::Tally _seuSilent;
     sim::metrics::Tally _scrubs;
     sim::metrics::Tally _decoderOverruns;
-    sim::metrics::Tally _decoderFallbacks;
     sim::metrics::Tally _heartbeats;
     sim::metrics::Tally _heartbeatsMissed;
     sim::metrics::Tally _hangsInjected;

@@ -15,7 +15,7 @@
  * word operations instead of 2n per-bit get/set round trips; the
  * sign row is a bit-vector updated with the same word ops. The
  * kernels are plain std::uint64_t loops: the tableau is a
- * validation oracle, not a hot path, so it carries no SIMD dispatch.
+ * validation oracle, not a hot path, so it has no per-ISA clones.
  *
  * Random measurement collapses do every required rowsum
  * simultaneously via a row-mask (one XOR per column word) with the

@@ -6,7 +6,7 @@
  * BatchRng holds 64 independent xoshiro256** generators in
  * structure-of-arrays layout: state word k of lane t lives at
  * _s{k}[t], so stepping all lanes is a flat loop of shifts/xors over
- * contiguous arrays, run on the dispatched SIMD kernel — no per-draw
+ * contiguous arrays that the compiler vectorizes — no per-draw
  * call overhead, which is what actually bounds the batched engine's
  * trials/sec (the frame updates themselves are already one word op
  * per 64 trials).
@@ -89,12 +89,10 @@ class BatchRng
   private:
     /**
      * Advance every lane once and pack the per-lane compares
-     * (r >> 11) < threshold into a lane mask, on the dispatched
-     * SIMD backend (simdKernels().rngThresholdMask). The kernel is
-     * written multiply-free ((s1 << 2) + s1 for *5, (r7 << 3) + r7
-     * for *9) because no pre-AVX-512 level has a packed 64-bit
-     * multiply; every backend runs the identical arithmetic, so the
-     * mask (and the lane states) are bit-identical across targets.
+     * (r >> 11) < threshold into a lane mask. One loop in
+     * batch_random.cpp, cloned per x86 ISA level; every clone runs
+     * the same arithmetic, so the mask (and the lane states) are
+     * bit-identical across hosts.
      */
     std::uint64_t thresholdMask(std::uint64_t threshold);
 

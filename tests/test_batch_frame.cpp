@@ -108,15 +108,14 @@ TEST(BatchFrame, KernelsMatchScalarOpForOp)
 // Full memory-experiment equivalence per distance.
 // ---------------------------------------------------------------
 
-class BatchSweepDifferential
-    : public ::testing::TestWithParam<std::size_t>
+/**
+ * Two batches of a distance-d memory experiment under `rates`: each
+ * lane must equal the scalar shot of its trial's substream.
+ */
+void
+expectLanesMatchScalarTrials(std::size_t d, const ErrorRates &rates)
 {
-};
-
-TEST_P(BatchSweepDifferential, LanesMatchScalarTrials)
-{
-    const qecc::MemoryExperiment exp(GetParam());
-    const ErrorRates rates = ErrorRates::uniform(2e-3);
+    const qecc::MemoryExperiment exp(d);
     BatchPauliFrame frame(exp.lattice().numQubits());
     std::vector<qecc::BatchSyndromeRound> history;
 
@@ -161,7 +160,38 @@ TEST_P(BatchSweepDifferential, LanesMatchScalarTrials)
     }
 }
 
+class BatchSweepDifferential
+    : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(BatchSweepDifferential, LanesMatchScalarTrials)
+{
+    expectLanesMatchScalarTrials(GetParam(), ErrorRates::uniform(2e-3));
+}
+
 INSTANTIATE_TEST_SUITE_P(Distances, BatchSweepDifferential,
+                         ::testing::Values(3u, 5u, 7u));
+
+/**
+ * The same differential where most lane masks carry hits, with a
+ * distinct rate per channel: a swapped channel draw order or a
+ * mis-resolved hit lane, which sparse uniform noise rarely exposes,
+ * shows up in every batch.
+ */
+class BatchSweepDifferentialHighRate
+    : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(BatchSweepDifferentialHighRate, LanesMatchScalarTrials)
+{
+    expectLanesMatchScalarTrials(GetParam(),
+                                 ErrorRates{ 0.02, 0.01, 0.03, 0.015,
+                                             0.025 });
+}
+
+INSTANTIATE_TEST_SUITE_P(Distances, BatchSweepDifferentialHighRate,
                          ::testing::Values(3u, 5u, 7u));
 
 // ---------------------------------------------------------------

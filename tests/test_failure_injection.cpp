@@ -246,11 +246,72 @@ TEST(ClassicalFaults, DecoderDeadlineFallsBackToClusterDecoder)
     core::MasterController master(cfg);
 
     EXPECT_NO_THROW(master.runRounds(64));
-    EXPECT_GT(master.decoderFallbacks(), 0.0);
-    EXPECT_EQ(master.decoderOverruns(), master.decoderFallbacks());
+    EXPECT_GT(master.decoderOverruns(), 0.0);
     // The union-find fallback still keeps the tiles decoded.
     for (std::size_t i = 0; i < master.numMces(); ++i)
         EXPECT_LE(master.mce(i).residualErrorWeight(), 12u);
+}
+
+/**
+ * Injected overruns apply only under the deadline model: with it off,
+ * an overrun rate of 1 on either decode path counts no overrun and
+ * reproduces the fault-free run's bus bytes and residuals exactly.
+ */
+void
+expectOverrunInjectionInertWithoutDeadline(core::MasterConfig plain)
+{
+    core::MasterConfig injected = plain;
+    injected.faults.rate(sim::FaultSite::DecoderOverrun) = 1.0;
+    ASSERT_FALSE(injected.modelDecodeDeadline);
+
+    core::MasterController a(plain), b(injected);
+    a.runRounds(64);
+    b.runRounds(64);
+
+    ASSERT_GT(a.busBytesSyndrome(), 0.0); // windows were decoded
+    EXPECT_EQ(b.decoderOverruns(), 0.0);
+    EXPECT_DOUBLE_EQ(a.totalBusBytes(), b.totalBusBytes());
+    EXPECT_DOUBLE_EQ(a.busBytesSyndrome(), b.busBytesSyndrome());
+    for (std::size_t i = 0; i < a.numMces(); ++i)
+        EXPECT_EQ(a.mce(i).residualErrorWeight(),
+                  b.mce(i).residualErrorWeight());
+}
+
+TEST(ClassicalFaults, OverrunInjectionWithoutDeadlineIsInert)
+{
+    expectOverrunInjectionInertWithoutDeadline(faultyMaster());
+}
+
+TEST(ClassicalFaults, StreamingOverrunInjectionWithoutDeadlineIsInert)
+{
+    core::MasterConfig cfg = faultyMaster();
+    cfg.streamWindowRounds = 6;
+    cfg.streamStrideRounds = 3;
+    expectOverrunInjectionInertWithoutDeadline(cfg);
+}
+
+/**
+ * The deadline model alone does not degrade a healthy tile: at
+ * 1e-3 noise every d=3 window's modelled matcher time fits its
+ * budget, so no decode overruns and the run matches one without
+ * the model.
+ */
+TEST(ClassicalFaults, DeadlineModelAloneNeverOverrunsAtLowNoise)
+{
+    core::MasterConfig plain = faultyMaster();
+    core::MasterConfig modelled = plain;
+    modelled.modelDecodeDeadline = true;
+
+    core::MasterController a(plain), b(modelled);
+    a.runRounds(64);
+    b.runRounds(64);
+
+    ASSERT_GT(a.busBytesSyndrome(), 0.0); // windows were decoded
+    EXPECT_EQ(b.decoderOverruns(), 0.0);
+    EXPECT_DOUBLE_EQ(a.totalBusBytes(), b.totalBusBytes());
+    for (std::size_t i = 0; i < a.numMces(); ++i)
+        EXPECT_EQ(a.mce(i).residualErrorWeight(),
+                  b.mce(i).residualErrorWeight());
 }
 
 TEST(ClassicalFaults, WatchdogQuarantinesAndResumesWedgedMce)
@@ -322,7 +383,7 @@ TEST(ClassicalFaults, FullFaultSoupCompletesWithAllCountersLive)
     EXPECT_EQ(master.roundsRun(), 256u);
     EXPECT_GT(master.network().retransmits(), 0.0);
     EXPECT_GT(master.seuInjected(), 0.0);
-    EXPECT_GT(master.decoderFallbacks(), 0.0);
+    EXPECT_GT(master.decoderOverruns(), 0.0);
     EXPECT_GT(master.hangsInjected(), 0.0);
     EXPECT_GT(master.heartbeatsSent(), 0.0);
     quest::sim::setQuiet(false);
@@ -348,7 +409,7 @@ TEST(ClassicalFaults, FaultyRunReplaysBitForBitUnderFixedSeed)
                      b.network().retransmits());
     EXPECT_DOUBLE_EQ(a.seuInjected(), b.seuInjected());
     EXPECT_DOUBLE_EQ(a.scrubCount(), b.scrubCount());
-    EXPECT_DOUBLE_EQ(a.decoderFallbacks(), b.decoderFallbacks());
+    EXPECT_DOUBLE_EQ(a.decoderOverruns(), b.decoderOverruns());
     EXPECT_DOUBLE_EQ(a.quarantineCount(), b.quarantineCount());
     for (std::size_t i = 0; i < a.numMces(); ++i)
         EXPECT_EQ(a.mce(i).residualErrorWeight(),

@@ -1,13 +1,12 @@
 /**
  * @file
  * Tests for the host-side delivery path (the Section-3.4
- * determinism argument) and the thermal hierarchy.
+ * determinism argument).
  */
 
 #include <gtest/gtest.h>
 
 #include "host/delivery.hpp"
-#include "host/hierarchy.hpp"
 #include "qecc/distance.hpp"
 
 namespace {
@@ -112,39 +111,6 @@ TEST(Delivery, AboveThresholdStretchSaturates)
     const double cap =
         1.0 / quest::qecc::logicalErrorPerRound(5e-3, 7);
     EXPECT_DOUBLE_EQ(inflation, cap);
-}
-
-TEST(Hierarchy, DomainsMatchFigure3)
-{
-    SystemHierarchy sys;
-    ASSERT_EQ(sys.domains().size(), 4u);
-    EXPECT_DOUBLE_EQ(sys.dram77K().temperatureK, 77.0);
-    EXPECT_DOUBLE_EQ(sys.control4K().temperatureK, 4.0);
-    EXPECT_DOUBLE_EQ(sys.substrate20mK().temperatureK, 0.02);
-    EXPECT_GT(sys.host().coolingBudgetW,
-              sys.control4K().coolingBudgetW);
-    EXPECT_GT(sys.control4K().coolingBudgetW,
-              sys.substrate20mK().coolingBudgetW);
-}
-
-TEST(Hierarchy, AllocationRespectsBudget)
-{
-    SystemHierarchy sys;
-    EXPECT_TRUE(sys.allocate(sys.control4K(), 0.5));
-    EXPECT_TRUE(sys.allocate(sys.control4K(), 0.4));
-    EXPECT_FALSE(sys.allocate(sys.control4K(), 0.2)); // over 1 W
-    EXPECT_NEAR(sys.control4K().headroomW(), 0.1, 1e-12);
-}
-
-TEST(Hierarchy, CapacityForMceMicrocode)
-{
-    // Table 2: a Steane MCE microcode draws 2.1 uW. The 4 K stage
-    // fits hundreds of thousands of them -- the microcode memory is
-    // not the thermal bottleneck, exactly the paper's design intent.
-    SystemHierarchy sys;
-    const std::uint64_t mces =
-        sys.capacityFor(sys.control4K(), 2.1e-6);
-    EXPECT_GT(mces, 100000u);
 }
 
 } // namespace

@@ -236,7 +236,6 @@ masterCounts(const MasterController &m)
         { "faults.seu_silent_repaired", m.seuSilentRepaired() },
         { "faults.scrubs", m.scrubCount() },
         { "faults.decoder_overruns", m.decoderOverruns() },
-        { "faults.decoder_fallbacks", m.decoderFallbacks() },
         { "faults.heartbeats", m.heartbeatsSent() },
         { "faults.heartbeats_missed", m.heartbeatsMissed() },
         { "faults.hangs_injected", m.hangsInjected() },

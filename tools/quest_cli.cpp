@@ -341,7 +341,6 @@ printFaultsReport(core::MasterController &m)
         { "seu_silent_repaired", m.seuSilentRepaired() },
         { "scrubs", m.scrubCount() },
         { "decoder_overruns", m.decoderOverruns() },
-        { "decoder_fallbacks", m.decoderFallbacks() },
         { "heartbeats", m.heartbeatsSent() },
         { "heartbeats_missed", m.heartbeatsMissed() },
         { "hangs_injected", m.hangsInjected() },

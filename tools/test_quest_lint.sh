@@ -70,16 +70,11 @@ sum()
 EOF
 python3 "$tmp/tools/quest_lint" "$tmp/src/core/bad_iteration.cpp"
 
-# 4. The SIMD facade itself is the only file allowed to touch raw
-#    intrinsics / CPUID; it must stay clean under the linter.
-python3 "$root/tools/quest_lint" \
-    "$root/src/sim/simd.hpp" "$root/src/sim/simd.cpp" \
-    "$root/src/sim/simd_kernels.inc"
-
-# 5. Intrinsics or CPUID probes outside the facade must trip
-#    det-simd-dispatch.
-mkdir -p "$tmp/src/quantum"
-cat > "$tmp/src/quantum/bad_simd.cpp" <<'EOF'
+# 4. Intrinsics or CPUID probes anywhere must trip
+#    det-simd-dispatch; no path is exempt, src/sim included.
+mkdir -p "$tmp/src/quantum" "$tmp/src/sim"
+for fixture in src/quantum/bad_simd.cpp src/sim/simd.hpp; do
+    cat > "$tmp/$fixture" <<'EOF'
 #include <immintrin.h>
 
 bool
@@ -88,15 +83,16 @@ fast()
     return __builtin_cpu_supports("avx2") > 0;
 }
 EOF
-if python3 "$tmp/tools/quest_lint" "$tmp/src/quantum/bad_simd.cpp" \
-    > "$tmp/out.txt" 2>&1; then
-    echo "FAIL: linter accepted raw intrinsics in src/quantum" >&2
-    cat "$tmp/out.txt" >&2
-    exit 1
-fi
-grep -q "det-simd-dispatch" "$tmp/out.txt"
+    if python3 "$tmp/tools/quest_lint" "$tmp/$fixture" \
+        > "$tmp/out.txt" 2>&1; then
+        echo "FAIL: linter accepted raw intrinsics in $fixture" >&2
+        cat "$tmp/out.txt" >&2
+        exit 1
+    fi
+    grep -q "det-simd-dispatch" "$tmp/out.txt"
+done
 
-# 6. The same code under an explicit allow() is accepted.
+# 5. The same code under an explicit allow() is accepted.
 cat > "$tmp/src/quantum/bad_simd.cpp" <<'EOF'
 // quest-lint: allow(det-simd-dispatch)
 #include <immintrin.h>
@@ -110,7 +106,7 @@ fast()
 EOF
 python3 "$tmp/tools/quest_lint" "$tmp/src/quantum/bad_simd.cpp"
 
-# 7. A function-local static bound to the metrics registry must
+# 6. A function-local static bound to the metrics registry must
 #    trip det-metric-local-static (the registry-lifetime hazard the
 #    bound-at-construction members in DynamicScheduler/Mce exist
 #    to avoid), including when the initializer wraps lines.
@@ -134,7 +130,7 @@ if python3 "$tmp/tools/quest_lint" "$tmp/src/core/bad_metric.cpp" \
 fi
 grep -q "det-metric-local-static" "$tmp/out.txt"
 
-# 8. The same binding under an explicit allow() is accepted, and a
+# 7. The same binding under an explicit allow() is accepted, and a
 #    non-static registry use never fires the rule.
 cat > "$tmp/src/core/bad_metric.cpp" <<'EOF'
 #include "sim/metrics.hpp"
