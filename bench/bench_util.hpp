@@ -23,7 +23,10 @@
 #include <iostream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
@@ -41,6 +44,80 @@ emit(const sim::Table &table)
     std::cout << std::endl;
 }
 
+/** JSON text that jsonObject() copies as is. */
+struct Json
+{
+    std::string text;
+};
+
+/** Stream `"key": value, ...` from alternating keys and values. */
+template <typename T, typename... Rest>
+void
+writeJsonFields(std::ostream &os, const std::string &sep,
+                const char *key, const T &value, const Rest &...rest)
+{
+    os << '"' << key << "\": ";
+    if constexpr (std::is_same_v<T, Json>) {
+        os << value.text;
+    } else if constexpr (std::is_same_v<T, std::vector<Json>>) {
+        // A BENCH_*.json array: one row per line at two spaces.
+        os << "[\n";
+        for (std::size_t i = 0; i < value.size(); ++i)
+            os << "  " << value[i].text
+               << (i + 1 < value.size() ? ",\n" : "\n");
+        os << "  ]";
+    } else if constexpr (std::is_convertible_v<const T &, std::string>) {
+        os << '"' << value << '"';
+    } else {
+        os << std::boolalpha << value;
+    }
+    if constexpr (sizeof...(Rest) > 0)
+        writeJsonFields(os << sep, sep, rest...);
+}
+
+/**
+ * A JSON object from alternating keys and values, in the BENCH_*.json
+ * layout: on one line when `indent` is 0, else one field per line at
+ * `indent` spaces with the closing brace two spaces out. Numbers and
+ * bools print as `os <<` prints them, strings quoted, Json as is, and
+ * a vector of Json rows as an array.
+ */
+template <typename... KV>
+Json
+jsonObject(std::size_t indent, const KV &...kv)
+{
+    const std::string pad(indent, ' ');
+    std::ostringstream os;
+    os << (indent ? "{\n" : "{") << pad;
+    writeJsonFields(os, indent ? ",\n" + pad : ", ", kv...);
+    if (indent)
+        os << '\n' << pad.substr(2);
+    os << '}';
+    return { os.str() };
+}
+
+/** The global metrics registry as JSON. */
+inline Json
+metricsJson()
+{
+    std::ostringstream os;
+    quest::sim::metricsWriteJson(os);
+    return { os.str() };
+}
+
+/** Write `doc` as a BENCH_*.json file and say where it went. */
+inline void
+writeJsonFile(const std::string &path, const Json &doc)
+{
+    std::ofstream os(path);
+    if (!os) {
+        std::cerr << "cannot write " << path << "\n";
+        return;
+    }
+    os << doc.text << "\n";
+    std::cout << "wrote " << path << "\n";
+}
+
 /**
  * Dump the global metrics registry as a BENCH_*.json artifact: the
  * figure benches record their plotted series (and the cycle
@@ -50,15 +127,8 @@ emit(const sim::Table &table)
 inline void
 writeMetricsJson(const std::string &bench, const std::string &path)
 {
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << "cannot write " << path << "\n";
-        return;
-    }
-    os << "{\n  \"bench\": \"" << bench << "\",\n  \"metrics\": ";
-    quest::sim::metricsWriteJson(os);
-    os << "\n}\n";
-    std::cout << "wrote " << path << "\n";
+    writeJsonFile(path,
+                  jsonObject(2, "bench", bench, "metrics", metricsJson()));
 }
 
 /**

@@ -46,9 +46,7 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -223,14 +221,12 @@ struct ConfigResult
     bool deterministic = false;
 };
 
-void
-jsonTiming(std::ostream &os, const char *key, const Timing &t)
+bench::Json
+jsonTiming(const Timing &t)
 {
-    os << "    \"" << key << "\": {"
-       << "\"threads\": " << t.threads
-       << ", \"trials_per_sec\": " << t.trialsPerSec
-       << ", \"p50_ns\": " << t.p50Ns
-       << ", \"p99_ns\": " << t.p99Ns << "}";
+    return bench::jsonObject(0, "threads", t.threads,
+                             "trials_per_sec", t.trialsPerSec,
+                             "p50_ns", t.p50Ns, "p99_ns", t.p99Ns);
 }
 
 } // namespace
@@ -285,8 +281,7 @@ main(int argc, char **argv)
                 decode_one(e);
         });
     }
-    std::ostringstream metrics_json;
-    sim::metricsWriteJson(metrics_json);
+    const bench::Json metrics_json = bench::metricsJson();
 
     std::vector<ConfigResult> results;
     for (const Workload &w : workloads) {
@@ -340,27 +335,21 @@ main(int argc, char **argv)
                   "warmed, rep-expanded work");
     table.print(std::cout);
 
-    std::ofstream os(out_path);
-    os << "{\n  \"bench\": \"decoder_throughput\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"error_rate\": " << p << ",\n"
-       << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ConfigResult &r = results[i];
-        os << "  {\n    \"distance\": " << r.distance
-           << ",\n    \"decoder\": \"" << r.decoder << "\",\n";
-        jsonTiming(os, "single_thread", r.single);
-        os << ",\n";
-        jsonTiming(os, "multi_thread", r.multi);
-        os << ",\n    \"scaling\": " << r.scaling
-           << ",\n    \"reps\": " << r.single.reps
-           << ",\n    \"deterministic\": "
-           << (r.deterministic ? "true" : "false") << "\n  }"
-           << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"metrics\": " << metrics_json.str() << "\n}\n";
-    std::cout << "\nwrote " << out_path << "\n";
+    std::vector<bench::Json> configs;
+    for (const ConfigResult &r : results)
+        configs.push_back(bench::jsonObject(
+            4, "distance", r.distance, "decoder", r.decoder,
+            "single_thread", jsonTiming(r.single),
+            "multi_thread", jsonTiming(r.multi),
+            "scaling", r.scaling, "reps", r.single.reps,
+            "deterministic", r.deterministic));
+    std::cout << "\n";
+    bench::writeJsonFile(
+        out_path,
+        bench::jsonObject(2, "bench", "decoder_throughput",
+                          "smoke", smoke, "trials", trials,
+                          "error_rate", p, "configs", configs,
+                          "metrics", metrics_json));
 
     if (check_scaling > 0.0) {
         if (std::thread::hardware_concurrency() < 2

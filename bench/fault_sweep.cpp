@@ -29,13 +29,7 @@ sweepConfig(double fault_rate)
     cfg.mce = core::tileConfigForLogicalQubits(3);
     cfg.mce.errorRates = quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
     cfg.mce.seed = 9;
-    if (fault_rate > 0.0) {
-        cfg.faults = sim::FaultConfig::uniform(fault_rate,
-                                               /*seed=*/0xFA17);
-        cfg.scrubIntervalRounds = 64;
-        cfg.heartbeatIntervalRounds = 16;
-        cfg.modelDecodeDeadline = true;
-    }
+    cfg.faults = sim::FaultConfig::uniform(fault_rate, /*seed=*/0xFA17);
     return cfg;
 }
 

@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -217,27 +216,20 @@ main(int argc, char **argv)
                   "cost of committing matches early");
     table.print(std::cout);
 
-    std::ofstream os(out_path);
-    os << "{\n  \"bench\": \"stream_lag\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"error_rate\": " << p << ",\n"
-       << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ConfigResult &r = results[i];
-        os << "  {\"distance\": " << r.distance << ", \"shape\": \""
-           << r.shape << "\", \"window\": " << r.window
-           << ", \"stride\": " << r.stride << ", \"failures\": "
-           << r.failures << ", \"windows\": " << r.windows
-           << ", \"windows_per_sec\": " << r.windowsPerSec
-           << ", \"lag_p50\": " << r.lagP50 << ", \"lag_p99\": "
-           << r.lagP99 << "}"
-           << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"metrics\": ";
-    sim::metricsWriteJson(os);
-    os << "\n}\n";
-    std::cout << "wrote " << out_path << "\n";
+    std::vector<bench::Json> configs;
+    for (const ConfigResult &r : results)
+        configs.push_back(bench::jsonObject(
+            0, "distance", r.distance, "shape", r.shape,
+            "window", r.window, "stride", r.stride,
+            "failures", r.failures, "windows", r.windows,
+            "windows_per_sec", r.windowsPerSec,
+            "lag_p50", r.lagP50, "lag_p99", r.lagP99));
+    bench::writeJsonFile(
+        out_path,
+        bench::jsonObject(2, "bench", "stream_lag", "smoke", smoke,
+                          "trials", trials, "error_rate", p,
+                          "configs", configs,
+                          "metrics", bench::metricsJson()));
 
     if (check) {
         if (gate_failures != 0) {

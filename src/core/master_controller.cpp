@@ -12,28 +12,21 @@ namespace quest::core {
 
 namespace {
 
-NetworkConfig
-networkConfigFor(const MasterConfig &cfg)
-{
-    NetworkConfig net = cfg.network;
-    net.mceCount = cfg.numMces;
-    return net;
-}
-
 /**
  * The real-time budget for one global decode: the wall-clock that
  * `rounds` rounds take to extract. The offline decoder must keep up
  * with its decode cadence (decodeWindow()), a streamer with its
  * slide rate (streamStride()); with streamStrideRounds ==
  * decodeWindowRounds the two budgets coincide, which the W==S
- * equivalence tests rely on. Overruns draw from `faults`.
+ * equivalence tests rely on. The deadline is modelled only while
+ * a fault site is enabled; overruns draw from `faults`.
  */
 decode::DeadlineConfig
 deadlineFor(const MasterConfig &cfg, std::size_t rounds,
             sim::FaultInjector &faults)
 {
     decode::DeadlineConfig dl;
-    if (!cfg.modelDecodeDeadline)
+    if (!faults.enabled())
         return dl; // windowTicks 0: deadline arithmetic disabled
     const auto &spec = qecc::protocolSpec(cfg.mce.protocol);
     const auto lat = tech::gateLatencies(cfg.mce.technology);
@@ -64,7 +57,7 @@ MasterController::MasterController(const MasterConfig &cfg)
     : _cfg(cfg),
       _faults(cfg.faults),
       _missedHeartbeats(cfg.numMces, 0),
-      _network(networkConfigFor(cfg)),
+      _network(cfg.numMces),
       _bytesLogical("master.bus_bytes_logical",
                     "logical instruction packets (bytes)"),
       _bytesSync("master.bus_bytes_sync",
@@ -349,7 +342,8 @@ void
 MasterController::stepRound()
 {
     QUEST_TRACE_SCOPE("master", "step_round");
-    if (_faults.enabled())
+    const bool faulty = _faults.enabled();
+    if (faulty)
         injectRoundFaults();
     for (std::size_t i = 0; i < _mces.size(); ++i) {
         Mce &m = *_mces[i];
@@ -366,11 +360,9 @@ MasterController::stepRound()
         arbitrateRound();
     ++_roundsRun;
     ++_roundsSinceDecode;
-    if (_cfg.heartbeatIntervalRounds
-        && _roundsRun % _cfg.heartbeatIntervalRounds == 0)
+    if (faulty && _roundsRun % faultHeartbeatIntervalRounds == 0)
         heartbeatNow();
-    if (_cfg.scrubIntervalRounds
-        && _roundsRun % _cfg.scrubIntervalRounds == 0)
+    if (faulty && _roundsRun % faultScrubIntervalRounds == 0)
         scrubNow();
     // Streaming windows commit on their own cadence inside
     // pushRound; the offline collect-then-decode trigger stays off.

@@ -48,35 +48,17 @@ struct MasterConfig
      *  non-overlapping windows, the offline cadence. */
     std::size_t streamStrideRounds = 0;
 
-    /** Global interconnect parameters (mceCount is overridden to
-     *  numMces at construction). */
-    NetworkConfig network;
-
-    /** @name Classical fault model & resilience knobs.
-     *  Defaults keep the whole layer off: all-zero fault rates,
-     *  no scrub, no watchdog, no deadline modeling -- bit-identical
-     *  to the fault-free design. */
-    ///@{
-
-    /** Per-site classical fault rates and replay seed. */
+    /** Per-site classical fault rates and replay seed: the one
+     *  switch for the classical fault model. All-zero rates (the
+     *  default) keep the whole layer off, bit-identical to the
+     *  fault-free design. Any nonzero rate also turns on the
+     *  recovery machinery: link-level ARQ, a microcode scrub every
+     *  faultScrubIntervalRounds, a heartbeat every
+     *  faultHeartbeatIntervalRounds and the decode-deadline model
+     *  (an MWPM decode that would overrun its window degrades to the
+     *  union-find cluster decoder, and the tile's noise is stretched
+     *  for the late window). */
     sim::FaultConfig faults;
-
-    /** Rounds between microcode parity scrubs (0 disables). The
-     *  scrub polls every MCE's parity flag and re-uploads the full
-     *  image of any corrupted tile over the bus. */
-    std::size_t scrubIntervalRounds = 0;
-
-    /** Rounds between MCE heartbeats (0 disables the watchdog). */
-    std::size_t heartbeatIntervalRounds = 0;
-
-    /** Model the global decoder's real-time deadline: an MWPM
-     *  decode that would overrun the window degrades to the
-     *  union-find cluster decoder and the tile's noise is stretched
-     *  for the late window (host::delivery's inflation model).
-     *  Injected DecoderOverrun faults apply only under this model,
-     *  to offline decodes and streaming windows alike. */
-    bool modelDecodeDeadline = false;
-    ///@}
 
     /** @name Multi-tile fetch arbitration.
      *  When sharedFetchBandwidth is nonzero, every stepRound() also
@@ -102,6 +84,15 @@ inline constexpr std::size_t correctionEntryBytes = 4;
 
 /** Supervisor re-issues after the link-level retry budget fails. */
 inline constexpr std::size_t maxBusEscalations = 8;
+
+/** @name Recovery cadence while any fault site is enabled. */
+///@{
+/** Rounds between microcode parity scrubs: each polls every MCE's
+ *  parity flag and re-uploads the full image of a corrupted tile. */
+inline constexpr std::size_t faultScrubIntervalRounds = 64;
+/** Rounds between watchdog heartbeats to every MCE. */
+inline constexpr std::size_t faultHeartbeatIntervalRounds = 16;
+///@}
 
 /** The 77 K master controller plus its array of MCEs. */
 class MasterController

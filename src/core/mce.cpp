@@ -30,22 +30,7 @@ microcodeImageBits(const MceConfig &cfg, std::size_t qubits)
     return model.capacityBits(cfg.microcodeDesign, qubits);
 }
 
-/** The installed pre-flight verification hook (none by default). */
-PreflightVerifier g_preflightVerifier = nullptr;
-
 } // namespace
-
-void
-setPreflightVerifier(PreflightVerifier fn)
-{
-    g_preflightVerifier = fn;
-}
-
-PreflightVerifier
-preflightVerifier()
-{
-    return g_preflightVerifier;
-}
 
 Mce::Mce(std::string name, const MceConfig &cfg)
     : _name(std::move(name)), _cfg(cfg),
@@ -98,17 +83,6 @@ Mce::Mce(std::string name, const MceConfig &cfg)
     _baseSchedule = std::make_unique<RoundSchedule>(
         qecc::buildRoundSchedule(*_lattice, spec));
     rebuildMaskedSchedule();
-
-    if (_cfg.verifyOnLoad) {
-        if (PreflightVerifier fn = preflightVerifier())
-            fn(*this);
-        else
-            sim::fatal("%s: verify-on-load requested but no "
-                       "pre-flight verifier is installed (link "
-                       "quest_verify and call "
-                       "verify::installPreflightGate())",
-                       _name.c_str());
-    }
 }
 
 void

@@ -74,10 +74,6 @@ struct MceConfig
     SchedulingMode scheduling = SchedulingMode::InOrder;
     /** Width/capacity knobs of the dynamic pipeline (OoO only). */
     SchedulerConfig sched;
-
-    /** Run the installed pre-flight verifier over the tile's
-     *  artifacts at construction (see setPreflightVerifier). */
-    bool verifyOnLoad = false;
 };
 
 /**
@@ -107,24 +103,6 @@ struct TileStats
     }
 };
 
-class Mce;
-
-/**
- * Pre-flight verification hook. The static verifier (src/verify)
- * sits above this library in the link order, so the load-path gate
- * is dependency-injected: verify::installPreflightGate() registers
- * a function here, and any Mce constructed with
- * `MceConfig::verifyOnLoad` runs it before accepting the tile. The
- * hook must raise sim::SimError to reject the artifacts.
- */
-using PreflightVerifier = void (*)(const Mce &mce);
-
-/** Install (or clear, with nullptr) the pre-flight hook. */
-void setPreflightVerifier(PreflightVerifier fn);
-
-/** The installed hook, or nullptr. */
-PreflightVerifier preflightVerifier();
-
 /** One Microcoded Control Engine. */
 class Mce
 {
@@ -136,7 +114,7 @@ class Mce
     const qecc::Lattice &lattice() const { return *_lattice; }
 
     /** The canonical (unmasked) QECC microcode program this tile
-     *  replays — what the pre-flight verifier inspects. */
+     *  replays. */
     const qecc::RoundSchedule &baseSchedule() const
     {
         return *_baseSchedule;

@@ -1,6 +1,5 @@
 #include "network.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/fault_injector.hpp"
@@ -10,22 +9,15 @@ namespace quest::core {
 
 namespace {
 
+/** Depth of the radix tree covering `mce_count` leaves. */
 std::size_t
-treeDepth(const NetworkConfig &cfg)
+treeDepth(std::size_t mce_count)
 {
-    QUEST_ASSERT(cfg.mceCount > 0, "network needs at least one MCE");
-    // A single-MCE system is a point-to-point wire; only multi-leaf
-    // trees need a branching radix.
-    QUEST_ASSERT(cfg.radix >= 2 || cfg.mceCount == 1,
-                 "tree radix must be at least 2 for %zu MCEs",
-                 cfg.mceCount);
-    QUEST_ASSERT(cfg.linkBytesPerTick > 0, "links need bandwidth");
-
-    // Depth of the radix-k tree covering all leaves.
+    QUEST_ASSERT(mce_count > 0, "network needs at least one MCE");
     std::size_t depth = 1;
-    std::size_t reach = std::max<std::size_t>(cfg.radix, 2);
-    while (reach < cfg.mceCount) {
-        reach *= cfg.radix;
+    std::size_t reach = PacketNetwork::radix;
+    while (reach < mce_count) {
+        reach *= PacketNetwork::radix;
         ++depth;
     }
     return depth;
@@ -33,9 +25,9 @@ treeDepth(const NetworkConfig &cfg)
 
 } // namespace
 
-PacketNetwork::PacketNetwork(const NetworkConfig &cfg)
-    : _cfg(cfg),
-      _depth(treeDepth(cfg)),
+PacketNetwork::PacketNetwork(std::size_t mce_count)
+    : _mceCount(mce_count),
+      _depth(treeDepth(mce_count)),
       _bytes("network.bytes", "bytes carried by the network"),
       _packets("network.packets", "packets delivered"),
       _latencyTotal("network.latency_ticks", "sum of packet latencies"),
@@ -66,7 +58,7 @@ PacketNetwork::attachFaults(sim::FaultInjector *faults)
 std::size_t
 PacketNetwork::hopsToMce(std::size_t mce_index) const
 {
-    QUEST_ASSERT(mce_index < _cfg.mceCount,
+    QUEST_ASSERT(mce_index < _mceCount,
                  "MCE index %zu out of range", mce_index);
     // Balanced tree: every leaf is `depth` router hops from the
     // root plus the injection/ejection links.
@@ -82,10 +74,10 @@ PacketNetwork::send(std::size_t mce_index, std::size_t bytes)
 
     const auto serialization = [this](std::size_t b) {
         return sim::Tick(
-            std::ceil(double(b) / _cfg.linkBytesPerTick));
+            std::ceil(double(b) / linkBytesPerTick));
     };
     const sim::Tick hop_time =
-        sim::Tick(timing.hops) * _cfg.hopLatency;
+        sim::Tick(timing.hops) * hopLatency;
 
     if (_faults == nullptr || !_faults->enabled()) {
         // Fault-free fast path: no CRC, no ACK, accounting identical
@@ -99,10 +91,9 @@ PacketNetwork::send(std::size_t mce_index, std::size_t bytes)
     }
 
     // CRC-protected packet with ACK/NACK and a bounded retry budget.
-    const std::size_t wire_bytes = bytes + _cfg.crcBytes;
+    const std::size_t wire_bytes = bytes + crcBytes;
     timing.delivered = false;
-    for (std::size_t attempt = 0; attempt <= _cfg.retryLimit;
-         ++attempt) {
+    for (std::size_t attempt = 0; attempt <= retryLimit; ++attempt) {
         timing.attempts = attempt + 1;
         if (attempt > 0) {
             ++_retransmits;
@@ -110,18 +101,14 @@ PacketNetwork::send(std::size_t mce_index, std::size_t bytes)
             // a deterministic jitter fraction so concurrent senders
             // that lost packets together do not retry in lockstep.
             // The draw is seeded (attachFaults), never wall clock.
-            const sim::Tick base = _cfg.retryBackoff << (attempt - 1);
-            sim::Tick wait = base;
-            if (_cfg.retryJitter > 0.0) {
-                const double j = _cfg.retryJitter;
-                wait = sim::Tick(double(base)
-                                 * (1.0 - j
-                                    + j * _jitterRng.uniform()));
-            }
-            timing.latency += wait;
+            const sim::Tick base = retryBackoff << (attempt - 1);
+            timing.latency += sim::Tick(
+                double(base)
+                * (1.0 - retryJitter
+                   + retryJitter * _jitterRng.uniform()));
         }
         _bytes += wire_bytes;
-        _overheadBytes += _cfg.crcBytes;
+        _overheadBytes += crcBytes;
         timing.latency += hop_time + serialization(wire_bytes);
 
         if (_faults->fire(sim::FaultSite::NetworkLoss)) {
@@ -135,9 +122,9 @@ PacketNetwork::send(std::size_t mce_index, std::size_t bytes)
             _faults->fire(sim::FaultSite::NetworkCorruption);
         // The receiver answers either way: ACK on a clean CRC, NACK
         // when the trailer flags corruption.
-        _bytes += _cfg.ackBytes;
-        _overheadBytes += _cfg.ackBytes;
-        timing.latency += hop_time + serialization(_cfg.ackBytes);
+        _bytes += ackBytes;
+        _overheadBytes += ackBytes;
+        timing.latency += hop_time + serialization(ackBytes);
         if (corrupt) {
             ++_corrupted;
             continue;

@@ -5,8 +5,8 @@
  * switched network", Figure 7's global data and instruction bus).
  *
  * The network connects the 77 K master controller (node 0) to the
- * MCE array at 4 K. Topology is a balanced tree of configurable
- * radix (point-to-point wiring across thermal stages is the scarce
+ * MCE array at 4 K. Topology is a balanced radix-4 tree
+ * (point-to-point wiring across thermal stages is the scarce
  * resource, so a tree matches the physical wiring plan). The model
  * is analytical per packet -- hop latency plus serialization --
  * with per-link byte accounting so utilization and the bisection
@@ -42,36 +42,6 @@ class FaultInjector;
 
 namespace quest::core {
 
-/** Interconnect configuration. */
-struct NetworkConfig
-{
-    std::size_t mceCount = 4;
-    std::size_t radix = 4;          ///< tree fan-out per router
-    sim::Tick hopLatency = sim::nanoseconds(5);
-    double linkBytesPerTick = 0.004; ///< 4 GB/s links (bytes per ps)
-
-    /** @name Link-level CRC + ACK/NACK retransmit protocol.
-     *  Engaged only when an enabled FaultInjector is attached. */
-    ///@{
-    std::size_t crcBytes = 2;   ///< CRC trailer per packet
-    std::size_t ackBytes = 2;   ///< ACK/NACK return token
-    std::size_t retryLimit = 4; ///< retransmissions before giving up
-    sim::Tick retryBackoff = sim::nanoseconds(10); ///< doubles per retry
-
-    /**
-     * Fraction of each backoff step randomised: step k waits
-     * `base·2^k · (1 − j + j·u)` with u uniform in [0, 1). Senders
-     * whose packets died together then retry apart instead of
-     * re-colliding in lockstep (the classic retry-storm fix). The
-     * draw comes from a dedicated stream seeded off the attached
-     * FaultInjector's seed — never the wall clock — so a faulty run
-     * replays bit-for-bit; 0 disables the draw entirely and
-     * restores the pre-jitter backoff sequence.
-     */
-    double retryJitter = 0.5;
-    ///@}
-};
-
 /** One delivered packet's timing. */
 struct PacketTiming
 {
@@ -85,9 +55,32 @@ struct PacketTiming
 class PacketNetwork
 {
   public:
-    explicit PacketNetwork(const NetworkConfig &cfg);
+    static constexpr std::size_t radix = 4; ///< tree fan-out per router
+    static constexpr sim::Tick hopLatency = sim::nanoseconds(5);
+    static constexpr double linkBytesPerTick = 0.004; ///< 4 GB/s (B/ps)
 
-    const NetworkConfig &config() const { return _cfg; }
+    /** @name Link-level CRC + ACK/NACK retransmit protocol.
+     *  Engaged only while an enabled FaultInjector is attached. */
+    ///@{
+    static constexpr std::size_t crcBytes = 2; ///< CRC trailer per packet
+    static constexpr std::size_t ackBytes = 2; ///< ACK/NACK return token
+    static constexpr std::size_t retryLimit = 4; ///< retransmissions
+    /** First backoff step; it doubles per retry. */
+    static constexpr sim::Tick retryBackoff = sim::nanoseconds(10);
+
+    /**
+     * Fraction of each backoff step randomised: step k waits
+     * `base·2^k · (1 − j + j·u)` with u uniform in [0, 1). Senders
+     * whose packets died together then retry apart instead of
+     * re-colliding in lockstep (the classic retry-storm fix). The
+     * draw comes from a dedicated stream seeded off the attached
+     * FaultInjector's seed — never the wall clock — so a faulty run
+     * replays bit-for-bit.
+     */
+    static constexpr double retryJitter = 0.5;
+    ///@}
+
+    explicit PacketNetwork(std::size_t mce_count);
 
     /**
      * Attach the classical fault source. Packet loss and corruption
@@ -141,13 +134,12 @@ class PacketNetwork
     {
         if (interval == 0)
             return 0.0;
-        const double capacity =
-            _cfg.linkBytesPerTick * double(interval);
+        const double capacity = linkBytesPerTick * double(interval);
         return double(_bytes.value()) / capacity;
     }
 
   private:
-    NetworkConfig _cfg;
+    std::size_t _mceCount;
     std::size_t _depth;
     sim::FaultInjector *_faults = nullptr;
     sim::Rng _jitterRng; ///< backoff jitter; reseeded on attachFaults

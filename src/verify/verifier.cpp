@@ -1,7 +1,6 @@
 #include "verifier.hpp"
 
 #include "qecc/protocol.hpp"
-#include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 #include "timing.hpp"
@@ -80,54 +79,6 @@ verifyConfig(const core::MceConfig &cfg, std::string label)
 {
     const TileBundle bundle = buildTileBundle(cfg, std::move(label));
     return Verifier().run(bundle.artifacts);
-}
-
-namespace {
-
-/**
- * The load-path gate: compile the live tile's artifacts from its
- * own base schedule and reject the Mce on any error.
- */
-void
-preflightGate(const core::Mce &mce)
-{
-    QUEST_TRACE_SCOPE("verify", "preflight");
-    const core::MceConfig &cfg = mce.config();
-    const qecc::ProtocolSpec &spec =
-        qecc::protocolSpec(cfg.protocol);
-
-    TileArtifacts a;
-    a.label = mce.name();
-    a.lattice = &mce.lattice();
-    a.spec = &spec;
-    a.technology = cfg.technology;
-    a.design = cfg.microcodeDesign;
-    a.memory = cfg.memoryConfig;
-    a.ram = compileRam(mce.baseSchedule());
-    a.fifo = compileFifo(mce.baseSchedule());
-    a.cell = compileUnitCell(mce.baseSchedule());
-    a.icacheCapacity = cfg.icacheCapacity;
-    a.timing.sched = cfg.sched;
-    a.timing.scheduling = cfg.scheduling;
-
-    const Report report = Verifier().run(a);
-    if (!report.ok()) {
-        // Cold path (aborts the load): a per-call registry lookup is
-        // fine and avoids the static-binding lifetime hazard.
-        ++sim::metrics::Registry::global().counter(
-            "verify.preflight_rejections",
-            "tiles rejected by the verify-on-load gate");
-        sim::fatal("%s: pre-flight verification failed\n%s",
-                   mce.name().c_str(), report.toString().c_str());
-    }
-}
-
-} // namespace
-
-void
-installPreflightGate()
-{
-    core::setPreflightVerifier(&preflightGate);
 }
 
 } // namespace quest::verify

@@ -174,19 +174,12 @@ TileBundle buildTileBundle(const core::MceConfig &cfg,
                            std::string label = "tile");
 
 /**
- * Verify a configuration end to end (build + run). The convenience
- * entry the CLI and the pre-flight gate share.
+ * Verify a configuration end to end (build + run). `quest verify`
+ * and `quest replay --verify-on-load`'s per-tile pre-flight both
+ * call it.
  */
 Report verifyConfig(const core::MceConfig &cfg,
                     std::string label = "tile");
-
-/**
- * Install the pre-flight verification hook into the core load path:
- * after this call, constructing an Mce whose config sets
- * `verifyOnLoad` runs the verifier over the tile's artifacts and
- * raises SimError on any error-severity diagnostic.
- */
-void installPreflightGate();
 
 } // namespace quest::verify
 

@@ -1,11 +1,15 @@
 /**
  * @file
  * Tests for the gate benches' shared scaffolding in
- * bench/bench_util.hpp: the strict flag parser and rep calibration.
+ * bench/bench_util.hpp: the strict flag parser, rep calibration and
+ * the BENCH_*.json writer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,8 @@ namespace {
 
 using quest::bench::calibrateReps;
 using quest::bench::Flags;
+using quest::bench::Json;
+using quest::bench::jsonObject;
 
 const char *const usage = "bench [--smoke] [--trials=N]";
 
@@ -146,6 +152,52 @@ TEST(BenchCalibrateReps, CapsTinyOrUntimedProbes)
     EXPECT_EQ(calibrateReps(1e-9, 0.05), 4096u);
     EXPECT_EQ(calibrateReps(0.0, 0.05), 4096u);
     EXPECT_EQ(calibrateReps(-1.0, 0.05), 4096u);
+}
+
+TEST(BenchJson, ValuesPrintAsTheStreamPrintsThem)
+{
+    const std::string name = "offline";
+    EXPECT_EQ(jsonObject(0, "distance", std::size_t(5), "rate", 0.1234567,
+                         "whole", 56024.0, "big", 1.5e6, "ok", true,
+                         "shape", name, "mode", "ooo", "timing",
+                         jsonObject(0, "threads", 4u))
+                  .text,
+              "{\"distance\": 5, \"rate\": 0.123457, \"whole\": 56024, "
+              "\"big\": 1.5e+06, \"ok\": true, \"shape\": \"offline\", "
+              "\"mode\": \"ooo\", \"timing\": {\"threads\": 4}}");
+}
+
+TEST(BenchJson, BlocksAndArraysKeepTheBenchLayout)
+{
+    const std::vector<Json> rows(2, jsonObject(0, "a", 1));
+    EXPECT_EQ(jsonObject(2, "bench", "b", "configs", rows, "none",
+                         std::vector<Json>{}, "nested", false)
+                  .text,
+              "{\n"
+              "  \"bench\": \"b\",\n"
+              "  \"configs\": [\n"
+              "  {\"a\": 1},\n"
+              "  {\"a\": 1}\n"
+              "  ],\n"
+              "  \"none\": [\n"
+              "  ],\n"
+              "  \"nested\": false\n"
+              "}");
+    EXPECT_EQ(jsonObject(4, "a", 1, "b", 2).text,
+              "{\n    \"a\": 1,\n    \"b\": 2\n  }");
+}
+
+TEST(BenchJson, MetricsFileWrapsTheRegistryDump)
+{
+    const std::string path = "/tmp/quest_bench_util_metrics.json";
+    quest::bench::writeMetricsJson("b", path);
+    std::ifstream is(path);
+    std::stringstream got;
+    got << is.rdbuf();
+    std::remove(path.c_str());
+    EXPECT_EQ(got.str(), "{\n  \"bench\": \"b\",\n  \"metrics\": "
+                             + quest::bench::metricsJson().text
+                             + "\n}\n");
 }
 
 } // namespace

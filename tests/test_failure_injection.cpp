@@ -15,6 +15,7 @@
 #include "decode/cluster_decoder.hpp"
 #include "isa/trace.hpp"
 #include "qecc/memory_experiment.hpp"
+#include "tech/parameters.hpp"
 
 namespace {
 
@@ -202,7 +203,6 @@ TEST(ClassicalFaults, SeuScrubRoundTrip)
 {
     core::MasterConfig cfg = faultyMaster();
     cfg.faults.rate(sim::FaultSite::MicrocodeSeu) = 0.2;
-    cfg.scrubIntervalRounds = 16;
     core::MasterController master(cfg);
 
     EXPECT_NO_THROW(master.runRounds(128));
@@ -225,7 +225,6 @@ TEST(ClassicalFaults, SeuCorruptedReplayPerturbsTheFrameUntilScrub)
     // physical error.
     core::MasterConfig cfg = faultyMaster(1);
     cfg.faults.rate(sim::FaultSite::MicrocodeSeu) = 1.0;
-    cfg.scrubIntervalRounds = 8;
     core::MasterController master(cfg);
     EXPECT_NO_THROW(master.runRounds(64));
     EXPECT_GT(master.mce(0).seuUopErrors(), 0.0);
@@ -241,7 +240,6 @@ TEST(ClassicalFaults, SeuCorruptedReplayPerturbsTheFrameUntilScrub)
 TEST(ClassicalFaults, DecoderDeadlineFallsBackToClusterDecoder)
 {
     core::MasterConfig cfg = faultyMaster();
-    cfg.modelDecodeDeadline = true;
     cfg.faults.rate(sim::FaultSite::DecoderOverrun) = 1.0;
     core::MasterController master(cfg);
 
@@ -252,78 +250,19 @@ TEST(ClassicalFaults, DecoderDeadlineFallsBackToClusterDecoder)
         EXPECT_LE(master.mce(i).residualErrorWeight(), 12u);
 }
 
-/**
- * Injected overruns apply only under the deadline model: with it off,
- * an overrun rate of 1 on either decode path counts no overrun and
- * reproduces the fault-free run's bus bytes and residuals exactly.
- */
-void
-expectOverrunInjectionInertWithoutDeadline(core::MasterConfig plain)
-{
-    core::MasterConfig injected = plain;
-    injected.faults.rate(sim::FaultSite::DecoderOverrun) = 1.0;
-    ASSERT_FALSE(injected.modelDecodeDeadline);
-
-    core::MasterController a(plain), b(injected);
-    a.runRounds(64);
-    b.runRounds(64);
-
-    ASSERT_GT(a.busBytesSyndrome(), 0.0); // windows were decoded
-    EXPECT_EQ(b.decoderOverruns(), 0.0);
-    EXPECT_DOUBLE_EQ(a.totalBusBytes(), b.totalBusBytes());
-    EXPECT_DOUBLE_EQ(a.busBytesSyndrome(), b.busBytesSyndrome());
-    for (std::size_t i = 0; i < a.numMces(); ++i)
-        EXPECT_EQ(a.mce(i).residualErrorWeight(),
-                  b.mce(i).residualErrorWeight());
-}
-
-TEST(ClassicalFaults, OverrunInjectionWithoutDeadlineIsInert)
-{
-    expectOverrunInjectionInertWithoutDeadline(faultyMaster());
-}
-
-TEST(ClassicalFaults, StreamingOverrunInjectionWithoutDeadlineIsInert)
-{
-    core::MasterConfig cfg = faultyMaster();
-    cfg.streamWindowRounds = 6;
-    cfg.streamStrideRounds = 3;
-    expectOverrunInjectionInertWithoutDeadline(cfg);
-}
-
-/**
- * The deadline model alone does not degrade a healthy tile: at
- * 1e-3 noise every d=3 window's modelled matcher time fits its
- * budget, so no decode overruns and the run matches one without
- * the model.
- */
-TEST(ClassicalFaults, DeadlineModelAloneNeverOverrunsAtLowNoise)
-{
-    core::MasterConfig plain = faultyMaster();
-    core::MasterConfig modelled = plain;
-    modelled.modelDecodeDeadline = true;
-
-    core::MasterController a(plain), b(modelled);
-    a.runRounds(64);
-    b.runRounds(64);
-
-    ASSERT_GT(a.busBytesSyndrome(), 0.0); // windows were decoded
-    EXPECT_EQ(b.decoderOverruns(), 0.0);
-    EXPECT_DOUBLE_EQ(a.totalBusBytes(), b.totalBusBytes());
-    for (std::size_t i = 0; i < a.numMces(); ++i)
-        EXPECT_EQ(a.mce(i).residualErrorWeight(),
-                  b.mce(i).residualErrorWeight());
-}
-
 TEST(ClassicalFaults, WatchdogQuarantinesAndResumesWedgedMce)
 {
-    core::MasterConfig cfg = faultyMaster();
-    cfg.heartbeatIntervalRounds = 4;
-    core::MasterController master(cfg);
+    // Fault-free, so the watchdog runs only when asked: one sweep
+    // every 4 rounds.
+    core::MasterController master(faultyMaster());
 
     master.mce(1).wedge();
     EXPECT_TRUE(master.mce(1).hung());
 
-    EXPECT_NO_THROW(master.runRounds(16));
+    for (int sweep = 0; sweep < 4; ++sweep) {
+        EXPECT_NO_THROW(master.runRounds(4));
+        master.heartbeatNow();
+    }
 
     // Two missed heartbeats (rounds 4 and 8) trip the watchdog; the
     // tile is re-synced and resumes correcting.
@@ -345,8 +284,6 @@ TEST(ClassicalFaults, InjectedHangsAreCaughtByTheWatchdog)
     quest::sim::setQuiet(true);
     core::MasterConfig cfg = faultyMaster();
     cfg.faults.rate(sim::FaultSite::MceHang) = 0.02;
-    cfg.heartbeatIntervalRounds = 4;
-    cfg.scrubIntervalRounds = 32;
     core::MasterController master(cfg);
 
     EXPECT_NO_THROW(master.runRounds(256));
@@ -374,9 +311,6 @@ TEST(ClassicalFaults, FullFaultSoupCompletesWithAllCountersLive)
     cfg.faults.rate(sim::FaultSite::MicrocodeSeu) = 0.05;
     cfg.faults.rate(sim::FaultSite::DecoderOverrun) = 0.3;
     cfg.faults.rate(sim::FaultSite::MceHang) = 0.01;
-    cfg.scrubIntervalRounds = 16;
-    cfg.heartbeatIntervalRounds = 8;
-    cfg.modelDecodeDeadline = true;
     core::MasterController master(cfg);
 
     EXPECT_NO_THROW(master.runRounds(256));
@@ -394,9 +328,6 @@ TEST(ClassicalFaults, FaultyRunReplaysBitForBitUnderFixedSeed)
     quest::sim::setQuiet(true);
     core::MasterConfig cfg = faultyMaster();
     cfg.faults = sim::FaultConfig::uniform(0.03, /*seed=*/4242);
-    cfg.scrubIntervalRounds = 16;
-    cfg.heartbeatIntervalRounds = 8;
-    cfg.modelDecodeDeadline = true;
 
     core::MasterController a(cfg), b(cfg);
     a.runRounds(128);
@@ -417,30 +348,123 @@ TEST(ClassicalFaults, FaultyRunReplaysBitForBitUnderFixedSeed)
     quest::sim::setQuiet(false);
 }
 
+/** Every bus-byte category of a master, in ledger order. */
+std::vector<double>
+busCategories(const core::MasterController &m)
+{
+    return { m.busBytesLogical(),     m.busBytesSync(),
+             m.busBytesSyndrome(),    m.busBytesCorrections(),
+             m.busBytesCacheTraffic(), m.busBytesScrub() };
+}
+
+/** Identical quantum state: every tile's frame and ledger words. */
+void
+expectSameTiles(core::MasterController &a, core::MasterController &b)
+{
+    ASSERT_EQ(a.numMces(), b.numMces());
+    for (std::size_t i = 0; i < a.numMces(); ++i) {
+        core::Mce &ta = a.mce(i);
+        core::Mce &tb = b.mce(i);
+        EXPECT_EQ(ta.frame().xWords(), tb.frame().xWords()) << i;
+        EXPECT_EQ(ta.frame().zWords(), tb.frame().zWords()) << i;
+        EXPECT_EQ(ta.correctionLedger().xWords(),
+                  tb.correctionLedger().xWords()) << i;
+        EXPECT_EQ(ta.correctionLedger().zWords(),
+                  tb.correctionLedger().zWords()) << i;
+    }
+}
+
+/** A workload touching every bus category but the scrub path. */
+void
+driveMaster(core::MasterController &m)
+{
+    m.mce(0).defineLogicalQubit(qecc::Coord{2, 2});
+    m.dispatch(isa::LogicalInstr{isa::LogicalOpcode::Hadamard, 0});
+    m.dispatchBlock(1, 0, isa::generateDistillationRound(0));
+    m.broadcastSync();
+    m.runRounds(128);
+    m.decodeNow();
+}
+
 TEST(ClassicalFaults, ZeroRatesAreBitIdenticalToSeedModel)
 {
-    // Pay-for-what-you-use: an all-zero FaultConfig plus enabled
-    // scrub/heartbeat intervals left at zero must reproduce the
-    // fault-free run exactly, byte for byte.
-    core::MasterConfig plain = faultyMaster();
+    // Pay-for-what-you-use: an all-zero FaultConfig, whatever its
+    // seed, reproduces the default master exactly: no scrub, no
+    // heartbeat, no deadline model, no ARQ overhead.
     core::MasterConfig zeroed = faultyMaster();
-    zeroed.faults = sim::FaultConfig::none();
+    zeroed.faults = sim::FaultConfig::uniform(0.0, /*seed=*/99);
 
-    core::MasterController a(plain), b(zeroed);
-    a.broadcastSync();
-    b.broadcastSync();
-    a.runRounds(64);
-    b.runRounds(64);
+    core::MasterController a(faultyMaster()), b(zeroed);
+    driveMaster(a);
+    driveMaster(b);
 
-    EXPECT_DOUBLE_EQ(a.totalBusBytes(), b.totalBusBytes());
+    ASSERT_GT(a.busBytesSyndrome(), 0.0); // windows were decoded
+    EXPECT_EQ(busCategories(a), busCategories(b));
     EXPECT_DOUBLE_EQ(a.network().bytesCarried(),
                      b.network().bytesCarried());
     EXPECT_DOUBLE_EQ(b.network().protocolOverheadBytes(), 0.0);
     EXPECT_DOUBLE_EQ(b.busBytesScrub(), 0.0);
     EXPECT_DOUBLE_EQ(b.heartbeatsSent(), 0.0);
-    for (std::size_t i = 0; i < a.numMces(); ++i)
-        EXPECT_EQ(a.mce(i).residualErrorWeight(),
-                  b.mce(i).residualErrorWeight());
+    EXPECT_DOUBLE_EQ(b.decoderOverruns(), 0.0);
+    expectSameTiles(a, b);
+}
+
+TEST(ClassicalFaults, AnyEnabledSiteTurnsOnTheRecoveryCadence)
+{
+    // Enabling any one site switches on the watchdog, the scrub
+    // loop and the deadline model together. The rate is far too
+    // small to fire in this run, so the recovery traffic is exactly
+    // the cadence's: a heartbeat and its answer per tile every 16
+    // rounds and a parity poll per tile every 64. At this noise no
+    // modelled decode overruns, so the decode traffic and every
+    // tile's state match the fault-free run.
+    static_assert(core::faultHeartbeatIntervalRounds == 16);
+    static_assert(core::faultScrubIntervalRounds == 64);
+    core::MasterController plain(faultyMaster());
+    driveMaster(plain);
+    const double tiles = double(plain.numMces());
+    const double sweeps = double(plain.roundsRun() / 16);
+    const double polls = double(plain.roundsRun() / 64);
+    const double token = double(tech::logicalInstrBytes);
+
+    for (const sim::FaultSite site : sim::allFaultSites) {
+        SCOPED_TRACE(sim::faultSiteName(site));
+        core::MasterConfig cfg = faultyMaster();
+        cfg.faults.rate(site) = 1e-12;
+        core::MasterController m(cfg);
+        driveMaster(m);
+
+        EXPECT_DOUBLE_EQ(m.heartbeatsSent(), tiles * sweeps);
+        EXPECT_DOUBLE_EQ(m.heartbeatsMissed(), 0.0);
+        EXPECT_DOUBLE_EQ(m.busBytesSync() - plain.busBytesSync(),
+                         tiles * sweeps * 2 * token);
+        EXPECT_DOUBLE_EQ(m.busBytesScrub(), tiles * polls * token);
+        EXPECT_DOUBLE_EQ(m.scrubCount(), 0.0);
+        EXPECT_DOUBLE_EQ(m.decoderOverruns(), 0.0);
+        EXPECT_DOUBLE_EQ(m.busBytesSyndrome(), plain.busBytesSyndrome());
+        EXPECT_DOUBLE_EQ(m.busBytesCorrections(),
+                         plain.busBytesCorrections());
+        expectSameTiles(plain, m);
+    }
+}
+
+TEST(ClassicalFaults, DeadlineIsModelledOnlyWhileASiteIsEnabled)
+{
+    // Noise heavy enough that the modelled matcher time overruns the
+    // d=3 window: a fault-free master never degrades a decode, and
+    // the same master with any site enabled does, though the site
+    // itself never fires.
+    core::MasterConfig cfg = faultyMaster();
+    cfg.mce.errorRates = quantum::ErrorRates{5e-2, 0, 0, 0, 5e-2};
+    core::MasterController plain(cfg);
+    cfg.faults.rate(sim::FaultSite::MceHang) = 1e-12;
+    core::MasterController enabled(cfg);
+    plain.runRounds(30);
+    enabled.runRounds(30);
+
+    EXPECT_DOUBLE_EQ(plain.decoderOverruns(), 0.0);
+    EXPECT_GT(enabled.decoderOverruns(), 0.0);
+    EXPECT_DOUBLE_EQ(enabled.hangsInjected(), 0.0);
 }
 
 TEST(FailureInjection, ClusterDecoderSurvivesDenseEvents)

@@ -181,20 +181,12 @@ TEST(FaultInjector, RateOutsideUnitIntervalPanics)
 
 // --- PacketNetwork ARQ ---------------------------------------------
 
-core::NetworkConfig
-netConfig(std::size_t mces = 4)
-{
-    core::NetworkConfig cfg;
-    cfg.mceCount = mces;
-    return cfg;
-}
-
 TEST(NetworkArq, FaultFreeNetworkMatchesNoInjector)
 {
     // An attached injector with all-zero rates must leave the
     // accounting bit-identical to a network with no injector at all.
-    core::PacketNetwork plain(netConfig());
-    core::PacketNetwork guarded(netConfig());
+    core::PacketNetwork plain(4);
+    core::PacketNetwork guarded(4);
     FaultInjector idle(FaultConfig::none());
     guarded.attachFaults(&idle);
 
@@ -213,7 +205,7 @@ TEST(NetworkArq, FaultFreeNetworkMatchesNoInjector)
 
 TEST(NetworkArq, LossIsRecoveredByRetransmission)
 {
-    core::PacketNetwork net(netConfig());
+    core::PacketNetwork net(4);
     FaultConfig cfg;
     cfg.rate(FaultSite::NetworkLoss) = 0.4;
     cfg.seed = 99;
@@ -239,7 +231,7 @@ TEST(NetworkArq, LossIsRecoveredByRetransmission)
 
 TEST(NetworkArq, CorruptionIsRecoveredByRetransmission)
 {
-    core::PacketNetwork net(netConfig());
+    core::PacketNetwork net(4);
     FaultConfig cfg;
     cfg.rate(FaultSite::NetworkCorruption) = 0.3;
     FaultInjector inj(cfg);
@@ -254,7 +246,7 @@ TEST(NetworkArq, CorruptionIsRecoveredByRetransmission)
 
 TEST(NetworkArq, RetryBudgetExhaustionIsReportedNotFatal)
 {
-    core::PacketNetwork net(netConfig());
+    core::PacketNetwork net(4);
     FaultConfig cfg;
     cfg.rate(FaultSite::NetworkLoss) = 1.0; // nothing ever arrives
     FaultInjector inj(cfg);
@@ -262,20 +254,36 @@ TEST(NetworkArq, RetryBudgetExhaustionIsReportedNotFatal)
 
     const auto t = net.send(0, 8);
     EXPECT_FALSE(t.delivered);
-    EXPECT_EQ(t.attempts, net.config().retryLimit + 1);
+    constexpr std::size_t attempts = core::PacketNetwork::retryLimit + 1;
+    EXPECT_EQ(t.attempts, attempts);
     EXPECT_DOUBLE_EQ(net.deliveryFailures(), 1.0);
+    // Every attempt pays the CRC trailer and is lost before any ACK.
+    EXPECT_DOUBLE_EQ(net.lostPackets(), double(attempts));
+    EXPECT_DOUBLE_EQ(net.retransmits(), double(attempts - 1));
+    EXPECT_DOUBLE_EQ(net.protocolOverheadBytes(),
+                     double(attempts * core::PacketNetwork::crcBytes));
+    EXPECT_DOUBLE_EQ(net.bytesCarried(),
+                     double(attempts * 8) + net.protocolOverheadBytes());
+    // Each retry waits at least the unjittered share of its doubling
+    // backoff step.
+    sim::Tick min_backoff = 0;
+    for (std::size_t k = 0; k + 1 < attempts; ++k)
+        min_backoff += sim::Tick(
+            double(core::PacketNetwork::retryBackoff << k)
+            * (1.0 - core::PacketNetwork::retryJitter));
+    EXPECT_GE(t.latency, min_backoff);
 }
 
 TEST(NetworkArq, BackoffGrowsLatencyWithAttempts)
 {
-    core::PacketNetwork net(netConfig());
+    core::PacketNetwork net(4);
     FaultConfig cfg;
     cfg.rate(FaultSite::NetworkLoss) = 1.0;
     FaultInjector inj(cfg);
     net.attachFaults(&inj);
 
     const auto worst = net.send(0, 8);
-    core::PacketNetwork clean(netConfig());
+    core::PacketNetwork clean(4);
     const auto best = clean.send(0, 8);
     // Full retry ladder (timeouts + exponential backoff) costs far
     // more than one clean traversal.
@@ -284,12 +292,8 @@ TEST(NetworkArq, BackoffGrowsLatencyWithAttempts)
 
 TEST(NetworkArq, SingleMceDegenerateTreeConstructs)
 {
-    // Satellite fix: radix constraint must accept any radix when
-    // there is only one MCE (depth-1 chain, no fan-out needed).
-    core::NetworkConfig cfg;
-    cfg.mceCount = 1;
-    cfg.radix = 1;
-    core::PacketNetwork net(cfg);
+    // A single MCE is a depth-1 chain: no fan-out needed.
+    core::PacketNetwork net(1);
     EXPECT_TRUE(net.send(0, 4).delivered);
     EXPECT_GE(net.depth(), 1u);
 }
@@ -298,7 +302,7 @@ TEST(NetworkArq, ProtocolCountsFeedTheNetworkRows)
 {
     // The network's own counts are the only copy of the ARQ ledger:
     // each `network.*` row moves by exactly what the accessor reads.
-    core::PacketNetwork net(netConfig());
+    core::PacketNetwork net(4);
     FaultConfig cfg;
     cfg.rate(FaultSite::NetworkLoss) = 0.5;
     cfg.rate(FaultSite::NetworkCorruption) = 0.3;

@@ -201,9 +201,6 @@ faultyMaster(std::uint64_t fault_seed)
 {
     MasterConfig cfg = smallMaster(2);
     cfg.faults = quest::sim::FaultConfig::uniform(0.01, fault_seed);
-    cfg.scrubIntervalRounds = 16;
-    cfg.heartbeatIntervalRounds = 8;
-    cfg.modelDecodeDeadline = true;
     return cfg;
 }
 

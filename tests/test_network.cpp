@@ -22,28 +22,18 @@ using quest::sim::nanoseconds;
 
 TEST(Network, TreeDepthGrowsWithMceCount)
 {
-    NetworkConfig small;
-    small.mceCount = 4;
-    small.radix = 4;
-    EXPECT_EQ(PacketNetwork(small).depth(), 1u);
-
-    NetworkConfig medium = small;
-    medium.mceCount = 16;
-    EXPECT_EQ(PacketNetwork(medium).depth(), 2u);
-
-    NetworkConfig large = small;
-    large.mceCount = 17;
-    EXPECT_EQ(PacketNetwork(large).depth(), 3u);
+    static_assert(PacketNetwork::radix == 4);
+    EXPECT_EQ(PacketNetwork(1).depth(), 1u);
+    EXPECT_EQ(PacketNetwork(4).depth(), 1u);
+    EXPECT_EQ(PacketNetwork(16).depth(), 2u);
+    EXPECT_EQ(PacketNetwork(17).depth(), 3u);
 }
 
 TEST(Network, PacketLatencyIsHopsPlusSerialization)
 {
-    NetworkConfig cfg;
-    cfg.mceCount = 4;
-    cfg.radix = 4;
-    cfg.hopLatency = nanoseconds(5);
-    cfg.linkBytesPerTick = 0.004; // 4 GB/s
-    PacketNetwork net(cfg);
+    static_assert(PacketNetwork::hopLatency == nanoseconds(5));
+    static_assert(PacketNetwork::linkBytesPerTick == 0.004); // 4 GB/s
+    PacketNetwork net(4);
 
     // depth 1 -> 2 hops; 2 bytes at 0.004 B/tick -> 500 ticks.
     const PacketTiming t = net.send(0, 2);
@@ -53,9 +43,7 @@ TEST(Network, PacketLatencyIsHopsPlusSerialization)
 
 TEST(Network, AccountingAccumulates)
 {
-    NetworkConfig cfg;
-    cfg.mceCount = 2;
-    PacketNetwork net(cfg);
+    PacketNetwork net(2);
     net.send(0, 100);
     net.send(1, 300);
     EXPECT_DOUBLE_EQ(net.bytesCarried(), 400.0);
@@ -65,10 +53,7 @@ TEST(Network, AccountingAccumulates)
 
 TEST(Network, RootUtilizationReflectsLoad)
 {
-    NetworkConfig cfg;
-    cfg.mceCount = 2;
-    cfg.linkBytesPerTick = 0.004;
-    PacketNetwork net(cfg);
+    PacketNetwork net(2);
     net.send(0, 4);
     // 4 bytes over 1e6 ticks at 0.004 B/tick capacity -> 0.1%.
     EXPECT_NEAR(net.rootLinkUtilization(1000000), 1e-3, 1e-9);
@@ -78,9 +63,7 @@ TEST(Network, RootUtilizationReflectsLoad)
 TEST(Network, OutOfRangeMcePanics)
 {
     quest::sim::setQuiet(true);
-    NetworkConfig cfg;
-    cfg.mceCount = 2;
-    PacketNetwork net(cfg);
+    PacketNetwork net(2);
     EXPECT_THROW(net.send(5, 10), quest::sim::SimError);
     quest::sim::setQuiet(false);
 }
@@ -137,14 +120,13 @@ TEST(NetworkIntegration, QuestLeavesTheRootLinkNearlyIdle)
 
 /** Drive `n` sends through a lossy network; collect latencies. */
 std::vector<quest::sim::Tick>
-lossyLatencies(const NetworkConfig &cfg, std::uint64_t fault_seed,
-               int n)
+lossyLatencies(std::uint64_t fault_seed, int n)
 {
     quest::sim::FaultConfig fc;
     fc.seed = fault_seed;
     fc.rate(quest::sim::FaultSite::NetworkLoss) = 0.3;
     quest::sim::FaultInjector inj(fc);
-    PacketNetwork net(cfg);
+    PacketNetwork net(4);
     net.attachFaults(&inj);
     std::vector<quest::sim::Tick> lat;
     lat.reserve(std::size_t(n));
@@ -158,41 +140,22 @@ TEST(NetworkJitter, BackoffJitterReplaysBitForBit)
     // The jitter stream is seeded off the injector, never the wall
     // clock: identical seeds must give identical retransmission
     // timing, delivery for delivery.
-    NetworkConfig cfg;
-    cfg.mceCount = 4;
-    EXPECT_EQ(lossyLatencies(cfg, 42, 512),
-              lossyLatencies(cfg, 42, 512));
-    EXPECT_NE(lossyLatencies(cfg, 42, 512),
-              lossyLatencies(cfg, 43, 512));
-}
-
-TEST(NetworkJitter, ZeroJitterRestoresDeterministicDoubling)
-{
-    NetworkConfig plain;
-    plain.mceCount = 4;
-    plain.retryJitter = 0.0;
-    // Backoff with jitter disabled is the pure doubling sequence:
-    // independent of the seed entirely.
-    EXPECT_EQ(lossyLatencies(plain, 1, 256),
-              lossyLatencies(plain, 1, 256));
-
-    // And the jittered schedule really does spread retries: same
-    // fault pattern, different waits somewhere in the run.
-    NetworkConfig jittered = plain;
-    jittered.retryJitter = 0.5;
-    EXPECT_NE(lossyLatencies(jittered, 1, 256),
-              lossyLatencies(plain, 1, 256));
+    EXPECT_EQ(lossyLatencies(42, 512), lossyLatencies(42, 512));
+    EXPECT_NE(lossyLatencies(42, 512), lossyLatencies(43, 512));
 }
 
 TEST(NetworkJitter, FaultFreePathIgnoresJitterEntirely)
 {
-    // No injector attached: the zero-overhead path must be
-    // bit-identical whatever the jitter knob says.
-    NetworkConfig a;
-    a.mceCount = 4;
-    NetworkConfig b = a;
-    b.retryJitter = 0.9;
-    PacketNetwork na(a), nb(b);
+    // An idle injector reseeds the jitter stream, but the fault-free
+    // path never draws from it: the timing is bit-identical whatever
+    // the fault seed, one attempt per packet.
+    quest::sim::FaultInjector idle_a(quest::sim::FaultConfig::none());
+    quest::sim::FaultConfig other = quest::sim::FaultConfig::none();
+    other.seed = 7;
+    quest::sim::FaultInjector idle_b(other);
+    PacketNetwork na(4), nb(4);
+    na.attachFaults(&idle_a);
+    nb.attachFaults(&idle_b);
     for (int i = 0; i < 64; ++i) {
         const PacketTiming ta = na.send(i % 4, 16);
         const PacketTiming tb = nb.send(i % 4, 16);
@@ -212,10 +175,8 @@ row(const char *name)
 
 TEST(Network, EachNetworkKeepsItsOwnTotals)
 {
-    NetworkConfig cfg;
-    cfg.mceCount = 4;
-    PacketNetwork a(cfg);
-    PacketNetwork b(cfg);
+    PacketNetwork a(4);
+    PacketNetwork b(4);
     const std::uint64_t bytes0 = row("network.bytes");
     const std::uint64_t packets0 = row("network.packets");
     a.send(0, 100);
@@ -231,9 +192,7 @@ TEST(Network, EachNetworkKeepsItsOwnTotals)
 
 TEST(Network, LatencyHistogramRecordsEveryPacket)
 {
-    NetworkConfig cfg;
-    cfg.mceCount = 4;
-    PacketNetwork net(cfg);
+    PacketNetwork net(4);
     auto &hist = quest::sim::metrics::Registry::global().histogram(
         "network.latency", "");
     const std::uint64_t count0 = hist.count();

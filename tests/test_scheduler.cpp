@@ -984,11 +984,15 @@ TEST(ArbiterIntegration, QuarantinedTileRejoinsTheGrantRotation)
 {
     core::MasterConfig cfg = arbitratedMaster(2, 4);
     cfg.arbiterPolicy = ArbiterPolicy::OldestFirst;
-    cfg.heartbeatIntervalRounds = 4;
     core::MasterController master(cfg);
     master.mce(1).wedge();
 
-    master.runRounds(16);
+    // A watchdog sweep every 4 rounds (the run is fault-free, so
+    // the master sends none of its own).
+    for (int sweep = 0; sweep < 4; ++sweep) {
+        master.runRounds(4);
+        master.heartbeatNow();
+    }
 
     // The watchdog quarantined and re-synced the wedged tile...
     EXPECT_GE(master.quarantineCount(), 1.0);

@@ -280,7 +280,6 @@ TEST(StreamingMaster, InjectedOverrunsDegradeEveryResidualWindow)
     offline_cfg.mce.errorRates =
         quest::quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3};
     offline_cfg.decodeWindowRounds = 3;
-    offline_cfg.modelDecodeDeadline = true;
     offline_cfg.faults.rate(quest::sim::FaultSite::DecoderOverrun) = 1.0;
 
     MasterConfig stream_cfg = offline_cfg;

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mce.hpp"
+#include "core/system.hpp"
 #include "qecc/protocol.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
@@ -464,46 +465,26 @@ TEST(VerifyReport, MetricsCountRunsAndErrors)
 }
 
 // ------------------------------------------------------------------
-// The verify-on-load pre-flight gate.
+// The verify-on-load pre-flight: `quest replay --verify-on-load`
+// runs verifyConfig on its tile config once per tile, labelled
+// mce<i>, and refuses to build the system on a failing report.
 // ------------------------------------------------------------------
 
-class PreflightGateTest : public ::testing::Test
+TEST(PreflightGateTest, AcceptsCleanTile)
 {
-  protected:
-    void TearDown() override { core::setPreflightVerifier(nullptr); }
-};
-
-TEST_F(PreflightGateTest, RejectsWhenNoVerifierInstalled)
-{
-    core::setPreflightVerifier(nullptr);
-    core::MceConfig cfg = cleanConfig();
-    cfg.verifyOnLoad = true;
-    EXPECT_THROW(core::Mce("mce0", cfg), sim::SimError);
+    const Report report =
+        verify::verifyConfig(core::tileConfigForLogicalQubits(3), "mce0");
+    EXPECT_TRUE(report.ok()) << report.toString();
 }
 
-TEST_F(PreflightGateTest, AcceptsCleanTile)
+TEST(PreflightGateTest, RejectsOverCapacityTile)
 {
-    verify::installPreflightGate();
-    core::MceConfig cfg = cleanConfig();
-    cfg.verifyOnLoad = true;
-    EXPECT_NO_THROW(core::Mce("mce0", cfg));
-}
-
-TEST_F(PreflightGateTest, RejectsOverCapacityTile)
-{
-    verify::installPreflightGate();
-    core::MceConfig cfg = cleanConfig();
-    cfg.verifyOnLoad = true;
+    core::MceConfig cfg = core::tileConfigForLogicalQubits(5);
     cfg.microcodeDesign = core::MicrocodeDesign::Ram;
-    cfg.distance = 5;
-    EXPECT_THROW(core::Mce("mce0", cfg), sim::SimError);
-}
-
-TEST_F(PreflightGateTest, OffByDefault)
-{
-    core::setPreflightVerifier(nullptr);
-    // verifyOnLoad defaults to false: tiles load without a verifier.
-    EXPECT_NO_THROW(core::Mce("mce0", cleanConfig()));
+    const Report report = verify::verifyConfig(cfg, "mce0");
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.has(verify::codes::capacity))
+        << report.toString();
 }
 
 } // namespace

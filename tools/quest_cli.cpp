@@ -375,27 +375,47 @@ cmdReplay(const Options &opts)
     opts.done();
 
     const isa::LogicalTrace trace = isa::LogicalTrace::loadBinary(path);
+    // placeLogicalQubits() puts logical qubit 0 on every tile, and the
+    // master routes operand q to tile q % mces as its local qubit
+    // q / mces: only operands below --mces reach a placed qubit.
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const isa::LogicalInstr &instr = trace.at(i);
+        if (instr.opcode != isa::LogicalOpcode::Nop
+            && instr.opcode != isa::LogicalOpcode::SyncToken
+            && instr.operand >= mces)
+            sim::fatal("%s: instruction %zu (%s) targets a qubit "
+                       "that --mces %zu does not place (one per "
+                       "tile, L0..L%zu); raise --mces or regenerate "
+                       "the trace with --qubits %zu",
+                       path.c_str(), i, instr.toString().c_str(),
+                       mces, mces - 1, mces);
+    }
 
     core::MasterConfig cfg;
     cfg.numMces = mces;
     cfg.mce = core::tileConfigForLogicalQubits(distance);
     cfg.mce.errorRates = quantum::ErrorRates{p, 0, 0, 0, p};
-
     // Classical fault model: a uniform per-site rate switches on the
     // whole resilience stack (ARQ retries, scrubbing, watchdog,
     // decode-deadline fallback).
-    // Pre-flight gate: statically verify every tile's microcode,
-    // budget and hazard properties before the system accepts it.
-    if (verify_on_load) {
-        verify::installPreflightGate();
-        cfg.mce.verifyOnLoad = true;
-    }
-
-    if (fault_rate > 0.0) {
+    if (fault_rate > 0.0)
         cfg.faults = sim::FaultConfig::uniform(fault_rate, fault_seed);
-        cfg.scrubIntervalRounds = 64;
-        cfg.heartbeatIntervalRounds = 16;
-        cfg.modelDecodeDeadline = true;
+
+    // Pre-flight: statically verify every tile's microcode, budget
+    // and hazard properties before the system is built.
+    if (verify_on_load) {
+        for (std::size_t i = 0; i < mces; ++i) {
+            const std::string label = "mce" + std::to_string(i);
+            const verify::Report report =
+                verify::verifyConfig(cfg.mce, label);
+            if (report.ok())
+                continue;
+            ++sim::metrics::Registry::global().counter(
+                "verify.preflight_rejections",
+                "tiles rejected by the verify-on-load pre-flight");
+            sim::fatal("%s: pre-flight verification failed\n%s",
+                       label.c_str(), report.toString().c_str());
+        }
     }
 
     core::QuestSystem system(cfg);

@@ -1,7 +1,7 @@
 #!/bin/sh
 # A seeded fault replay must be deterministic: two runs with the same
 # --fault-seed print byte-identical reports, and the report covers the
-# injected fault kinds.
+# injected fault kinds. A zero fault rate must leave the run fault-free.
 #
 # Usage: test_replay_faults.sh <path-to-quest-binary>
 
@@ -22,6 +22,17 @@ if ! cmp -s "$dir/a.out" "$dir/b.out"; then
     diff "$dir/a.out" "$dir/b.out"
     exit 1
 fi
+# --fault-rate 0 is the fault-free run: the same report, byte for byte,
+# as leaving the flag out.
+"$quest" replay --trace "$dir/t.qtrace" --mces 2 --rounds 64 \
+    --faults-report >"$dir/plain.out" || exit 1
+"$quest" replay --trace "$dir/t.qtrace" --mces 2 --rounds 64 \
+    --fault-rate 0 --faults-report >"$dir/zero.out" || exit 1
+if ! cmp -s "$dir/plain.out" "$dir/zero.out"; then
+    echo "FAIL: --fault-rate 0 changes the report"
+    diff "$dir/plain.out" "$dir/zero.out"
+    exit 1
+fi
 for counter in faults.seu_injected faults.hangs_injected \
                faults.network_lost faults.decoder_overruns; do
     if ! grep -q "^$counter " "$dir/a.out"; then
@@ -30,4 +41,4 @@ for counter in faults.seu_injected faults.hangs_injected \
         exit 1
     fi
 done
-echo "ok: seeded fault replay is deterministic"
+echo "ok: seeded fault replay is deterministic; rate 0 is fault-free"
