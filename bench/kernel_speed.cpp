@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -272,28 +271,29 @@ main(int argc, char **argv)
                   + ": lane t of batch b is trial b*64+t");
     table.print(std::cout);
 
-    std::ofstream os(out_path);
-    os << "{\n  \"bench\": \"kernel_speed\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"frames\": {\n"
-       << "    \"distance\": " << frames.distance << ",\n"
-       << "    \"trials\": " << frames.trials << ",\n"
-       << "    \"scalar_reps\": " << frames.scalarReps << ",\n"
-       << "    \"batched_reps\": " << frames.batchedReps << ",\n"
-       << "    \"scalar_trials_per_sec\": " << frames.scalarPerSec
-       << ",\n"
-       << "    \"batched_trials_per_sec\": " << frames.batchedPerSec
-       << ",\n"
-       << "    \"parallel_skipped\": "
-       << (frames.parSkipped ? "true" : "false") << ",\n";
-    if (!frames.parSkipped)
-        os << "    \"batched_parallel_trials_per_sec\": "
-           << frames.batchedParPerSec << ",\n";
-    os << "    \"parallel_threads\": " << frames.parThreads << ",\n"
-       << "    \"speedup\": " << frames.speedup() << ",\n"
-       << "    \"digests_identical\": "
-       << (frames.identical ? "true" : "false") << "\n  }\n}\n";
-    std::cout << "\nwrote " << out_path << "\n";
+    // batched_parallel_trials_per_sec is present only when the
+    // parallel row ran.
+    const auto frames_json = [&](const auto &...parallel) {
+        return bench::jsonObject(
+            4, "distance", frames.distance, "trials", frames.trials,
+            "scalar_reps", frames.scalarReps, "batched_reps",
+            frames.batchedReps, "scalar_trials_per_sec",
+            frames.scalarPerSec, "batched_trials_per_sec",
+            frames.batchedPerSec, "parallel_skipped", frames.parSkipped,
+            parallel..., "parallel_threads", frames.parThreads,
+            "speedup", frames.speedup(), "digests_identical",
+            frames.identical);
+    };
+    std::cout << "\n";
+    bench::writeJsonFile(
+        out_path,
+        bench::jsonObject(2, "bench", "kernel_speed", "smoke", smoke,
+                          "frames",
+                          frames.parSkipped
+                              ? frames_json()
+                              : frames_json(
+                                    "batched_parallel_trials_per_sec",
+                                    frames.batchedParPerSec)));
 
     if (check) {
         bool ok = frames.identical;

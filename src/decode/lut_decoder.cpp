@@ -1,6 +1,8 @@
 #include "lut_decoder.hpp"
 
+#include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "sim/logging.hpp"
 
@@ -38,79 +40,88 @@ LutDecoder::decodeType(const std::vector<DetectionEvent> &events,
                        std::vector<DetectionEvent> &residual,
                        std::size_t &resolved) const
 {
-    std::vector<std::uint8_t> consumed(events.size(), 0);
+    const std::size_t n = events.size();
+    for (std::size_t i = 1; i < n; ++i)
+        QUEST_ASSERT(events[i - 1].round <= events[i].round,
+                     "LUT events must be round-major: round %zu follows "
+                     "round %zu", events[i].round, events[i - 1].round);
+    std::vector<std::uint8_t> consumed(n, 0);
+
+    // Events are round-major, so each round is one contiguous run
+    // [begin, end) and the next round (if any) starts at `end`.
+    const auto roundEnd = [&](std::size_t begin) {
+        std::size_t end = begin;
+        while (end < n && events[end].round == events[begin].round)
+            ++end;
+        return end;
+    };
 
     // Pass 1: same-round adjacent pairs (a single data error flips
-    // exactly the two checks it touches).
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        if (consumed[i])
-            continue;
-        int partner = -1;
-        std::size_t neighbours = 0;
-        for (std::size_t j = 0; j < events.size(); ++j) {
-            if (j == i || consumed[j])
+    // exactly the two checks it touches). Only the event's own round
+    // can hold a partner.
+    for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+        end = roundEnd(begin);
+        for (std::size_t i = begin; i < end; ++i) {
+            if (consumed[i])
                 continue;
-            if (events[j].round == events[i].round
-                && spatialDistance(events[i], events[j]) == 1) {
-                ++neighbours;
-                partner = int(j);
-            }
-        }
-        // Only act when the pairing is unambiguous.
-        if (neighbours == 1) {
-            std::size_t other_neighbours = 0;
-            const auto &e2 = events[std::size_t(partner)];
-            for (std::size_t j = 0; j < events.size(); ++j) {
-                if (int(j) == partner || consumed[j])
+            std::size_t partner = 0;
+            std::size_t neighbours = 0;
+            for (std::size_t j = begin; j < end; ++j) {
+                if (j == i || consumed[j])
                     continue;
-                if (events[j].round == e2.round
-                    && spatialDistance(e2, events[j]) == 1)
+                if (spatialDistance(events[i], events[j]) == 1) {
+                    ++neighbours;
+                    partner = j;
+                }
+            }
+            // Only act when the pairing is unambiguous.
+            if (neighbours != 1)
+                continue;
+            std::size_t other_neighbours = 0;
+            const auto &e2 = events[partner];
+            for (std::size_t j = begin; j < end; ++j) {
+                if (j == partner || consumed[j])
+                    continue;
+                if (spatialDistance(e2, events[j]) == 1)
                     ++other_neighbours;
             }
             if (other_neighbours == 1) {
-                const Coord data =
-                    sharedDataQubit(events[i], e2);
+                const Coord data = sharedDataQubit(events[i], e2);
                 flips.push_back(_lattice->index(data));
                 consumed[i] = 1;
-                consumed[std::size_t(partner)] = 1;
+                consumed[partner] = 1;
                 resolved += 2;
             }
         }
     }
 
     // Pass 2: time-like pairs (measurement flips) -- same check,
-    // consecutive rounds. No data correction needed.
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        if (consumed[i])
+    // consecutive rounds. No data correction needed. A later event
+    // can only be one round later, so only the next round is read.
+    for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+        end = roundEnd(begin);
+        if (end == n || events[end].round != events[begin].round + 1)
             continue;
-        for (std::size_t j = i + 1; j < events.size(); ++j) {
-            if (consumed[j])
+        const std::size_t next_end = roundEnd(end);
+        for (std::size_t i = begin; i < end; ++i) {
+            if (consumed[i])
                 continue;
-            if (events[j].ancilla == events[i].ancilla
-                && (events[j].round == events[i].round + 1
-                    || events[i].round == events[j].round + 1)) {
-                consumed[i] = 1;
-                consumed[j] = 1;
-                resolved += 2;
-                break;
+            for (std::size_t j = end; j < next_end; ++j) {
+                if (!consumed[j] && events[j].ancilla == events[i].ancilla) {
+                    consumed[i] = 1;
+                    consumed[j] = 1;
+                    resolved += 2;
+                    break;
+                }
             }
         }
     }
 
-    // Pass 3: isolated boundary-adjacent events.
-    for (std::size_t i = 0; i < events.size(); ++i) {
+    // Pass 3: isolated boundary-adjacent events. The boundary test
+    // is the cheaper one, so the isolation scan runs only after it.
+    for (std::size_t i = 0; i < n; ++i) {
         if (consumed[i])
             continue;
-        bool isolated = true;
-        for (std::size_t j = 0; j < events.size() && isolated; ++j) {
-            if (j == i || consumed[j])
-                continue;
-            if (spatialDistance(events[i], events[j]) <= 2)
-                isolated = false;
-        }
-        if (!isolated)
-            continue;
-
         const Coord c = events[i].ancilla;
         Coord data;
         bool at_boundary = false;
@@ -131,14 +142,23 @@ LutDecoder::decodeType(const std::vector<DetectionEvent> &events,
                 at_boundary = true;
             }
         }
-        if (at_boundary) {
-            flips.push_back(_lattice->index(data));
-            consumed[i] = 1;
-            resolved += 1;
+        if (!at_boundary)
+            continue;
+        bool isolated = true;
+        for (std::size_t j = 0; j < n && isolated; ++j) {
+            if (j == i || consumed[j])
+                continue;
+            if (spatialDistance(events[i], events[j]) <= 2)
+                isolated = false;
         }
+        if (!isolated)
+            continue;
+        flips.push_back(_lattice->index(data));
+        consumed[i] = 1;
+        resolved += 1;
     }
 
-    for (std::size_t i = 0; i < events.size(); ++i)
+    for (std::size_t i = 0; i < n; ++i)
         if (!consumed[i])
             residual.push_back(events[i]);
 }

@@ -48,6 +48,10 @@ class LutDecoder
     /**
      * Resolve isolated single-error patterns; anything ambiguous is
      * passed through untouched in `residual`.
+     *
+     * Precondition (panics otherwise): each type's list is
+     * round-major (rounds non-decreasing, the order extraction
+     * produces).
      */
     LocalDecodeResult decodeLocal(const DetectionEvents &events) const;
 

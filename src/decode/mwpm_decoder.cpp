@@ -16,13 +16,17 @@ using qecc::SiteType;
 
 namespace {
 
-constexpr std::uint64_t inf = std::numeric_limits<std::uint64_t>::max();
-
 /** Cap on the all-pairs cache: ~4000 ancillas / 64 MiB of table. */
 constexpr std::size_t maxCachedPairs = std::size_t(1) << 24;
 
 constexpr std::uint32_t noAncilla =
     std::numeric_limits<std::uint32_t>::max();
+
+/**
+ * The greedy matcher packs an edge's two event indices into 16 bits
+ * each; past this many events the edge list alone would be 17 GB.
+ */
+constexpr std::size_t maxGreedyEvents = std::size_t(1) << 16;
 
 /**
  * Per-thread scratch arena for the matchers and decode(). Reused
@@ -32,26 +36,27 @@ constexpr std::uint32_t noAncilla =
  */
 struct Scratch
 {
+    // Both matchers: each event's ancilla id in the all-pairs table
+    // and its boundary weight, looked up once per matching.
+    std::vector<std::uint32_t> ids;
+    std::vector<std::uint64_t> bweight;
+
     // matchExact. The DP table and weight matrices exist in both a
     // 32-bit flavour (the common case — halves the cache footprint
     // of the 2^n table) and a 64-bit flavour used only when the
-    // weight bound could overflow 32 bits.
-    std::vector<std::uint64_t> bweight;
+    // weight bound could overflow 32 bits. Between matchings every
+    // table entry holds the "unsolved" sentinel; a matching records
+    // the masks it solves in `solved` and resets just those.
     std::vector<std::uint64_t> pweight; ///< n*n, flat
     std::vector<std::uint64_t> f;       ///< 1<<n DP table
     std::vector<std::uint32_t> bweight32;
     std::vector<std::uint32_t> pweight32;
     std::vector<std::uint32_t> f32;
+    std::vector<std::uint32_t> solved;
 
-    // matchGreedy
-    struct Edge
-    {
-        std::uint64_t weight;
-        std::size_t a;
-        std::size_t b;      // == a for boundary edges
-        bool boundary;
-    };
-    std::vector<Edge> edges;
+    // matchGreedy: edges packed as weight << 32 | a << 16 | b, with
+    // b == a for a boundary edge.
+    std::vector<std::uint64_t> edges;
     std::vector<std::uint8_t> used;
 
     // decode
@@ -71,69 +76,79 @@ scratch()
  * Bitmask-DP exact matching over n events. f[mask] = min weight to
  * resolve exactly the events in mask; event i (the lowest set bit)
  * either matches the boundary or pairs with another set bit j.
- * Weight type W is uint32 when the weight bound allows (the 2^n
- * table then fits twice as much of the cache) and uint64 otherwise.
+ * Solved top down from the full mask, so only the masks that
+ * recursion reaches are ever computed (about 1 000 of 16 384 at
+ * n = 14); each one gets the same value the full table would hold,
+ * and the reconstruction reads nothing else. Weight type W is uint32
+ * when the weight bound allows (the table then fits twice as much of
+ * the cache) and uint64 otherwise.
  */
 template <typename W>
 MatchingResult
-exactDp(std::size_t n, std::vector<W> &f, const W *bweight,
+exactDp(std::size_t n, std::vector<W> &f,
+        std::vector<std::uint32_t> &solved, const W *bweight,
         const W *pweight)
 {
-    constexpr W winf = std::numeric_limits<W>::max();
-    f.assign(std::size_t(1) << n, winf);
+    // No solved entry reaches the sentinel: the caller picks W so
+    // that every matching weight stays below W's maximum.
+    constexpr W unsolved = std::numeric_limits<W>::max();
+    const std::size_t full = (std::size_t(1) << n) - 1;
+    if (f.size() <= full)
+        f.resize(full + 1, unsolved);
     f[0] = 0;
-    for (std::size_t mask = 1; mask < f.size(); ++mask) {
+    solved.assign(1, 0);
+
+    const auto solve = [&](const auto &self, std::size_t mask) -> W {
+        if (f[mask] != unsolved)
+            return f[mask];
         const std::size_t i = std::size_t(std::countr_zero(mask));
         const std::size_t without_i = mask & (mask - 1);
         // Option 1: event i matches the boundary.
-        W best = f[without_i] != winf ? W(f[without_i] + bweight[i])
-                                      : winf;
+        W best = W(self(self, without_i) + bweight[i]);
         // Option 2: event i pairs with some j in the mask. All
         // other set bits are > i, so iterate them directly.
         for (std::size_t rem = without_i; rem; rem &= rem - 1) {
-            const std::size_t j =
-                std::size_t(std::countr_zero(rem));
-            const std::size_t rest =
-                without_i & ~(std::size_t(1) << j);
-            if (f[rest] == winf)
-                continue;
-            const W cand = W(f[rest] + pweight[i * n + j]);
+            const std::size_t j = std::size_t(std::countr_zero(rem));
+            const std::size_t rest = without_i & ~(std::size_t(1) << j);
+            const W cand = W(self(self, rest) + pweight[i * n + j]);
             if (cand < best)
                 best = cand;
         }
         f[mask] = best;
-    }
+        solved.push_back(std::uint32_t(mask));
+        return best;
+    };
+    MatchingResult result;
+    result.totalWeight = solve(solve, full);
 
     // Reconstruct the optimal decisions.
-    MatchingResult result;
-    result.totalWeight = f[f.size() - 1];
-    std::size_t mask = f.size() - 1;
-    while (mask) {
+    bool found = true;
+    std::size_t mask = full;
+    while (mask && found) {
         const std::size_t i = std::size_t(std::countr_zero(mask));
         const std::size_t without_i = mask & (mask - 1);
-        if (f[without_i] != winf
-            && f[mask] == W(f[without_i] + bweight[i])) {
+        if (f[mask] == W(f[without_i] + bweight[i])) {
             result.matches.push_back(Match{i, 0, true, bweight[i]});
             mask = without_i;
             continue;
         }
-        bool found = false;
+        found = false;
         for (std::size_t rem = without_i; rem && !found;
              rem &= rem - 1) {
-            const std::size_t j =
-                std::size_t(std::countr_zero(rem));
-            const std::size_t rest =
-                without_i & ~(std::size_t(1) << j);
-            if (f[rest] != winf
-                && f[mask] == W(f[rest] + pweight[i * n + j])) {
+            const std::size_t j = std::size_t(std::countr_zero(rem));
+            const std::size_t rest = without_i & ~(std::size_t(1) << j);
+            if (f[mask] == W(f[rest] + pweight[i * n + j])) {
                 result.matches.push_back(
                     Match{i, j, false, pweight[i * n + j]});
                 mask = rest;
                 found = true;
             }
         }
-        QUEST_ASSERT(found, "matching reconstruction failed");
     }
+    // Leave every entry unsolved for the next matching.
+    for (const std::uint32_t m : solved)
+        f[m] = unsolved;
+    QUEST_ASSERT(found, "matching reconstruction failed");
     return result;
 }
 
@@ -165,11 +180,15 @@ MwpmDecoder::MwpmDecoder(const qecc::Lattice &lattice,
     // all-pairs spatial distances, per-ancilla edge distances.
     const std::size_t sites = lattice.numQubits();
     _ancillaId.assign(sites, noAncilla);
+    std::vector<Coord> ancillas; // coordinate of each ancilla id
     for (std::size_t idx = 0; idx < sites; ++idx) {
         const Coord c = lattice.coord(idx);
-        if (lattice.isAncilla(c))
-            _ancillaId[idx] = std::uint32_t(_numAncilla++);
+        if (lattice.isAncilla(c)) {
+            _ancillaId[idx] = std::uint32_t(ancillas.size());
+            ancillas.push_back(c);
+        }
     }
+    _numAncilla = ancillas.size();
     if (_numAncilla * _numAncilla > maxCachedPairs) {
         _ancillaId.clear();
         _numAncilla = 0;
@@ -180,18 +199,12 @@ MwpmDecoder::MwpmDecoder(const qecc::Lattice &lattice,
     // stay empty (uncached path) until the table is complete.
     std::vector<std::uint32_t> spatial(_numAncilla * _numAncilla, 0);
     std::vector<std::uint32_t> edge(_numAncilla, 0);
-    for (std::size_t ia = 0; ia < sites; ++ia) {
-        const std::uint32_t a = _ancillaId[ia];
-        if (a == noAncilla)
-            continue;
-        const Coord ca = lattice.coord(ia);
+    for (std::size_t a = 0; a < _numAncilla; ++a) {
+        const Coord ca = ancillas[a];
         const DetectionEvent ea{0, ca, lattice.siteType(ca)};
         edge[a] = std::uint32_t(edgeDistance(ea));
-        for (std::size_t ib = 0; ib < sites; ++ib) {
-            const std::uint32_t b = _ancillaId[ib];
-            if (b == noAncilla)
-                continue;
-            const Coord cb = lattice.coord(ib);
+        for (std::size_t b = 0; b < _numAncilla; ++b) {
+            const Coord cb = ancillas[b];
             const std::uint32_t dr =
                 std::uint32_t(std::abs(ca.row - cb.row));
             const std::uint32_t dc =
@@ -210,13 +223,13 @@ MwpmDecoder::distance(const DetectionEvent &a, const DetectionEvent &b) const
 {
     QUEST_ASSERT(a.type == b.type,
                  "cannot match events of different stabilizer types");
+    if (!_spatial.empty())
+        return tableDistance(_ancillaId[_lattice->index(a.ancilla)],
+                             a.round,
+                             _ancillaId[_lattice->index(b.ancilla)],
+                             b.round);
     const std::uint64_t dt = a.round > b.round
         ? a.round - b.round : b.round - a.round;
-    if (!_spatial.empty()) {
-        const std::uint32_t ia = _ancillaId[_lattice->index(a.ancilla)];
-        const std::uint32_t ib = _ancillaId[_lattice->index(b.ancilla)];
-        return _spatial[ia * _numAncilla + ib] + dt;
-    }
     const std::uint64_t dr = std::uint64_t(std::abs(a.ancilla.row
                                                     - b.ancilla.row));
     const std::uint64_t dc = std::uint64_t(std::abs(a.ancilla.col
@@ -224,6 +237,14 @@ MwpmDecoder::distance(const DetectionEvent &a, const DetectionEvent &b) const
     QUEST_ASSERT(dr % 2 == 0 && dc % 2 == 0,
                  "same-type checks must differ by even steps");
     return (dr + dc) / 2 + dt;
+}
+
+std::uint64_t
+MwpmDecoder::tableDistance(std::uint32_t a, std::size_t ra,
+                           std::uint32_t b, std::size_t rb) const
+{
+    return _spatial[std::size_t(a) * _numAncilla + b]
+        + (ra > rb ? ra - rb : rb - ra);
 }
 
 std::uint64_t
@@ -360,32 +381,64 @@ MwpmDecoder::pathToBoundary(Coord a) const
     return path;
 }
 
+void
+MwpmDecoder::eventWeights(const std::vector<DetectionEvent> &events,
+                          std::vector<std::uint32_t> &ids,
+                          std::vector<std::uint64_t> &bweight) const
+{
+    const std::size_t n = events.size();
+    bweight.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        QUEST_ASSERT(events[i].type == events[0].type,
+                     "cannot match events of different stabilizer types");
+        bweight[i] = boundaryDistance(events[i]);
+    }
+    ids.clear();
+    if (_spatial.empty())
+        return;
+    ids.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        ids[i] = _ancillaId[_lattice->index(events[i].ancilla)];
+        QUEST_ASSERT(ids[i] != noAncilla, "event at (%d,%d) is not a check",
+                     events[i].ancilla.row, events[i].ancilla.col);
+    }
+}
+
+std::uint64_t
+MwpmDecoder::pairWeight(const std::vector<DetectionEvent> &events,
+                        const std::vector<std::uint32_t> &ids,
+                        std::size_t i, std::size_t j) const
+{
+    if (ids.empty())
+        return distance(events[i], events[j]);
+    return tableDistance(ids[i], events[i].round, ids[j], events[j].round);
+}
+
 MatchingResult
 MwpmDecoder::matchExact(const std::vector<DetectionEvent> &events) const
 {
     const std::size_t n = events.size();
     Scratch &s = scratch();
+    eventWeights(events, s.ids, s.bweight);
 
-    // Precompute pair and boundary weights into the flat arena.
-    s.bweight.resize(n);
+    // Precompute pair weights into the flat arena.
     s.pweight.resize(n * n);
     std::uint64_t sum_boundary = 0;
     std::uint64_t max_pair = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        s.bweight[i] = boundaryDistance(events[i]);
         sum_boundary += s.bweight[i];
         for (std::size_t j = i + 1; j < n; ++j) {
-            const std::uint64_t w = distance(events[i], events[j]);
+            const std::uint64_t w = pairWeight(events, s.ids, i, j);
             s.pweight[i * n + j] = w;
             s.pweight[j * n + i] = w;
             max_pair = std::max(max_pair, w);
         }
     }
 
-    // Every reachable f[mask] is bounded by the all-boundary
-    // matching; candidates add at most one more pair weight. When
-    // that bound fits comfortably in 32 bits, run the DP on uint32
-    // tables for cache density.
+    // Every f[mask] is bounded by the all-boundary matching;
+    // candidates add at most one more pair weight. When that bound
+    // fits comfortably in 32 bits, run the DP on uint32 tables for
+    // cache density.
     const std::uint64_t bound = sum_boundary + max_pair;
     if (bound < std::numeric_limits<std::uint32_t>::max()) {
         s.bweight32.resize(n);
@@ -394,10 +447,11 @@ MwpmDecoder::matchExact(const std::vector<DetectionEvent> &events) const
             s.bweight32[i] = std::uint32_t(s.bweight[i]);
         for (std::size_t i = 0; i < n * n; ++i)
             s.pweight32[i] = std::uint32_t(s.pweight[i]);
-        return exactDp<std::uint32_t>(n, s.f32, s.bweight32.data(),
+        return exactDp<std::uint32_t>(n, s.f32, s.solved,
+                                      s.bweight32.data(),
                                       s.pweight32.data());
     }
-    return exactDp<std::uint64_t>(n, s.f, s.bweight.data(),
+    return exactDp<std::uint64_t>(n, s.f, s.solved, s.bweight.data(),
                                   s.pweight.data());
 }
 
@@ -405,43 +459,60 @@ MatchingResult
 MwpmDecoder::matchGreedy(const std::vector<DetectionEvent> &events) const
 {
     const std::size_t n = events.size();
+    QUEST_ASSERT(n <= maxGreedyEvents,
+                 "greedy matcher takes at most %zu events, got %zu",
+                 maxGreedyEvents, n);
     Scratch &s = scratch();
+    eventWeights(events, s.ids, s.bweight);
+
+    // One 8-byte edge per candidate: the weight in the high word,
+    // then the two event indices. Sorting on the weight alone makes
+    // the same comparisons, so the same permutation, as sorting the
+    // unpacked edges would: ties keep their order.
+    const auto pack = [](std::uint64_t weight, std::size_t a,
+                         std::size_t b) {
+        QUEST_ASSERT(weight <= std::numeric_limits<std::uint32_t>::max(),
+                     "greedy edge weight %llu exceeds 32 bits",
+                     (unsigned long long)weight);
+        return weight << 32 | std::uint64_t(a) << 16 | std::uint64_t(b);
+    };
     auto &edges = s.edges;
     edges.clear();
     edges.reserve(n * (n + 1) / 2);
     for (std::size_t i = 0; i < n; ++i) {
-        edges.push_back(
-            Scratch::Edge{boundaryDistance(events[i]), i, i, true});
+        edges.push_back(pack(s.bweight[i], i, i));
         for (std::size_t j = i + 1; j < n; ++j)
-            edges.push_back(
-                Scratch::Edge{distance(events[i], events[j]), i, j,
-                              false});
+            edges.push_back(pack(pairWeight(events, s.ids, i, j), i, j));
     }
     std::sort(edges.begin(), edges.end(),
-              [](const Scratch::Edge &x, const Scratch::Edge &y) {
-                  return x.weight < y.weight;
+              [](std::uint64_t x, std::uint64_t y) {
+                  return (x >> 32) < (y >> 32);
               });
 
     MatchingResult result;
     s.used.assign(n, 0);
     auto &used = s.used;
     std::size_t remaining = n;
-    for (const Scratch::Edge &e : edges) {
+    for (const std::uint64_t e : edges) {
         if (!remaining)
             break;
-        if (used[e.a] || (!e.boundary && used[e.b]))
+        const std::uint64_t weight = e >> 32;
+        const std::size_t a = std::size_t(e >> 16 & 0xffff);
+        const std::size_t b = std::size_t(e & 0xffff);
+        const bool boundary = a == b;
+        if (used[a] || (!boundary && used[b]))
             continue;
-        if (e.boundary) {
-            used[e.a] = 1;
+        if (boundary) {
+            used[a] = 1;
             --remaining;
-            result.matches.push_back(Match{e.a, 0, true, e.weight});
+            result.matches.push_back(Match{a, 0, true, weight});
         } else {
-            used[e.a] = 1;
-            used[e.b] = 1;
+            used[a] = 1;
+            used[b] = 1;
             remaining -= 2;
-            result.matches.push_back(Match{e.a, e.b, false, e.weight});
+            result.matches.push_back(Match{a, b, false, weight});
         }
-        result.totalWeight += e.weight;
+        result.totalWeight += weight;
     }
     QUEST_ASSERT(remaining == 0, "greedy matcher left events unmatched");
     return result;

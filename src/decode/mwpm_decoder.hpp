@@ -98,11 +98,20 @@ class MwpmDecoder
 
     /**
      * Decode all detection events into a correction.
-     * Z-check events yield X corrections and vice versa.
+     * Z-check events yield X corrections and vice versa. Each type's
+     * set is held to the matchEvents() precondition.
      */
     Correction decode(const DetectionEvents &events) const;
 
-    /** Match one same-type event set (exposed for tests/benches). */
+    /**
+     * Match one same-type event set (exposed for tests/benches).
+     *
+     * Precondition (panics otherwise) when the set is larger than
+     * `exact_limit`: the greedy matcher packs each edge into 8 bytes,
+     * so it takes at most 65 536 events and every boundary and pair
+     * weight must fit in 32 bits (no two events ~4e9 rounds apart).
+     * The exact matcher has neither limit.
+     */
     MatchingResult matchEvents(
         const std::vector<DetectionEvent> &events) const;
 
@@ -155,7 +164,9 @@ class MwpmDecoder
      * to a compact ancilla id; `_spatial` holds (dr+dc)/2 for every
      * ancilla pair; `_edge` holds each ancilla's data-qubit count to
      * the nearest lattice edge. Empty (= disabled) when the
-     * all-pairs table would be unreasonably large.
+     * all-pairs table would be unreasonably large. The matchers look
+     * each event's id up once and read pair weights straight from
+     * `_spatial`.
      */
     std::vector<std::uint32_t> _ancillaId;
     std::vector<std::uint32_t> _spatial;
@@ -174,6 +185,27 @@ class MwpmDecoder
         const std::vector<DetectionEvent> &events) const;
     MatchingResult matchGreedy(
         const std::vector<DetectionEvent> &events) const;
+
+    /**
+     * Per-event inputs to a matching: `ids` gets each event's
+     * ancilla id (left empty when the all-pairs table is disabled)
+     * and `bweight` its boundaryDistance().
+     */
+    void eventWeights(const std::vector<DetectionEvent> &events,
+                      std::vector<std::uint32_t> &ids,
+                      std::vector<std::uint64_t> &bweight) const;
+
+    /**
+     * distance() from the all-pairs table: ancilla ids `a`, `b` at
+     * rounds `ra`, `rb`. The table must be enabled.
+     */
+    std::uint64_t tableDistance(std::uint32_t a, std::size_t ra,
+                                std::uint32_t b, std::size_t rb) const;
+
+    /** distance(events[i], events[j]) from the ids eventWeights() set. */
+    std::uint64_t pairWeight(const std::vector<DetectionEvent> &events,
+                             const std::vector<std::uint32_t> &ids,
+                             std::size_t i, std::size_t j) const;
 
     /** Distance to the lattice edge only (ignores masks). */
     std::uint64_t edgeDistance(const DetectionEvent &e) const;

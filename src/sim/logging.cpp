@@ -45,7 +45,6 @@ fatal(const char *fmt, ...)
     va_start(args, fmt);
     std::string msg = vformat(fmt, args);
     va_end(args);
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     throw SimError(SimError::Kind::Fatal, msg);
 }
 

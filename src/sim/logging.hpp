@@ -47,7 +47,11 @@ class SimError : public std::runtime_error
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report an unrecoverable user/configuration error; raises SimError. */
+/**
+ * Raise SimError(Fatal) for an unrecoverable user/configuration
+ * error. Unlike panic() it prints nothing itself: the catcher
+ * reports the message, so it appears once.
+ */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "decode/lut_decoder.hpp"
 #include "decode/mwpm_decoder.hpp"
 #include "qecc/memory_experiment.hpp"
+#include "sim/logging.hpp"
 
 namespace {
 
@@ -124,6 +128,38 @@ TEST_F(LutTest, EmptyInputProducesEmptyOutput)
     EXPECT_EQ(result.resolvedEvents, 0u);
     EXPECT_EQ(result.correction.weight(), 0u);
     EXPECT_EQ(result.residual.total(), 0u);
+}
+
+TEST_F(LutTest, RejectsInputThatIsNotRoundMajor)
+{
+    // The passes look for partners only in an event's own round and
+    // the next one, which is exact only when rounds never decrease
+    // along a list; other input is a caller bug and panics.
+    const auto expectPanic = [&](const DetectionEvents &events,
+                                 const char *text) {
+        try {
+            lut.decodeLocal(events);
+            ADD_FAILURE() << "accepted input without '" << text << "'";
+        } catch (const quest::sim::SimError &e) {
+            EXPECT_EQ(e.kind(), quest::sim::SimError::Kind::Panic);
+            EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+                << e.what();
+        }
+    };
+    DetectionEvents events;
+    events.zEvents.push_back(
+        DetectionEvent{2, Coord{3, 2}, SiteType::ZAncilla});
+    events.zEvents.push_back(
+        DetectionEvent{1, Coord{3, 4}, SiteType::ZAncilla});
+    expectPanic(events, "round-major");
+
+    // The X list is held to the same rule.
+    std::swap(events.zEvents, events.xEvents);
+    for (DetectionEvent &e : events.xEvents) {
+        e.ancilla = Coord{e.ancilla.col, e.ancilla.row};
+        e.type = SiteType::XAncilla;
+    }
+    expectPanic(events, "round-major");
 }
 
 TEST_F(LutTest, LocalPlusGlobalEqualsCleanState)

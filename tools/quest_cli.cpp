@@ -874,7 +874,13 @@ main(int argc, char **argv)
         writeObservabilityOutputs(opts);
         return rc;
     } catch (const quest::sim::SimError &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
+        // A panic already printed its `panic:` line; a fatal error
+        // is reported here, once.
+        if (e.kind() == quest::sim::SimError::Kind::Fatal)
+            std::fprintf(stderr, "error: %s\n", e.what());
+        // What the run counted before it failed (for instance
+        // verify.preflight_rejections) still reaches the files.
+        writeObservabilityOutputs(opts);
         return 1;
     }
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Bad numeric flags and flags a subcommand does not know must stop the
-# CLI with exit status 1 and an `error: --<flag> ...` diagnostic before
+# CLI with exit status 1 and one `error: --<flag> ...` diagnostic before
 # any work runs. Checking both
 # the status and the message rules out a crash or a run with a
 # silently wrong value, which a bare WILL_FAIL test would accept.
@@ -11,17 +11,23 @@ quest="$1"
 status=0
 
 # expect_error FLAG ARGS...: run `quest ARGS...` and require exit 1
-# plus an `error: FLAG ...` line on stderr.
+# plus an `error: FLAG ...` line on stderr whose message appears on
+# no other line.
 expect_error() {
     flag="$1"
     shift
     err=$("$quest" "$@" 2>&1 >/dev/null)
     rc=$?
+    msg=$(printf '%s\n' "$err" | sed -n "s/^error: //p" | head -n 1)
     if [ "$rc" -ne 1 ]; then
         echo "FAIL: quest $* exited $rc, expected 1"
         status=1
     elif ! printf '%s\n' "$err" | grep -q -e "^error: $flag "; then
         echo "FAIL: quest $*: no 'error: $flag' diagnostic in:"
+        printf '%s\n' "$err"
+        status=1
+    elif [ "$(printf '%s\n' "$err" | grep -c -F -e "$msg")" -ne 1 ]; then
+        echo "FAIL: quest $*: diagnostic printed more than once:"
         printf '%s\n' "$err"
         status=1
     else
