@@ -114,26 +114,29 @@ MasterController::MasterController(const MasterConfig &cfg)
                 "share (available/required - 1)"));
         }
     }
+    // Every tile shares one compiled configuration; its matcher
+    // tables go to every decoder through a pointer that keeps the
+    // whole compiled tile alive.
+    const auto tile = CompiledTile::compile(cfg.mce);
+    const std::shared_ptr<const decode::MatchGeometry> geometry(
+        tile, &tile->geometry());
     for (std::size_t i = 0; i < cfg.numMces; ++i) {
         MceConfig mc = cfg.mce;
         mc.seed = cfg.mce.seed + i * 0x9E37u;
         _mces.push_back(std::make_unique<Mce>(
-            "mce" + std::to_string(i), mc));
+            "mce" + std::to_string(i), mc, tile));
         _mces.back()->attachFaults(&_faults);
     }
     if (arbitrating()) {
         const auto &spec = qecc::protocolSpec(cfg.mce.protocol);
-        const std::size_t qubits = _mces.front()->lattice().numQubits();
-        const std::size_t uop_bits =
-            MicrocodeModel(spec, cfg.mce.technology)
-                .uopBits(cfg.mce.microcodeDesign, qubits);
+        const std::size_t qubits = tile->lattice().numQubits();
         const double round_seconds =
             sim::ticksToSeconds(spec.roundDuration(
                 tech::gateLatencies(cfg.mce.technology)));
         _slackRequiredUops = double(qubits) * double(spec.uopsPerQubit);
         _slackFullShareUops =
             tech::JJMemoryModel().uopsPerSecond(cfg.mce.memoryConfig,
-                                                uop_bits)
+                                                tile->uopBits())
             * round_seconds;
     }
     // One global decode path per tile, built only for the mode that
@@ -151,7 +154,7 @@ MasterController::MasterController(const MasterConfig &cfg)
             m->setWindowBuffering(false);
             _streamers.push_back(
                 std::make_unique<decode::StreamingDecoder>(
-                    m->extractor(), sc));
+                    m->extractor(), geometry, sc));
             _streamers.back()->setMaskPredicate(maskedOn(*m));
         }
     } else {
@@ -162,7 +165,7 @@ MasterController::MasterController(const MasterConfig &cfg)
         _decoders.reserve(_mces.size());
         _clusterDecoders.reserve(_mces.size());
         for (const auto &m : _mces) {
-            _decoders.emplace_back(m->lattice());
+            _decoders.emplace_back(geometry);
             _decoders.back().setMaskPredicate(maskedOn(*m));
             _clusterDecoders.emplace_back(_decoders.back());
         }

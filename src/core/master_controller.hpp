@@ -164,6 +164,12 @@ class MasterController
         return _cfg.streamWindowRounds > 0;
     }
 
+    /** Tile i's offline matcher (offline mode only). */
+    const decode::MwpmDecoder &decoder(std::size_t i) const
+    {
+        return _decoders.at(i);
+    }
+
     /** Tile i's streaming decoder (streaming mode only). */
     const decode::StreamingDecoder &streamer(std::size_t i) const
     {

@@ -19,36 +19,23 @@ using qecc::LogicalQubit;
 using qecc::RoundSchedule;
 using qecc::SubCycle;
 
-namespace {
-
-/** Stored image size of the tile's QECC program under its design. */
-std::size_t
-microcodeImageBits(const MceConfig &cfg, std::size_t qubits)
-{
-    const MicrocodeModel model(qecc::protocolSpec(cfg.protocol),
-                               cfg.technology);
-    return model.capacityBits(cfg.microcodeDesign, qubits);
-}
-
-} // namespace
-
 Mce::Mce(std::string name, const MceConfig &cfg)
-    : _name(std::move(name)), _cfg(cfg),
-      _lattice(std::make_unique<qecc::Lattice>(
-          cfg.latticeRows ? cfg.latticeRows : 2 * cfg.distance - 1,
-          cfg.latticeCols ? cfg.latticeCols : 2 * cfg.distance - 1)),
-      _uopBits(MicrocodeModel(qecc::protocolSpec(cfg.protocol),
-                              cfg.technology)
-                   .uopBits(cfg.microcodeDesign,
-                            _lattice->numQubits())),
+    : Mce(std::move(name), cfg, CompiledTile::compile(cfg))
+{}
+
+Mce::Mce(std::string name, const MceConfig &cfg,
+         std::shared_ptr<const CompiledTile> tile)
+    : _name(std::move(name)), _cfg(cfg), _tile(std::move(tile)),
+      _extractor(std::shared_ptr<const qecc::ExtractorProgram>(
+          _tile, &_tile->program())),
       _rng(cfg.seed),
-      _frame(_lattice->numQubits()),
-      _ledger(_lattice->numQubits()),
+      _frame(_tile->lattice().numQubits()),
+      _ledger(_tile->lattice().numQubits()),
       _channel(cfg.errorRates, _rng),
-      _microcodeStore(microcodeImageBits(cfg, _lattice->numQubits())),
-      _mask(*_lattice, cfg.maskLayout, cfg.distance),
+      _microcodeStore(_tile->imageBits()),
+      _mask(_tile->lattice(), cfg.maskLayout, cfg.distance),
       _icache(cfg.icacheCapacity),
-      _lutDecoder(*_lattice),
+      _lutDecoder(_tile->lattice()),
       _latches("exec_unit.latches", "uops latched onto switches"),
       _masterClocks("exec_unit.master_clocks", "master clock firings"),
       _fired("exec_unit.fired_instructions",
@@ -79,10 +66,10 @@ Mce::Mce(std::string name, const MceConfig &cfg)
           "sched.replay.cycles",
           "pipeline cycles spent replaying scheduled rounds"))
 {
-    const auto &spec = qecc::protocolSpec(cfg.protocol);
-    _baseSchedule = std::make_unique<RoundSchedule>(
-        qecc::buildRoundSchedule(*_lattice, spec));
-    rebuildMaskedSchedule();
+    QUEST_ASSERT(_tile->compiledFrom(cfg),
+                 "%s: compiled tile does not match its configuration",
+                 _name.c_str());
+    startEpoch();
 }
 
 void
@@ -91,25 +78,30 @@ Mce::rebuildMaskedSchedule()
     // Copy the base program and blank every uop addressed to a
     // masked qubit: syndrome generation is suppressed there and the
     // slot is available to the logical-uop path instead.
-    RoundSchedule masked(*_lattice, _baseSchedule->spec());
-    for (std::size_t s = 0; s < _baseSchedule->depth(); ++s) {
-        SubCycle sc = _baseSchedule->subCycle(s);
+    const RoundSchedule &base = _tile->baseSchedule();
+    RoundSchedule masked(base.lattice(), base.spec());
+    for (std::size_t s = 0; s < base.depth(); ++s) {
+        SubCycle sc = base.subCycle(s);
         for (std::size_t q = 0; q < sc.uops.size(); ++q)
             if (_mask.masked(q))
                 sc.uops[q] = PhysOpcode::Nop;
         masked.addSubCycle(std::move(sc));
     }
-    // Rebuild in place: streaming decoders hold the extractor's
-    // address, so the schedule and extractor outlive every mask edit.
-    if (_extractor) {
-        *_maskedSchedule = std::move(masked);
-        _extractor->recompile();
-    } else {
-        _maskedSchedule =
+    // Compile a private program into this tile's own extractor: the
+    // compiled tile stays unmasked for every tile sharing it, and
+    // streaming decoders hold the extractor's address.
+    if (_privateSchedule)
+        *_privateSchedule = std::move(masked);
+    else
+        _privateSchedule =
             std::make_unique<RoundSchedule>(std::move(masked));
-        _extractor = std::make_unique<qecc::SyndromeExtractor>(
-            *_maskedSchedule);
-    }
+    _extractor.compile(*_privateSchedule);
+    startEpoch();
+}
+
+void
+Mce::startEpoch()
+{
     // The dependence graph changed with the program; the next
     // scheduled round (or oracle consumer) re-plans lazily.
     _oracle.reset();
@@ -119,12 +111,12 @@ Mce::rebuildMaskedSchedule()
     // fires the master clock once per sub-cycle; every slot, Nops
     // included, is read out of the microcode memory.
     if (_cfg.scheduling == SchedulingMode::InOrder) {
-        const RoundSchedule &program = *_maskedSchedule;
+        const RoundSchedule &program = maskedSchedule();
         _charge = ReplayCharge{
             .uops = program.activeUopCount(),
             .latches = program.totalUopSlots(),
             .clocks = program.depth(),
-            .bits = program.totalUopSlots() * _uopBits};
+            .bits = program.totalUopSlots() * _tile->uopBits()};
     }
 }
 
@@ -133,8 +125,7 @@ Mce::dependencyOracle()
 {
     if (!_oracle)
         _oracle = std::make_unique<verify::DependencyOracle>(
-            verify::DependencyOracle::fromSchedule(
-                *_maskedSchedule));
+            verify::DependencyOracle::fromSchedule(maskedSchedule()));
     return *_oracle;
 }
 
@@ -170,7 +161,8 @@ Mce::planOutOfOrder()
         .clocks = std::uint64_t(std::count_if(
             cycles.begin(), cycles.end(),
             [](const auto &issued) { return !issued.empty(); })),
-        .bits = std::uint64_t(_issuePlan.slotsFetched) * _uopBits,
+        .bits = std::uint64_t(_issuePlan.slotsFetched)
+            * _tile->uopBits(),
         .schedCycles = cycles.size()};
 }
 
@@ -186,11 +178,11 @@ Mce::rebuildMask()
 int
 Mce::defineLogicalQubit(Coord anchor)
 {
-    LogicalQubit lq(*_lattice, anchor, _cfg.distance);
+    LogicalQubit lq(lattice(), anchor, _cfg.distance);
     QUEST_ASSERT(lq.fits(),
                  "logical qubit at (%d,%d) does not fit the %zux%zu tile",
-                 anchor.row, anchor.col, _lattice->rows(),
-                 _lattice->cols());
+                 anchor.row, anchor.col, lattice().rows(),
+                 lattice().cols());
     const int id = _nextLogicalId++;
     _logical.emplace(id, lq);
     rebuildMask();
@@ -210,7 +202,7 @@ void
 Mce::applyTransverse(LogicalOpcode op, const LogicalQubit &lq)
 {
     for (std::size_t q : lq.footprint()) {
-        if (!_lattice->isData(_lattice->coord(q)))
+        if (!lattice().isData(lattice().coord(q)))
             continue;
         switch (op) {
           case LogicalOpcode::PrepZ:
@@ -347,7 +339,7 @@ Mce::braidCnot(int control_id, int target_id)
     const std::size_t moving_size =
         std::min(original.size, gap > 2 ? gap - 2 : 1);
 
-    const qecc::BraidPlanner planner(*_lattice);
+    const qecc::BraidPlanner planner(lattice());
     const qecc::MaskSquare moving{original.topLeft, moving_size};
     const qecc::BraidPlan plan =
         planner.planLoop(moving, target.defectA());
@@ -401,7 +393,7 @@ Mce::runQeccRound()
         // uncorrected and decoheres for the round. No syndrome is
         // extracted (nothing read the ancillas), so the errors
         // surface in the first window after recovery.
-        for (std::size_t q = 0; q < _lattice->numQubits(); ++q)
+        for (std::size_t q = 0; q < lattice().numQubits(); ++q)
             _channel.idle(_frame, q);
         return _lastRound;
     }
@@ -429,12 +421,12 @@ Mce::runQeccRound()
     // qubit until the master's scrub loop rewrites the image.
     if (_faults != nullptr
         && _microcodeStore.parityErrorWords() > 0) {
-        const auto data = _lattice->sites(qecc::SiteType::Data);
+        const auto data = lattice().sites(qecc::SiteType::Data);
         sim::Rng &placement =
             _faults->rng(sim::FaultSite::MicrocodeSeu);
         for (std::size_t k = 0;
              k < _microcodeStore.parityErrorWords(); ++k) {
-            _frame.injectX(_lattice->index(
+            _frame.injectX(lattice().index(
                 data[placement.uniformInt(data.size())]));
             ++_seuUopErrors;
         }
@@ -454,7 +446,7 @@ Mce::runQeccRound()
     _mReplayUops += _charge.uops;
 
     // Functional effect: evolve the frame and read the syndromes.
-    _lastRound = _extractor->runRound(_frame, &_channel);
+    _lastRound = _extractor.runRound(_frame, &_channel);
     // Streaming mode hands rounds off as extracted; buffering them
     // here too would grow _window without bound.
     if (_windowBuffering)
@@ -472,7 +464,7 @@ Mce::collectResidualEvents()
 {
     const decode::DetectionEvents events =
         decode::extractDetectionEventsWindow(
-            _window, *_extractor,
+            _window, _extractor,
             _windowBaseline ? &*_windowBaseline : nullptr,
             _windowFirstRound);
 
@@ -503,14 +495,14 @@ Mce::residualErrorWeight() const
     // the logical qubit's business, not the decoder's.
     std::size_t w = 0;
     for (std::size_t q = 0; q < _frame.numQubits(); ++q) {
-        const qecc::Coord c = _lattice->coord(q);
-        if (!_lattice->isData(c))
+        const qecc::Coord c = lattice().coord(q);
+        if (!lattice().isData(c))
             continue;
         bool protected_qubit = false;
         for (qecc::Direction dir : qecc::allDirections) {
-            const auto n = _lattice->neighbour(c, dir);
-            if (n && _lattice->isAncilla(*n)
-                && !_mask.masked(_lattice->index(*n))) {
+            const auto n = lattice().neighbour(c, dir);
+            if (n && lattice().isAncilla(*n)
+                && !_mask.masked(lattice().index(*n))) {
                 protected_qubit = true;
                 break;
             }

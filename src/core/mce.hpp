@@ -27,6 +27,7 @@
 #include <optional>
 #include <string>
 
+#include "compiled_tile.hpp"
 #include "decode/detection.hpp"
 #include "decode/lut_decoder.hpp"
 #include "icache.hpp"
@@ -103,28 +104,53 @@ struct TileStats
     }
 };
 
-/** One Microcoded Control Engine. */
+/**
+ * One Microcoded Control Engine.
+ *
+ * Neither copyable nor movable: the noise channel draws from the
+ * tile's own RNG, and streamers hold the address of its extractor.
+ */
 class Mce
 {
   public:
+    /** A tile that compiles its own configuration. */
     Mce(std::string name, const MceConfig &cfg);
+
+    /** A tile replaying `tile`, compiled from a configuration that
+     *  differs from `cfg` at most in per-tile fields
+     *  (CompiledTile::compiledFrom). */
+    Mce(std::string name, const MceConfig &cfg,
+        std::shared_ptr<const CompiledTile> tile);
+
+    Mce(const Mce &) = delete;
+    Mce &operator=(const Mce &) = delete;
+    Mce(Mce &&) = delete;
+    Mce &operator=(Mce &&) = delete;
 
     const std::string &name() const { return _name; }
     const MceConfig &config() const { return _cfg; }
-    const qecc::Lattice &lattice() const { return *_lattice; }
+    const qecc::Lattice &lattice() const { return _tile->lattice(); }
+
+    /** The compiled configuration this tile shares with its
+     *  system's other tiles. */
+    const std::shared_ptr<const CompiledTile> &compiledTile() const
+    {
+        return _tile;
+    }
 
     /** The canonical (unmasked) QECC microcode program this tile
      *  replays. */
     const qecc::RoundSchedule &baseSchedule() const
     {
-        return *_baseSchedule;
+        return _tile->baseSchedule();
     }
 
     /** The mask-filtered program actually replayed each round (what
-     *  the dynamic scheduler and the arbiter plan against). */
+     *  the dynamic scheduler and the arbiter plan against): the base
+     *  schedule until the first mask edit. */
     const qecc::RoundSchedule &maskedSchedule() const
     {
-        return *_maskedSchedule;
+        return _extractor.schedule();
     }
 
     /**
@@ -224,7 +250,7 @@ class Mce
      *  address is stable: mask edits recompile it in place. */
     const qecc::SyndromeExtractor &extractor() const
     {
-        return *_extractor;
+        return _extractor;
     }
 
     /**
@@ -332,10 +358,13 @@ class Mce
     std::string _name;
     MceConfig _cfg;
 
-    std::unique_ptr<qecc::Lattice> _lattice;
-    std::unique_ptr<qecc::RoundSchedule> _baseSchedule;
-    std::unique_ptr<qecc::RoundSchedule> _maskedSchedule;
-    std::unique_ptr<qecc::SyndromeExtractor> _extractor;
+    std::shared_ptr<const CompiledTile> _tile;
+    /** The masked schedule after the first mask edit (null before):
+     *  the extractor's private program replays it. */
+    std::unique_ptr<qecc::RoundSchedule> _privateSchedule;
+    /** Replays the compiled tile's program until a mask edit
+     *  compiles a private one into it. */
+    qecc::SyndromeExtractor _extractor;
 
     /** Dependence oracle + issue plan for the masked program;
      *  invalidated by every mask change, rebuilt on demand. */
@@ -344,8 +373,6 @@ class Mce
     TileSchedule _issuePlan;
     bool _planValid = false;
 
-    /** Bits per streamed uop slot under the tile's design. */
-    std::size_t _uopBits = 0;
     /** The current epoch's per-round charges (for OoO, valid only
      *  while _planValid). */
     ReplayCharge _charge;
@@ -398,6 +425,10 @@ class Mce
 
     /** Rebuild the mask-filtered schedule after mask changes. */
     void rebuildMaskedSchedule();
+
+    /** Start a schedule epoch: drop the last program's oracle and
+     *  issue plan, and derive the in-order replay charges. */
+    void startEpoch();
 
     /**
      * Recompute the mask table from every live logical qubit, then

@@ -152,11 +152,70 @@ exactDp(std::size_t n, std::vector<W> &f,
     return result;
 }
 
+/** Data qubits from a check to the nearest lattice edge of its type. */
+std::uint64_t
+latticeEdgeDistance(const qecc::Lattice &lattice, Coord c, SiteType type)
+{
+    if (type == SiteType::ZAncilla) {
+        // X-error chains terminate on the top/bottom data rows.
+        const std::uint64_t north = std::uint64_t(c.row + 1) / 2;
+        const std::uint64_t south =
+            std::uint64_t(int(lattice.rows()) - c.row) / 2;
+        return std::min(north, south);
+    }
+    // Z-error chains terminate on the left/right data columns.
+    const std::uint64_t west = std::uint64_t(c.col + 1) / 2;
+    const std::uint64_t east =
+        std::uint64_t(int(lattice.cols()) - c.col) / 2;
+    return std::min(west, east);
+}
+
 } // namespace
+
+MatchGeometry::MatchGeometry(const qecc::Lattice &lat) : lattice(&lat)
+{
+    // Compact ancilla ids, all-pairs spatial distances, per-ancilla
+    // edge distances.
+    const std::size_t sites = lat.numQubits();
+    std::vector<Coord> ancillas; // coordinate of each ancilla id
+    for (std::size_t idx = 0; idx < sites; ++idx)
+        if (lat.isAncilla(lat.coord(idx)))
+            ancillas.push_back(lat.coord(idx));
+    if (ancillas.size() * ancillas.size() > maxCachedPairs)
+        return;
+
+    numAncilla = ancillas.size();
+    ancillaId.assign(sites, noAncilla);
+    spatial.resize(numAncilla * numAncilla);
+    edge.resize(numAncilla);
+    for (std::size_t a = 0; a < numAncilla; ++a) {
+        const Coord ca = ancillas[a];
+        ancillaId[lat.index(ca)] = std::uint32_t(a);
+        edge[a] = std::uint32_t(
+            latticeEdgeDistance(lat, ca, lat.siteType(ca)));
+        for (std::size_t b = 0; b < numAncilla; ++b) {
+            const Coord cb = ancillas[b];
+            const std::uint32_t dr =
+                std::uint32_t(std::abs(ca.row - cb.row));
+            const std::uint32_t dc =
+                std::uint32_t(std::abs(ca.col - cb.col));
+            // Only same-type pairs are ever queried; cross-type
+            // entries hold the truncated value and stay unused.
+            spatial[a * numAncilla + b] = (dr + dc) / 2;
+        }
+    }
+}
 
 MwpmDecoder::MwpmDecoder(const qecc::Lattice &lattice,
                          std::size_t exact_limit)
-    : _lattice(&lattice), _exactLimit(exact_limit),
+    : MwpmDecoder(std::make_shared<const MatchGeometry>(lattice),
+                  exact_limit)
+{}
+
+MwpmDecoder::MwpmDecoder(std::shared_ptr<const MatchGeometry> geometry,
+                         std::size_t exact_limit)
+    : _geometry(std::move(geometry)), _lattice(_geometry->lattice),
+      _exactLimit(exact_limit),
       _mExactMatchings(sim::metrics::Registry::global().counter(
           "decode.mwpm.exact_matchings",
           "event sets decoded by the exact bitmask DP")),
@@ -175,47 +234,6 @@ MwpmDecoder::MwpmDecoder(const qecc::Lattice &lattice,
     QUEST_ASSERT(exact_limit <= maxExactLimit,
                  "exact_limit %zu exceeds the bitmask DP cap %zu",
                  exact_limit, maxExactLimit);
-
-    // Build the per-lattice distance cache: compact ancilla ids,
-    // all-pairs spatial distances, per-ancilla edge distances.
-    const std::size_t sites = lattice.numQubits();
-    _ancillaId.assign(sites, noAncilla);
-    std::vector<Coord> ancillas; // coordinate of each ancilla id
-    for (std::size_t idx = 0; idx < sites; ++idx) {
-        const Coord c = lattice.coord(idx);
-        if (lattice.isAncilla(c)) {
-            _ancillaId[idx] = std::uint32_t(ancillas.size());
-            ancillas.push_back(c);
-        }
-    }
-    _numAncilla = ancillas.size();
-    if (_numAncilla * _numAncilla > maxCachedPairs) {
-        _ancillaId.clear();
-        _numAncilla = 0;
-        return;
-    }
-
-    // Build into locals: edgeDistance() consults _edge, which must
-    // stay empty (uncached path) until the table is complete.
-    std::vector<std::uint32_t> spatial(_numAncilla * _numAncilla, 0);
-    std::vector<std::uint32_t> edge(_numAncilla, 0);
-    for (std::size_t a = 0; a < _numAncilla; ++a) {
-        const Coord ca = ancillas[a];
-        const DetectionEvent ea{0, ca, lattice.siteType(ca)};
-        edge[a] = std::uint32_t(edgeDistance(ea));
-        for (std::size_t b = 0; b < _numAncilla; ++b) {
-            const Coord cb = ancillas[b];
-            const std::uint32_t dr =
-                std::uint32_t(std::abs(ca.row - cb.row));
-            const std::uint32_t dc =
-                std::uint32_t(std::abs(ca.col - cb.col));
-            // Only same-type pairs are ever queried; cross-type
-            // entries hold the truncated value and stay unused.
-            spatial[a * _numAncilla + b] = (dr + dc) / 2;
-        }
-    }
-    _spatial = std::move(spatial);
-    _edge = std::move(edge);
 }
 
 std::uint64_t
@@ -223,10 +241,11 @@ MwpmDecoder::distance(const DetectionEvent &a, const DetectionEvent &b) const
 {
     QUEST_ASSERT(a.type == b.type,
                  "cannot match events of different stabilizer types");
-    if (!_spatial.empty())
-        return tableDistance(_ancillaId[_lattice->index(a.ancilla)],
+    const MatchGeometry &g = *_geometry;
+    if (!g.spatial.empty())
+        return tableDistance(g.ancillaId[_lattice->index(a.ancilla)],
                              a.round,
-                             _ancillaId[_lattice->index(b.ancilla)],
+                             g.ancillaId[_lattice->index(b.ancilla)],
                              b.round);
     const std::uint64_t dt = a.round > b.round
         ? a.round - b.round : b.round - a.round;
@@ -243,31 +262,21 @@ std::uint64_t
 MwpmDecoder::tableDistance(std::uint32_t a, std::size_t ra,
                            std::uint32_t b, std::size_t rb) const
 {
-    return _spatial[std::size_t(a) * _numAncilla + b]
+    const MatchGeometry &g = *_geometry;
+    return g.spatial[std::size_t(a) * g.numAncilla + b]
         + (ra > rb ? ra - rb : rb - ra);
 }
 
 std::uint64_t
 MwpmDecoder::edgeDistance(const DetectionEvent &e) const
 {
-    if (!_edge.empty()) {
-        const std::uint32_t id = _ancillaId[_lattice->index(e.ancilla)];
+    const MatchGeometry &g = *_geometry;
+    if (!g.edge.empty()) {
+        const std::uint32_t id = g.ancillaId[_lattice->index(e.ancilla)];
         if (id != noAncilla)
-            return _edge[id];
+            return g.edge[id];
     }
-    const Coord c = e.ancilla;
-    if (e.type == SiteType::ZAncilla) {
-        // X-error chains terminate on the top/bottom data rows.
-        const std::uint64_t north = std::uint64_t(c.row + 1) / 2;
-        const std::uint64_t south =
-            std::uint64_t(int(_lattice->rows()) - c.row) / 2;
-        return std::min(north, south);
-    }
-    // Z-error chains terminate on the left/right data columns.
-    const std::uint64_t west = std::uint64_t(c.col + 1) / 2;
-    const std::uint64_t east =
-        std::uint64_t(int(_lattice->cols()) - c.col) / 2;
-    return std::min(west, east);
+    return latticeEdgeDistance(*_lattice, e.ancilla, e.type);
 }
 
 std::optional<std::pair<std::uint64_t, Coord>>
@@ -394,11 +403,12 @@ MwpmDecoder::eventWeights(const std::vector<DetectionEvent> &events,
         bweight[i] = boundaryDistance(events[i]);
     }
     ids.clear();
-    if (_spatial.empty())
+    const MatchGeometry &g = *_geometry;
+    if (g.spatial.empty())
         return;
     ids.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        ids[i] = _ancillaId[_lattice->index(events[i].ancilla)];
+        ids[i] = g.ancillaId[_lattice->index(events[i].ancilla)];
         QUEST_ASSERT(ids[i] != noAncilla, "event at (%d,%d) is not a check",
                      events[i].ancilla.row, events[i].ancilla.col);
     }

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -48,6 +49,32 @@ struct MatchingResult
 };
 
 /**
+ * The matcher's distance tables for one lattice, built once and read
+ * by every decoder of that geometry: a tile's configuration compiles
+ * one (core::CompiledTile) for all of its tiles, streamers and
+ * cluster fallbacks. The matchers query distances O(n^2) times per
+ * decode, and recomputing the lattice geometry each time dominated
+ * the profile, so they look each event's id up once and read pair
+ * weights straight from `spatial`.
+ */
+struct MatchGeometry
+{
+    /** Build the tables for `lattice`, which must outlive them. */
+    explicit MatchGeometry(const qecc::Lattice &lattice);
+
+    const qecc::Lattice *lattice;
+    /** Lattice site index -> compact ancilla id. */
+    std::vector<std::uint32_t> ancillaId;
+    /** (dr+dc)/2 for every ancilla pair, row-major by id. */
+    std::vector<std::uint32_t> spatial;
+    /** Each ancilla's data-qubit count to the nearest lattice edge. */
+    std::vector<std::uint32_t> edge;
+    /** Ancillas in the tables; all of them are empty (disabled) when
+     *  the all-pairs table would be unreasonably large. */
+    std::size_t numAncilla = 0;
+};
+
+/**
  * The global decoder living in the master controller.
  *
  * Thread safety: decode()/matchEvents() and the distance/path
@@ -72,12 +99,17 @@ class MwpmDecoder
     static constexpr std::size_t maxExactLimit = 24;
 
     /**
-     * @param lattice Code geometry (must outlive the decoder).
+     * @param lattice Code geometry (must outlive the decoder); the
+     *        decoder builds its own MatchGeometry for it.
      * @param exact_limit Largest event count decoded by the exact
      *        bitmask DP; larger sets fall back to greedy matching.
      *        Must be <= maxExactLimit.
      */
     explicit MwpmDecoder(const qecc::Lattice &lattice,
+                         std::size_t exact_limit = 14);
+
+    /** Match on distance tables shared with other decoders. */
+    explicit MwpmDecoder(std::shared_ptr<const MatchGeometry> geometry,
                          std::size_t exact_limit = 14);
 
     /**
@@ -95,6 +127,9 @@ class MwpmDecoder
 
     /** The code geometry this decoder matches on. */
     const qecc::Lattice &lattice() const { return *_lattice; }
+
+    /** The distance tables this decoder reads. */
+    const MatchGeometry &geometry() const { return *_geometry; }
 
     /**
      * Decode all detection events into a correction.
@@ -151,27 +186,11 @@ class MwpmDecoder
                         std::vector<std::size_t> &out) const;
 
   private:
+    std::shared_ptr<const MatchGeometry> _geometry;
+    /** The geometry's lattice, one load away on the hot paths. */
     const qecc::Lattice *_lattice;
     std::size_t _exactLimit;
     MaskPredicate _masked;
-
-    /**
-     * Per-lattice distance cache, built once at construction: the
-     * hot paths (exact DP precompute, greedy edge build, cluster
-     * growth) query distance()/boundaryDistance() O(n^2) times per
-     * decode, and recomputing the lattice geometry each time
-     * dominated the profile. `_ancillaId` maps a lattice site index
-     * to a compact ancilla id; `_spatial` holds (dr+dc)/2 for every
-     * ancilla pair; `_edge` holds each ancilla's data-qubit count to
-     * the nearest lattice edge. Empty (= disabled) when the
-     * all-pairs table would be unreasonably large. The matchers look
-     * each event's id up once and read pair weights straight from
-     * `_spatial`.
-     */
-    std::vector<std::uint32_t> _ancillaId;
-    std::vector<std::uint32_t> _spatial;
-    std::vector<std::uint32_t> _edge;
-    std::size_t _numAncilla = 0;
 
     // Registry counters, bound once at construction rather than via
     // function-local statics (which outlive registry resets).

@@ -9,8 +9,16 @@ namespace quest::decode {
 
 StreamingDecoder::StreamingDecoder(
     const qecc::SyndromeExtractor &extractor, const StreamConfig &cfg)
+    : StreamingDecoder(
+          extractor,
+          std::make_shared<const MatchGeometry>(extractor.lattice()), cfg)
+{}
+
+StreamingDecoder::StreamingDecoder(
+    const qecc::SyndromeExtractor &extractor,
+    std::shared_ptr<const MatchGeometry> geometry, const StreamConfig &cfg)
     : _extractor(&extractor), _cfg(cfg), _deadline(cfg.deadline),
-      _lut(extractor.lattice()), _mwpm(extractor.lattice()),
+      _lut(extractor.lattice()), _mwpm(std::move(geometry)),
       _cluster(_mwpm),
       _mWindows(sim::metrics::Registry::global().counter(
           "decode.stream.windows", "sliding decode windows decoded")),
@@ -42,6 +50,8 @@ StreamingDecoder::StreamingDecoder(
           "decode.stream.window_events",
           "detection events per decoded window"))
 {
+    QUEST_ASSERT(&_mwpm.lattice() == &extractor.lattice(),
+                 "stream matcher built for another lattice");
     QUEST_ASSERT(_cfg.windowRounds > 0,
                  "stream window must be nonzero");
     QUEST_ASSERT(_cfg.strideRounds > 0

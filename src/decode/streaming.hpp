@@ -45,6 +45,7 @@
 #define QUEST_DECODE_STREAMING_HPP
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -111,10 +112,19 @@ class StreamingDecoder
   public:
     explicit StreamingDecoder(const qecc::SyndromeExtractor &extractor,
                               const StreamConfig &cfg = {});
+
+    /** Match on distance tables shared with other decoders; they
+     *  must describe the extractor's lattice. */
+    StreamingDecoder(const qecc::SyndromeExtractor &extractor,
+                     std::shared_ptr<const MatchGeometry> geometry,
+                     const StreamConfig &cfg);
     StreamingDecoder(const StreamingDecoder &) = delete;
     StreamingDecoder &operator=(const StreamingDecoder &) = delete;
 
     const StreamConfig &config() const { return _cfg; }
+
+    /** The window matcher (the cluster fallback borrows it). */
+    const MwpmDecoder &matcher() const { return _mwpm; }
 
     /** Mask predicate for the window matcher (the cluster fallback
      *  reads it through the same matcher). */

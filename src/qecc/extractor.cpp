@@ -50,7 +50,12 @@ BatchSyndromeRound::lane(std::size_t lane) const
 }
 
 SyndromeExtractor::SyndromeExtractor(const RoundSchedule &schedule)
-    : _schedule(&schedule),
+    : SyndromeExtractor(std::make_shared<const ExtractorProgram>(schedule))
+{}
+
+SyndromeExtractor::SyndromeExtractor(
+    std::shared_ptr<const ExtractorProgram> program)
+    : _program(std::move(program)),
       _mBatchRounds(sim::metrics::Registry::global().counter(
           "qecc.batch.rounds", "batched syndrome extraction rounds")),
       _mBatchLaneRounds(sim::metrics::Registry::global().counter(
@@ -64,17 +69,19 @@ SyndromeExtractor::SyndromeExtractor(const RoundSchedule &schedule)
           "qecc.batch.fill_bits",
           "set error-plane bits observed at batched round boundaries"))
 {
-    const Lattice &lat = schedule.lattice();
-    _xAncillas = lat.sites(SiteType::XAncilla);
-    _zAncillas = lat.sites(SiteType::ZAncilla);
-    for (const Coord c : lat.sites(SiteType::Data))
-        _dataIndices.push_back(lat.index(c));
-    _syndromeSlot.assign(lat.numQubits(), -1);
-    for (std::size_t i = 0; i < _xAncillas.size(); ++i)
-        _syndromeSlot[lat.index(_xAncillas[i])] = int(i);
-    for (std::size_t i = 0; i < _zAncillas.size(); ++i)
-        _syndromeSlot[lat.index(_zAncillas[i])] = int(i);
-    recompile();
+    QUEST_ASSERT(_program != nullptr, "extractor without a program");
+}
+
+void
+SyndromeExtractor::compile(const RoundSchedule &schedule)
+{
+    // The first compile copies the replayed program, lattice tables
+    // and storage included; later ones reuse that copy in place, so a
+    // program shared with other extractors is never edited.
+    if (!_own)
+        _own = std::make_shared<ExtractorProgram>(*_program);
+    _own->compile(schedule);
+    _program = _own;
 }
 
 namespace {
@@ -127,16 +134,34 @@ xorShifted(std::uint64_t *dst, std::ptrdiff_t n, std::ptrdiff_t shift,
 
 } // namespace
 
-void
-SyndromeExtractor::recompile()
+ExtractorProgram::ExtractorProgram(const RoundSchedule &schedule)
+    : _schedule(&schedule)
 {
-    const RoundSchedule &schedule = *_schedule;
+    const Lattice &lat = schedule.lattice();
+    _xAncillas = lat.sites(SiteType::XAncilla);
+    _zAncillas = lat.sites(SiteType::ZAncilla);
+    for (const Coord c : lat.sites(SiteType::Data))
+        _dataIndices.push_back(lat.index(c));
+    _syndromeSlot.assign(lat.numQubits(), -1);
+    for (std::size_t i = 0; i < _xAncillas.size(); ++i)
+        _syndromeSlot[lat.index(_xAncillas[i])] = int(i);
+    for (std::size_t i = 0; i < _zAncillas.size(); ++i)
+        _syndromeSlot[lat.index(_zAncillas[i])] = int(i);
+    compile(schedule);
+}
+
+void
+ExtractorProgram::compile(const RoundSchedule &schedule)
+{
+    QUEST_ASSERT(&schedule.lattice() == &lattice(),
+                 "a program recompiles only for its own lattice");
     const Lattice &lat = schedule.lattice();
     QUEST_ASSERT(validateSchedule(schedule),
                  "round schedule breaks the lockstep contract (a qubit "
                  "touched twice in one sub-cycle, a CNOT without an "
                  "on-lattice data partner, or preparations, CNOTs and "
                  "measurements mixed in one sub-cycle)");
+    _schedule = &schedule;
 
     // Compile each sub-cycle into a layer. Its uops are grouped into
     // one qubit mask per step -- reset, Hadamard, and CNOT control /
@@ -260,8 +285,8 @@ SyndromeExtractor::recompile()
 }
 
 void
-SyndromeExtractor::applyStep(const Step &step, std::uint64_t *x,
-                             std::uint64_t *z) const
+ExtractorProgram::applyStep(const Step &step, std::uint64_t *x,
+                            std::uint64_t *z) const
 {
     // In place over the planes: a step reads only masked bits (or
     // only partner bits) and writes only the other set, and the two
@@ -314,9 +339,10 @@ SyndromeExtractor::runRound(PauliFrame &frame, ErrorChannel *channel) const
     QUEST_ASSERT(frame.numQubits() >= lattice().numQubits(),
                  "frame of %zu qubits is smaller than the lattice",
                  frame.numQubits());
+    const ExtractorProgram &p = *_program;
     SyndromeRound out;
-    out.xFlips.assign(_xAncillas.size(), 0);
-    out.zFlips.assign(_zAncillas.size(), 0);
+    out.xFlips.assign(p._xAncillas.size(), 0);
+    out.zFlips.assign(p._zAncillas.size(), 0);
 
     // Noise draws from a local copy of the channel's stream, assigned
     // back at the end: frame-word stores cannot alias a local, so its
@@ -333,20 +359,20 @@ SyndromeExtractor::runRound(PauliFrame &frame, ErrorChannel *channel) const
     const sim::BernoulliRate meas(rates.meas);
 
     // Idle decoherence: one per-data-qubit channel per round.
-    for (std::size_t q : _dataIndices)
+    for (std::size_t q : p._dataIndices)
         quantum::depolarize1(frame, q, rng, idle);
 
     std::uint64_t *x = frame.xPlane();
     std::uint64_t *z = frame.zPlane();
     std::size_t step = 0;
     std::size_t first = 0;
-    for (const Layer &layer : _layers) {
+    for (const Layer &layer : p._layers) {
         // The sub-cycle's uops touch disjoint qubits, so all of its
         // gates before any of its noise equals the per-uop order.
         for (; step < layer.stepEnd; ++step)
-            applyStep(_steps[step], x, z);
-        const Site *site = _sites.data() + first;
-        const Site *end = _sites.data() + layer.siteEnd;
+            p.applyStep(p._steps[step], x, z);
+        const Site *site = p._sites.data() + first;
+        const Site *end = p._sites.data() + layer.siteEnd;
         first = layer.siteEnd;
         switch (layer.kind) {
           case Site::Kind::Prep:
@@ -382,21 +408,22 @@ SyndromeExtractor::runRoundBatch(BatchPauliFrame &frame,
                                  BatchErrorChannel *channel) const
 {
     QUEST_TRACE_SCOPE("qecc", "batch_round");
+    const ExtractorProgram &p = *_program;
     BatchSyndromeRound out;
-    out.xFlips.assign(_xAncillas.size(), 0);
-    out.zFlips.assign(_zAncillas.size(), 0);
+    out.xFlips.assign(p._xAncillas.size(), 0);
+    out.zFlips.assign(p._zAncillas.size(), 0);
 
     if (channel) {
-        for (std::size_t q : _dataIndices)
+        for (std::size_t q : p._dataIndices)
             channel->idle(frame, q);
     }
 
     // The same layers as runRound, one site (gate, then noise) at a
     // time: each lane meets its noise sites in the scalar order.
     std::size_t first = 0;
-    for (const Layer &layer : _layers) {
+    for (const Layer &layer : p._layers) {
         for (std::size_t i = first; i < layer.siteEnd; ++i) {
-            const Site &s = _sites[i];
+            const Site &s = p._sites[i];
             switch (layer.kind) {
               case Site::Kind::Prep:
                 frame.reset(s.a);
@@ -436,7 +463,7 @@ SyndromeExtractor::runRoundBatch(BatchPauliFrame &frame,
     // statics, so registry resets cannot strand them.
     ++_mBatchRounds;
     _mBatchLaneRounds += BatchPauliFrame::lanes;
-    _mBatchWordUops += _sites.size() + _dataIndices.size();
+    _mBatchWordUops += p._sites.size() + p._dataIndices.size();
     _mBatchFillBits += frame.totalErrorBits();
 
     return out;

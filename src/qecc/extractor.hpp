@@ -9,8 +9,8 @@
  *
  * The round runs the way the MCE replays it (Figure 8): one
  * sub-cycle at a time, each opcode latched in lockstep onto a masked
- * set of qubits. recompile() turns every sub-cycle of the masked
- * schedule into a layer: a few word-wide steps over the PauliFrame's
+ * set of qubits. An ExtractorProgram turns every sub-cycle of the
+ * masked schedule into a layer: a few word-wide steps over the PauliFrame's
  * X/Z bitplanes (reset, Hadamard, CNOT as a shifted masked XOR; a
  * lattice neighbour is a fixed index offset of +-1 or +-cols), then
  * the sub-cycle's noise and measurement sites in schedule order. A
@@ -38,6 +38,7 @@
 #define QUEST_QECC_EXTRACTOR_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "quantum/error_model.hpp"
@@ -77,62 +78,38 @@ struct BatchSyndromeRound
     SyndromeRound lane(std::size_t lane) const;
 };
 
-/** Executes syndrome-extraction rounds on a Pauli frame. */
-class SyndromeExtractor
+/**
+ * One schedule's compiled round: its layers, steps, qubit masks and
+ * noise sites, plus the lattice's syndrome slots. Extractors share a
+ * program read-only (every tile of one configuration replays the
+ * same unmasked one, core::CompiledTile); only an extractor's own
+ * private copy is ever recompiled.
+ */
+class ExtractorProgram
 {
   public:
     /**
-     * @param schedule The lockstep round program (must outlive the
-     *                 extractor).
-     */
-    explicit SyndromeExtractor(const RoundSchedule &schedule);
-
-    /**
-     * Recompile the round program after the schedule was edited in
-     * place (same lattice). An owner that rebuilds its schedule calls
-     * this instead of constructing a new extractor, so references to
-     * the extractor held elsewhere stay valid. Throws sim::SimError
-     * when the schedule breaks the lockstep contract
+     * Compile `schedule`, which must outlive the program. Throws
+     * sim::SimError when the schedule breaks the lockstep contract
      * (validateSchedule).
      */
-    void recompile();
+    explicit ExtractorProgram(const RoundSchedule &schedule);
+
+    /**
+     * Compile `schedule` (same lattice) in place, reusing this
+     * program's storage. Throws sim::SimError, leaving the program
+     * as it was, when the schedule breaks the lockstep contract.
+     */
+    void compile(const RoundSchedule &schedule);
+
+    /** The schedule this program was compiled from. */
+    const RoundSchedule &schedule() const { return *_schedule; }
 
     const Lattice &lattice() const { return _schedule->lattice(); }
 
-    /** Ancilla coordinates in the order syndromes are reported. */
-    const std::vector<Coord> &xAncillas() const { return _xAncillas; }
-    const std::vector<Coord> &zAncillas() const { return _zAncillas; }
-
-    /**
-     * Execute one round.
-     * @param frame Error frame to evolve.
-     * @param channel Noise source; pass nullptr for noiseless
-     *                execution (pure propagation of existing errors).
-     * @return the ancilla flips observed this round.
-     */
-    SyndromeRound runRound(quantum::PauliFrame &frame,
-                           quantum::ErrorChannel *channel) const;
-
-    /**
-     * Execute `rounds` rounds and collect the syndrome history.
-     */
-    std::vector<SyndromeRound>
-    runRounds(quantum::PauliFrame &frame, quantum::ErrorChannel *channel,
-              std::size_t rounds) const;
-
-    /**
-     * Execute one round on 64 trials at once. The per-lane noise
-     * draw order matches runRound exactly (see BatchErrorChannel),
-     * so lane t reproduces a scalar run seeded with trial t's
-     * substream bit for bit.
-     * @param channel Batched noise source; nullptr for noiseless
-     *                propagation.
-     */
-    BatchSyndromeRound
-    runRoundBatch(quantum::BatchPauliFrame &frame,
-                  quantum::BatchErrorChannel *channel) const;
-
   private:
+    friend class SyndromeExtractor;
+
     /**
      * A noise or measurement site of the compiled round. Lattice
      * neighbours and syndrome slots are resolved at compile time;
@@ -185,9 +162,6 @@ class SyndromeExtractor
         Site::Kind kind;
     };
 
-    void applyStep(const Step &step, std::uint64_t *x,
-                   std::uint64_t *z) const;
-
     const RoundSchedule *_schedule;
     std::vector<Coord> _xAncillas;
     std::vector<Coord> _zAncillas;
@@ -203,6 +177,105 @@ class SyndromeExtractor
     std::vector<Step> _steps;
     std::vector<std::uint64_t> _masks; ///< _words words per step
     std::vector<Site> _sites;
+
+    void applyStep(const Step &step, std::uint64_t *x,
+                   std::uint64_t *z) const;
+};
+
+/**
+ * Executes syndrome-extraction rounds on a Pauli frame, replaying a
+ * (possibly shared) ExtractorProgram.
+ */
+class SyndromeExtractor
+{
+  public:
+    /**
+     * Compile a private program.
+     * @param schedule The lockstep round program (must outlive the
+     *                 extractor).
+     */
+    explicit SyndromeExtractor(const RoundSchedule &schedule);
+
+    /** Replay a program compiled elsewhere, shared read-only. */
+    explicit SyndromeExtractor(
+        std::shared_ptr<const ExtractorProgram> program);
+
+    /**
+     * Compile `schedule` (same lattice; must outlive the extractor)
+     * into this extractor's private program and replay it from now
+     * on. An owner that changes its program calls this instead of
+     * constructing a new extractor, so references to the extractor
+     * held elsewhere stay valid; a program shared with other
+     * extractors is never edited. Throws sim::SimError, keeping the
+     * old program, when the schedule breaks the lockstep contract
+     * (validateSchedule).
+     */
+    void compile(const RoundSchedule &schedule);
+
+    /** compile() the current schedule again after it was edited in
+     *  place. */
+    void recompile() { compile(schedule()); }
+
+    /** The program replayed now: the shared one until the first
+     *  compile(), this extractor's own from then on. */
+    const ExtractorProgram &program() const { return *_program; }
+
+    /** The schedule of the program replayed now. */
+    const RoundSchedule &schedule() const
+    {
+        return _program->schedule();
+    }
+
+    const Lattice &lattice() const { return _program->lattice(); }
+
+    /** Ancilla coordinates in the order syndromes are reported. */
+    const std::vector<Coord> &xAncillas() const
+    {
+        return _program->_xAncillas;
+    }
+    const std::vector<Coord> &zAncillas() const
+    {
+        return _program->_zAncillas;
+    }
+
+    /**
+     * Execute one round.
+     * @param frame Error frame to evolve.
+     * @param channel Noise source; pass nullptr for noiseless
+     *                execution (pure propagation of existing errors).
+     * @return the ancilla flips observed this round.
+     */
+    SyndromeRound runRound(quantum::PauliFrame &frame,
+                           quantum::ErrorChannel *channel) const;
+
+    /**
+     * Execute `rounds` rounds and collect the syndrome history.
+     */
+    std::vector<SyndromeRound>
+    runRounds(quantum::PauliFrame &frame, quantum::ErrorChannel *channel,
+              std::size_t rounds) const;
+
+    /**
+     * Execute one round on 64 trials at once. The per-lane noise
+     * draw order matches runRound exactly (see BatchErrorChannel),
+     * so lane t reproduces a scalar run seeded with trial t's
+     * substream bit for bit.
+     * @param channel Batched noise source; nullptr for noiseless
+     *                propagation.
+     */
+    BatchSyndromeRound
+    runRoundBatch(quantum::BatchPauliFrame &frame,
+                  quantum::BatchErrorChannel *channel) const;
+
+  private:
+    using Site = ExtractorProgram::Site;
+    using Layer = ExtractorProgram::Layer;
+
+    /** The program replayed: shared, or `_own`. */
+    std::shared_ptr<const ExtractorProgram> _program;
+    /** This extractor's private program, recompiled in place; null
+     *  until the first compile(). */
+    std::shared_ptr<ExtractorProgram> _own;
 
     // Batch-engine registry counters, bound once at construction
     // (never function-local statics -- registry-lifetime hazard).

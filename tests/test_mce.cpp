@@ -8,6 +8,7 @@
 
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,14 @@ using namespace quest::core;
 using quest::isa::LogicalInstr;
 using quest::isa::LogicalOpcode;
 using quest::qecc::Coord;
+
+// The noise channel draws from the tile's own RNG and streamers hold
+// its extractor's address: a copied or moved tile would leave both
+// pointing into the original.
+static_assert(!std::is_copy_constructible_v<Mce>
+              && !std::is_move_constructible_v<Mce>
+              && !std::is_copy_assignable_v<Mce>
+              && !std::is_move_assignable_v<Mce>);
 
 MceConfig
 smallConfig()
