@@ -279,31 +279,55 @@ MwpmDecoder::edgeDistance(const DetectionEvent &e) const
     return latticeEdgeDistance(*_lattice, e.ancilla, e.type);
 }
 
-std::optional<std::pair<std::uint64_t, Coord>>
-MwpmDecoder::nearestMaskedCheck(const DetectionEvent &e) const
+MaskedChecks
+MwpmDecoder::maskedChecks() const
 {
+    MaskedChecks out;
     if (!_masked)
-        return std::nullopt;
-    const SiteType type = e.type;
+        return out;
+    // Row-major index order is Lattice::sites() order.
+    for (std::size_t q = 0; q < _lattice->numQubits(); ++q) {
+        const Coord c = _lattice->coord(q);
+        const SiteType type = _lattice->siteType(c);
+        if (type != SiteType::Data && _masked(q))
+            (type == SiteType::ZAncilla ? out.zChecks : out.xChecks)
+                .push_back(c);
+    }
+    return out;
+}
+
+std::optional<std::pair<std::uint64_t, Coord>>
+MwpmDecoder::nearestMaskedCheck(const DetectionEvent &e,
+                                const MaskedChecks *masked) const
+{
     std::optional<std::pair<std::uint64_t, Coord>> best;
-    for (const Coord c : _lattice->sites(type)) {
-        if (!_masked(_lattice->index(c)))
-            continue;
+    const auto consider = [&](Coord c) {
         const std::uint64_t dist =
             (std::uint64_t(std::abs(c.row - e.ancilla.row))
              + std::uint64_t(std::abs(c.col - e.ancilla.col))) / 2;
         if (!best || dist < best->first)
             best = std::make_pair(dist, c);
+    };
+    if (masked) {
+        for (const Coord c : masked->of(e.type))
+            consider(c);
+        return best;
     }
+    if (!_masked)
+        return std::nullopt;
+    for (const Coord c : _lattice->sites(e.type))
+        if (_masked(_lattice->index(c)))
+            consider(c);
     return best;
 }
 
 std::uint64_t
-MwpmDecoder::boundaryDistance(const DetectionEvent &e) const
+MwpmDecoder::boundaryDistance(const DetectionEvent &e,
+                              const MaskedChecks *masked) const
 {
     std::uint64_t dist = edgeDistance(e);
-    if (const auto masked = nearestMaskedCheck(e))
-        dist = std::min(dist, masked->first);
+    if (const auto nearest = nearestMaskedCheck(e, masked))
+        dist = std::min(dist, nearest->first);
     return dist;
 }
 
@@ -337,8 +361,8 @@ MwpmDecoder::pathBetween(Coord a, Coord b) const
 }
 
 void
-MwpmDecoder::pathToBoundary(Coord a,
-                            std::vector<std::size_t> &out) const
+MwpmDecoder::pathToBoundary(Coord a, std::vector<std::size_t> &out,
+                            const MaskedChecks *masked) const
 {
     const SiteType type = _lattice->siteType(a);
     QUEST_ASSERT(type != SiteType::Data, "boundary path from non-check");
@@ -346,9 +370,9 @@ MwpmDecoder::pathToBoundary(Coord a,
     // A masked (defect) region closer than the lattice edge is the
     // terminating boundary: route the chain into it.
     const DetectionEvent here{0, a, type};
-    if (const auto masked = nearestMaskedCheck(here)) {
-        if (masked->first < edgeDistance(here)) {
-            pathBetween(a, masked->second, out);
+    if (const auto nearest = nearestMaskedCheck(here, masked)) {
+        if (nearest->first < edgeDistance(here)) {
+            pathBetween(a, nearest->second, out);
             return;
         }
     }
@@ -392,6 +416,7 @@ MwpmDecoder::pathToBoundary(Coord a) const
 
 void
 MwpmDecoder::eventWeights(const std::vector<DetectionEvent> &events,
+                          const MaskedChecks *masked,
                           std::vector<std::uint32_t> &ids,
                           std::vector<std::uint64_t> &bweight) const
 {
@@ -400,7 +425,7 @@ MwpmDecoder::eventWeights(const std::vector<DetectionEvent> &events,
     for (std::size_t i = 0; i < n; ++i) {
         QUEST_ASSERT(events[i].type == events[0].type,
                      "cannot match events of different stabilizer types");
-        bweight[i] = boundaryDistance(events[i]);
+        bweight[i] = boundaryDistance(events[i], masked);
     }
     ids.clear();
     const MatchGeometry &g = *_geometry;
@@ -425,11 +450,12 @@ MwpmDecoder::pairWeight(const std::vector<DetectionEvent> &events,
 }
 
 MatchingResult
-MwpmDecoder::matchExact(const std::vector<DetectionEvent> &events) const
+MwpmDecoder::matchExact(const std::vector<DetectionEvent> &events,
+                        const MaskedChecks *masked) const
 {
     const std::size_t n = events.size();
     Scratch &s = scratch();
-    eventWeights(events, s.ids, s.bweight);
+    eventWeights(events, masked, s.ids, s.bweight);
 
     // Precompute pair weights into the flat arena.
     s.pweight.resize(n * n);
@@ -466,14 +492,15 @@ MwpmDecoder::matchExact(const std::vector<DetectionEvent> &events) const
 }
 
 MatchingResult
-MwpmDecoder::matchGreedy(const std::vector<DetectionEvent> &events) const
+MwpmDecoder::matchGreedy(const std::vector<DetectionEvent> &events,
+                         const MaskedChecks *masked) const
 {
     const std::size_t n = events.size();
     QUEST_ASSERT(n <= maxGreedyEvents,
                  "greedy matcher takes at most %zu events, got %zu",
                  maxGreedyEvents, n);
     Scratch &s = scratch();
-    eventWeights(events, s.ids, s.bweight);
+    eventWeights(events, masked, s.ids, s.bweight);
 
     // One 8-byte edge per candidate: the weight in the high word,
     // then the two event indices. Sorting on the weight alone makes
@@ -529,7 +556,8 @@ MwpmDecoder::matchGreedy(const std::vector<DetectionEvent> &events) const
 }
 
 MatchingResult
-MwpmDecoder::matchEvents(const std::vector<DetectionEvent> &events) const
+MwpmDecoder::matchEvents(const std::vector<DetectionEvent> &events,
+                         const MaskedChecks *masked) const
 {
     if (events.empty())
         return {};
@@ -543,11 +571,11 @@ MwpmDecoder::matchEvents(const std::vector<DetectionEvent> &events) const
     if (events.size() <= _exactLimit) {
         QUEST_TRACE_SCOPE("decode", "mwpm_exact");
         ++_mExactMatchings;
-        mr = matchExact(events);
+        mr = matchExact(events, masked);
     } else {
         QUEST_TRACE_SCOPE("decode", "mwpm_greedy");
         ++_mGreedyMatchings;
-        mr = matchGreedy(events);
+        mr = matchGreedy(events, masked);
     }
     _mMatchedWeight += mr.totalWeight;
     return mr;

@@ -75,6 +75,25 @@ struct MatchGeometry
 };
 
 /**
+ * Each stabilizer type's masked checks, in Lattice::sites() order:
+ * the mask predicate read in one pass (MwpmDecoder::maskedChecks).
+ * matchEvents() and pathToBoundary() given one search it for the
+ * nearest masked check instead of walking the lattice through the
+ * predicate per query. It goes stale when the mask changes.
+ */
+struct MaskedChecks
+{
+    std::vector<qecc::Coord> zChecks;
+    std::vector<qecc::Coord> xChecks;
+
+    const std::vector<qecc::Coord> &
+    of(qecc::SiteType type) const
+    {
+        return type == qecc::SiteType::ZAncilla ? zChecks : xChecks;
+    }
+};
+
+/**
  * The global decoder living in the master controller.
  *
  * Thread safety: decode()/matchEvents() and the distance/path
@@ -116,8 +135,9 @@ class MwpmDecoder
      * Make the decoder defect-aware: masked (syndrome-disabled)
      * regions act as additional open boundaries where error chains
      * can terminate, exactly like the lattice edge. The predicate is
-     * re-evaluated on every decode so it may track a live mask
-     * table.
+     * re-evaluated on every query (each event weight and boundary
+     * path) unless the caller passes a maskedChecks() snapshot, so
+     * it may track a live mask table.
      */
     void
     setMaskPredicate(MaskPredicate masked)
@@ -130,6 +150,10 @@ class MwpmDecoder
 
     /** The distance tables this decoder reads. */
     const MatchGeometry &geometry() const { return *_geometry; }
+
+    /** The checks the mask predicate masks now, in one pass (none
+     *  without a predicate). */
+    MaskedChecks maskedChecks() const;
 
     /**
      * Decode all detection events into a correction.
@@ -146,9 +170,13 @@ class MwpmDecoder
      * so it takes at most 65 536 events and every boundary and pair
      * weight must fit in 32 bits (no two events ~4e9 rounds apart).
      * The exact matcher has neither limit.
+     *
+     * With `masked`, boundary weights read that snapshot instead of
+     * the predicate; the result is the same while the mask is.
      */
     MatchingResult matchEvents(
-        const std::vector<DetectionEvent> &events) const;
+        const std::vector<DetectionEvent> &events,
+        const MaskedChecks *masked = nullptr) const;
 
     /**
      * Match one same-type event set and XOR each matched path into
@@ -166,8 +194,10 @@ class MwpmDecoder
     std::uint64_t distance(const DetectionEvent &a,
                            const DetectionEvent &b) const;
 
-    /** Data qubits crossed to reach the nearest open boundary. */
-    std::uint64_t boundaryDistance(const DetectionEvent &e) const;
+    /** Data qubits crossed to reach the nearest open boundary;
+     *  `masked` as in matchEvents(). */
+    std::uint64_t boundaryDistance(
+        const DetectionEvent &e, const MaskedChecks *masked = nullptr) const;
 
     /**
      * Data-qubit path between two same-type checks (L-shaped:
@@ -179,11 +209,13 @@ class MwpmDecoder
     /** Data-qubit path from a check to its nearest boundary. */
     std::vector<std::size_t> pathToBoundary(qecc::Coord a) const;
 
-    /** Allocation-free variants: append the path onto `out`. */
+    /** Allocation-free variants: append the path onto `out`. The
+     *  boundary path reads `masked`, when given, as matchEvents()
+     *  does. */
     void pathBetween(qecc::Coord a, qecc::Coord b,
                      std::vector<std::size_t> &out) const;
-    void pathToBoundary(qecc::Coord a,
-                        std::vector<std::size_t> &out) const;
+    void pathToBoundary(qecc::Coord a, std::vector<std::size_t> &out,
+                        const MaskedChecks *masked = nullptr) const;
 
   private:
     std::shared_ptr<const MatchGeometry> _geometry;
@@ -200,10 +232,10 @@ class MwpmDecoder
     sim::metrics::Counter &_mMatchedWeight;
     sim::metrics::Counter &_mDecodes;
 
-    MatchingResult matchExact(
-        const std::vector<DetectionEvent> &events) const;
-    MatchingResult matchGreedy(
-        const std::vector<DetectionEvent> &events) const;
+    MatchingResult matchExact(const std::vector<DetectionEvent> &events,
+                              const MaskedChecks *masked) const;
+    MatchingResult matchGreedy(const std::vector<DetectionEvent> &events,
+                               const MaskedChecks *masked) const;
 
     /**
      * Per-event inputs to a matching: `ids` gets each event's
@@ -211,6 +243,7 @@ class MwpmDecoder
      * and `bweight` its boundaryDistance().
      */
     void eventWeights(const std::vector<DetectionEvent> &events,
+                      const MaskedChecks *masked,
                       std::vector<std::uint32_t> &ids,
                       std::vector<std::uint64_t> &bweight) const;
 
@@ -231,11 +264,14 @@ class MwpmDecoder
 
     /**
      * Nearest same-type masked check, if any: defect boundaries
-     * terminate chains just like lattice edges.
+     * terminate chains just like lattice edges. Ties go to the first
+     * in Lattice::sites() order. Searches `masked` when given, else
+     * walks the lattice through the predicate.
      * @return (distance, coord) or nullopt when nothing is masked.
      */
     std::optional<std::pair<std::uint64_t, qecc::Coord>>
-    nearestMaskedCheck(const DetectionEvent &e) const;
+    nearestMaskedCheck(const DetectionEvent &e,
+                       const MaskedChecks *masked) const;
 };
 
 } // namespace quest::decode

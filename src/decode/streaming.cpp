@@ -177,54 +177,55 @@ StreamingDecoder::decodeWindow(bool flush)
         // bit-identical to the offline pipeline. Matches whose
         // earliest endpoint is in the commit region are committed
         // now (carry-side endpoints become consumed-ahead); matches
-        // wholly in the carry region are deferred.
+        // wholly in the carry region are deferred. The mask cannot
+        // change inside a window, so both types' matchings and
+        // boundary paths read one snapshot of it.
+        const MaskedChecks masked = _mwpm.maskedChecks();
         const std::size_t n = _extractor->lattice().numQubits();
-        std::vector<std::uint8_t> xflip(n, 0);
-        std::vector<std::uint8_t> zflip(n, 0);
-        std::vector<std::size_t> path;
+        _xflip.assign(n, 0);
+        _zflip.assign(n, 0);
         const auto decode_type =
             [&](const std::vector<DetectionEvent> &resid,
                 const std::vector<DetectionEvent> &car,
                 std::vector<std::uint8_t> &bits) {
-                std::vector<DetectionEvent> evts;
-                evts.reserve(resid.size() + car.size());
-                evts.insert(evts.end(), resid.begin(), resid.end());
-                evts.insert(evts.end(), car.begin(), car.end());
-                if (evts.empty())
+                _evts.assign(resid.begin(), resid.end());
+                _evts.insert(_evts.end(), car.begin(), car.end());
+                if (_evts.empty())
                     return;
-                const MatchingResult mr = _mwpm.matchEvents(evts);
+                const MatchingResult mr =
+                    _mwpm.matchEvents(_evts, &masked);
                 for (const Match &m : mr.matches) {
-                    const DetectionEvent &ea = evts[m.a];
-                    path.clear();
+                    const DetectionEvent &ea = _evts[m.a];
+                    _path.clear();
                     if (m.toBoundary) {
                         if (ea.round >= commit_end) {
                             ++deferred;
                             continue;
                         }
-                        _mwpm.pathToBoundary(ea.ancilla, path);
+                        _mwpm.pathToBoundary(ea.ancilla, _path, &masked);
                     } else {
-                        const DetectionEvent &eb = evts[m.b];
+                        const DetectionEvent &eb = _evts[m.b];
                         if (std::min(ea.round, eb.round)
                             >= commit_end) {
                             deferred += 2;
                             continue;
                         }
                         _mwpm.pathBetween(ea.ancilla, eb.ancilla,
-                                          path);
+                                          _path);
                         if (ea.round >= commit_end)
                             _consumed.push_back(ea);
                         if (eb.round >= commit_end)
                             _consumed.push_back(eb);
                     }
-                    for (std::size_t q : path)
+                    for (std::size_t q : _path)
                         bits[q] ^= 1;
                 }
             };
         // Z-check events locate X errors; X-check events locate Z
         // errors -- same order as the offline decoders.
-        decode_type(local.residual.zEvents, carry.zEvents, xflip);
-        decode_type(local.residual.xEvents, carry.xEvents, zflip);
-        global = Correction::fromFlipMaps(xflip, zflip);
+        decode_type(local.residual.zEvents, carry.zEvents, _xflip);
+        decode_type(local.residual.xEvents, carry.xEvents, _zflip);
+        global = Correction::fromFlipMaps(_xflip, _zflip);
     }
     commit.deferredEvents = deferred;
     commit.correction = local.correction;

@@ -33,7 +33,13 @@
  * offline path, so a single window spanning the entire shot (or a
  * finish() on an unsliced buffer) reproduces DecoderPipeline's
  * correction bit for bit -- the correctness anchor the equivalence
- * suite in tests/test_streaming.cpp pins down.
+ * suite in tests/test_streaming.cpp pins down. The window matcher
+ * latches the defect boundary once per window: it snapshots the
+ * masked checks (MwpmDecoder::maskedChecks) before matching, and
+ * every event weight and boundary path of that window reads the
+ * snapshot. A tile's mask changes only between rounds, so this
+ * gives the per-query search's answer without re-walking the
+ * lattice through the predicate for each query.
  *
  * Lag accounting: after every pushed round the decoder records how
  * many extracted rounds are not yet committed in the
@@ -127,7 +133,9 @@ class StreamingDecoder
     const MwpmDecoder &matcher() const { return _mwpm; }
 
     /** Mask predicate for the window matcher (the cluster fallback
-     *  reads it through the same matcher). */
+     *  reads it through the same matcher). The matcher reads it once
+     *  per window, so edit the mask between pushRound() calls only,
+     *  as a tile's instructions do. */
     void
     setMaskPredicate(MwpmDecoder::MaskPredicate masked)
     {
@@ -192,6 +200,13 @@ class StreamingDecoder
     /** Carry-region events already corrected by a committed match;
      *  filtered out of the next window's extraction. */
     std::vector<DetectionEvent> _consumed;
+
+    // Global-stage scratch, reused by every window: the flip maps,
+    // one type's events and one match's path.
+    std::vector<std::uint8_t> _xflip;
+    std::vector<std::uint8_t> _zflip;
+    std::vector<DetectionEvent> _evts;
+    std::vector<std::size_t> _path;
 
     std::size_t _windows = 0;
     std::size_t _fallbackCount = 0;

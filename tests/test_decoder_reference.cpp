@@ -15,6 +15,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <set>
@@ -484,6 +485,67 @@ TEST(DecoderReference, CompactGreedyRejectsWeightsAbove32Bits)
 }
 
 // ---------------------------------------------------------------
+// Masked boundary: one snapshot vs the per-query search.
+// ---------------------------------------------------------------
+
+/**
+ * A mask with ties: each check type has a central check whose two
+ * nearest masked checks are equidistant from it (and nearer than the
+ * lattice edge from d = 5 up), so which of them a boundary path
+ * enters depends on how the search breaks ties.
+ */
+MwpmDecoder::MaskPredicate
+equidistantMask(const Lattice &lattice)
+{
+    std::vector<std::uint8_t> masked(lattice.numQubits(), 0);
+    const int mid = int(lattice.rows()) / 2; // d - 1, even
+    // Z checks sit at (odd row, even column): mask the two checks
+    // left and right of (mid - 1, mid). X checks sit at (even row,
+    // odd column): mask the two above and below (mid, mid - 1).
+    for (const Coord c : {Coord{mid - 1, mid - 2}, Coord{mid - 1, mid + 2},
+                          Coord{mid - 2, mid - 1}, Coord{mid + 2, mid - 1}})
+        masked[lattice.index(c)] = 1;
+    return [masked](std::size_t q) { return masked[q] != 0; };
+}
+
+TEST(DecoderReference, MaskSnapshotMatchesPerQuerySearch)
+{
+    // One decoder takes each mask in turn, so a snapshot that kept
+    // an earlier mask would differ from the per-query search.
+    Rng rng(0x5A4Bu);
+    for (std::size_t distance : {3, 5, 7}) {
+        const Lattice lattice = Lattice::forDistance(distance);
+        MwpmDecoder dec(lattice);
+        const MwpmDecoder::MaskPredicate masks[] = {
+            randomMask(lattice, rng, 0.0), randomMask(lattice, rng, 0.1),
+            randomMask(lattice, rng, 0.3), equidistantMask(lattice)};
+        for (std::size_t m = 0; m < std::size(masks); ++m) {
+            dec.setMaskPredicate(masks[m]);
+            const decode::MaskedChecks snap = dec.maskedChecks();
+            for (const SiteType type :
+                 {SiteType::ZAncilla, SiteType::XAncilla}) {
+                for (std::size_t trial = 0; trial < 40; ++trial) {
+                    // Both matchers: up to 14 events exact, then greedy.
+                    const std::size_t n = 1 + trial;
+                    const std::vector<DetectionEvent> ev =
+                        randomEvents(lattice, type, n, 1 + trial % 5, rng);
+                    expectSameMatching(dec.matchEvents(ev, &snap),
+                                       dec.matchEvents(ev), "snapshot",
+                                       trial);
+                }
+                for (const Coord c : lattice.sites(type)) {
+                    std::vector<std::size_t> got;
+                    dec.pathToBoundary(c, got, &snap);
+                    EXPECT_EQ(got, dec.pathToBoundary(c))
+                        << "d=" << distance << " mask " << m << " check ("
+                        << c.row << "," << c.col << ")";
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------
 // LUT: round-bucketed passes vs the all-pairs passes.
 // ---------------------------------------------------------------
 
@@ -581,6 +643,8 @@ TEST(ParallelDecode, SharedMatcherMatchesSerial)
     // The matchers keep their working state in thread-local scratch
     // and the LUT keeps none, so one instance of each decodes from
     // many threads; every thread must reproduce the serial results.
+    // Each thread also matches through a mask snapshot of its own,
+    // against the serial per-query matchings.
     Rng rng(0x7EADu);
     const Lattice lattice = Lattice::forDistance(7);
     MwpmDecoder mwpm(lattice);
@@ -601,8 +665,11 @@ TEST(ParallelDecode, SharedMatcherMatchesSerial)
         Correction global;
         Correction local;
         std::size_t resolved = 0;
+        MatchingResult zMatch;
+        MatchingResult xMatch;
     };
-    const auto decodeAll = [&](std::size_t start) {
+    const auto decodeAll = [&](std::size_t start,
+                               const decode::MaskedChecks *snap) {
         std::vector<Outcome> out(inputs.size());
         for (std::size_t step = 0; step < inputs.size(); ++step) {
             const std::size_t k = (start + step) % inputs.size();
@@ -610,16 +677,21 @@ TEST(ParallelDecode, SharedMatcherMatchesSerial)
             out[k].local = local.correction;
             out[k].resolved = local.resolvedEvents;
             out[k].global = mwpm.decode(inputs[k]);
+            out[k].zMatch = mwpm.matchEvents(inputs[k].zEvents, snap);
+            out[k].xMatch = mwpm.matchEvents(inputs[k].xEvents, snap);
         }
         return out;
     };
-    const std::vector<Outcome> serial = decodeAll(0);
+    const std::vector<Outcome> serial = decodeAll(0, nullptr);
 
     constexpr std::size_t threads = 4;
     std::vector<std::vector<Outcome>> got(threads);
     std::vector<std::thread> pool;
     for (std::size_t t = 0; t < threads; ++t)
-        pool.emplace_back([&, t] { got[t] = decodeAll(t * 17); });
+        pool.emplace_back([&, t] {
+            const decode::MaskedChecks snap = mwpm.maskedChecks();
+            got[t] = decodeAll(t * 17, &snap);
+        });
     for (std::thread &th : pool)
         th.join();
 
@@ -639,6 +711,10 @@ TEST(ParallelDecode, SharedMatcherMatchesSerial)
                 << "thread " << t << " input " << k;
             EXPECT_EQ(got[t][k].resolved, serial[k].resolved)
                 << "thread " << t << " input " << k;
+            expectSameMatching(got[t][k].zMatch, serial[k].zMatch,
+                               "snapshot z", k);
+            expectSameMatching(got[t][k].xMatch, serial[k].xMatch,
+                               "snapshot x", k);
         }
     }
 }

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/master_controller.hpp"
 #include "core/system.hpp"
 #include "decode/pipeline.hpp"
@@ -20,6 +22,7 @@
 #include "isa/trace.hpp"
 #include "qecc/memory_experiment.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/metrics.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -86,6 +89,47 @@ TEST_F(StreamingTest, FullShotSingleWindowMatchesOfflinePipeline)
         EXPECT_EQ(streamed.zFlips, offline.zFlips)
             << "seed " << seed;
     }
+
+    // Masked checks are open boundaries. The streamer reads the mask
+    // once per window, the offline matcher once per query; with one
+    // predicate shared by both they still agree bit for bit.
+    std::vector<std::uint8_t> holes(lattice.numQubits(), 0);
+    quest::sim::Rng mask_rng(0x4D41u);
+    for (auto &h : holes)
+        h = mask_rng.bernoulli(0.15) ? 1 : 0;
+    const MwpmDecoder::MaskPredicate masked = [&holes](std::size_t q) {
+        return holes[q] != 0;
+    };
+    const LutDecoder lut(lattice);
+    MwpmDecoder mwpm(lattice);
+    mwpm.setMaskPredicate(masked);
+    std::size_t moved_by_mask = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        // Noisier, so more events outlive the LUT.
+        const auto history = noisyShot(exp, 1e-2, seed).history;
+        const DetectionEvents events =
+            extractDetectionEvents(history, extractor);
+        const LocalDecodeResult local = lut.decodeLocal(events);
+        Correction offline = local.correction;
+        offline.merge(mwpm.decode(local.residual));
+        const Correction unmasked = pipeline.decode(events);
+        moved_by_mask += offline.xFlips != unmasked.xFlips
+            || offline.zFlips != unmasked.zFlips;
+
+        StreamConfig cfg;
+        cfg.windowRounds = history.size() + 1;
+        cfg.strideRounds = 1;
+        StreamingDecoder streamer(extractor, cfg);
+        streamer.setMaskPredicate(masked);
+        const Correction streamed = streamDecode(streamer, history);
+
+        EXPECT_EQ(streamed.xFlips, offline.xFlips)
+            << "masked seed " << seed;
+        EXPECT_EQ(streamed.zFlips, offline.zFlips)
+            << "masked seed " << seed;
+    }
+    // The mask decides some of these corrections.
+    EXPECT_GT(moved_by_mask, 0u);
 }
 
 TEST_F(StreamingTest, WindowedCommitsClearTheSyndrome)
@@ -338,6 +382,10 @@ TEST(StreamingMaster, StreamsAcrossMaskEdits)
     // Placing logical qubits and every mask instruction rebuild the
     // tile's masked schedule. The streamers hold the tile extractor,
     // so it must survive those rebuilds (ASan flags a stale one).
+    // The window matcher reads the live mask once per window, so the
+    // run is also pinned to digests recorded when it searched the
+    // mask on every query: a mask read that outlives an edit moves
+    // a boundary path, and with it the frames or ledgers.
     using namespace quest::core;
     MasterConfig cfg;
     cfg.numMces = 2;
@@ -348,6 +396,21 @@ TEST(StreamingMaster, StreamsAcrossMaskEdits)
     QuestSystem system(cfg);
     MasterController &master = system.master();
     const SyndromeExtractor *extractor = &master.mce(0).extractor();
+
+    auto &registry = quest::sim::metrics::Registry::global();
+    const char *const counts[] = {
+        "decode.stream.windows",
+        "decode.stream.rounds",
+        "decode.stream.events",
+        "decode.stream.events_local",
+        "decode.stream.events_forwarded",
+        "decode.stream.events_deferred",
+        "decode.stream.fallbacks",
+        "decode.stream.committed_weight",
+    };
+    std::vector<std::uint64_t> before;
+    for (const char *name : counts)
+        before.push_back(registry.counter(name, "").value());
 
     system.placeLogicalQubits();
     const double writes = master.mce(0).maskTable().writeCount();
@@ -363,10 +426,29 @@ TEST(StreamingMaster, StreamsAcrossMaskEdits)
 
     EXPECT_GT(master.mce(0).maskTable().writeCount(), writes);
     EXPECT_EQ(&master.mce(0).extractor(), extractor);
+    std::uint64_t digest = 1469598103934665603ull; // FNV-1a
+    const auto mix = [&digest](std::uint64_t v) {
+        digest = (digest ^ v) * 1099511628211ull;
+    };
     for (std::size_t i = 0; i < cfg.numMces; ++i) {
         EXPECT_EQ(master.streamer(i).roundsPushed(), rounds);
         EXPECT_EQ(master.streamer(i).lagRounds(), 0u);
+        Mce &t = master.mce(i);
+        for (std::size_t q = 0; q < t.frame().numQubits(); ++q) {
+            mix(t.frame().xError(q) | t.frame().zError(q) << 1);
+            mix(t.correctionLedger().xError(q)
+                | t.correctionLedger().zError(q) << 1);
+        }
     }
+    EXPECT_EQ(digest, 0x7093ed01967f8c08ull);
+    EXPECT_DOUBLE_EQ(master.busBytesSyndrome(), 1092.0);
+    EXPECT_DOUBLE_EQ(master.busBytesCorrections(), 424.0);
+    // The same counts, in `counts` order.
+    const std::uint64_t recorded[] = {200, 600, 541, 189, 273, 268, 0, 106};
+    for (std::size_t k = 0; k < std::size(counts); ++k)
+        EXPECT_EQ(registry.counter(counts[k], "").value() - before[k],
+                  recorded[k])
+            << counts[k];
 }
 
 } // namespace
