@@ -1,11 +1,16 @@
 #include "trace.hpp"
 
-#if QUEST_TRACE_ENABLED
-
 #include <algorithm>
 #include <chrono>
 
 namespace quest::sim {
+
+namespace {
+
+/** Ring capacity (events) of each thread's trace buffer. */
+constexpr std::size_t ringEvents = 1 << 16;
+
+} // namespace
 
 TraceBuffer::TraceBuffer(std::size_t capacity, std::uint32_t tid)
     : _ring(capacity ? capacity : 1), _tid(tid)
@@ -62,19 +67,12 @@ Tracer::nowNs()
             .count());
 }
 
-void
-Tracer::setBufferCapacity(std::size_t events)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _capacity = events ? events : 1;
-}
-
 TraceBuffer &
 Tracer::registerThread()
 {
     std::lock_guard<std::mutex> lock(_mutex);
     _buffers.push_back(std::make_unique<TraceBuffer>(
-        _capacity, std::uint32_t(_buffers.size())));
+        ringEvents, std::uint32_t(_buffers.size())));
     return *_buffers.back();
 }
 
@@ -88,13 +86,6 @@ Tracer::localBuffer()
     if (buffer == nullptr)
         buffer = &registerThread();
     return *buffer;
-}
-
-void
-Tracer::instant(const char *category, const char *name)
-{
-    const std::uint64_t now = nowNs();
-    localBuffer().push(category, name, now, 0);
 }
 
 void
@@ -171,5 +162,3 @@ Tracer::clear()
 }
 
 } // namespace quest::sim
-
-#endif // QUEST_TRACE_ENABLED

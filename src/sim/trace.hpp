@@ -7,17 +7,14 @@
  * the profiling layer must see inside a run without perturbing it.
  * Design constraints, in order:
  *
- *  1. Compiled out entirely under -DQUEST_TRACE=OFF: the macros
- *     expand to nothing and no trace symbols exist in the binary
- *     (asserted by CI with `nm`).
- *  2. One predictable branch when compiled in but runtime-disabled:
- *     TraceScope's constructor reads a single relaxed atomic flag
- *     and bails. The kernel_speed overhead-guard test holds this
- *     path to < 3% on the syndrome-extraction hot loop.
- *  3. Lock-free recording when enabled: each thread owns a private
- *     ring buffer; the only lock is taken once per thread at
- *     registration. Buffers survive their writer thread so a pool
- *     can be torn down before export.
+ *  1. One predictable branch while runtime-disabled (the default in
+ *     every build): TraceScope's constructor reads a single relaxed
+ *     atomic flag and bails. tests/test_trace_overhead.cpp holds
+ *     this path to < 3% on a syndrome-extraction-shaped loop.
+ *  2. Lock-free recording when enabled: each thread owns a private
+ *     ring buffer (65 536 events); the only lock is taken once per
+ *     thread at registration. Buffers survive their writer thread
+ *     so a pool can be torn down before export.
  *
  * Export is Chrome-trace JSON ("traceEvents" array of "X" duration
  * events), loadable in chrome://tracing or https://ui.perfetto.dev.
@@ -30,10 +27,6 @@
 
 #ifndef QUEST_SIM_TRACE_HPP
 #define QUEST_SIM_TRACE_HPP
-
-#ifndef QUEST_TRACE_ENABLED
-#define QUEST_TRACE_ENABLED 1
-#endif
 
 #include <atomic>
 #include <cstdint>
@@ -48,18 +41,9 @@
 
 namespace quest::sim {
 
-/** True when the tracing layer is compiled into this build. */
-constexpr bool
-traceCompiledIn()
-{
-    return QUEST_TRACE_ENABLED != 0;
-}
-
 /** FNV-1a offset basis: the digest of an empty trace. */
 inline constexpr std::uint64_t emptyTraceDigest =
     14695981039346656037ull;
-
-#if QUEST_TRACE_ENABLED
 
 /** One completed duration event (timestamps in steady-clock ns). */
 struct TraceEvent
@@ -132,18 +116,8 @@ class Tracer
         return instance()._enabled.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Ring capacity (events per thread) for buffers registered
-     * after this call. Call before enabling tracing.
-     */
-    void setBufferCapacity(std::size_t events);
-    std::size_t bufferCapacity() const { return _capacity; }
-
     /** The calling thread's buffer (registered on first use). */
     TraceBuffer &localBuffer();
-
-    /** Record a zero-duration marker on the calling thread. */
-    void instant(const char *category, const char *name);
 
     /**
      * Write everything recorded so far as Chrome-trace JSON.
@@ -179,7 +153,6 @@ class Tracer
     TraceBuffer &registerThread();
 
     std::atomic<bool> _enabled{false};
-    std::size_t _capacity = 1 << 16;
 
     mutable std::mutex _mutex; ///< guards registration and export
     std::vector<std::unique_ptr<TraceBuffer>> _buffers;
@@ -222,61 +195,6 @@ class TraceScope
 #define QUEST_TRACE_SCOPE(category, name)                                   \
     ::quest::sim::TraceScope QUEST_TRACE_CONCAT(                            \
         quest_trace_scope_, __LINE__)(category, name)
-
-/** Record a zero-duration marker. */
-#define QUEST_TRACE_INSTANT(category, name)                                 \
-    do {                                                                    \
-        if (::quest::sim::Tracer::enabled())                                \
-            ::quest::sim::Tracer::instance().instant(category, name);       \
-    } while (0)
-
-#else // !QUEST_TRACE_ENABLED
-
-/**
- * Stub sink for -DQUEST_TRACE=OFF builds: the control-flow surface
- * (CLI flags, tests) still compiles, records nothing, and leaves no
- * trace machinery in the binary.
- */
-class Tracer
-{
-  public:
-    static Tracer &
-    instance()
-    {
-        static Tracer t;
-        return t;
-    }
-
-    void setEnabled(bool) {}
-    static constexpr bool enabled() { return false; }
-    void setBufferCapacity(std::size_t) {}
-    std::size_t bufferCapacity() const { return 0; }
-    void instant(const char *, const char *) {}
-
-    void
-    exportChromeTrace(std::ostream &os) const
-    {
-        os << "{\"traceEvents\":[]}\n";
-    }
-
-    std::map<std::string, std::uint64_t> eventCounts() const
-    {
-        return {};
-    }
-
-    std::uint64_t countDigest() const { return emptyTraceDigest; }
-    std::uint64_t droppedEvents() const { return 0; }
-    void clear() {}
-};
-
-#define QUEST_TRACE_SCOPE(category, name)                                   \
-    do {                                                                    \
-    } while (0)
-#define QUEST_TRACE_INSTANT(category, name)                                 \
-    do {                                                                    \
-    } while (0)
-
-#endif // QUEST_TRACE_ENABLED
 
 } // namespace quest::sim
 

@@ -16,12 +16,12 @@
 #include <limits>
 
 #include "core/issue_queue.hpp"
+#include "passes.hpp"
 #include "qecc/protocol.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/types.hpp"
 #include "tech/parameters.hpp"
-#include "verifier.hpp"
 
 namespace quest::verify {
 
@@ -307,6 +307,21 @@ deadlineCyclesFor(const qecc::ProtocolSpec &spec,
     return std::size_t(seconds * tech::jjClockHz);
 }
 
+/** One timing-pass diagnostic: which bound tier missed, by how much. */
+std::string
+boundMessage(const char *tier, std::size_t bound, std::size_t budget,
+             std::size_t rounds)
+{
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "%s is %zu cycles but the %zu-round "
+                  "syndrome deadline allows %zu",
+                  tier, bound, rounds, budget);
+    return msg;
+}
+
+} // namespace
+
 /**
  * Timing: the static worst-case issue bound for the configured
  * scheduling mode must meet the syndrome-cycle deadline. The three
@@ -315,77 +330,55 @@ deadlineCyclesFor(const qecc::ProtocolSpec &spec,
  * widths (timing.width_bound) or a too-shallow issue queue
  * (timing.queue_bound).
  */
-class TimingPass final : public Pass
+void
+checkTiming(const TileArtifacts &a, Report &report)
 {
-  public:
-    std::string name() const override { return "timing"; }
+    if (a.lattice == nullptr || a.spec == nullptr)
+        return;
+    const ExpandedStream stream = expandRam(a.ram);
+    const DependencyOracle oracle(*a.lattice, stream.qubits,
+                                  stream.subCycles);
 
-    void
-    run(const TileArtifacts &a, Report &report) const override
-    {
-        if (a.lattice == nullptr || a.spec == nullptr) {
-            report.notePass(name());
-            return;
-        }
-        const ExpandedStream stream = expandRam(a.ram);
-        const DependencyOracle oracle(*a.lattice, stream.qubits,
-                                      stream.subCycles);
+    const std::size_t rounds = std::max<std::size_t>(
+        1, a.timing.rounds);
+    const std::size_t deadline = a.timing.deadlineCycles > 0
+        ? a.timing.deadlineCycles
+        : deadlineCyclesFor(*a.spec, a.technology);
+    const std::size_t budget = deadline * rounds;
 
-        const std::size_t rounds = std::max<std::size_t>(
-            1, a.timing.rounds);
-        const std::size_t deadline = a.timing.deadlineCycles > 0
-            ? a.timing.deadlineCycles
-            : deadlineCyclesFor(*a.spec, a.technology);
-        const std::size_t budget = deadline * rounds;
+    const TimingOracle to(a.timing.sched);
+    const TimingBound b =
+        to.bound(oracle, a.timing.scheduling, rounds);
 
-        const TimingOracle to(a.timing.sched);
-        const TimingBound b =
-            to.bound(oracle, a.timing.scheduling, rounds);
+    auto &slack = sim::metrics::Registry::global().gauge(
+        "verify.timing_slack",
+        "deadline headroom (deadline/bound - 1) of the static "
+        "worst-case issue bound at the last verify run");
+    slack.set(b.totalBoundCycles > 0
+                  ? double(budget) / double(b.totalBoundCycles)
+                      - 1.0
+                  : 0.0);
 
-        auto &slack = sim::metrics::Registry::global().gauge(
-            "verify.timing_slack",
-            "deadline headroom (deadline/bound - 1) of the static "
-            "worst-case issue bound at the last verify run");
-        slack.set(b.totalBoundCycles > 0
-                      ? double(budget) / double(b.totalBoundCycles)
-                          - 1.0
-                      : 0.0);
-
-        if (b.criticalPathCycles > budget) {
-            report.error(
-                codes::timingDeadline,
-                Site{"uop-stream", -1, -1, -1},
-                message("dataflow critical path",
-                        b.criticalPathCycles, budget, rounds));
-        } else if (b.widthBoundCycles > budget) {
-            report.error(
-                codes::timingWidthBound,
-                Site{"uop-stream", -1, -1, -1},
-                message("fetch/issue-width bound",
-                        b.widthBoundCycles, budget, rounds));
-        } else if (b.totalBoundCycles > budget) {
-            report.error(
-                codes::timingQueueBound,
-                Site{"uop-stream", -1, -1, -1},
-                message("issue-queue bound", b.totalBoundCycles,
-                        budget, rounds));
-        }
-        report.notePass(name());
+    if (b.criticalPathCycles > budget) {
+        report.error(
+            codes::timingDeadline,
+            Site{"uop-stream", -1, -1, -1},
+            boundMessage("dataflow critical path",
+                         b.criticalPathCycles, budget, rounds));
+    } else if (b.widthBoundCycles > budget) {
+        report.error(
+            codes::timingWidthBound,
+            Site{"uop-stream", -1, -1, -1},
+            boundMessage("fetch/issue-width bound",
+                         b.widthBoundCycles, budget, rounds));
+    } else if (b.totalBoundCycles > budget) {
+        report.error(
+            codes::timingQueueBound,
+            Site{"uop-stream", -1, -1, -1},
+            boundMessage("issue-queue bound", b.totalBoundCycles,
+                         budget, rounds));
     }
-
-  private:
-    static std::string
-    message(const char *tier, std::size_t bound,
-            std::size_t budget, std::size_t rounds)
-    {
-        char msg[160];
-        std::snprintf(msg, sizeof(msg),
-                      "%s is %zu cycles but the %zu-round "
-                      "syndrome deadline allows %zu",
-                      tier, bound, rounds, budget);
-        return msg;
-    }
-};
+}
 
 /**
  * Contention: N co-resident copies of this tile contending for the
@@ -397,97 +390,73 @@ class TimingPass final : public Pass
  * headroom. A single-tenant tile only feeds the slack gauge — the
  * timing pass already owns the uncontended deadline.
  */
-class ContentionPass final : public Pass
+void
+checkContention(const TileArtifacts &a, Report &report)
 {
-  public:
-    std::string name() const override { return "contention"; }
+    if (a.lattice == nullptr || a.spec == nullptr)
+        return;
+    const std::size_t n = std::max<std::size_t>(
+        1, a.timing.contentionTiles);
+    const std::size_t bandwidth =
+        a.timing.sharedFetchBandwidth > 0
+        ? a.timing.sharedFetchBandwidth
+        : a.timing.sched.fetchWidth;
+    const std::size_t deadline = a.timing.deadlineCycles > 0
+        ? a.timing.deadlineCycles
+        : deadlineCyclesFor(*a.spec, a.technology);
 
-    void
-    run(const TileArtifacts &a, Report &report) const override
-    {
-        if (a.lattice == nullptr || a.spec == nullptr) {
-            report.notePass(name());
-            return;
-        }
-        const std::size_t n = std::max<std::size_t>(
-            1, a.timing.contentionTiles);
-        const std::size_t bandwidth =
-            a.timing.sharedFetchBandwidth > 0
-            ? a.timing.sharedFetchBandwidth
-            : a.timing.sched.fetchWidth;
-        const std::size_t deadline = a.timing.deadlineCycles > 0
-            ? a.timing.deadlineCycles
-            : deadlineCyclesFor(*a.spec, a.technology);
+    const ExpandedStream stream = expandRam(a.ram);
+    const DependencyOracle oracle(*a.lattice, stream.qubits,
+                                  stream.subCycles);
+    const std::size_t slots =
+        oracle.depth() * oracle.numQubits();
+    const double aggregate = deadline > 0
+        ? double(n) * double(slots) / double(deadline)
+        : 0.0;
 
-        const ExpandedStream stream = expandRam(a.ram);
-        const DependencyOracle oracle(*a.lattice, stream.qubits,
-                                      stream.subCycles);
-        const std::size_t slots =
-            oracle.depth() * oracle.numQubits();
-        const double aggregate = deadline > 0
-            ? double(n) * double(slots) / double(deadline)
-            : 0.0;
+    auto &slack = sim::metrics::Registry::global().gauge(
+        "verify.contention_slack",
+        "shared fetch-slot headroom (bandwidth/aggregate - 1) "
+        "at the last verify run");
+    slack.set(aggregate > 0.0
+                  ? double(bandwidth) / aggregate - 1.0
+                  : 0.0);
+    if (n <= 1)
+        return;
 
-        auto &slack = sim::metrics::Registry::global().gauge(
-            "verify.contention_slack",
-            "shared fetch-slot headroom (bandwidth/aggregate - 1) "
-            "at the last verify run");
-        slack.set(aggregate > 0.0
-                      ? double(bandwidth) / aggregate - 1.0
-                      : 0.0);
-        if (n <= 1) {
-            report.notePass(name());
-            return;
-        }
-
-        if (aggregate > double(bandwidth)) {
-            char msg[160];
-            std::snprintf(
-                msg, sizeof(msg),
-                "%zu co-resident tiles demand %.3f fetch "
-                "slots/cycle but the shared substrate grants %zu",
-                n, aggregate, bandwidth);
-            report.error(codes::contentionOvercommit,
-                         Site{"fetch-arbiter", -1, -1, -1}, msg);
-            report.notePass(name());
-            return; // starvation is subsumed by overcommit
-        }
-
-        const FetchGrant grant = worstCaseGrant(
-            n, a.timing.sched.fetchWidth, bandwidth,
-            a.timing.arbiterPolicy);
-        const TimingOracle to(a.timing.sched);
-        const TimingBound b = to.bound(
-            oracle, a.timing.scheduling, 1, grant);
-        if (b.totalBoundCycles > deadline) {
-            char msg[192];
-            std::snprintf(
-                msg, sizeof(msg),
-                "worst-case %s arbitration phasing stretches a "
-                "round to %zu cycles against a %zu-cycle deadline "
-                "(%zu tiles, bandwidth %zu)",
-                core::arbiterPolicyName(a.timing.arbiterPolicy)
-                    .c_str(),
-                b.totalBoundCycles, deadline, n, bandwidth);
-            report.error(codes::contentionStarvation,
-                         Site{"fetch-arbiter", -1, -1, -1}, msg);
-        }
-        report.notePass(name());
+    if (aggregate > double(bandwidth)) {
+        char msg[160];
+        std::snprintf(
+            msg, sizeof(msg),
+            "%zu co-resident tiles demand %.3f fetch "
+            "slots/cycle but the shared substrate grants %zu",
+            n, aggregate, bandwidth);
+        report.error(codes::contentionOvercommit,
+                     Site{"fetch-arbiter", -1, -1, -1}, msg);
+        return; // starvation is subsumed by overcommit
     }
-};
 
-} // namespace
-
-std::unique_ptr<Pass>
-makeTimingPass()
-{
-    return std::make_unique<TimingPass>();
-}
-
-std::unique_ptr<Pass>
-makeContentionPass()
-{
-    return std::make_unique<ContentionPass>();
+    // Co-resident tiles share fetch under the master's default
+    // rotating-priority grant.
+    constexpr core::ArbiterPolicy policy =
+        core::ArbiterPolicy::RoundRobin;
+    const FetchGrant grant = worstCaseGrant(
+        n, a.timing.sched.fetchWidth, bandwidth, policy);
+    const TimingOracle to(a.timing.sched);
+    const TimingBound b = to.bound(
+        oracle, a.timing.scheduling, 1, grant);
+    if (b.totalBoundCycles > deadline) {
+        char msg[192];
+        std::snprintf(
+            msg, sizeof(msg),
+            "worst-case %s arbitration phasing stretches a "
+            "round to %zu cycles against a %zu-cycle deadline "
+            "(%zu tiles, bandwidth %zu)",
+            core::arbiterPolicyName(policy).c_str(),
+            b.totalBoundCycles, deadline, n, bandwidth);
+        report.error(codes::contentionStarvation,
+                     Site{"fetch-arbiter", -1, -1, -1}, msg);
+    }
 }
 
 } // namespace quest::verify

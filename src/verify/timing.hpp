@@ -53,14 +53,11 @@
 #define QUEST_VERIFY_TIMING_HPP
 
 #include <cstddef>
-#include <memory>
 
 #include "core/scheduler.hpp"
 #include "dependency.hpp"
 
 namespace quest::verify {
-
-class Pass;
 
 /** The nested worst-case bounds for one tile program. */
 struct TimingBound
@@ -140,12 +137,6 @@ class TimingOracle
 
     core::SchedulerConfig _cfg;
 };
-
-/** @name The timing verifier passes (see verifier.hpp). */
-///@{
-std::unique_ptr<Pass> makeTimingPass();
-std::unique_ptr<Pass> makeContentionPass();
-///@}
 
 } // namespace quest::verify
 

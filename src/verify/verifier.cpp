@@ -1,11 +1,32 @@
 #include "verifier.hpp"
 
+#include "passes.hpp"
 #include "qecc/protocol.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
-#include "timing.hpp"
 
 namespace quest::verify {
+
+namespace {
+
+/** The standard passes in run order, under their report names. */
+struct NamedPass
+{
+    const char *name;
+    void (*run)(const TileArtifacts &, Report &);
+};
+
+constexpr NamedPass standardPasses[] = {
+    {"equivalence", checkEquivalence},
+    {"budget", checkBudget},
+    {"hazard", checkHazards},
+    {"mask", checkMask},
+    {"isa", checkIsa},
+    {"timing", checkTiming},
+    {"contention", checkContention},
+};
+
+} // namespace
 
 Verifier::Verifier()
     : _mRuns(sim::metrics::Registry::global().counter(
@@ -19,15 +40,7 @@ Verifier::Verifier()
       _mFailedRuns(sim::metrics::Registry::global().counter(
           "verify.failed_runs",
           "verification runs with at least one error"))
-{
-    _passes.push_back(makeEquivalencePass());
-    _passes.push_back(makeBudgetPass());
-    _passes.push_back(makeHazardPass());
-    _passes.push_back(makeMaskPass());
-    _passes.push_back(makeIsaPass());
-    _passes.push_back(makeTimingPass());
-    _passes.push_back(makeContentionPass());
-}
+{}
 
 Report
 Verifier::run(const TileArtifacts &artifacts) const
@@ -35,8 +48,9 @@ Verifier::run(const TileArtifacts &artifacts) const
     QUEST_TRACE_SCOPE("verify", "run");
 
     Report report;
-    for (const auto &pass : _passes) {
-        pass->run(artifacts, report);
+    for (const NamedPass &pass : standardPasses) {
+        pass.run(artifacts, report);
+        report.notePass(pass.name);
         ++_mPasses;
     }
     ++_mRuns;

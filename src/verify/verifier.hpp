@@ -1,6 +1,6 @@
 /**
  * @file
- * Pass-based static verifier for control-plane artifacts.
+ * Static verifier for control-plane artifacts.
  *
  * The verifier runs entirely without simulation: it takes the
  * artifacts an MCE loads — the compiled microcode images for the
@@ -103,8 +103,6 @@ struct TileArtifacts
         std::size_t contentionTiles = 1;
         /** Shared fetch slots/cycle; 0 means sched.fetchWidth. */
         std::size_t sharedFetchBandwidth = 0;
-        core::ArbiterPolicy arbiterPolicy =
-            core::ArbiterPolicy::RoundRobin;
         /** Per-round deadline override in cycles; 0 derives the
          *  syndrome-cycle deadline from spec + technology. */
         std::size_t deadlineCycles = 0;
@@ -112,38 +110,16 @@ struct TileArtifacts
     TimingSpec timing;
 };
 
-/** One verification pass. */
-class Pass
-{
-  public:
-    virtual ~Pass() = default;
-    virtual std::string name() const = 0;
-    virtual void run(const TileArtifacts &artifacts,
-                     Report &report) const = 0;
-};
-
-/** @name The standard passes (timing/contention: see timing.hpp). */
-///@{
-std::unique_ptr<Pass> makeEquivalencePass();
-std::unique_ptr<Pass> makeBudgetPass();
-std::unique_ptr<Pass> makeHazardPass();
-std::unique_ptr<Pass> makeMaskPass();
-std::unique_ptr<Pass> makeIsaPass();
-///@}
-
-/** Pass pipeline over tile artifacts. */
+/** Runs the seven standard passes, in the catalogue's order. */
 class Verifier
 {
   public:
-    /** Constructs the standard seven-pass pipeline. */
     Verifier();
 
     /** Run every pass and collect the findings. */
     Report run(const TileArtifacts &artifacts) const;
 
   private:
-    std::vector<std::unique_ptr<Pass>> _passes;
-
     // Constructor-bound registry counters (no function-local
     // statics; they outlive registry resets).
     sim::metrics::Counter &_mRuns;

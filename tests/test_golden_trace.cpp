@@ -179,9 +179,7 @@ TEST(GoldenTrace, WorkloadProducesObservableActivity)
                               + std::to_string(goldenDistance)),
               std::string::npos)
         << r.snapshot;
-    if (sim::traceCompiledIn()) {
-        EXPECT_NE(r.digest, sim::emptyTraceDigest);
-    }
+    EXPECT_NE(r.digest, sim::emptyTraceDigest);
 }
 
 TEST(GoldenTrace, ByteIdenticalAcrossThreadCounts)

@@ -226,7 +226,8 @@ parseWorkload(const Options &opts)
 {
     const std::string name = opts.get("workload", "SHOR-512");
     if (opts.has("shor"))
-        return workloads::shor(std::size_t(opts.getCount("shor", 512)));
+        return workloads::shor(
+            std::size_t(opts.getCountAtLeast("shor", 512, 16)));
     for (const auto &w : workloads::workloadSuite())
         if (w.name == name)
             return w;
@@ -445,6 +446,9 @@ cmdSimulate(const Options &opts)
         std::size_t(opts.getCount("stream-stride", 0));
     if (opts.has("stream-stride") && !stream_window)
         sim::fatal("--stream-stride needs --stream-window");
+    if (stream_stride > stream_window)
+        sim::fatal("--stream-stride %zu must not exceed --stream-window "
+                   "%zu", stream_stride, stream_window);
     decode::StreamConfig stream_cfg;
     if (stream_window) {
         stream_cfg.windowRounds = stream_window;
@@ -528,6 +532,39 @@ roundDeadlineCycles(const core::MceConfig &cfg)
         sim::ticksToSeconds(
             spec.roundDuration(tech::gateLatencies(cfg.technology)))
         * tech::jjClockHz);
+}
+
+/**
+ * Whether the --timing differential can run `rounds` rounds of this
+ * config's program on `tiles` tiles before the dynamic scheduler's
+ * core::kMaxSimCycles cap. The shared fetch delivers at most
+ * fetchWidth slots a cycle, so the slot demand is a floor on the
+ * cycles (checked in floating point, so no flag value overflows
+ * it); the in-order run, the slower mode on every shipped
+ * configuration, takes at most its static bound.
+ */
+bool
+fitsSimCycleCap(const core::MceConfig &cfg, std::size_t tiles,
+                std::size_t rounds)
+{
+    const verify::TileBundle bundle = verify::buildTileBundle(cfg);
+    const verify::ExpandedStream stream =
+        verify::expandRam(bundle.artifacts.ram);
+    const verify::DependencyOracle dep(
+        *bundle.artifacts.lattice, stream.qubits, stream.subCycles);
+    const core::SchedulerConfig &scfg = cfg.sched;
+    const double demand = double(tiles) * double(rounds)
+        * double(dep.depth() * dep.numQubits())
+        / double(scfg.fetchWidth);
+    if (demand > double(core::kMaxSimCycles))
+        return false;
+    const verify::FetchGrant grant = verify::worstCaseGrant(
+        tiles, scfg.fetchWidth, scfg.fetchWidth,
+        core::ArbiterPolicy::RoundRobin);
+    return verify::TimingOracle(scfg)
+               .bound(dep, core::SchedulingMode::InOrder, rounds, grant)
+               .totalBoundCycles
+        <= core::kMaxSimCycles;
 }
 
 /**
@@ -663,12 +700,26 @@ cmdVerify(const Options &opts)
     base.memoryConfig.channels =
         std::size_t(opts.getCount("channels", 4));
     base.memoryConfig.bankBits =
-        std::size_t(opts.getCount("bank-bits", 1024));
+        std::size_t(opts.getCountAtLeast("bank-bits", 1024, 1));
     base.icacheCapacity = std::size_t(opts.getCount("icache", 1024));
     const double epsilon = opts.getDouble("epsilon", 0.0);
     const bool json = opts.has("json");
     const std::string json_path = opts.get("json", "verify.json");
     opts.done();
+    // The differential's program depends on the protocol alone, so
+    // one check per protocol refuses a run before any of it starts.
+    if (timing)
+        for (const qecc::Protocol p : protocols) {
+            core::MceConfig cfg = base;
+            cfg.protocol = p;
+            if (!fitsSimCycleCap(cfg, timingTiles, timingRounds))
+                sim::fatal("--rounds %zu on %zu tile(s) runs %s past "
+                           "the scheduler model's %llu-cycle cap",
+                           timingRounds, timingTiles,
+                           qecc::protocolName(p).c_str(),
+                           static_cast<unsigned long long>(
+                               core::kMaxSimCycles));
+        }
     std::vector<TimingRow> timingRows;
 
     verify::Report combined;
@@ -804,8 +855,7 @@ usage()
 /**
  * Write the --trace-out / --metrics-out artifacts after a
  * subcommand finished. The tracer was enabled before dispatch when
- * --trace-out was given; with a trace-disabled build the export is
- * an empty trace and a note on stderr.
+ * --trace-out was given.
  */
 void
 writeObservabilityOutputs(const Options &opts)
@@ -817,10 +867,6 @@ writeObservabilityOutputs(const Options &opts)
             std::fprintf(stderr, "cannot write trace to %s\n",
                          path.c_str());
         } else {
-            if (!sim::traceCompiledIn())
-                std::fprintf(stderr,
-                             "note: built with QUEST_TRACE=OFF; %s "
-                             "will be empty\n", path.c_str());
             sim::Tracer::instance().exportChromeTrace(os);
             std::fprintf(stderr, "wrote trace to %s\n", path.c_str());
         }

@@ -45,5 +45,13 @@ expect_error --trails simulate --trails 50
 expect_error --distnace simulate --distnace 7
 expect_error --stream-windw simulate --stream-windw 6
 expect_error --stream-stride simulate --stream-stride 3
+expect_error --stream-stride simulate --stream-window 2 --stream-stride 5
+expect_error --bank-bits verify --bank-bits 0
+expect_error --shor estimate --shor 0
+# A --timing run the scheduler model cannot finish within its cycle
+# cap is refused before any of it is simulated.
+expect_error --rounds verify --timing --rounds 1000000000
+expect_error --rounds verify --timing --rounds 3000000 --protocol Steane \
+    --design FIFO
 
 exit $status
