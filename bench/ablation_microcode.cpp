@@ -69,17 +69,15 @@ printFigure()
                   "coalesced bits", "reduction" });
     for (std::size_t d : { 3u, 5u, 7u, 11u }) {
         const qecc::Lattice lattice(2 * d - 1, 8 * d);
-        const core::MaskTable full(lattice, core::MaskLayout::Full, d);
-        const core::MaskTable coalesced(lattice,
-                                        core::MaskLayout::Coalesced, d);
+        const std::size_t full = core::MaskTable(lattice).capacityBits();
+        const std::size_t coalesced = core::coalescedMaskBits(lattice, d);
         char red[32];
         std::snprintf(red, sizeof(red), "%.1fx",
-                      double(full.capacityBits())
-                          / double(coalesced.capacityBits()));
+                      double(full) / double(coalesced));
         mask.row({
             std::to_string(d),
-            std::to_string(full.capacityBits()),
-            std::to_string(coalesced.capacityBits()),
+            std::to_string(full),
+            std::to_string(coalesced),
             red,
         });
     }

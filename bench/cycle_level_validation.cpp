@@ -27,7 +27,7 @@ makeConfig(std::size_t icache_capacity)
     MasterConfig cfg;
     cfg.numMces = 4;
     cfg.mce = core::tileConfigForLogicalQubits(3);
-    cfg.mce.errorRates = quantum::ErrorRates{1e-4, 0, 0, 0, 1e-4};
+    cfg.mce.errorRates = quantum::ErrorRates{.idle = 1e-4, .meas = 1e-4};
     cfg.mce.icacheCapacity = icache_capacity;
     cfg.mce.seed = 1;
     return cfg;

@@ -56,7 +56,7 @@ printFigure()
                         exp.lattice().numQubits());
                     std::vector<qecc::BatchSyndromeRound> history;
                     exp.sampleBatch(
-                        quantum::ErrorRates{ p, 0, 0, 0, p }, 99, b,
+                        quantum::ErrorRates{.idle = p, .meas = p}, 99, b,
                         bframe, history);
                     const auto lane_events =
                         decode::extractDetectionEventsBatch(

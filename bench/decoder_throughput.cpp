@@ -82,7 +82,7 @@ sampleAll(const qecc::MemoryExperiment &exp, double p,
                 quantum::BatchPauliFrame frame(
                     exp.lattice().numQubits());
                 std::vector<qecc::BatchSyndromeRound> history;
-                exp.sampleBatch(quantum::ErrorRates{p, 0, 0, 0, p},
+                exp.sampleBatch(quantum::ErrorRates{.idle = p, .meas = p},
                                 sampleSeed, b, frame, history);
                 return decode::extractDetectionEventsBatch(
                     history, exp.extractor());

@@ -27,7 +27,7 @@ sweepConfig(double fault_rate)
     core::MasterConfig cfg;
     cfg.numMces = 4;
     cfg.mce = core::tileConfigForLogicalQubits(3);
-    cfg.mce.errorRates = quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+    cfg.mce.errorRates = quantum::ErrorRates{.idle = 1e-3, .meas = 1e-3};
     cfg.mce.seed = 9;
     cfg.faults = sim::FaultConfig::uniform(fault_rate, /*seed=*/0xFA17);
     return cfg;

@@ -71,7 +71,7 @@ foldEvents(std::uint64_t h, const decode::DetectionEvents &events)
     return h;
 }
 
-constexpr quantum::ErrorRates sweepRates{ 2e-3, 0, 0, 0, 2e-3 };
+constexpr quantum::ErrorRates sweepRates{.idle = 2e-3, .meas = 2e-3};
 
 /**
  * Scalar engine: one PauliFrame trial at a time, the whole sweep

@@ -77,7 +77,7 @@ main(int argc, char **argv)
     sim::metrics::Registry::global().reset();
 
     const double p = 2e-3;
-    const quantum::ErrorRates rates{p, 0, 0, 0, p};
+    const quantum::ErrorRates rates{.idle = p, .meas = p};
     const std::vector<std::size_t> distances =
         smoke ? std::vector<std::size_t>{5}
               : std::vector<std::size_t>{5, 7};

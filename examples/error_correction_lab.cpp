@@ -50,7 +50,7 @@ main(int argc, char **argv)
             std::size_t failures = 0;
             for (std::size_t t = 0; t < trials; ++t) {
                 auto shot = exp.sampleShot(
-                    quantum::ErrorRates{p, 0, 0, 0, p}, rng);
+                    quantum::ErrorRates{.idle = p, .meas = p}, rng);
                 decode::applyCorrection(
                     shot.frame,
                     pipeline.decode(decode::extractDetectionEvents(

@@ -23,8 +23,7 @@ status(const quest::core::Mce &mce, const char *phase)
     std::printf("%-28s rounds=%-6zu masked=%-4zu logical_uops=%-8.0f "
                 "ucode=%s\n",
                 phase, mce.roundsRun(),
-                const_cast<quest::core::Mce &>(mce).maskTable()
-                    .maskedQubitCount(),
+                mce.maskTable().maskedQubitCount(),
                 mce.logicalUopsIssued(),
                 quest::sim::formatBytes(
                     mce.microcodeBitsStreamed() / 8.0).c_str());
@@ -47,7 +46,7 @@ main()
     cfg.distance = 3;
     cfg.latticeRows = 17;
     cfg.latticeCols = 15;
-    cfg.errorRates = quantum::ErrorRates{1e-4, 0, 0, 0, 1e-4};
+    cfg.errorRates = quantum::ErrorRates{.idle = 1e-4, .meas = 1e-4};
 
     Mce mce("mce0", cfg);
     std::printf("tile: %zux%zu = %zu physical qubits, protocol %s\n\n",

@@ -35,7 +35,7 @@ main()
     // Phenomenological noise (idle decoherence + readout flips),
     // the regime the bundled Manhattan-metric MWPM decoder is
     // calibrated for; see DESIGN.md for the circuit-level caveat.
-    cfg.mce.errorRates = quantum::ErrorRates{1e-4, 0, 0, 0, 1e-4};
+    cfg.mce.errorRates = quantum::ErrorRates{.idle = 1e-4, .meas = 1e-4};
     cfg.mce.icacheCapacity = 1024; // logical instructions
 
     core::QuestSystem system(cfg);

@@ -59,7 +59,7 @@ main(int argc, char **argv)
     core::MasterConfig cfg;
     cfg.numMces = mces;
     cfg.mce = core::tileConfigForLogicalQubits(3);
-    cfg.mce.errorRates = quantum::ErrorRates{1e-4, 0, 0, 0, 1e-4};
+    cfg.mce.errorRates = quantum::ErrorRates{.idle = 1e-4, .meas = 1e-4};
     core::QuestSystem system(cfg);
     system.placeLogicalQubits();
 

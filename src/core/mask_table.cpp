@@ -1,56 +1,43 @@
 #include "mask_table.hpp"
 
+#include <algorithm>
+
+#include "sim/logging.hpp"
+
 namespace quest::core {
 
-MaskTable::MaskTable(const qecc::Lattice &lattice, MaskLayout layout,
-                     std::size_t d)
-    : _lattice(&lattice), _layout(layout), _full(lattice),
-      _coalesced(lattice, d),
+MaskTable::MaskTable(const qecc::Lattice &lattice)
+    : _bits(lattice.numQubits(), 0),
       _writes("mask_table.writes", "mask table write operations")
 {}
-
-std::size_t
-MaskTable::capacityBits() const
-{
-    return _layout == MaskLayout::Full ? _full.sizeBits()
-                                       : _coalesced.sizeBits();
-}
-
-bool
-MaskTable::masked(std::size_t q) const
-{
-    return _layout == MaskLayout::Full ? _full.masked(q)
-                                       : _coalesced.masked(q);
-}
 
 void
 MaskTable::apply(const qecc::LogicalQubit &lq, bool masked_value)
 {
-    if (_layout == MaskLayout::Full)
-        _full.apply(lq, masked_value);
-    else
-        _coalesced.apply(lq, masked_value);
+    for (std::size_t q : lq.maskedAncillas())
+        _bits.at(q) = masked_value ? 1 : 0;
     ++_writes;
 }
 
 void
 MaskTable::clear()
 {
-    if (_layout == MaskLayout::Full)
-        _full.clear();
-    else
-        _coalesced.clear();
+    std::fill(_bits.begin(), _bits.end(), 0);
     ++_writes;
 }
 
 std::size_t
 MaskTable::maskedQubitCount() const
 {
-    std::size_t n = 0;
-    for (std::size_t q = 0; q < _lattice->numQubits(); ++q)
-        if (masked(q))
-            ++n;
-    return n;
+    return std::size_t(std::count(_bits.begin(), _bits.end(), 1));
+}
+
+std::size_t
+coalescedMaskBits(const qecc::Lattice &lattice, std::size_t d)
+{
+    QUEST_ASSERT(d >= 1, "tile size must be positive");
+    return ((lattice.rows() + d - 1) / d)
+        * ((lattice.cols() + d - 1) / d);
 }
 
 } // namespace quest::core

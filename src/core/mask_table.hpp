@@ -7,49 +7,36 @@
  * correction running) or the logical-uop memory (a logical qubit
  * occupies the site, so syndrome generation is suppressed there).
  *
- * Two storage layouts are modelled:
- *  - Full: one mask bit per qubit, capacity N bits.
- *  - Coalesced: because logical operations act at d x d granularity,
- *    one bit per tile suffices -- capacity N / d^2 bits
- *    (Section 4.5).
+ * Every tile stores one mask bit per qubit: capacity N bits.
+ * Section 4.5's coalesced layout (one bit per d x d block, since
+ * logical operations act at d x d granularity) is modelled only as
+ * a capacity, coalescedMaskBits(), which the microcode ablation
+ * reports next to the full table.
  */
 
 #ifndef QUEST_CORE_MASK_TABLE_HPP
 #define QUEST_CORE_MASK_TABLE_HPP
 
-#include <memory>
+#include <cstdint>
+#include <vector>
 
 #include "qecc/logical_mask.hpp"
 #include "sim/metrics.hpp"
 
 namespace quest::core {
 
-/** Mask storage layout. */
-enum class MaskLayout
-{
-    Full,      ///< one bit per qubit
-    Coalesced, ///< one bit per d x d tile
-};
-
-/** The per-MCE mask table. */
+/** The per-MCE mask table: one bit per qubit. */
 class MaskTable
 {
   public:
-    /**
-     * @param lattice Tile geometry (must outlive the table).
-     * @param layout Storage layout.
-     * @param d Code distance (tile edge for the coalesced layout).
-     */
-    MaskTable(const qecc::Lattice &lattice, MaskLayout layout,
-              std::size_t d);
+    /** @param lattice Tile geometry. */
+    explicit MaskTable(const qecc::Lattice &lattice);
 
-    MaskLayout layout() const { return _layout; }
-
-    /** Mask-table capacity in bits (N or N/d^2). */
-    std::size_t capacityBits() const;
+    /** Mask-table capacity in bits (N, one per qubit). */
+    std::size_t capacityBits() const { return _bits.size(); }
 
     /** @return true when QECC uops are suppressed for this qubit. */
-    bool masked(std::size_t q) const;
+    bool masked(std::size_t q) const { return _bits.at(q) != 0; }
 
     /** Mask/unmask the footprint of a logical qubit. */
     void apply(const qecc::LogicalQubit &lq, bool masked_value);
@@ -63,13 +50,17 @@ class MaskTable
     std::uint64_t writeCount() const { return _writes.value(); }
 
   private:
-    const qecc::Lattice *_lattice;
-    MaskLayout _layout;
-    qecc::FullMask _full;
-    qecc::CoalescedMask _coalesced;
+    std::vector<std::uint8_t> _bits;
 
     sim::metrics::Tally _writes;
 };
+
+/**
+ * Capacity of Section 4.5's coalesced mask table on `lattice`: one
+ * bit per d x d block, ceil(rows/d) * ceil(cols/d) bits, about N/d^2.
+ */
+std::size_t coalescedMaskBits(const qecc::Lattice &lattice,
+                              std::size_t d);
 
 } // namespace quest::core
 

@@ -33,7 +33,7 @@ Mce::Mce(std::string name, const MceConfig &cfg,
       _ledger(_tile->lattice().numQubits()),
       _channel(cfg.errorRates, _rng),
       _microcodeStore(_tile->imageBits()),
-      _mask(_tile->lattice(), cfg.maskLayout, cfg.distance),
+      _mask(_tile->lattice()),
       _icache(cfg.icacheCapacity),
       _lutDecoder(_tile->lattice()),
       _latches("exec_unit.latches", "uops latched onto switches"),
@@ -405,8 +405,6 @@ Mce::runQeccRound()
         quantum::ErrorRates stretched = _cfg.errorRates;
         stretched.idle =
             std::min(1.0, stretched.idle * _stretchFactor);
-        stretched.gate1 =
-            std::min(1.0, stretched.gate1 * _stretchFactor);
         stretched.gate2 =
             std::min(1.0, stretched.gate2 * _stretchFactor);
         stretched.prep =

@@ -59,7 +59,6 @@ struct MceConfig
     tech::Technology technology = tech::Technology::ProjectedD;
     MicrocodeDesign microcodeDesign = MicrocodeDesign::UnitCell;
     tech::MemoryConfig memoryConfig{4, 1024};
-    MaskLayout maskLayout = MaskLayout::Full;
 
     quantum::ErrorRates errorRates = quantum::ErrorRates::none();
     std::size_t icacheCapacity = 1024; ///< instructions; 0 disables
@@ -168,6 +167,7 @@ class Mce
     quantum::PauliFrame &frame() { return _frame; }
     LogicalInstructionCache &icache() { return _icache; }
     MaskTable &maskTable() { return _mask; }
+    const MaskTable &maskTable() const { return _mask; }
 
     /** This tile's execution-unit and mask-table counts. */
     TileStats

@@ -101,6 +101,12 @@ MicrocodeModel::servicedQubits(MicrocodeDesign design,
     return std::min(cap, bw);
 }
 
+std::size_t
+MicrocodeModel::unitCellProgramBits() const
+{
+    return _spec->unitCellUops * isa::fifoUopBits(_spec->opcodeCount);
+}
+
 tech::MemoryConfig
 MicrocodeModel::optimalConfig(std::size_t total_bits,
                               MicrocodeDesign design) const
@@ -108,8 +114,7 @@ MicrocodeModel::optimalConfig(std::size_t total_bits,
     const auto configs = tech::JJMemoryModel::standardConfigs(total_bits);
     QUEST_ASSERT(!configs.empty(), "no candidate memory configurations");
 
-    const std::size_t program_bits =
-        _spec->unitCellUops * isa::fifoUopBits(_spec->opcodeCount);
+    const std::size_t program_bits = unitCellProgramBits();
 
     const tech::MemoryConfig *best = nullptr;
     std::size_t best_qubits = 0;

@@ -98,12 +98,16 @@ class MicrocodeModel
     std::size_t servicedQubits(MicrocodeDesign design,
                                const tech::MemoryConfig &cfg) const;
 
+    /** Bits of one copy of the unit-cell program. */
+    std::size_t unitCellProgramBits() const;
+
     /**
      * Pick the best standard channel configuration for a fixed
      * total capacity (Table 2): maximize serviced qubits under the
      * constraint that every bank holds a full copy of the unit-cell
      * program (channels replay independently at offset phases);
-     * break ties towards lower power.
+     * break ties towards lower power. For the unit-cell design,
+     * total_bits must be at least unitCellProgramBits().
      */
     tech::MemoryConfig optimalConfig(
         std::size_t total_bits = 4096,

@@ -112,67 +112,4 @@ LogicalQubit::contractA(std::size_t amount)
     _a.size -= 2 * amount;
 }
 
-void
-FullMask::apply(const LogicalQubit &lq, bool masked_value)
-{
-    for (std::size_t q : lq.maskedAncillas())
-        set(q, masked_value);
-}
-
-void
-FullMask::clear()
-{
-    for (auto &b : _bits)
-        b = 0;
-}
-
-std::size_t
-FullMask::maskedCount() const
-{
-    std::size_t n = 0;
-    for (auto b : _bits)
-        n += b;
-    return n;
-}
-
-CoalescedMask::CoalescedMask(const Lattice &lattice, std::size_t d)
-    : _lattice(&lattice), _d(d)
-{
-    QUEST_ASSERT(d >= 1, "tile size must be positive");
-    const std::size_t tile_rows = (lattice.rows() + d - 1) / d;
-    _tileCols = (lattice.cols() + d - 1) / d;
-    _bits.assign(tile_rows * _tileCols, 0);
-}
-
-std::size_t
-CoalescedMask::tileOf(std::size_t q) const
-{
-    const Coord c = _lattice->coord(q);
-    return (std::size_t(c.row) / _d) * _tileCols
-        + std::size_t(c.col) / _d;
-}
-
-void
-CoalescedMask::apply(const LogicalQubit &lq, bool masked_value)
-{
-    for (std::size_t q : lq.maskedAncillas())
-        setTile(tileOf(q), masked_value);
-}
-
-void
-CoalescedMask::clear()
-{
-    for (auto &b : _bits)
-        b = 0;
-}
-
-std::size_t
-CoalescedMask::maskedTileCount() const
-{
-    std::size_t n = 0;
-    for (auto b : _bits)
-        n += b;
-    return n;
-}
-
 } // namespace quest::qecc

@@ -8,14 +8,15 @@
  * expand and contract these boundaries; braiding a boundary around
  * another implements a logical CNOT.
  *
- * The MaskRegion here is the geometric object; the hardware mask
- * table that gates micro-op selection per qubit lives in src/core.
+ * This file holds only that geometry (MaskSquare, LogicalQubit);
+ * the hardware mask table that gates micro-op selection per qubit
+ * is core::MaskTable.
  */
 
 #ifndef QUEST_QECC_LOGICAL_MASK_HPP
 #define QUEST_QECC_LOGICAL_MASK_HPP
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "lattice.hpp"
@@ -88,67 +89,6 @@ class LogicalQubit
     std::size_t _d;
     MaskSquare _a;
     MaskSquare _b;
-};
-
-/**
- * Full-resolution mask: one bit per qubit (capacity O(N)).
- */
-class FullMask
-{
-  public:
-    explicit FullMask(const Lattice &lattice)
-        : _bits(lattice.numQubits(), 0)
-    {}
-
-    std::size_t sizeBits() const { return _bits.size(); }
-    bool masked(std::size_t q) const { return _bits.at(q) != 0; }
-    void set(std::size_t q, bool v) { _bits.at(q) = v ? 1 : 0; }
-
-    void apply(const LogicalQubit &lq, bool masked_value);
-
-    /** Unmask every qubit. */
-    void clear();
-
-    std::size_t maskedCount() const;
-
-  private:
-    std::vector<std::uint8_t> _bits;
-};
-
-/**
- * Coalesced mask (Section 4.5): one bit per d x d tile of qubits,
- * reducing the mask-table capacity from N to N / d^2 bits. The
- * trade-off is granularity: a tile is masked when any logical
- * defect overlaps it, so defect geometry must be tile-aligned for
- * exact equivalence with FullMask.
- */
-class CoalescedMask
-{
-  public:
-    CoalescedMask(const Lattice &lattice, std::size_t d);
-
-    std::size_t sizeBits() const { return _bits.size(); }
-    std::size_t tileSize() const { return _d; }
-
-    /** Tile index of a qubit. */
-    std::size_t tileOf(std::size_t q) const;
-
-    bool masked(std::size_t q) const { return _bits.at(tileOf(q)) != 0; }
-    void setTile(std::size_t tile, bool v) { _bits.at(tile) = v ? 1 : 0; }
-
-    /** Mask every tile any defect of the logical qubit overlaps. */
-    void apply(const LogicalQubit &lq, bool masked_value);
-
-    /** Unmask every tile. */
-    void clear();
-
-    std::size_t maskedTileCount() const;
-
-  private:
-    const Lattice *_lattice;
-    std::size_t _d;
-    std::size_t _tileCols;
-    std::vector<std::uint8_t> _bits;
 };
 
 } // namespace quest::qecc

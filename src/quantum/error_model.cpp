@@ -13,9 +13,8 @@ checkRates(const ErrorRates &rates)
         const char *name;
         double value;
     } fields[] = {
-        {"idle", rates.idle}, {"gate1", rates.gate1},
-        {"gate2", rates.gate2}, {"prep", rates.prep},
-        {"meas", rates.meas},
+        {"idle", rates.idle}, {"gate2", rates.gate2},
+        {"prep", rates.prep}, {"meas", rates.meas},
     };
     for (const auto &f : fields)
         if (!std::isfinite(f.value))

@@ -3,10 +3,16 @@
  * Pauli error channels.
  *
  * Models the noise processes the paper assumes for superconducting
- * qubits: depolarizing noise after gates, idle decoherence between
- * QECC rounds, and classical measurement/preparation flips. Rates
- * follow the paper's evaluation points (physical error rates of
- * 1e-3, 1e-4 and 1e-5 per error correction cycle).
+ * qubits: depolarizing noise after two-qubit gates, idle
+ * decoherence between QECC rounds, and classical
+ * measurement/preparation flips. Rates follow the paper's
+ * evaluation points (physical error rates of 1e-3, 1e-4 and 1e-5
+ * per error correction cycle).
+ *
+ * ErrorRates holds only the rates some noise site draws. The
+ * extraction circuits place no noise site after a single-qubit
+ * gate, so there is no single-qubit gate rate; a circuit-level
+ * model that adds such sites adds its rate with them.
  */
 
 #ifndef QUEST_QUANTUM_ERROR_MODEL_HPP
@@ -20,11 +26,14 @@
 
 namespace quest::quantum {
 
-/** Per-operation physical error probabilities. */
+/**
+ * Per-operation physical error probabilities. Initialise it with
+ * designated fields (ErrorRates{.idle = p, .meas = p}), so a rate
+ * cannot silently shift position.
+ */
 struct ErrorRates
 {
     double idle = 0.0;     ///< per-qubit error per QECC round while idle
-    double gate1 = 0.0;    ///< depolarizing rate after 1-qubit gates
     double gate2 = 0.0;    ///< depolarizing rate after 2-qubit gates
     double prep = 0.0;     ///< preparation flip probability
     double meas = 0.0;     ///< measurement readout flip probability
@@ -36,7 +45,7 @@ struct ErrorRates
     static ErrorRates
     uniform(double p)
     {
-        return ErrorRates{p, p, p, p, p};
+        return ErrorRates{.idle = p, .gate2 = p, .prep = p, .meas = p};
     }
 
     /** Ideal (noise-free) execution. */
@@ -136,12 +145,6 @@ class ErrorChannel
     /** @name Convenience wrappers using the configured rates. */
     ///@{
     void
-    afterGate1(PauliFrame &frame, std::size_t q)
-    {
-        depolarize1(frame, q, _rates.gate1);
-    }
-
-    void
     afterGate2(PauliFrame &frame, std::size_t a, std::size_t b)
     {
         depolarize2(frame, a, b, _rates.gate2);
@@ -216,12 +219,6 @@ class BatchErrorChannel
 
     /** @name Convenience wrappers using the configured rates. */
     ///@{
-    void
-    afterGate1(BatchPauliFrame &frame, std::size_t q)
-    {
-        depolarize1(frame, q, _rates.gate1);
-    }
-
     void
     afterGate2(BatchPauliFrame &frame, std::size_t a, std::size_t b)
     {

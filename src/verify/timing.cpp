@@ -72,14 +72,8 @@ subCycleLatencies(const DependencyOracle &oracle)
 
 FetchGrant
 worstCaseGrant(std::size_t tiles, std::size_t fetchWidth,
-               std::size_t bandwidth, core::ArbiterPolicy policy)
+               std::size_t bandwidth)
 {
-    // The window guarantee is derived for the rotating-priority
-    // grant; oldest-first serves the lowest fetch watermark first,
-    // which on homogeneous tile sets is never worse (the contended
-    // fuzz in tests/test_timing.cpp pins this empirically), so both
-    // policies share the bound.
-    (void)policy;
     const std::size_t top = std::min(fetchWidth, bandwidth);
     if (tiles <= 1)
         return {top, 1};
@@ -437,11 +431,9 @@ checkContention(const TileArtifacts &a, Report &report)
     }
 
     // Co-resident tiles share fetch under the master's default
-    // rotating-priority grant.
-    constexpr core::ArbiterPolicy policy =
-        core::ArbiterPolicy::RoundRobin;
-    const FetchGrant grant = worstCaseGrant(
-        n, a.timing.sched.fetchWidth, bandwidth, policy);
+    // rotating-priority grant; the bound covers oldest-first too.
+    const FetchGrant grant =
+        worstCaseGrant(n, a.timing.sched.fetchWidth, bandwidth);
     const TimingOracle to(a.timing.sched);
     const TimingBound b = to.bound(
         oracle, a.timing.scheduling, 1, grant);
@@ -449,10 +441,9 @@ checkContention(const TileArtifacts &a, Report &report)
         char msg[192];
         std::snprintf(
             msg, sizeof(msg),
-            "worst-case %s arbitration phasing stretches a "
-            "round to %zu cycles against a %zu-cycle deadline "
+            "worst-case round-robin arbitration phasing stretches "
+            "a round to %zu cycles against a %zu-cycle deadline "
             "(%zu tiles, bandwidth %zu)",
-            core::arbiterPolicyName(policy).c_str(),
             b.totalBoundCycles, deadline, n, bandwidth);
         report.error(codes::contentionStarvation,
                      Site{"fetch-arbiter", -1, -1, -1}, msg);

@@ -187,8 +187,10 @@ class BatchSweepDifferentialHighRate
 TEST_P(BatchSweepDifferentialHighRate, LanesMatchScalarTrials)
 {
     expectLanesMatchScalarTrials(GetParam(),
-                                 ErrorRates{ 0.02, 0.01, 0.03, 0.015,
-                                             0.025 });
+                                 ErrorRates{.idle = 0.02,
+                                            .gate2 = 0.03,
+                                            .prep = 0.015,
+                                            .meas = 0.025});
 }
 
 INSTANTIATE_TEST_SUITE_P(Distances, BatchSweepDifferentialHighRate,

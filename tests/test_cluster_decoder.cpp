@@ -156,7 +156,7 @@ TEST(ClusterDecoder, AgreesWithMwpmOnRandomNoise)
     Harness h(7);
     for (int trial = 0; trial < 40; ++trial) {
         const auto shot = h.exp.sampleShot(
-            quest::quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3}, rng);
+            quest::quantum::ErrorRates{.idle = 2e-3, .meas = 2e-3}, rng);
         const auto events =
             extractDetectionEvents(shot.history, h.extractor);
 

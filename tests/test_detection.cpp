@@ -205,7 +205,7 @@ TEST_F(DetectionTest, BatchWindowMatchesScalarWindowPerLane)
     const MemoryExperiment six(3, Protocol::Steane, 5);
     quest::quantum::BatchPauliFrame frame(lattice.numQubits());
     std::vector<BatchSyndromeRound> history;
-    six.sampleBatch(quest::quantum::ErrorRates{5e-3, 0, 0, 0, 5e-3},
+    six.sampleBatch(quest::quantum::ErrorRates{.idle = 5e-3, .meas = 5e-3},
                     0xB17, 0, frame, history);
 
     const std::vector<BatchSyndromeRound> first(history.begin(),

@@ -102,7 +102,7 @@ TEST(EndToEnd, SustainedNoisyOperationKeepsErrorsBounded)
     MasterConfig cfg;
     cfg.numMces = 1;
     cfg.mce.distance = 5;
-    cfg.mce.errorRates = quest::quantum::ErrorRates{1e-3, 0, 0, 0, 0};
+    cfg.mce.errorRates = quest::quantum::ErrorRates{.idle = 1e-3};
     cfg.mce.seed = 3;
     QuestSystem sys(cfg);
 
@@ -115,7 +115,7 @@ TEST(EndToEnd, MeasurementNoiseHandledByTimeLikeMatching)
     MasterConfig cfg;
     cfg.numMces = 1;
     cfg.mce.distance = 5;
-    cfg.mce.errorRates = quest::quantum::ErrorRates{0, 0, 0, 0, 2e-3};
+    cfg.mce.errorRates = quest::quantum::ErrorRates{.meas = 2e-3};
     cfg.mce.seed = 5;
     QuestSystem sys(cfg);
 

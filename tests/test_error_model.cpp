@@ -19,7 +19,6 @@ TEST(ErrorRates, UniformFillsAllFields)
 {
     const ErrorRates r = ErrorRates::uniform(1e-3);
     EXPECT_DOUBLE_EQ(r.idle, 1e-3);
-    EXPECT_DOUBLE_EQ(r.gate1, 1e-3);
     EXPECT_DOUBLE_EQ(r.gate2, 1e-3);
     EXPECT_DOUBLE_EQ(r.prep, 1e-3);
     EXPECT_DOUBLE_EQ(r.meas, 1e-3);
@@ -67,7 +66,6 @@ TEST(ErrorChannel, ZeroRateIsNoiseless)
     ErrorChannel ch(ErrorRates::none(), rng);
     PauliFrame f(4);
     for (int i = 0; i < 1000; ++i) {
-        ch.afterGate1(f, 0);
         ch.afterGate2(f, 1, 2);
         ch.idle(f, 3);
         ch.afterPrep(f, 0);
@@ -79,7 +77,7 @@ TEST(ErrorChannel, ZeroRateIsNoiseless)
 TEST(ErrorChannel, PrepErrorIsXFlip)
 {
     Rng rng(8);
-    ErrorChannel ch(ErrorRates{0, 0, 0, 1.0, 0}, rng);
+    ErrorChannel ch(ErrorRates{.prep = 1.0}, rng);
     PauliFrame f(1);
     ch.afterPrep(f, 0);
     EXPECT_EQ(f.errorAt(0), Pauli::X);
@@ -88,7 +86,7 @@ TEST(ErrorChannel, PrepErrorIsXFlip)
 TEST(ErrorChannel, MeasurementFlipRate)
 {
     Rng rng(9);
-    ErrorChannel ch(ErrorRates{0, 0, 0, 0, 0.25}, rng);
+    ErrorChannel ch(ErrorRates{.meas = 0.25}, rng);
     const int n = 100000;
     int flips = 0;
     for (int i = 0; i < n; ++i)
@@ -107,8 +105,8 @@ TEST(ErrorChannel, RejectsNonFiniteRates)
     Rng rng(10);
     for (const double v : bad) {
         for (double ErrorRates::*field :
-             {&ErrorRates::idle, &ErrorRates::gate1, &ErrorRates::gate2,
-              &ErrorRates::prep, &ErrorRates::meas}) {
+             {&ErrorRates::idle, &ErrorRates::gate2, &ErrorRates::prep,
+              &ErrorRates::meas}) {
             ErrorRates rates = ErrorRates::uniform(1e-3);
             rates.*field = v;
             EXPECT_THROW(ErrorChannel(rates, rng), quest::sim::SimError);
@@ -132,7 +130,9 @@ TEST(ErrorChannel, OutOfRangeFiniteRatesKeepShortCircuits)
     // Rng::bernoulli: below 0 never fires, above 1 always does, and
     // neither consumes a draw.
     Rng rng(11), untouched(11);
-    ErrorChannel ch(ErrorRates{-1.0, -1.0, -1.0, 2.0, 2.0}, rng);
+    ErrorChannel ch(ErrorRates{.idle = -1.0, .gate2 = -1.0, .prep = 2.0,
+                               .meas = 2.0},
+                    rng);
     PauliFrame f(1);
     ch.idle(f, 0);
     EXPECT_EQ(f.errorAt(0), Pauli::I);

@@ -412,9 +412,10 @@ TEST(ExtractorLockstep, MatchesPerUopReferenceUnderFuzz)
     const ErrorRates rate_sets[] = {
         ErrorRates::none(), ErrorRates::uniform(1e-3),
         ErrorRates::uniform(0.3), ErrorRates::uniform(1.0),
-        ErrorRates{0.02, 0.0, 0.3, 1.0, 0.05},
-        ErrorRates{-1.0, 0.5, 2.0, 0.0, 0.999}};
-    const ErrorRates stretched{0.5, 0.5, 0.01, 0.2, 1.0};
+        ErrorRates{.idle = 0.02, .gate2 = 0.3, .prep = 1.0, .meas = 0.05},
+        ErrorRates{.idle = -1.0, .gate2 = 2.0, .meas = 0.999}};
+    const ErrorRates stretched{.idle = 0.5, .gate2 = 0.01, .prep = 0.2,
+                               .meas = 1.0};
 
     Rng fuzz(2024);
     std::size_t configs = 0;

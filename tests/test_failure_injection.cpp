@@ -96,7 +96,7 @@ TEST(FailureInjection, DecodeEveryRoundIsValid)
     cfg.numMces = 1;
     cfg.mce.distance = 3;
     cfg.decodeWindowRounds = 1;
-    cfg.mce.errorRates = quantum::ErrorRates{1e-3, 0, 0, 0, 0};
+    cfg.mce.errorRates = quantum::ErrorRates{.idle = 1e-3};
     core::MasterController master(cfg);
     EXPECT_NO_THROW(master.runRounds(200));
     EXPECT_LE(master.mce(0).residualErrorWeight(), 3u);
@@ -165,7 +165,7 @@ faultyMaster(std::size_t mces = 2)
     core::MasterConfig cfg;
     cfg.numMces = mces;
     cfg.mce = core::tileConfigForLogicalQubits(3);
-    cfg.mce.errorRates = quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+    cfg.mce.errorRates = quantum::ErrorRates{.idle = 1e-3, .meas = 1e-3};
     return cfg;
 }
 
@@ -455,7 +455,7 @@ TEST(ClassicalFaults, DeadlineIsModelledOnlyWhileASiteIsEnabled)
     // the same master with any site enabled does, though the site
     // itself never fires.
     core::MasterConfig cfg = faultyMaster();
-    cfg.mce.errorRates = quantum::ErrorRates{5e-2, 0, 0, 0, 5e-2};
+    cfg.mce.errorRates = quantum::ErrorRates{.idle = 5e-2, .meas = 5e-2};
     core::MasterController plain(cfg);
     cfg.faults.rate(sim::FaultSite::MceHang) = 1e-12;
     core::MasterController enabled(cfg);

@@ -63,7 +63,7 @@ runGolden(std::size_t threads)
         cfg.mce = core::tileConfigForLogicalQubits(goldenDistance);
         cfg.mce.seed = goldenSeed;
         cfg.mce.errorRates =
-            quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+            quantum::ErrorRates{.idle = 1e-3, .meas = 1e-3};
         core::MasterController master(cfg);
         master.runRounds(goldenRounds);
 
@@ -72,7 +72,7 @@ runGolden(std::size_t threads)
         // windows — and therefore every counter bump and trace
         // event — are a pure function of the trial index.
         const qecc::MemoryExperiment exp(goldenDistance);
-        const quantum::ErrorRates rates{3e-3, 0, 0, 0, 3e-3};
+        const quantum::ErrorRates rates{.idle = 3e-3, .meas = 3e-3};
         const decode::MwpmDecoder decoder(exp.lattice());
         sim::ThreadPool pool(threads);
         sim::parallelFor(pool, goldenTrials, [&](std::uint64_t i) {
@@ -122,7 +122,7 @@ runGolden(std::size_t threads)
         ooo_cfg.seed = goldenSeed + 2;
         ooo_cfg.scheduling = core::SchedulingMode::OutOfOrder;
         ooo_cfg.errorRates =
-            quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+            quantum::ErrorRates{.idle = 1e-3, .meas = 1e-3};
         core::Mce ooo("golden-ooo", ooo_cfg);
         for (std::size_t r = 0; r < goldenDistance; ++r)
             ooo.runQeccRound();
@@ -255,7 +255,7 @@ ledgerConfig(core::SchedulingMode mode)
     cfg.numMces = 3;
     cfg.mce = core::tileConfigForLogicalQubits(3);
     cfg.mce.seed = goldenSeed;
-    cfg.mce.errorRates = quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+    cfg.mce.errorRates = quantum::ErrorRates{.idle = 1e-3, .meas = 1e-3};
     cfg.mce.scheduling = mode;
     return cfg;
 }

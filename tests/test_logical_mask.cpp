@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for logical qubit geometry and the mask representations.
+ * Tests for logical qubit geometry.
  */
 
 #include <gtest/gtest.h>
@@ -76,47 +76,6 @@ TEST_F(LogicalMaskTest, ExpandContractRoundTrip)
     EXPECT_GT(lq.footprint().size(), before.size());
     lq.contractA(1);
     EXPECT_EQ(lq.footprint(), before);
-}
-
-TEST_F(LogicalMaskTest, FullMaskApplyAndClear)
-{
-    const LogicalQubit lq(lattice, Coord{2, 2}, 3);
-    FullMask mask(lattice);
-    EXPECT_EQ(mask.sizeBits(), lattice.numQubits());
-
-    mask.apply(lq, true);
-    EXPECT_EQ(mask.maskedCount(), lq.maskedAncillas().size());
-    for (std::size_t q : lq.maskedAncillas())
-        EXPECT_TRUE(mask.masked(q));
-
-    mask.apply(lq, false);
-    EXPECT_EQ(mask.maskedCount(), 0u);
-}
-
-TEST_F(LogicalMaskTest, CoalescedMaskCapacityIsNOverD2)
-{
-    // Section 4.5: "For N physical qubits, only N/d^2 mask bits".
-    const std::size_t d = 3;
-    const CoalescedMask mask(lattice, d);
-    const std::size_t tiles_r = (lattice.rows() + d - 1) / d;
-    const std::size_t tiles_c = (lattice.cols() + d - 1) / d;
-    EXPECT_EQ(mask.sizeBits(), tiles_r * tiles_c);
-    EXPECT_LT(mask.sizeBits(), lattice.numQubits() / (d * d) + tiles_r
-              + tiles_c + 1);
-}
-
-TEST_F(LogicalMaskTest, CoalescedMaskCoversFullMask)
-{
-    // Coarser granularity may over-mask but never under-mask.
-    const LogicalQubit lq(lattice, Coord{2, 2}, 3);
-    FullMask full(lattice);
-    CoalescedMask coalesced(lattice, 3);
-    full.apply(lq, true);
-    coalesced.apply(lq, true);
-    for (std::size_t q = 0; q < lattice.numQubits(); ++q)
-        if (full.masked(q)) {
-            EXPECT_TRUE(coalesced.masked(q)) << "qubit " << q;
-        }
 }
 
 TEST_F(LogicalMaskTest, ContractBelowMinimumPanics)

@@ -113,6 +113,15 @@ TEST(Mce, LogicalQubitMasksAncillas)
     EXPECT_EQ(mce.maskTable().maskedQubitCount(), 0u);
 }
 
+TEST(Mce, ConstMaskTableIsTheTilesTable)
+{
+    Mce mce("mce0", tileConfigForLogicalQubits(3));
+    mce.defineLogicalQubit(Coord{2, 2});
+    const Mce &view = mce;
+    EXPECT_EQ(&view.maskTable(), &mce.maskTable());
+    EXPECT_GT(view.maskTable().maskedQubitCount(), 0u);
+}
+
 TEST(Mce, MaskedAncillasStaySilent)
 {
     // An error inside a masked region must NOT produce a syndrome:
@@ -196,7 +205,7 @@ TEST(Mce, NoisyRunConvergesWithDecoding)
 {
     MceConfig cfg = smallConfig();
     cfg.distance = 5;
-    cfg.errorRates = quest::quantum::ErrorRates{1e-3, 0, 0, 0, 0};
+    cfg.errorRates = quest::quantum::ErrorRates{.idle = 1e-3};
     cfg.seed = 42;
     Mce mce("mce0", cfg);
     quest::decode::MwpmDecoder global(mce.lattice());
@@ -315,7 +324,7 @@ TEST(Mce, MaskRoundTripReplaysUnmaskedNoise)
     // unmasked program, so a noisy tile reproduces the syndromes of
     // a twin that never masked anything.
     MceConfig cfg = tileConfigForLogicalQubits(3);
-    cfg.errorRates = quest::quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3};
+    cfg.errorRates = quest::quantum::ErrorRates{.idle = 2e-3, .meas = 2e-3};
     cfg.seed = 9;
     Mce edited("mce0", cfg);
     Mce twin("mce1", cfg);
@@ -464,7 +473,7 @@ TEST_P(ReplayCharges, MatchThePerSlotReferenceEveryRound)
     cfg.latticeCols = 15;
     cfg.microcodeDesign = design;
     cfg.scheduling = mode;
-    cfg.errorRates = quest::quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+    cfg.errorRates = quest::quantum::ErrorRates{.idle = 1e-3, .meas = 1e-3};
     cfg.seed = 11;
 
     const char *registry[] = {
@@ -548,7 +557,7 @@ TEST_P(ReplayCharges, MatchThePerSlotReferenceEveryRound)
             quest::qecc::LogicalQubit at = c;
             at.setDefectA(
                 quest::qecc::MaskSquare{plan.positions[i], moving});
-            MaskTable mask(mce.lattice(), cfg.maskLayout, cfg.distance);
+            MaskTable mask(mce.lattice());
             mask.apply(at, true);
             mask.apply(t, true);
             const RoundSchedule program =

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/microcode.hpp"
+#include "sim/logging.hpp"
 
 namespace {
 
@@ -148,6 +149,26 @@ TEST(MicrocodeTable2, OptimalConfigsMatchPaper)
         EXPECT_NEAR(mem.powerUw(best), row.power, 1e-9)
             << protocolSpec(row.proto).name;
     }
+}
+
+TEST(MicrocodeTable2, OptimalConfigNeedsOneUnitCellProgram)
+{
+    // Every bank holds a full program copy, so the single-channel
+    // configuration of unitCellProgramBits() is the smallest that
+    // fits; one bit less leaves no candidate (the CLI refuses such a
+    // --capacity before asking).
+    quest::sim::setQuiet(true);
+    for (const Protocol p : quest::qecc::allProtocols) {
+        const MicrocodeModel model(protocolSpec(p),
+                                   Technology::ProjectedD);
+        const std::size_t bits = model.unitCellProgramBits();
+        EXPECT_EQ(model.optimalConfig(bits), (MemoryConfig{1, bits}))
+            << protocolSpec(p).name;
+        EXPECT_THROW(model.optimalConfig(bits - 1),
+                     quest::sim::SimError)
+            << protocolSpec(p).name;
+    }
+    quest::sim::setQuiet(false);
 }
 
 TEST(MicrocodeFigure16, ThroughputOrderings)

@@ -886,8 +886,6 @@ TEST(ReplayEquivalence, InOrderAndOutOfOrderAreBitIdentical)
             if (rng.bernoulli(0.7))
                 cfg.errorRates = quantum::ErrorRates::uniform(
                     rng.bernoulli(0.5) ? 1e-3 : 5e-3);
-            if (rng.bernoulli(0.2))
-                cfg.maskLayout = core::MaskLayout::Coalesced;
 
             const std::uint64_t in_digest = runScenario(
                 cfg, SchedulingMode::InOrder, seed);
@@ -1016,7 +1014,7 @@ TEST(ArbiterIntegration, StreamingFlushUnderArbitrationMatchesOffline)
     offline_cfg.numMces = 2;
     offline_cfg.mce.distance = 3;
     offline_cfg.mce.errorRates =
-        quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3};
+        quantum::ErrorRates{.idle = 2e-3, .meas = 2e-3};
     offline_cfg.decodeWindowRounds = 3;
 
     core::MasterConfig stream_cfg = offline_cfg;

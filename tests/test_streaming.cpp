@@ -37,7 +37,7 @@ MemoryExperiment::Shot
 noisyShot(const MemoryExperiment &exp, double p, std::uint64_t seed)
 {
     quest::sim::Rng rng(seed);
-    return exp.sampleShot(ErrorRates{p, 0, 0, 0, p}, rng);
+    return exp.sampleShot(ErrorRates{.idle = p, .meas = p}, rng);
 }
 
 /** Stream a whole history and return the accumulated correction. */
@@ -271,7 +271,7 @@ TEST(StreamingMaster, WindowEqualsStrideMatchesOfflineCadence)
     offline_cfg.numMces = 2;
     offline_cfg.mce = tileConfigForLogicalQubits(3);
     offline_cfg.mce.errorRates =
-        quest::quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3};
+        quest::quantum::ErrorRates{.idle = 2e-3, .meas = 2e-3};
     offline_cfg.decodeWindowRounds = 3;
 
     MasterConfig stream_cfg = offline_cfg;
@@ -322,7 +322,7 @@ TEST(StreamingMaster, InjectedOverrunsDegradeEveryResidualWindow)
     offline_cfg.numMces = 2;
     offline_cfg.mce = tileConfigForLogicalQubits(3);
     offline_cfg.mce.errorRates =
-        quest::quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3};
+        quest::quantum::ErrorRates{.idle = 2e-3, .meas = 2e-3};
     offline_cfg.decodeWindowRounds = 3;
     offline_cfg.faults.rate(quest::sim::FaultSite::DecoderOverrun) = 1.0;
 
@@ -390,7 +390,7 @@ TEST(StreamingMaster, StreamsAcrossMaskEdits)
     MasterConfig cfg;
     cfg.numMces = 2;
     cfg.mce = tileConfigForLogicalQubits(3);
-    cfg.mce.errorRates = quest::quantum::ErrorRates{1e-3, 0, 0, 0, 1e-3};
+    cfg.mce.errorRates = quest::quantum::ErrorRates{.idle = 1e-3, .meas = 1e-3};
     cfg.streamWindowRounds = 6;
     cfg.streamStrideRounds = 3;
     QuestSystem system(cfg);

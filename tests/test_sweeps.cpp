@@ -95,12 +95,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          Technology::ProjectedD)));
 
 // ---------------------------------------------------------------
-// MCE invariants across protocols and mask layouts.
+// MCE invariants across protocols and scheduling modes.
 // ---------------------------------------------------------------
 
 class MceConfigSweep
     : public ::testing::TestWithParam<
-          std::tuple<Protocol, core::MaskLayout>>
+          std::tuple<Protocol, core::SchedulingMode>>
 {
   protected:
     core::MceConfig
@@ -108,7 +108,7 @@ class MceConfigSweep
     {
         core::MceConfig cfg = core::tileConfigForLogicalQubits(3);
         cfg.protocol = std::get<0>(GetParam());
-        cfg.maskLayout = std::get<1>(GetParam());
+        cfg.scheduling = std::get<1>(GetParam());
         return cfg;
     }
 };
@@ -154,8 +154,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          Protocol::Shor,
                                          Protocol::SC17,
                                          Protocol::SC13),
-                       ::testing::Values(core::MaskLayout::Full,
-                                         core::MaskLayout::Coalesced)));
+                       ::testing::Values(
+                           core::SchedulingMode::InOrder,
+                           core::SchedulingMode::OutOfOrder)));
 
 // ---------------------------------------------------------------
 // Estimator invariants across the full configuration matrix.
@@ -232,7 +233,7 @@ runDecoderSweep(std::size_t threads)
         [&](std::uint64_t t) {
             sim::Rng rng = sim::Rng::substream(0xBADA55, t);
             const auto events = decode::extractDetectionEvents(
-                exp.sampleShot(quantum::ErrorRates{2e-3, 0, 0, 0, 2e-3},
+                exp.sampleShot(quantum::ErrorRates{.idle = 2e-3, .meas = 2e-3},
                                rng).history,
                 exp.extractor());
 
@@ -274,7 +275,7 @@ TEST(ParallelSweep, ReducedErrorRateBitIdenticalAcrossThreadCounts)
             [&](std::uint64_t t) {
                 sim::Rng rng = sim::Rng::substream(77, t);
                 const auto shot = exp.sampleShot(
-                    quantum::ErrorRates{3e-3, 0, 0, 0, 3e-3}, rng);
+                    quantum::ErrorRates{.idle = 3e-3, .meas = 3e-3}, rng);
                 const auto corr = greedy.decode(
                     decode::extractDetectionEvents(shot.history,
                                                    exp.extractor()));

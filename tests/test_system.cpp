@@ -112,7 +112,7 @@ TEST(System, ReportToStringMentionsSavings)
 TEST(System, NoisyMixedWorkloadStaysDecoded)
 {
     MasterConfig cfg = systemConfig(2);
-    cfg.mce.errorRates = quest::quantum::ErrorRates{5e-4, 0, 0, 0, 0};
+    cfg.mce.errorRates = quest::quantum::ErrorRates{.idle = 5e-4};
     cfg.mce.seed = 7;
     QuestSystem sys(cfg);
     sys.placeLogicalQubits();

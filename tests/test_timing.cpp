@@ -95,30 +95,26 @@ TEST(TimingModel, MaxUopLatencyConstantPinsTheLatencyTable)
 TEST(TimingModel, WorstCaseGrantWindows)
 {
     // Uncontended: the tile gets its full width every cycle.
-    const FetchGrant solo = verify::worstCaseGrant(
-        1, 4, 16, ArbiterPolicy::RoundRobin);
+    const FetchGrant solo = verify::worstCaseGrant(1, 4, 16);
     EXPECT_EQ(solo.slots, 4u);
     EXPECT_EQ(solo.cycles, 1u);
 
     // Bandwidth covers every tile's width: no contention at all.
-    const FetchGrant wide = verify::worstCaseGrant(
-        4, 4, 16, ArbiterPolicy::RoundRobin);
+    const FetchGrant wide = verify::worstCaseGrant(4, 4, 16);
     EXPECT_EQ(wide.slots, 16u);
     EXPECT_EQ(wide.cycles, 4u);
     EXPECT_DOUBLE_EQ(wide.rate(), 4.0);
 
     // Bandwidth equals one tile's width: only the priority cycle
     // delivers, so the rate divides by the tile count.
-    const FetchGrant tight = verify::worstCaseGrant(
-        4, 4, 4, ArbiterPolicy::OldestFirst);
+    const FetchGrant tight = verify::worstCaseGrant(4, 4, 4);
     EXPECT_EQ(tight.slots, 4u);
     EXPECT_EQ(tight.cycles, 4u);
     EXPECT_DOUBLE_EQ(tight.rate(), 1.0);
 
     // Partial leftover: B=6, f=4, N=2 -> priority cycle 4 plus
     // min(4, 6-4)=2 on the other cycle.
-    const FetchGrant partial = verify::worstCaseGrant(
-        2, 4, 6, ArbiterPolicy::RoundRobin);
+    const FetchGrant partial = verify::worstCaseGrant(2, 4, 6);
     EXPECT_EQ(partial.slots, 6u);
     EXPECT_EQ(partial.cycles, 2u);
 }
@@ -246,8 +242,7 @@ TEST(TimingSoundness, ContendedGrantCoversArbitratedTiles)
                          {SchedulingMode::InOrder,
                           SchedulingMode::OutOfOrder}) {
                         const FetchGrant grant =
-                            verify::worstCaseGrant(
-                                n, cfg.fetchWidth, bw, policy);
+                            verify::worstCaseGrant(n, cfg.fetchWidth, bw);
                         const TimingBound b = oracle.bound(
                             dep, mode, rounds, grant);
                         const std::vector<const DependencyOracle *>
@@ -331,8 +326,7 @@ TEST(ContendedBound, PhasingStarvationMissesATightDeadline)
     const SchedulerConfig cfg;
     const TimingOracle oracle(cfg);
     const TimingBound alone = oracle.bound(dep, SchedulingMode::InOrder);
-    const FetchGrant grant = verify::worstCaseGrant(
-        tiles, cfg.fetchWidth, 8, ArbiterPolicy::RoundRobin);
+    const FetchGrant grant = verify::worstCaseGrant(tiles, cfg.fetchWidth, 8);
     const TimingBound contended =
         oracle.bound(dep, SchedulingMode::InOrder, 1, grant);
     EXPECT_LE(alone.totalBoundCycles, deadline);

@@ -38,6 +38,7 @@
 #include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
 #include "isa/trace.hpp"
+#include "qecc/distance.hpp"
 #include "qecc/memory_experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/table.hpp"
@@ -240,6 +241,13 @@ cmdEstimate(const Options &opts)
 {
     workloads::EstimatorConfig cfg;
     cfg.physicalErrorRate = opts.getRate("error-rate", 1e-4);
+    // Code distance selection and distillation need a rate strictly
+    // between 0 and the surface-code threshold.
+    if (cfg.physicalErrorRate <= 0.0
+        || cfg.physicalErrorRate >= qecc::surfaceCodeThreshold)
+        sim::fatal("--error-rate must be above 0 and below the "
+                   "surface-code threshold %g, got %g",
+                   qecc::surfaceCodeThreshold, cfg.physicalErrorRate);
     cfg.technology = parseTechnology(opts.get("tech", "ProjectedD"));
     cfg.protocol = parseProtocol(opts.get("protocol", "Steane"));
 
@@ -291,6 +299,11 @@ cmdMicrocode(const Options &opts)
     for (qecc::Protocol p : qecc::allProtocols) {
         const core::MicrocodeModel model(qecc::protocolSpec(p),
                                          technology);
+        if (capacity < model.unitCellProgramBits())
+            sim::fatal("--capacity %zu bits cannot hold the %s "
+                       "unit-cell program (%zu bits)",
+                       capacity, qecc::protocolName(p).c_str(),
+                       model.unitCellProgramBits());
         const tech::MemoryConfig best = model.optimalConfig(capacity);
         char power[32];
         std::snprintf(power, sizeof(power), "%.1f",
@@ -395,7 +408,7 @@ cmdReplay(const Options &opts)
     core::MasterConfig cfg;
     cfg.numMces = mces;
     cfg.mce = core::tileConfigForLogicalQubits(distance);
-    cfg.mce.errorRates = quantum::ErrorRates{p, 0, 0, 0, p};
+    cfg.mce.errorRates = quantum::ErrorRates{.idle = p, .meas = p};
     // Classical fault model: a uniform per-site rate switches on the
     // whole resilience stack (ARQ retries, scrubbing, watchdog,
     // decode-deadline fallback).
@@ -462,7 +475,7 @@ cmdSimulate(const Options &opts)
     opts.done();
 
     const qecc::MemoryExperiment exp(d, protocol);
-    const quantum::ErrorRates rates{p, 0, 0, 0, p};
+    const quantum::ErrorRates rates{.idle = p, .meas = p};
     decode::DecoderPipeline pipeline(exp.lattice());
 
     std::size_t failures = 0;
@@ -558,9 +571,8 @@ fitsSimCycleCap(const core::MceConfig &cfg, std::size_t tiles,
         / double(scfg.fetchWidth);
     if (demand > double(core::kMaxSimCycles))
         return false;
-    const verify::FetchGrant grant = verify::worstCaseGrant(
-        tiles, scfg.fetchWidth, scfg.fetchWidth,
-        core::ArbiterPolicy::RoundRobin);
+    const verify::FetchGrant grant =
+        verify::worstCaseGrant(tiles, scfg.fetchWidth, scfg.fetchWidth);
     return verify::TimingOracle(scfg)
                .bound(dep, core::SchedulingMode::InOrder, rounds, grant)
                .totalBoundCycles
@@ -596,9 +608,8 @@ runTimingDifferential(const core::MceConfig &cfg,
     row.rounds = rounds;
     row.deadlineCycles = roundDeadlineCycles(cfg) * rounds;
 
-    const verify::FetchGrant grant = verify::worstCaseGrant(
-        tiles, scfg.fetchWidth, bandwidth,
-        core::ArbiterPolicy::RoundRobin);
+    const verify::FetchGrant grant =
+        verify::worstCaseGrant(tiles, scfg.fetchWidth, bandwidth);
     row.bound = verify::TimingOracle(scfg).bound(
         dep, mode, rounds, grant);
 

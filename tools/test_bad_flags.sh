@@ -22,6 +22,10 @@ expect_error() {
     if [ "$rc" -ne 1 ]; then
         echo "FAIL: quest $* exited $rc, expected 1"
         status=1
+    elif printf '%s\n' "$err" | grep -q -e "^panic:"; then
+        echo "FAIL: quest $*: a library assert fired:"
+        printf '%s\n' "$err"
+        status=1
     elif ! printf '%s\n' "$err" | grep -q -e "^error: $flag "; then
         echo "FAIL: quest $*: no 'error: $flag' diagnostic in:"
         printf '%s\n' "$err"
@@ -48,6 +52,17 @@ expect_error --stream-stride simulate --stream-stride 3
 expect_error --stream-stride simulate --stream-window 2 --stream-stride 5
 expect_error --bank-bits verify --bank-bits 0
 expect_error --shor estimate --shor 0
+# Distance selection and distillation need 0 < p < the surface-code
+# threshold; a rate outside it is refused before any estimate runs.
+for p in 0 0.01 0.05 1; do
+    expect_error --error-rate estimate --error-rate "$p"
+done
+expect_error --error-rate estimate --workload BWT --tech ProjectedF \
+    --error-rate 0.5
+# Below one unit-cell program no memory configuration holds it.
+for bits in 1 256 1024; do
+    expect_error --capacity microcode --capacity "$bits"
+done
 # A --timing run the scheduler model cannot finish within its cycle
 # cap is refused before any of it is simulated.
 expect_error --rounds verify --timing --rounds 1000000000
