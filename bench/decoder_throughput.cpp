@@ -33,6 +33,8 @@
  * so the counters do not scale with the calibrated rep count and two
  * runs of one build write the same section.
  *
+ * The full run decodes d = 5, 9, 13 and 17; --smoke only d = 5.
+ *
  * Flags: --smoke (CI-sized run), --threads=N (multi-thread degree,
  * default ThreadPool::defaultThreads()), --trials=N, --out=PATH,
  * --min-window-ms=N (timed-window floor, default 50),
@@ -263,7 +265,7 @@ main(int argc, char **argv)
     const double p = 3e-3; // the decoder_comparison workload point
     const std::vector<std::size_t> distances =
         smoke ? std::vector<std::size_t>{5}
-              : std::vector<std::size_t>{5, 9};
+              : std::vector<std::size_t>{5, 9, 13, 17};
 
     // A deque never moves its elements, and each Workload's
     // decoders reference its lattice.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
@@ -24,7 +25,7 @@ constexpr std::uint32_t noAncilla =
 
 /**
  * The greedy matcher packs an edge's two event indices into 16 bits
- * each; past this many events the edge list alone would be 17 GB.
+ * each.
  */
 constexpr std::size_t maxGreedyEvents = std::size_t(1) << 16;
 
@@ -54,8 +55,10 @@ struct Scratch
     std::vector<std::uint32_t> f32;
     std::vector<std::uint32_t> solved;
 
-    // matchGreedy: edges packed as weight << 32 | a << 16 | b, with
-    // b == a for a boundary edge.
+    // matchGreedy: the events in (round, index) order and the
+    // candidate edges, packed as weight << 33 | boundary << 32 |
+    // a << 16 | b, with b == a for a boundary edge.
+    std::vector<std::uint32_t> order;
     std::vector<std::uint64_t> edges;
     std::vector<std::uint8_t> used;
 
@@ -502,29 +505,49 @@ MwpmDecoder::matchGreedy(const std::vector<DetectionEvent> &events,
     Scratch &s = scratch();
     eventWeights(events, masked, s.ids, s.bweight);
 
-    // One 8-byte edge per candidate: the weight in the high word,
-    // then the two event indices. Sorting on the weight alone makes
-    // the same comparisons, so the same permutation, as sorting the
-    // unpacked edges would: ties keep their order.
-    const auto pack = [](std::uint64_t weight, std::size_t a,
-                         std::size_t b) {
-        QUEST_ASSERT(weight <= std::numeric_limits<std::uint32_t>::max(),
-                     "greedy edge weight %llu exceeds 32 bits",
-                     (unsigned long long)weight);
-        return weight << 32 | std::uint64_t(a) << 16 | std::uint64_t(b);
+    // One 8-byte edge per candidate, packed so that sorting the words
+    // sorts by the total order (weight, pair before boundary, a, b):
+    // the weight above bit 33, bit 32 set on a boundary edge, then
+    // the two event indices (b == a for a boundary edge).
+    const auto pack = [](std::uint64_t weight, bool boundary,
+                         std::size_t a, std::size_t b) {
+        return weight << 33 | std::uint64_t(boundary) << 32
+            | std::uint64_t(a) << 16 | std::uint64_t(b);
     };
+    // Walk the events in (round, index) order: a pair's weight is at
+    // least its round gap, so each event's scan ends at the first
+    // gap above its boundary weight.
+    auto &order = s.order;
+    order.resize(n);
+    std::iota(order.begin(), order.end(), std::uint32_t(0));
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                  return events[x].round != events[y].round
+                      ? events[x].round < events[y].round : x < y;
+              });
+    // Only edges greedy can take: a pair heavier than either
+    // endpoint's boundary edge sorts after it, when that endpoint is
+    // already used, so it is never generated.
     auto &edges = s.edges;
     edges.clear();
-    edges.reserve(n * (n + 1) / 2);
-    for (std::size_t i = 0; i < n; ++i) {
-        edges.push_back(pack(s.bweight[i], i, i));
-        for (std::size_t j = i + 1; j < n; ++j)
-            edges.push_back(pack(pairWeight(events, s.ids, i, j), i, j));
+    for (std::size_t p = 0; p < n; ++p) {
+        const std::size_t i = order[p];
+        const std::uint64_t bi = s.bweight[i];
+        QUEST_ASSERT(bi < std::uint64_t(1) << 31,
+                     "greedy boundary weight %llu exceeds 31 bits",
+                     (unsigned long long)bi);
+        edges.push_back(pack(bi, true, i, i));
+        for (std::size_t q = p + 1; q < n; ++q) {
+            const std::size_t j = order[q];
+            if (events[j].round - events[i].round > bi)
+                break;
+            const std::uint64_t w = pairWeight(events, s.ids, i, j);
+            if (w <= bi && w <= s.bweight[j])
+                edges.push_back(
+                    pack(w, false, std::min(i, j), std::max(i, j)));
+        }
     }
-    std::sort(edges.begin(), edges.end(),
-              [](std::uint64_t x, std::uint64_t y) {
-                  return (x >> 32) < (y >> 32);
-              });
+    std::sort(edges.begin(), edges.end());
 
     MatchingResult result;
     s.used.assign(n, 0);
@@ -533,10 +556,10 @@ MwpmDecoder::matchGreedy(const std::vector<DetectionEvent> &events,
     for (const std::uint64_t e : edges) {
         if (!remaining)
             break;
-        const std::uint64_t weight = e >> 32;
+        const std::uint64_t weight = e >> 33;
+        const bool boundary = e >> 32 & 1;
         const std::size_t a = std::size_t(e >> 16 & 0xffff);
         const std::size_t b = std::size_t(e & 0xffff);
-        const bool boundary = a == b;
         if (used[a] || (!boundary && used[b]))
             continue;
         if (boundary) {

@@ -14,6 +14,17 @@
  * dynamic programming for up to `exactLimit` events (optimal), and a
  * greedy globally-shortest-edge-first matcher beyond that (the
  * standard scalable approximation). Both support boundary matches.
+ *
+ * Greedy takes edges in one total order: by weight, then a pair
+ * edge before a boundary edge, then by event indices (a, b). Under
+ * that order a pair edge heavier than either endpoint's boundary
+ * edge comes after it, when the endpoint is already used, so greedy
+ * never generates such an edge. Since a pair weight is at least the
+ * two events' round gap, each event's scan over its partners, walked
+ * in round order, stops at the first gap above its boundary weight.
+ * A non-Manhattan metric (a detector graph with diagonal or
+ * log-likelihood weights) must keep pair weight >= round gap, or
+ * that stop has to go.
  */
 
 #ifndef QUEST_DECODE_MWPM_DECODER_HPP
@@ -165,11 +176,13 @@ class MwpmDecoder
     /**
      * Match one same-type event set (exposed for tests/benches).
      *
-     * Precondition (panics otherwise) when the set is larger than
-     * `exact_limit`: the greedy matcher packs each edge into 8 bytes,
-     * so it takes at most 65 536 events and every boundary and pair
-     * weight must fit in 32 bits (no two events ~4e9 rounds apart).
-     * The exact matcher has neither limit.
+     * Sets larger than `exact_limit` go to the greedy matcher, which
+     * takes at most 65 536 events (it panics on more: each edge packs
+     * both event indices into 16 bits). It takes edges by weight,
+     * then pair before boundary, then by (a, b), and generates only
+     * pairs no heavier than both endpoints' boundary weights: no
+     * other edge can be taken. The events need not be in round
+     * order. The exact matcher has no size or weight limit.
      *
      * With `masked`, boundary weights read that snapshot instead of
      * the predicate; the result is the same while the mask is.

@@ -2,7 +2,7 @@
  * @file
  * Reference differential tests for the decode hot path. Each test
  * keeps the algorithm the decoder used to run -- the full-table
- * bitmask DP, the greedy matcher over 32-byte edges, the O(n^2) LUT
+ * bitmask DP, the greedy matcher over all n^2 edges, the O(n^2) LUT
  * passes -- as a reference here, and only here, and requires the
  * shipped decoder to give bit-identical results on random inputs:
  * the same matches in the same order with the same weights, the same
@@ -20,13 +20,13 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "decode/lut_decoder.hpp"
 #include "decode/mwpm_decoder.hpp"
 #include "qecc/lattice.hpp"
-#include "sim/logging.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -160,7 +160,11 @@ referenceExact(const MwpmDecoder &dec, const std::vector<DetectionEvent> &ev)
     return fullTableDp<std::uint64_t>(n, bweight, pweight);
 }
 
-/** Greedy matching over 32-byte edges, sorted on weight alone. */
+/**
+ * Greedy matching over every one of the n^2 edges, 32 bytes each,
+ * sorted by the matcher's total order: weight, then pair before
+ * boundary, then the event indices (a, b).
+ */
 MatchingResult
 referenceGreedy(const MwpmDecoder &dec,
                 const std::vector<DetectionEvent> &ev)
@@ -181,7 +185,8 @@ referenceGreedy(const MwpmDecoder &dec,
     }
     std::sort(edges.begin(), edges.end(),
               [](const Edge &x, const Edge &y) {
-                  return x.weight < y.weight;
+                  return std::tie(x.weight, x.boundary, x.a, x.b)
+                      < std::tie(y.weight, y.boundary, y.a, y.b);
               });
     MatchingResult result;
     std::vector<std::uint8_t> used(n, 0);
@@ -436,13 +441,15 @@ TEST(DecoderReference, ReachableMaskDpMatchesFullTableOn64BitWeights)
 }
 
 // ---------------------------------------------------------------
-// Greedy matcher: packed 8-byte edges vs 32-byte edges.
+// Greedy matcher: the pruned candidates vs every edge.
 // ---------------------------------------------------------------
 
 TEST(DecoderReference, CompactGreedyMatchesWideEdgeSort)
 {
     // Small lattices and few rounds make most weights tie, so any
     // change in how ties are ordered shows up as a different match.
+    // Each set is matched round-major and shuffled: the matcher's
+    // round-gap stop must not depend on the input order.
     Rng rng(0x6E3Du);
     const Lattice lattice = Lattice::forDistance(7);
     MwpmDecoder plain(lattice);
@@ -455,33 +462,128 @@ TEST(DecoderReference, CompactGreedyMatchesWideEdgeSort)
         const SiteType type = trial % 2 ? SiteType::XAncilla
                                         : SiteType::ZAncilla;
         const std::uint64_t rounds = 2 + n / 40 + trial % 3;
-        const std::vector<DetectionEvent> ev =
+        std::vector<DetectionEvent> ev =
             randomEvents(lattice, type, n, rounds, rng);
-        for (const MwpmDecoder *dec : {&plain, &masked})
+        std::stable_sort(ev.begin(), ev.end(),
+                         [](const DetectionEvent &a, const DetectionEvent &b) {
+                             return a.round < b.round;
+                         });
+        std::vector<DetectionEvent> shuffled = ev;
+        std::shuffle(shuffled.begin(), shuffled.end(), rng);
+        for (const MwpmDecoder *dec : {&plain, &masked}) {
             expectSameMatching(dec->matchEvents(ev),
                                referenceGreedy(*dec, ev), "greedy", trial);
+            expectSameMatching(dec->matchEvents(shuffled),
+                               referenceGreedy(*dec, shuffled),
+                               "greedy shuffled", trial);
+        }
     }
 }
 
-TEST(DecoderReference, CompactGreedyRejectsWeightsAbove32Bits)
+TEST(DecoderReference, GreedyMatchesGroupsFarApartInTimeWithinThemselves)
 {
-    // A packed edge holds a 32-bit weight. The exact matcher takes
-    // events 2^32 rounds apart (the 64-bit test above); the greedy
-    // matcher panics on them rather than truncate a weight.
+    // Two groups of events 2^32 rounds apart: every cross-group pair
+    // weighs more than 32 bits and more than any boundary edge, so
+    // greedy never generates one. Each group matches within itself,
+    // exactly as the full sort does, and the result is the union of
+    // the two groups matched alone.
     Rng rng(0x3233u);
     const Lattice lattice = Lattice::forDistance(7);
     const MwpmDecoder dec(lattice);
-    const std::vector<DetectionEvent> ev = randomEvents(
-        lattice, SiteType::ZAncilla, 20, 2, rng, 2,
-        std::uint64_t(1) << 32);
-    const auto [lo, hi] = std::minmax_element(
-        ev.begin(), ev.end(),
-        [](const DetectionEvent &a, const DetectionEvent &b) {
-            return a.round < b.round;
-        });
-    ASSERT_GT(hi->round - lo->round,
-              std::uint64_t(std::numeric_limits<std::uint32_t>::max()));
-    EXPECT_THROW(dec.matchEvents(ev), sim::SimError);
+    const std::uint64_t far = std::uint64_t(1) << 32;
+    for (std::size_t trial = 0; trial < 8; ++trial) {
+        std::vector<DetectionEvent> early =
+            randomEvents(lattice, SiteType::ZAncilla, 20, 3, rng);
+        std::vector<DetectionEvent> late =
+            randomEvents(lattice, SiteType::ZAncilla, 20, 3, rng);
+        for (DetectionEvent &e : late)
+            e.round += far;
+        std::vector<DetectionEvent> ev = early;
+        ev.insert(ev.end(), late.begin(), late.end());
+        if (trial % 2) {
+            // Ties break on event indices, so each group alone keeps
+            // its order within the shuffled set.
+            std::shuffle(ev.begin(), ev.end(), rng);
+            early.clear();
+            late.clear();
+            for (const DetectionEvent &e : ev)
+                (e.round >= far ? late : early).push_back(e);
+        }
+
+        const MatchingResult got = dec.matchEvents(ev);
+        expectSameMatching(got, referenceGreedy(dec, ev), "far", trial);
+
+        // The matches as unordered event pairs with their weights (a
+        // boundary match pairs an event with itself), comparable
+        // across differently indexed sets.
+        using Key = std::tuple<std::uint64_t, int, int>;
+        const auto pairs = [&](const std::vector<DetectionEvent> &set,
+                               const MatchingResult &mr) {
+            std::set<std::tuple<Key, Key, std::uint64_t>> out;
+            for (const Match &m : mr.matches) {
+                const DetectionEvent &a = set[m.a];
+                const DetectionEvent &b = m.toBoundary ? a : set[m.b];
+                EXPECT_EQ(a.round >= far, b.round >= far)
+                    << "trial " << trial << ": match crosses the groups";
+                const Key ka{a.round, a.ancilla.row, a.ancilla.col};
+                const Key kb{b.round, b.ancilla.row, b.ancilla.col};
+                out.insert({std::min(ka, kb), std::max(ka, kb), m.weight});
+            }
+            return out;
+        };
+        auto want = pairs(early, dec.matchEvents(early));
+        want.merge(pairs(late, dec.matchEvents(late)));
+        EXPECT_EQ(pairs(ev, got), want) << "trial " << trial;
+    }
+}
+
+TEST(DecoderReference, GreedyPairsWhenAPairTiesBothBoundaryEdges)
+{
+    // A pair edge as heavy as both endpoints' boundary edges sorts
+    // first, so greedy pairs the two events, as the exact matcher
+    // does, instead of sending each to the boundary at twice the
+    // weight. A greedy-only decoder (exact limit 0) decodes each set.
+    struct Case
+    {
+        std::size_t distance;
+        DetectionEvent a, b;
+        std::uint64_t weight;
+    };
+    const Case cases[] = {
+        // d=3: one X error on the central data qubit (2,2) flips the
+        // Z checks above and below it. Every check is one step from
+        // the boundary; two boundary matches would close a logical X
+        // along column 2.
+        {3, DetectionEvent{0, Coord{1, 2}, SiteType::ZAncilla},
+         DetectionEvent{0, Coord{3, 2}, SiteType::ZAncilla}, 1},
+        // d=5: a space-time diagonal pair (one step in space, one
+        // round) weighs 2, as does each check's boundary edge.
+        {5, DetectionEvent{0, Coord{3, 4}, SiteType::ZAncilla},
+         DetectionEvent{1, Coord{5, 4}, SiteType::ZAncilla}, 2},
+    };
+    for (const Case &c : cases) {
+        const Lattice lattice = Lattice::forDistance(c.distance);
+        const MwpmDecoder greedy(lattice, 0);
+        const MwpmDecoder exact(lattice);
+        ASSERT_EQ(greedy.boundaryDistance(c.a), c.weight);
+        ASSERT_EQ(greedy.boundaryDistance(c.b), c.weight);
+        ASSERT_EQ(greedy.distance(c.a, c.b), c.weight);
+        const std::vector<DetectionEvent> ev = {c.a, c.b};
+        const MatchingResult got = greedy.matchEvents(ev);
+        ASSERT_EQ(got.matches.size(), 1u) << "d=" << c.distance;
+        EXPECT_FALSE(got.matches[0].toBoundary) << "d=" << c.distance;
+        EXPECT_EQ(got.totalWeight, c.weight) << "d=" << c.distance;
+        expectSameMatching(got, exact.matchEvents(ev), "tie", c.distance);
+    }
+    // The d=3 correction is the single flip that undoes the error.
+    const Lattice lattice = Lattice::forDistance(3);
+    const MwpmDecoder greedy(lattice, 0);
+    DetectionEvents ev;
+    ev.zEvents = {cases[0].a, cases[0].b};
+    const Correction corr = greedy.decode(ev);
+    EXPECT_EQ(corr.xFlips,
+              std::vector<std::size_t>{lattice.index(Coord{2, 2})});
+    EXPECT_TRUE(corr.zFlips.empty());
 }
 
 // ---------------------------------------------------------------
