@@ -68,6 +68,7 @@ class UnionFind
 
 void
 ClusterDecoder::decodeType(const std::vector<DetectionEvent> &events,
+                           const MaskedChecks &masked,
                            std::vector<std::uint8_t> &bits,
                            ClusterStats &stats) const
 {
@@ -76,6 +77,10 @@ ClusterDecoder::decodeType(const std::vector<DetectionEvent> &events,
         return;
 
     UnionFind uf(n);
+    // Each event's boundary reach, read once rather than per step.
+    std::vector<std::uint64_t> boundary(n);
+    for (std::size_t i = 0; i < n; ++i)
+        boundary[i] = _matcher->boundaryDistance(events[i], &masked);
 
     // Grow all non-neutral clusters in lockstep by one unit of
     // space-time radius per step; merge clusters whose balls touch
@@ -114,7 +119,7 @@ ClusterDecoder::decodeType(const std::vector<DetectionEvent> &events,
                         <= 2 * radius)
                     uf.unite(i, j);
             }
-            if (_matcher->boundaryDistance(events[i]) <= radius)
+            if (boundary[i] <= radius)
                 uf.markBoundary(i);
         }
     }
@@ -145,7 +150,7 @@ ClusterDecoder::decodeType(const std::vector<DetectionEvent> &events,
         local.reserve(cluster.size());
         for (std::size_t idx : cluster)
             local.push_back(events[idx]);
-        _matcher->matchInto(local, bits);
+        _matcher->matchInto(local, bits, &masked);
     }
 }
 
@@ -167,10 +172,13 @@ ClusterDecoder::decode(const DetectionEvents &events,
     std::vector<std::uint8_t> xflip(sites, 0);
     std::vector<std::uint8_t> zflip(sites, 0);
 
+    // The mask cannot change inside one decode, so every boundary
+    // weight and path of both types reads one snapshot of it.
+    const MaskedChecks masked = _matcher->maskedChecks();
     const std::size_t clusters_before = stats.clusters;
     const std::size_t growth_before = stats.growthSteps;
-    decodeType(events.zEvents, xflip, stats);
-    decodeType(events.xEvents, zflip, stats);
+    decodeType(events.zEvents, masked, xflip, stats);
+    decodeType(events.xEvents, masked, zflip, stats);
     _mClusters += stats.clusters - clusters_before;
     _mGrowthSteps += stats.growthSteps - growth_before;
     if (stats.largestCluster > 0)

@@ -64,7 +64,9 @@ class ClusterDecoder
               "decode.cluster.size", "events per resolved cluster"))
     {}
 
-    /** Decode all events; Z-check events give X corrections. */
+    /** Decode all events; Z-check events give X corrections. Each
+     *  call reads the matcher's mask predicate once, into one
+     *  maskedChecks() snapshot. */
     Correction decode(const DetectionEvents &events) const;
 
     /** Decode and also report clustering statistics. */
@@ -83,9 +85,11 @@ class ClusterDecoder
 
     /**
      * Cluster one stabilizer type's events and fold the resulting
-     * corrections into `bits`.
+     * corrections into `bits`; boundaries read `masked`, the
+     * snapshot decode() took.
      */
     void decodeType(const std::vector<DetectionEvent> &events,
+                    const MaskedChecks &masked,
                     std::vector<std::uint8_t> &bits,
                     ClusterStats &stats) const;
 };

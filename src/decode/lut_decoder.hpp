@@ -49,9 +49,10 @@ class LutDecoder
      * Resolve isolated single-error patterns; anything ambiguous is
      * passed through untouched in `residual`.
      *
-     * Precondition (panics otherwise): each type's list is
-     * round-major (rounds non-decreasing, the order extraction
-     * produces).
+     * Preconditions (panics otherwise), both of which extraction
+     * meets: each type's list is round-major (rounds
+     * non-decreasing) and holds at most one event per check and
+     * round.
      */
     LocalDecodeResult decodeLocal(const DetectionEvents &events) const;
 

@@ -606,14 +606,15 @@ MwpmDecoder::matchEvents(const std::vector<DetectionEvent> &events,
 
 void
 MwpmDecoder::matchInto(const std::vector<DetectionEvent> &events,
-                       std::vector<std::uint8_t> &bits) const
+                       std::vector<std::uint8_t> &bits,
+                       const MaskedChecks *masked) const
 {
-    const MatchingResult mr = matchEvents(events);
+    const MatchingResult mr = matchEvents(events, masked);
     std::vector<std::size_t> &path = scratch().path;
     for (const Match &m : mr.matches) {
         path.clear();
         if (m.toBoundary)
-            pathToBoundary(events[m.a].ancilla, path);
+            pathToBoundary(events[m.a].ancilla, path, masked);
         else
             pathBetween(events[m.a].ancilla, events[m.b].ancilla, path);
         for (std::size_t q : path)
@@ -631,9 +632,20 @@ MwpmDecoder::decode(const DetectionEvents &events) const
     // Flip parity per data qubit, then collect odd-parity qubits.
     s.xflip.assign(_lattice->numQubits(), 0);
     s.zflip.assign(_lattice->numQubits(), 0);
+    // Per query, every event weight and boundary path walks the
+    // lattice through the predicate. A set above the exact limit
+    // makes most of those queries, so when either type has one, both
+    // read one snapshot taken here; smaller sets keep the per-query
+    // search.
+    std::optional<MaskedChecks> snapshot;
+    if (_masked
+        && std::max(events.zEvents.size(), events.xEvents.size())
+            > _exactLimit)
+        snapshot = maskedChecks();
+    const MaskedChecks *masked = snapshot ? &*snapshot : nullptr;
     // Z-check events locate X errors; X-check events locate Z errors.
-    matchInto(events.zEvents, s.xflip);
-    matchInto(events.xEvents, s.zflip);
+    matchInto(events.zEvents, s.xflip, masked);
+    matchInto(events.xEvents, s.zflip, masked);
     return Correction::fromFlipMaps(s.xflip, s.zflip);
 }
 

@@ -145,10 +145,13 @@ class MwpmDecoder
     /**
      * Make the decoder defect-aware: masked (syndrome-disabled)
      * regions act as additional open boundaries where error chains
-     * can terminate, exactly like the lattice edge. The predicate is
-     * re-evaluated on every query (each event weight and boundary
-     * path) unless the caller passes a maskedChecks() snapshot, so
-     * it may track a live mask table.
+     * can terminate, exactly like the lattice edge. The predicate may
+     * track a live mask table: no snapshot of it outlives the call
+     * that took it. decode() reads one maskedChecks() snapshot when
+     * either type's set is above `exact_limit`, ClusterDecoder one
+     * per decode; every other query (smaller sets, and
+     * matchEvents()/matchInto()/pathToBoundary() called without a
+     * snapshot) re-evaluates it per event weight and boundary path.
      */
     void
     setMaskPredicate(MaskPredicate masked)
@@ -169,7 +172,10 @@ class MwpmDecoder
     /**
      * Decode all detection events into a correction.
      * Z-check events yield X corrections and vice versa. Each type's
-     * set is held to the matchEvents() precondition.
+     * set is held to the matchEvents() precondition. With a mask
+     * predicate and either set above `exact_limit`, both types match
+     * through one maskedChecks() snapshot taken by this call;
+     * otherwise every query reads the predicate.
      */
     Correction decode(const DetectionEvents &events) const;
 
@@ -195,10 +201,13 @@ class MwpmDecoder
      * Match one same-type event set and XOR each matched path into
      * `bits`, a flip map with one byte per lattice site. decode()
      * runs this once per stabilizer type; ClusterDecoder once per
-     * cluster.
+     * cluster. With `masked`, both the matching and the boundary
+     * paths read that snapshot, as in matchEvents(); without it, the
+     * predicate per query.
      */
     void matchInto(const std::vector<DetectionEvent> &events,
-                   std::vector<std::uint8_t> &bits) const;
+                   std::vector<std::uint8_t> &bits,
+                   const MaskedChecks *masked = nullptr) const;
 
     /**
      * Space-time distance between two same-type events: data qubits

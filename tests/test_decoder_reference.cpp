@@ -3,7 +3,8 @@
  * Reference differential tests for the decode hot path. Each test
  * keeps the algorithm the decoder used to run -- the full-table
  * bitmask DP, the greedy matcher over all n^2 edges, the O(n^2) LUT
- * passes -- as a reference here, and only here, and requires the
+ * passes, decodes that read the mask predicate per query -- as a
+ * reference here, and only here, and requires the
  * shipped decoder to give bit-identical results on random inputs:
  * the same matches in the same order with the same weights, the same
  * local flips, residual events and resolved count.
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <thread>
@@ -24,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "decode/cluster_decoder.hpp"
 #include "decode/lut_decoder.hpp"
 #include "decode/mwpm_decoder.hpp"
 #include "qecc/lattice.hpp"
@@ -32,6 +35,7 @@
 namespace {
 
 using namespace quest;
+using decode::ClusterDecoder;
 using decode::Correction;
 using decode::DetectionEvent;
 using decode::DetectionEvents;
@@ -316,6 +320,105 @@ referenceLut(const Lattice &lattice, const DetectionEvents &events)
     return out;
 }
 
+/**
+ * Fold one type's matching into `bits` through the public per-query
+ * queries: the matching and every boundary path read the mask
+ * predicate on each query, with no snapshot.
+ */
+void
+referenceMatchInto(const MwpmDecoder &dec,
+                   const std::vector<DetectionEvent> &events,
+                   std::vector<std::uint8_t> &bits)
+{
+    for (const Match &m : dec.matchEvents(events).matches) {
+        const std::vector<std::size_t> path = m.toBoundary
+            ? dec.pathToBoundary(events[m.a].ancilla)
+            : dec.pathBetween(events[m.a].ancilla, events[m.b].ancilla);
+        for (const std::size_t q : path)
+            bits[q] ^= 1;
+    }
+}
+
+/** MwpmDecoder::decode with every mask read per query. */
+Correction
+referenceDecode(const MwpmDecoder &dec, const DetectionEvents &ev)
+{
+    const std::size_t sites = dec.lattice().numQubits();
+    std::vector<std::uint8_t> xflip(sites, 0), zflip(sites, 0);
+    referenceMatchInto(dec, ev.zEvents, xflip);
+    referenceMatchInto(dec, ev.xEvents, zflip);
+    return Correction::fromFlipMaps(xflip, zflip);
+}
+
+/**
+ * ClusterDecoder as it ran with every mask read per query: each
+ * growth step re-reads each event's boundary distance, and each
+ * cluster is matched per query. Cluster membership, not the shape
+ * of the union-find forest, decides the result, so a plain forest
+ * stands in for the decoder's ranked one.
+ */
+Correction
+referenceCluster(const MwpmDecoder &dec, const DetectionEvents &ev)
+{
+    const auto clusterType = [&](const std::vector<DetectionEvent> &events,
+                                 std::vector<std::uint8_t> &bits) {
+        const std::size_t n = events.size();
+        std::vector<std::size_t> parent(n);
+        std::iota(parent.begin(), parent.end(), std::size_t(0));
+        std::vector<std::uint8_t> odd(n, 1), boundary(n, 0);
+        const auto find = [&](std::size_t x) {
+            while (parent[x] != x)
+                x = parent[x];
+            return x;
+        };
+        const auto neutral = [&](std::size_t x) {
+            return !odd[find(x)] || boundary[find(x)];
+        };
+        const auto allNeutral = [&] {
+            for (std::size_t i = 0; i < n; ++i)
+                if (!neutral(i))
+                    return false;
+            return true;
+        };
+        for (std::uint64_t radius = 1; !allNeutral(); ++radius) {
+            for (std::size_t i = 0; i < n; ++i) {
+                if (neutral(i))
+                    continue;
+                for (std::size_t j = 0; j < n; ++j) {
+                    const std::size_t a = find(i), b = find(j);
+                    if (j == i || a == b
+                        || dec.distance(events[i], events[j]) > 2 * radius)
+                        continue;
+                    parent[b] = a;
+                    odd[a] ^= odd[b];
+                    boundary[a] |= boundary[b];
+                }
+                if (dec.boundaryDistance(events[i]) <= radius)
+                    boundary[find(i)] = 1;
+            }
+        }
+        // Clusters in order of their first event, events in index
+        // order, as the decoder collects them.
+        std::vector<std::size_t> roots;
+        for (std::size_t i = 0; i < n; ++i)
+            if (std::find(roots.begin(), roots.end(), find(i))
+                == roots.end())
+                roots.push_back(find(i));
+        for (const std::size_t root : roots) {
+            std::vector<DetectionEvent> local;
+            for (std::size_t i = 0; i < n; ++i)
+                if (find(i) == root)
+                    local.push_back(events[i]);
+            referenceMatchInto(dec, local, bits);
+        }
+    };
+    const std::size_t sites = dec.lattice().numQubits();
+    std::vector<std::uint8_t> xflip(sites, 0), zflip(sites, 0);
+    clusterType(ev.zEvents, xflip);
+    clusterType(ev.xEvents, zflip);
+    return Correction::fromFlipMaps(xflip, zflip);
+}
+
 // ---------------------------------------------------------------
 // Comparison and input helpers.
 // ---------------------------------------------------------------
@@ -336,6 +439,14 @@ expectSameMatching(const MatchingResult &got, const MatchingResult &want,
         EXPECT_EQ(g.weight, w.weight)
             << what << " " << trial << " match " << k;
     }
+}
+
+void
+expectSameCorrection(const Correction &got, const Correction &want,
+                     const char *what, std::size_t trial)
+{
+    EXPECT_EQ(got.xFlips, want.xFlips) << what << " " << trial;
+    EXPECT_EQ(got.zFlips, want.zFlips) << what << " " << trial;
 }
 
 /**
@@ -644,6 +755,143 @@ TEST(DecoderReference, MaskSnapshotMatchesPerQuerySearch)
                 }
             }
         }
+    }
+}
+
+/** The four masks of MaskSnapshotMatchesPerQuerySearch. */
+std::vector<MwpmDecoder::MaskPredicate>
+testMasks(const Lattice &lattice, Rng &rng)
+{
+    return {randomMask(lattice, rng, 0.0), randomMask(lattice, rng, 0.1),
+            randomMask(lattice, rng, 0.3), equidistantMask(lattice)};
+}
+
+TEST(DecoderReference, DecodeMatchesPerQueryDecode)
+{
+    // decode() reads one snapshot when either type's set is above the
+    // exact limit (14) and the predicate per query otherwise; both
+    // must give the correction the per-query queries build. The
+    // sizes cover sets with no large set, one and two.
+    Rng rng(0xDEC0u);
+    std::size_t none_large = 0, one_large = 0, both_large = 0;
+    for (std::size_t distance : {3, 5, 7, 9}) {
+        const Lattice lattice = Lattice::forDistance(distance);
+        MwpmDecoder dec(lattice);
+        for (const MwpmDecoder::MaskPredicate &mask : testMasks(lattice, rng)) {
+            dec.setMaskPredicate(mask);
+            for (std::size_t trial = 0; trial < 40; ++trial) {
+                DetectionEvents ev;
+                const std::size_t nz = 1 + trial;
+                const std::size_t nx = 1 + (7 * trial + 13) % 40;
+                ev.zEvents = randomEvents(lattice, SiteType::ZAncilla, nz,
+                                          1 + trial % 5, rng);
+                ev.xEvents = randomEvents(lattice, SiteType::XAncilla, nx,
+                                          1 + trial % 4, rng);
+                const std::size_t large = (nz > 14) + (nx > 14);
+                none_large += large == 0;
+                one_large += large == 1;
+                both_large += large == 2;
+                expectSameCorrection(dec.decode(ev), referenceDecode(dec, ev),
+                                     "decode", trial);
+            }
+        }
+    }
+    EXPECT_GT(none_large, 0u);
+    EXPECT_GT(one_large, 0u);
+    EXPECT_GT(both_large, 0u);
+}
+
+TEST(DecoderReference, ClusterDecodeMatchesPerQueryDecode)
+{
+    // ClusterDecoder reads one snapshot per decode and each event's
+    // boundary distance once; the per-query growth must agree.
+    Rng rng(0xC1u);
+    for (std::size_t distance : {3, 5, 7, 9}) {
+        const Lattice lattice = Lattice::forDistance(distance);
+        MwpmDecoder dec(lattice);
+        const ClusterDecoder cluster(dec);
+        for (const MwpmDecoder::MaskPredicate &mask : testMasks(lattice, rng)) {
+            dec.setMaskPredicate(mask);
+            for (std::size_t trial = 0; trial < 12; ++trial) {
+                DetectionEvents ev;
+                ev.zEvents = randomEvents(lattice, SiteType::ZAncilla,
+                                          15 + 2 * trial, 2 + trial % 4, rng);
+                ev.xEvents = randomEvents(lattice, SiteType::XAncilla,
+                                          40 - 2 * trial, 2 + trial % 3, rng);
+                expectSameCorrection(cluster.decode(ev),
+                                     referenceCluster(dec, ev), "cluster",
+                                     trial);
+            }
+        }
+    }
+}
+
+TEST(DecoderReference, DecodersRereadALiveMaskEveryCall)
+{
+    // The predicate reads a table that changes between calls with no
+    // new setMaskPredicate, as a tile's live mask table does. A
+    // snapshot kept from an earlier call would decode against the
+    // old mask.
+    Rng rng(0x11CEu);
+    const Lattice lattice = Lattice::forDistance(7);
+    std::vector<std::uint8_t> table(lattice.numQubits(), 0);
+    MwpmDecoder dec(lattice);
+    dec.setMaskPredicate([&table](std::size_t q) { return table[q] != 0; });
+    const ClusterDecoder cluster(dec);
+    std::size_t moved = 0;
+    for (std::size_t trial = 0; trial < 30; ++trial) {
+        DetectionEvents ev;
+        ev.zEvents = randomEvents(lattice, SiteType::ZAncilla,
+                                  15 + trial % 20, 3, rng);
+        ev.xEvents = randomEvents(lattice, SiteType::XAncilla,
+                                  5 + trial % 30, 3, rng);
+        Correction previous;
+        for (std::size_t step = 0; step < 3; ++step) {
+            for (std::uint8_t &m : table)
+                m = rng.bernoulli(0.15) ? 1 : 0;
+            const Correction want = referenceDecode(dec, ev);
+            expectSameCorrection(dec.decode(ev), want, "live decode", trial);
+            expectSameCorrection(cluster.decode(ev),
+                                 referenceCluster(dec, ev), "live cluster",
+                                 trial);
+            moved += step > 0 && (want.xFlips != previous.xFlips
+                                  || want.zFlips != previous.zFlips);
+            previous = want;
+        }
+    }
+    // The mask changes move most corrections, so a stale snapshot
+    // would show.
+    EXPECT_GT(moved, 30u);
+}
+
+TEST(DecoderReference, DecodersReadTheMaskOncePerCallWithALargeSet)
+{
+    // One snapshot reads the predicate once per check. MwpmDecoder
+    // takes one when either type's set is above the exact limit, for
+    // both types; ClusterDecoder takes one on every call.
+    const Lattice lattice = Lattice::forDistance(7);
+    const std::size_t checks = lattice.sites(SiteType::ZAncilla).size()
+        + lattice.sites(SiteType::XAncilla).size();
+    std::size_t reads = 0;
+    MwpmDecoder dec(lattice);
+    dec.setMaskPredicate([&reads](std::size_t q) {
+        ++reads;
+        return q % 11 == 0;
+    });
+    const ClusterDecoder cluster(dec);
+    Rng rng(0x0CEu);
+    for (const bool z_large : {true, false}) {
+        DetectionEvents ev;
+        ev.zEvents = randomEvents(lattice, SiteType::ZAncilla,
+                                  z_large ? 20 : 3, 3, rng);
+        ev.xEvents = randomEvents(lattice, SiteType::XAncilla,
+                                  z_large ? 3 : 20, 3, rng);
+        reads = 0;
+        dec.decode(ev);
+        EXPECT_EQ(reads, checks) << "large Z set: " << z_large;
+        reads = 0;
+        cluster.decode(ev);
+        EXPECT_EQ(reads, checks) << "large Z set: " << z_large;
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "decode/lut_decoder.hpp"
 #include "decode/mwpm_decoder.hpp"
@@ -160,6 +161,31 @@ TEST_F(LutTest, RejectsInputThatIsNotRoundMajor)
         e.type = SiteType::XAncilla;
     }
     expectPanic(events, "round-major");
+}
+
+TEST_F(LutTest, RejectsTwoEventsAtOneCheckInOneRound)
+{
+    // Extraction emits at most one event per check and round; the
+    // passes look partners up by check, so a repeat is a caller bug
+    // and panics. The panic leaves the decoder's per-thread tables
+    // clean: the next decode resolves a pair on the same checks.
+    DetectionEvents events;
+    for (const Coord c : {Coord{3, 2}, Coord{3, 4}, Coord{3, 2}})
+        events.zEvents.push_back(DetectionEvent{0, c, SiteType::ZAncilla});
+    try {
+        lut.decodeLocal(events);
+        ADD_FAILURE() << "accepted two events at one check";
+    } catch (const quest::sim::SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("two LUT events"),
+                  std::string::npos)
+            << e.what();
+    }
+    events.zEvents.pop_back();
+    const LocalDecodeResult result = lut.decodeLocal(events);
+    EXPECT_EQ(result.resolvedEvents, 2u);
+    EXPECT_EQ(result.correction.xFlips,
+              std::vector<std::size_t>{lattice.index(Coord{3, 3})});
+    EXPECT_EQ(result.residual.total(), 0u);
 }
 
 TEST_F(LutTest, LocalPlusGlobalEqualsCleanState)
