@@ -268,16 +268,19 @@ class Flags
 /**
  * Pick the rep count that stretches a timed window past
  * `min_window_s`, from one warm probe pass that took `probe_wall_s`.
+ * The window sets it; the cap only stops a probe too short to time
+ * from asking for an unbounded run.
  */
 inline std::uint64_t
 calibrateReps(double probe_wall_s, double min_window_s)
 {
+    constexpr double max_reps = double(std::uint64_t(1) << 24);
     if (probe_wall_s <= 0.0)
-        return 4096;
+        return std::uint64_t(max_reps);
     const double want = min_window_s / probe_wall_s;
     if (want <= 1.0)
         return 1;
-    return std::uint64_t(std::min(4096.0, want + 1.0));
+    return std::uint64_t(std::min(max_reps, want + 1.0));
 }
 
 } // namespace quest::bench

@@ -5,6 +5,11 @@
  * behind the master controller. The paper's two-level decode scheme
  * leaves "complex error patterns" to the global decoder; this bench
  * quantifies the accuracy/latency trade-off of that component.
+ *
+ * The "MWPM exact" column is exact only up to 14 events per set: its
+ * decoder has exact limit 14, so every larger set goes to the greedy
+ * matcher, and a greedy change can move that column (it did at d=7).
+ * The column keeps its printed name.
  */
 
 #include <algorithm>

@@ -24,16 +24,26 @@ extractDetectionEventsWindow(
     const qecc::SyndromeRound *baseline, std::size_t first_round)
 {
     DetectionEvents out;
+    appendDetectionEvents(history, extractor, baseline, first_round, out);
+    return out;
+}
+
+void
+appendDetectionEvents(std::span<const qecc::SyndromeRound> rounds,
+                      const qecc::SyndromeExtractor &extractor,
+                      const qecc::SyndromeRound *baseline,
+                      std::size_t first_round, DetectionEvents &out)
+{
     const auto &x_anc = extractor.xAncillas();
     const auto &z_anc = extractor.zAncillas();
 
-    for (std::size_t r = 0; r < history.size(); ++r) {
-        const auto &round = history[r];
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+        const auto &round = rounds[r];
         QUEST_ASSERT(round.xFlips.size() == x_anc.size()
                      && round.zFlips.size() == z_anc.size(),
                      "syndrome round %zu has inconsistent width", r);
         const qecc::SyndromeRound *prev =
-            r == 0 ? baseline : &history[r - 1];
+            r == 0 ? baseline : &rounds[r - 1];
         for (std::size_t i = 0; i < x_anc.size(); ++i) {
             const std::uint8_t p = prev ? prev->xFlips[i] : 0;
             if (round.xFlips[i] != p)
@@ -47,7 +57,6 @@ extractDetectionEventsWindow(
                     first_round + r, z_anc[i], SiteType::ZAncilla});
         }
     }
-    return out;
 }
 
 std::vector<DetectionEvents>
@@ -170,13 +179,22 @@ Correction::fromFlipMaps(const std::vector<std::uint8_t> &xflip,
                          const std::vector<std::uint8_t> &zflip)
 {
     Correction out;
+    out.assignFlipMaps(xflip, zflip);
+    return out;
+}
+
+void
+Correction::assignFlipMaps(const std::vector<std::uint8_t> &xflip,
+                           const std::vector<std::uint8_t> &zflip)
+{
+    xFlips.clear();
+    zFlips.clear();
     for (std::size_t q = 0; q < xflip.size(); ++q) {
         if (xflip[q])
-            out.xFlips.push_back(q);
+            xFlips.push_back(q);
         if (zflip[q])
-            out.zFlips.push_back(q);
+            zFlips.push_back(q);
     }
-    return out;
 }
 
 void

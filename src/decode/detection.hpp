@@ -15,6 +15,7 @@
 #define QUEST_DECODE_DETECTION_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "qecc/extractor.hpp"
@@ -66,6 +67,18 @@ DetectionEvents extractDetectionEventsWindow(
     const qecc::SyndromeRound *baseline, std::size_t first_round);
 
 /**
+ * The core of extractDetectionEventsWindow: append the events of
+ * `rounds` onto `out`, each type's list in the same round-major,
+ * ancilla-index order. A caller that already holds the events of
+ * earlier rounds extracts only the rounds after them, with the last
+ * of those rounds as `baseline`.
+ */
+void appendDetectionEvents(std::span<const qecc::SyndromeRound> rounds,
+                           const qecc::SyndromeExtractor &extractor,
+                           const qecc::SyndromeRound *baseline,
+                           std::size_t first_round, DetectionEvents &out);
+
+/**
  * Difference a batched syndrome history into per-lane detection
  * events. Lane t of the result is exactly what
  * extractDetectionEvents would return for lane t's scalar history:
@@ -109,6 +122,12 @@ struct Correction
 
     /** Merge another correction into this one (XOR semantics). */
     void merge(const Correction &other);
+
+    /** Replace the flips with those of per-site flip maps, as
+     *  fromFlipMaps() builds them, keeping this correction's
+     *  capacity. */
+    void assignFlipMaps(const std::vector<std::uint8_t> &xflip,
+                        const std::vector<std::uint8_t> &zflip);
 
     /**
      * Fold per-site flip maps (one byte per lattice site, odd = flip)

@@ -66,6 +66,9 @@ LutDecoder::decodeType(const std::vector<DetectionEvent> &events,
         QUEST_ASSERT(events[i - 1].round <= events[i].round,
                      "LUT events must be round-major: round %zu follows "
                      "round %zu", events[i].round, events[i - 1].round);
+    // Each event yields at most one flip or one residual entry.
+    flips.reserve(flips.size() + n);
+    residual.reserve(residual.size() + n);
     const int rows = int(_lattice->rows());
     const int cols = int(_lattice->cols());
     const std::ptrdiff_t width = cols + 2 * pad;
@@ -226,12 +229,24 @@ LocalDecodeResult
 LutDecoder::decodeLocal(const DetectionEvents &events) const
 {
     LocalDecodeResult out;
+    decodeLocal(events, out);
+    return out;
+}
+
+void
+LutDecoder::decodeLocal(const DetectionEvents &events,
+                        LocalDecodeResult &out) const
+{
+    out.correction.xFlips.clear();
+    out.correction.zFlips.clear();
+    out.residual.xEvents.clear();
+    out.residual.zEvents.clear();
+    out.resolvedEvents = 0;
     // Z-check events locate X errors; X-check events locate Z errors.
     decodeType(events.zEvents, out.correction.xFlips,
                out.residual.zEvents, out.resolvedEvents);
     decodeType(events.xEvents, out.correction.zFlips,
                out.residual.xEvents, out.resolvedEvents);
-    return out;
 }
 
 } // namespace quest::decode

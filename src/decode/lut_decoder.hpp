@@ -56,6 +56,11 @@ class LutDecoder
      */
     LocalDecodeResult decodeLocal(const DetectionEvents &events) const;
 
+    /** As above, into `out`, whose contents are replaced and whose
+     *  capacity is kept (the streamer's per-window result). */
+    void decodeLocal(const DetectionEvents &events,
+                     LocalDecodeResult &out) const;
+
   private:
     const qecc::Lattice *_lattice;
 

@@ -1,10 +1,12 @@
 #include "mwpm_decoder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
@@ -28,6 +30,13 @@ constexpr std::uint32_t noAncilla =
  * each.
  */
 constexpr std::size_t maxGreedyEvents = std::size_t(1) << 16;
+
+/**
+ * Buckets of the greedy matcher's counting pass, one per edge key
+ * (weight << 1 | boundary): it sorts sets whose boundary weights are
+ * all at most 15 (every d <= 31 lattice edge).
+ */
+constexpr std::size_t greedyBuckets = 32;
 
 /**
  * Per-thread scratch arena for the matchers and decode(). Reused
@@ -57,9 +66,11 @@ struct Scratch
 
     // matchGreedy: the events in (round, index) order and the
     // candidate edges, packed as weight << 33 | boundary << 32 |
-    // a << 16 | b, with b == a for a boundary edge.
+    // a << 16 | b, with b == a for a boundary edge; `bucketed` takes
+    // them in sorted order from the counting pass.
     std::vector<std::uint32_t> order;
     std::vector<std::uint64_t> edges;
+    std::vector<std::uint64_t> bucketed;
     std::vector<std::uint8_t> used;
 
     // decode
@@ -286,8 +297,17 @@ MaskedChecks
 MwpmDecoder::maskedChecks() const
 {
     MaskedChecks out;
+    maskedChecks(out);
+    return out;
+}
+
+void
+MwpmDecoder::maskedChecks(MaskedChecks &out) const
+{
+    out.zChecks.clear();
+    out.xChecks.clear();
     if (!_masked)
-        return out;
+        return;
     // Row-major index order is Lattice::sites() order.
     for (std::size_t q = 0; q < _lattice->numQubits(); ++q) {
         const Coord c = _lattice->coord(q);
@@ -296,7 +316,6 @@ MwpmDecoder::maskedChecks() const
             (type == SiteType::ZAncilla ? out.zChecks : out.xChecks)
                 .push_back(c);
     }
-    return out;
 }
 
 std::optional<std::pair<std::uint64_t, Coord>>
@@ -516,38 +535,72 @@ MwpmDecoder::matchGreedy(const std::vector<DetectionEvent> &events,
     };
     // Walk the events in (round, index) order: a pair's weight is at
     // least its round gap, so each event's scan ends at the first
-    // gap above its boundary weight.
+    // gap above its boundary weight. Sets already in round order
+    // (every streaming window, every extraction) keep the identity.
+    const bool presorted = std::is_sorted(
+        events.begin(), events.end(),
+        [](const DetectionEvent &x, const DetectionEvent &y) {
+            return x.round < y.round;
+        });
     auto &order = s.order;
     order.resize(n);
     std::iota(order.begin(), order.end(), std::uint32_t(0));
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                  return events[x].round != events[y].round
-                      ? events[x].round < events[y].round : x < y;
-              });
+    if (!presorted)
+        std::sort(order.begin(), order.end(),
+                  [&](std::uint32_t x, std::uint32_t y) {
+                      return events[x].round != events[y].round
+                          ? events[x].round < events[y].round : x < y;
+                  });
     // Only edges greedy can take: a pair heavier than either
     // endpoint's boundary edge sorts after it, when that endpoint is
     // already used, so it is never generated.
+    const MatchGeometry &g = *_geometry;
     auto &edges = s.edges;
     edges.clear();
+    std::uint64_t max_bweight = 0;
     for (std::size_t p = 0; p < n; ++p) {
         const std::size_t i = order[p];
         const std::uint64_t bi = s.bweight[i];
         QUEST_ASSERT(bi < std::uint64_t(1) << 31,
                      "greedy boundary weight %llu exceeds 31 bits",
                      (unsigned long long)bi);
+        max_bweight = std::max(max_bweight, bi);
         edges.push_back(pack(bi, true, i, i));
+        // Event i's row of the all-pairs table; partners come later
+        // in round order, so the round gap needs no absolute value.
+        const std::uint32_t *row = s.ids.empty()
+            ? nullptr : &g.spatial[std::size_t(s.ids[i]) * g.numAncilla];
+        const std::size_t ri = events[i].round;
         for (std::size_t q = p + 1; q < n; ++q) {
             const std::size_t j = order[q];
-            if (events[j].round - events[i].round > bi)
+            const std::size_t gap = events[j].round - ri;
+            if (gap > bi)
                 break;
-            const std::uint64_t w = pairWeight(events, s.ids, i, j);
+            const std::uint64_t w = row ? row[s.ids[j]] + gap
+                                        : distance(events[i], events[j]);
             if (w <= bi && w <= s.bweight[j])
                 edges.push_back(
                     pack(w, false, std::min(i, j), std::max(i, j)));
         }
     }
-    std::sort(edges.begin(), edges.end());
+    // On a presorted set the edges come out in (a, b) order, so a
+    // stable counting pass over the key bits (weight, boundary) puts
+    // them in word order. Other sets, and boundary weights past the
+    // buckets, sort the words.
+    if (presorted && 2 * max_bweight + 1 < greedyBuckets) {
+        std::array<std::size_t, greedyBuckets> start{};
+        for (const std::uint64_t e : edges)
+            ++start[e >> 32];
+        std::size_t sum = 0;
+        for (std::size_t &c : start)
+            sum += std::exchange(c, sum);
+        s.bucketed.resize(edges.size());
+        for (const std::uint64_t e : edges)
+            s.bucketed[start[e >> 32]++] = e;
+        edges.swap(s.bucketed);
+    } else {
+        std::sort(edges.begin(), edges.end());
+    }
 
     MatchingResult result;
     s.used.assign(n, 0);

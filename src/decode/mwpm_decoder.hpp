@@ -169,6 +169,10 @@ class MwpmDecoder
      *  without a predicate). */
     MaskedChecks maskedChecks() const;
 
+    /** As above, into `out`, whose contents are replaced and whose
+     *  capacity is kept (the streamer's per-window snapshot). */
+    void maskedChecks(MaskedChecks &out) const;
+
     /**
      * Decode all detection events into a correction.
      * Z-check events yield X corrections and vice versa. Each type's

@@ -1,6 +1,8 @@
 #include "streaming.hpp"
 
 #include <algorithm>
+#include <span>
+#include <tuple>
 
 #include "sim/logging.hpp"
 #include "sim/trace.hpp"
@@ -83,20 +85,75 @@ StreamingDecoder::finish()
     return out;
 }
 
-void
-StreamingDecoder::filterConsumed(std::vector<DetectionEvent> &events)
+namespace {
+
+/** Extraction order: by round, then by check in row-major order. */
+bool
+extractedBefore(const DetectionEvent &a, const DetectionEvent &b)
 {
-    if (_consumed.empty() || events.empty())
+    return std::tie(a.round, a.ancilla.row, a.ancilla.col)
+        < std::tie(b.round, b.ancilla.row, b.ancilla.col);
+}
+
+/**
+ * Per-thread scratch for decodeWindow, cleared and refilled by every
+ * window: the window's commit-region and carry-region events, the
+ * LUT result, the mask snapshot and the global correction, then the
+ * global stage's flip maps, one type's events and one match's path.
+ * One set per thread rather than per streamer: a thread decodes one
+ * window at a time, and a copy per streamer would hold each
+ * streamer's high-water capacity at once.
+ */
+struct WindowScratch
+{
+    DetectionEvents events;
+    DetectionEvents carry;
+    LocalDecodeResult local;
+    MaskedChecks masked;
+    Correction global;
+    std::vector<std::uint8_t> xflip;
+    std::vector<std::uint8_t> zflip;
+    std::vector<DetectionEvent> evts;
+    std::vector<std::size_t> path;
+};
+
+WindowScratch &
+windowScratch()
+{
+    static thread_local WindowScratch s;
+    return s;
+}
+
+/** Move the events of `from` at or after `round` onto `to`. */
+void
+moveFrom(std::vector<DetectionEvent> &from, std::size_t round,
+         std::vector<DetectionEvent> &to)
+{
+    const auto it = std::partition_point(
+        from.begin(), from.end(),
+        [&](const DetectionEvent &e) { return e.round < round; });
+    to.assign(it, from.end());
+    from.erase(it, from.end());
+}
+
+} // namespace
+
+void
+StreamingDecoder::filterConsumed(std::vector<DetectionEvent> &events) const
+{
+    if (_consumed.empty())
         return;
-    std::size_t w = 0;
+    // A merge of two lists in extraction order; `_consumed` holds
+    // both types, so entries of the other type are stepped over.
+    std::size_t w = 0, c = 0;
     for (std::size_t r = 0; r < events.size(); ++r) {
-        const auto it = std::find(_consumed.begin(), _consumed.end(),
-                                  events[r]);
-        if (it != _consumed.end())
-            _consumed.erase(it); // each consumed-ahead entry cancels
-                                 // exactly one reappearance
-        else
-            events[w++] = events[r];
+        const DetectionEvent &e = events[r];
+        while (c < _consumed.size()
+               && (_consumed[c].type != e.type
+                   || extractedBefore(_consumed[c], e)))
+            ++c;
+        if (c == _consumed.size() || _consumed[c] != e)
+            events[w++] = e;
     }
     events.resize(w);
 }
@@ -113,36 +170,40 @@ StreamingDecoder::decodeWindow(bool flush)
     const std::size_t commit_end =
         flush ? _firstRound + take : _firstRound + _cfg.strideRounds;
 
-    DetectionEvents ev = extractDetectionEventsWindow(
-        _buffer, *_extractor, _baseline ? &*_baseline : nullptr,
-        _firstRound);
+    WindowScratch &s = windowScratch();
+    DetectionEvents &ev = s.events;
+    DetectionEvents &carry = s.carry;
+    // The previous window already extracted the first
+    // `_rawCarryRounds` buffered rounds, against the same rounds
+    // before them: extract only the rest, after its last one.
+    ev.xEvents.assign(_rawCarry.xEvents.begin(), _rawCarry.xEvents.end());
+    ev.zEvents.assign(_rawCarry.zEvents.begin(), _rawCarry.zEvents.end());
+    const std::size_t kept = _rawCarryRounds;
+    appendDetectionEvents(
+        std::span(_buffer).subspan(kept), *_extractor,
+        kept ? &_buffer[kept - 1] : _baseline ? &*_baseline : nullptr,
+        _firstRound + kept, ev);
+    // This window's carry region, unfiltered, is the next window's
+    // first `windowRounds - strideRounds` rounds.
+    moveFrom(ev.xEvents, commit_end, _rawCarry.xEvents);
+    moveFrom(ev.zEvents, commit_end, _rawCarry.zEvents);
+    _rawCarryRounds = flush ? 0 : take - _cfg.strideRounds;
+    carry.xEvents = _rawCarry.xEvents;
+    carry.zEvents = _rawCarry.zEvents;
     filterConsumed(ev.xEvents);
     filterConsumed(ev.zEvents);
+    filterConsumed(carry.xEvents);
+    filterConsumed(carry.zEvents);
 
     StreamCommit commit;
     commit.windowFirstRound = _firstRound;
     commit.commitEndRound = commit_end;
-    commit.windowEvents = ev.total();
-
-    // Extraction order is round-major, so each type list splits into
-    // a commit-region prefix and a carry-region suffix.
-    const auto split = [&](std::vector<DetectionEvent> &v,
-                           std::vector<DetectionEvent> &carry_out) {
-        const auto it =
-            std::find_if(v.begin(), v.end(),
-                         [&](const DetectionEvent &e) {
-                             return e.round >= commit_end;
-                         });
-        carry_out.assign(it, v.end());
-        v.erase(it, v.end());
-    };
-    DetectionEvents carry;
-    split(ev.xEvents, carry.xEvents);
-    split(ev.zEvents, carry.zEvents);
+    commit.windowEvents = ev.total() + carry.total();
 
     // Local stage: the LUT sees the commit region only -- a carry
     // event's partner may not even be extracted yet.
-    const LocalDecodeResult local = _lut.decodeLocal(ev);
+    _lut.decodeLocal(ev, s.local);
+    const LocalDecodeResult &local = s.local;
     const std::size_t residual_total =
         local.residual.total() + carry.total();
 
@@ -161,7 +222,9 @@ StreamingDecoder::decodeWindow(bool flush)
         + newly_seen(carry.xEvents) + newly_seen(carry.zEvents);
     _chargedThrough = std::max(_chargedThrough, _firstRound + take);
 
-    Correction global;
+    Correction &global = s.global;
+    global.xFlips.clear();
+    global.zFlips.clear();
     std::size_t deferred = 0;
     if (residual_total > 0 && _deadline.overruns(residual_total)) {
         // Deadline overrun: degrade to the near-linear cluster
@@ -180,52 +243,53 @@ StreamingDecoder::decodeWindow(bool flush)
         // wholly in the carry region are deferred. The mask cannot
         // change inside a window, so both types' matchings and
         // boundary paths read one snapshot of it.
-        const MaskedChecks masked = _mwpm.maskedChecks();
+        _mwpm.maskedChecks(s.masked);
+        const MaskedChecks &masked = s.masked;
         const std::size_t n = _extractor->lattice().numQubits();
-        _xflip.assign(n, 0);
-        _zflip.assign(n, 0);
+        s.xflip.assign(n, 0);
+        s.zflip.assign(n, 0);
         const auto decode_type =
             [&](const std::vector<DetectionEvent> &resid,
                 const std::vector<DetectionEvent> &car,
                 std::vector<std::uint8_t> &bits) {
-                _evts.assign(resid.begin(), resid.end());
-                _evts.insert(_evts.end(), car.begin(), car.end());
-                if (_evts.empty())
+                s.evts.assign(resid.begin(), resid.end());
+                s.evts.insert(s.evts.end(), car.begin(), car.end());
+                if (s.evts.empty())
                     return;
                 const MatchingResult mr =
-                    _mwpm.matchEvents(_evts, &masked);
+                    _mwpm.matchEvents(s.evts, &masked);
                 for (const Match &m : mr.matches) {
-                    const DetectionEvent &ea = _evts[m.a];
-                    _path.clear();
+                    const DetectionEvent &ea = s.evts[m.a];
+                    s.path.clear();
                     if (m.toBoundary) {
                         if (ea.round >= commit_end) {
                             ++deferred;
                             continue;
                         }
-                        _mwpm.pathToBoundary(ea.ancilla, _path, &masked);
+                        _mwpm.pathToBoundary(ea.ancilla, s.path, &masked);
                     } else {
-                        const DetectionEvent &eb = _evts[m.b];
+                        const DetectionEvent &eb = s.evts[m.b];
                         if (std::min(ea.round, eb.round)
                             >= commit_end) {
                             deferred += 2;
                             continue;
                         }
                         _mwpm.pathBetween(ea.ancilla, eb.ancilla,
-                                          _path);
+                                          s.path);
                         if (ea.round >= commit_end)
                             _consumed.push_back(ea);
                         if (eb.round >= commit_end)
                             _consumed.push_back(eb);
                     }
-                    for (std::size_t q : _path)
+                    for (std::size_t q : s.path)
                         bits[q] ^= 1;
                 }
             };
         // Z-check events locate X errors; X-check events locate Z
         // errors -- same order as the offline decoders.
-        decode_type(local.residual.zEvents, carry.zEvents, _xflip);
-        decode_type(local.residual.xEvents, carry.xEvents, _zflip);
-        global = Correction::fromFlipMaps(_xflip, _zflip);
+        decode_type(local.residual.zEvents, carry.zEvents, s.xflip);
+        decode_type(local.residual.xEvents, carry.xEvents, s.zflip);
+        global.assignFlipMaps(s.xflip, s.zflip);
     }
     commit.deferredEvents = deferred;
     commit.correction = local.correction;
@@ -239,12 +303,14 @@ StreamingDecoder::decodeWindow(bool flush)
                   _buffer.begin() + std::ptrdiff_t(drop));
     _firstRound += drop;
     _frontier = commit_end;
-    // Consumed-ahead entries always reappear in the very next
-    // extraction; anything older is unreachable -- purge so the
-    // list cannot grow without bound.
+    // A consumed-ahead entry reappears in every window that still
+    // holds its round (more than one when windowRounds exceeds twice
+    // the stride); once its round slides out it is unreachable --
+    // purge so the list cannot grow without bound.
     std::erase_if(_consumed, [&](const DetectionEvent &e) {
         return e.round < _firstRound;
     });
+    std::sort(_consumed.begin(), _consumed.end(), extractedBefore);
 
     ++_windows;
     ++_mWindows;

@@ -12,22 +12,34 @@
  *
  *  - rounds are buffered as they are extracted; every `windowRounds`
  *    buffered rounds form one decode window, differenced against the
- *    carried baseline round via extractDetectionEventsWindow;
+ *    carried baseline round;
  *  - the first `strideRounds` rounds of a window are the *commit
  *    region*: matches whose earliest endpoint lies there are
  *    committed now. A committed match may reach into the carry
  *    region; its carry-side endpoints are recorded as consumed-ahead
- *    and filtered from the next window's extraction;
+ *    and filtered from every later window that still holds their
+ *    round (two of them once windowRounds exceeds twice the stride);
  *  - matches lying wholly in the carry region are deferred -- the
  *    window then slides by `strideRounds`, the last dropped round
  *    becomes the next baseline, and the deferred events reappear
- *    identically in the next extraction (re-differencing against
- *    the carried baseline reproduces them bit for bit);
+ *    identically in the next window (re-differencing against the
+ *    carried baseline would reproduce them bit for bit);
  *  - a window the DecodeDeadline judges overrun (its residual
  *    event count misses the budget, or an injected DecoderOverrun
  *    fault fires) degrades to the union-find ClusterDecoder over
  *    the commit region only, reporting the lateness stretch for
  *    the noise model.
+ *
+ * Overlap reuse: a window's carry region is the next window's first
+ * `windowRounds - strideRounds` rounds, differenced against the same
+ * rounds before them, so its events as extracted (before the
+ * consumed-ahead filter) are exactly what the next window would
+ * extract there. The streamer keeps them and extracts only the
+ * rounds after them, against the last kept round; every window's
+ * events are still filtered afresh. The per-window event lists, the
+ * LUT result, the mask snapshot, the global correction and the
+ * global stage's buffers live in one per-thread scratch, cleared and
+ * refilled rather than allocated per window.
  *
  * Each window runs the same LUT -> MWPM two-level pipeline as the
  * offline path, so a single window spanning the entire shot (or a
@@ -198,15 +210,13 @@ class StreamingDecoder
      *  charged in an earlier window. */
     std::size_t _chargedThrough = 0;
     /** Carry-region events already corrected by a committed match;
-     *  filtered out of the next window's extraction. */
+     *  filtered out of every later window that extracts them. */
     std::vector<DetectionEvent> _consumed;
-
-    // Global-stage scratch, reused by every window: the flip maps,
-    // one type's events and one match's path.
-    std::vector<std::uint8_t> _xflip;
-    std::vector<std::uint8_t> _zflip;
-    std::vector<DetectionEvent> _evts;
-    std::vector<std::size_t> _path;
+    /** The previous window's carry-region events as extracted, before
+     *  filtering: the raw events of the first `_rawCarryRounds`
+     *  buffered rounds. */
+    DetectionEvents _rawCarry;
+    std::size_t _rawCarryRounds = 0;
 
     std::size_t _windows = 0;
     std::size_t _fallbackCount = 0;
@@ -231,8 +241,9 @@ class StreamingDecoder
      */
     std::optional<StreamCommit> decodeWindow(bool flush);
 
-    /** Drop consumed-ahead events from a fresh extraction. */
-    void filterConsumed(std::vector<DetectionEvent> &events);
+    /** Drop consumed-ahead events from one type's extraction, in
+     *  one pass; `_consumed` must be in extraction order. */
+    void filterConsumed(std::vector<DetectionEvent> &events) const;
 };
 
 } // namespace quest::decode

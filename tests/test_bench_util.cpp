@@ -145,13 +145,16 @@ TEST(BenchCalibrateReps, StretchesTheProbeToTheWindow)
     // A probe already as long as the window runs once.
     EXPECT_EQ(calibrateReps(0.5, 0.5), 1u);
     EXPECT_EQ(calibrateReps(2.0, 0.5), 1u);
+    // A fast decoder's 2^-16 s probe fills a 0.5 s window with 2^15
+    // reps, far more than a fixed cap of a few thousand would allow.
+    EXPECT_EQ(calibrateReps(1.0 / 65536, 0.5), 32769u);
 }
 
 TEST(BenchCalibrateReps, CapsTinyOrUntimedProbes)
 {
-    EXPECT_EQ(calibrateReps(1e-9, 0.05), 4096u);
-    EXPECT_EQ(calibrateReps(0.0, 0.05), 4096u);
-    EXPECT_EQ(calibrateReps(-1.0, 0.05), 4096u);
+    EXPECT_EQ(calibrateReps(1e-9, 0.05), 1u << 24);
+    EXPECT_EQ(calibrateReps(0.0, 0.05), 1u << 24);
+    EXPECT_EQ(calibrateReps(-1.0, 0.05), 1u << 24);
 }
 
 TEST(BenchJson, ValuesPrintAsTheStreamPrintsThem)

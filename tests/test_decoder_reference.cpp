@@ -591,6 +591,54 @@ TEST(DecoderReference, CompactGreedyMatchesWideEdgeSort)
     }
 }
 
+TEST(DecoderReference, GreedyBucketPassMatchesWideEdgeSortAtItsBound)
+{
+    // A round-ordered set skips both sorts: its edges come out in
+    // (a, b) order and a counting pass over (weight, boundary) keys
+    // orders them, with buckets for boundary weights up to 15, the
+    // largest at d = 31. At d = 33 the central checks sit 16 steps
+    // from the edge, so a set holding one sorts the words instead,
+    // as every shuffled set does. Few rounds make equal-round ties.
+    Rng rng(0xB0C7u);
+    std::size_t over_bound = 0, under_bound = 0;
+    for (const std::size_t distance : {31, 33}) {
+        const Lattice lattice = Lattice::forDistance(distance);
+        MwpmDecoder plain(lattice);
+        MwpmDecoder masked(lattice);
+        masked.setMaskPredicate(randomMask(lattice, rng, 0.002));
+        for (std::size_t trial = 0; trial < 12; ++trial) {
+            const std::size_t n = std::size_t{40} << (trial % 3);
+            const SiteType type = trial % 2 ? SiteType::XAncilla
+                                            : SiteType::ZAncilla;
+            std::vector<DetectionEvent> ev =
+                randomEvents(lattice, type, n, 2 + trial % 4, rng);
+            std::stable_sort(ev.begin(), ev.end(),
+                             [](const DetectionEvent &a,
+                                const DetectionEvent &b) {
+                                 return a.round < b.round;
+                             });
+            std::uint64_t max_boundary = 0;
+            for (const DetectionEvent &e : ev)
+                max_boundary =
+                    std::max(max_boundary, plain.boundaryDistance(e));
+            EXPECT_EQ(max_boundary > 15, distance == 33) << trial;
+            (max_boundary > 15 ? over_bound : under_bound) += 1;
+            std::vector<DetectionEvent> shuffled = ev;
+            std::shuffle(shuffled.begin(), shuffled.end(), rng);
+            for (const MwpmDecoder *dec : {&plain, &masked}) {
+                expectSameMatching(dec->matchEvents(ev),
+                                   referenceGreedy(*dec, ev), "bucketed",
+                                   trial);
+                expectSameMatching(dec->matchEvents(shuffled),
+                                   referenceGreedy(*dec, shuffled),
+                                   "bucketed shuffled", trial);
+            }
+        }
+    }
+    EXPECT_GT(over_bound, 0u);
+    EXPECT_GT(under_bound, 0u);
+}
+
 TEST(DecoderReference, GreedyMatchesGroupsFarApartInTimeWithinThemselves)
 {
     // Two groups of events 2^32 rounds apart: every cross-group pair

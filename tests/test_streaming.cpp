@@ -7,13 +7,20 @@
  * bit for bit. Windowed runs must still commit every detection
  * event exactly once (the accumulated correction clears the
  * syndrome), and the deadline-overrun path must degrade to the
- * cluster decoder deterministically. The master-controller wiring is
- * pinned by a W == S run against the offline decode cadence.
+ * cluster decoder deterministically. A reference streamer that
+ * re-extracts every window pins the streamer's reuse of each
+ * window's overlap. The master-controller wiring is pinned by a
+ * W == S run against the offline decode cadence.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/master_controller.hpp"
 #include "core/system.hpp"
@@ -53,6 +60,148 @@ streamDecode(StreamingDecoder &streamer,
         total.merge(commit->correction);
     return total;
 }
+
+/**
+ * The streamer with nothing kept between windows: every window
+ * re-extracts all of its buffered rounds, drops each consumed-ahead
+ * event it finds, matches with the mask read per query and folds
+ * the flips into a fresh correction. No deadline, so no fallback.
+ * The real streamer extracts only a window's new rounds and reuses
+ * its buffers; its commits must equal these.
+ */
+class ReferenceStreamer
+{
+  public:
+    ReferenceStreamer(const SyndromeExtractor &extractor,
+                      std::size_t window, std::size_t stride)
+        : _extractor(extractor), _window(window), _stride(stride),
+          _lut(extractor.lattice()), _mwpm(extractor.lattice())
+    {}
+
+    void
+    setMaskPredicate(MwpmDecoder::MaskPredicate masked)
+    {
+        _mwpm.setMaskPredicate(std::move(masked));
+    }
+
+    std::optional<StreamCommit>
+    pushRound(const SyndromeRound &round)
+    {
+        _buffer.push_back(round);
+        if (_buffer.size() < _window)
+            return std::nullopt;
+        return decodeWindow(false);
+    }
+
+    std::optional<StreamCommit> finish() { return decodeWindow(true); }
+
+    /** Consumed-ahead events dropped from some window after the one
+     *  that first dropped them (possible only when W > 2S). */
+    std::size_t redropped = 0;
+
+  private:
+    const SyndromeExtractor &_extractor;
+    std::size_t _window, _stride;
+    LutDecoder _lut;
+    MwpmDecoder _mwpm;
+    std::vector<SyndromeRound> _buffer;
+    std::optional<SyndromeRound> _baseline;
+    std::size_t _firstRound = 0;
+    std::size_t _chargedThrough = 0;
+    /** Consumed-ahead events and how many windows dropped each. */
+    std::vector<std::pair<DetectionEvent, std::size_t>> _consumed;
+
+    std::optional<StreamCommit>
+    decodeWindow(bool flush)
+    {
+        const std::size_t take = _buffer.size();
+        if (take == 0)
+            return std::nullopt;
+        const std::size_t commit_end =
+            _firstRound + (flush ? take : _stride);
+        DetectionEvents ev = extractDetectionEventsWindow(
+            _buffer, _extractor, _baseline ? &*_baseline : nullptr,
+            _firstRound);
+        for (auto *list : {&ev.xEvents, &ev.zEvents})
+            std::erase_if(*list, [&](const DetectionEvent &e) {
+                for (auto &[c, drops] : _consumed)
+                    if (c == e) {
+                        redropped += drops++ > 0;
+                        return true;
+                    }
+                return false;
+            });
+
+        StreamCommit commit;
+        commit.windowFirstRound = _firstRound;
+        commit.commitEndRound = commit_end;
+        commit.windowEvents = ev.total();
+        DetectionEvents carry;
+        for (auto [from, to] : {std::pair{&ev.xEvents, &carry.xEvents},
+                                std::pair{&ev.zEvents, &carry.zEvents}}) {
+            const auto it = std::find_if(
+                from->begin(), from->end(), [&](const DetectionEvent &e) {
+                    return e.round >= commit_end;
+                });
+            to->assign(it, from->end());
+            from->erase(it, from->end());
+        }
+
+        const LocalDecodeResult local = _lut.decodeLocal(ev);
+        const auto charge = [&](const std::vector<DetectionEvent> &list) {
+            for (const DetectionEvent &e : list)
+                commit.forwardedEvents += e.round >= _chargedThrough;
+        };
+        charge(local.residual.xEvents);
+        charge(local.residual.zEvents);
+        charge(carry.xEvents);
+        charge(carry.zEvents);
+        _chargedThrough = std::max(_chargedThrough, _firstRound + take);
+
+        const std::size_t n = _extractor.lattice().numQubits();
+        std::vector<std::uint8_t> xflip(n, 0), zflip(n, 0);
+        const auto decode_type = [&](const std::vector<DetectionEvent> &resid,
+                                     const std::vector<DetectionEvent> &car,
+                                     std::vector<std::uint8_t> &bits) {
+            std::vector<DetectionEvent> evts = resid;
+            evts.insert(evts.end(), car.begin(), car.end());
+            if (evts.empty())
+                return;
+            for (const Match &m : _mwpm.matchEvents(evts).matches) {
+                const DetectionEvent &a = evts[m.a];
+                const DetectionEvent &b = m.toBoundary ? a : evts[m.b];
+                if (std::min(a.round, b.round) >= commit_end) {
+                    commit.deferredEvents += m.toBoundary ? 1 : 2;
+                    continue;
+                }
+                const std::vector<std::size_t> path = m.toBoundary
+                    ? _mwpm.pathToBoundary(a.ancilla)
+                    : _mwpm.pathBetween(a.ancilla, b.ancilla);
+                for (const std::size_t q : path)
+                    bits[q] ^= 1;
+                if (m.toBoundary)
+                    continue;
+                for (const DetectionEvent *e : {&a, &b})
+                    if (e->round >= commit_end)
+                        _consumed.push_back({*e, 0});
+            }
+        };
+        decode_type(local.residual.zEvents, carry.zEvents, xflip);
+        decode_type(local.residual.xEvents, carry.xEvents, zflip);
+        commit.correction = local.correction;
+        commit.correction.merge(Correction::fromFlipMaps(xflip, zflip));
+
+        const std::size_t drop = flush ? take : _stride;
+        _baseline = _buffer[drop - 1];
+        _buffer.erase(_buffer.begin(),
+                      _buffer.begin() + std::ptrdiff_t(drop));
+        _firstRound += drop;
+        std::erase_if(_consumed, [&](const auto &c) {
+            return c.first.round < _firstRound;
+        });
+        return commit;
+    }
+};
 
 class StreamingTest : public ::testing::Test
 {
@@ -162,6 +311,119 @@ TEST_F(StreamingTest, WindowedCommitsClearTheSyndrome)
                           streamer.roundsPushed());
                 EXPECT_EQ(streamer.lagRounds(), 0u);
             }
+        }
+    }
+}
+
+TEST(StreamingReference, CommitsMatchAStreamerThatReextractsEveryWindow)
+{
+    // W == S, W = 2S and W = 3S; at W = 3S a consumed-ahead event
+    // lies in two later windows, and both must drop it. Each stream
+    // is cut by a finish() mid-window and then runs on, and half of
+    // them redraw the mask after every commit.
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {3, 3}, {4, 2}, {6, 3}, {3, 1}, {6, 2}, {9, 3},
+    };
+    std::size_t windows = 0, deferred = 0, redropped = 0, masked_runs = 0;
+    for (const std::size_t d : {5, 9}) {
+        const MemoryExperiment shots(d, Protocol::Steane, 40);
+        const SyndromeExtractor &ext = shots.extractor();
+        const Lattice &lat = shots.lattice();
+        for (const auto &[window, stride] : shapes) {
+            for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+                const auto history =
+                    noisyShot(shots, 1e-2, seed * 97 + d).history;
+                const bool edit_mask = seed % 2 == 0;
+                std::vector<std::uint8_t> holes(lat.numQubits(), 0);
+                quest::sim::Rng mask_rng(seed);
+                const auto redraw = [&] {
+                    for (auto &h : holes)
+                        h = mask_rng.bernoulli(0.1) ? 1 : 0;
+                };
+                const MwpmDecoder::MaskPredicate pred =
+                    [&holes](std::size_t q) { return holes[q] != 0; };
+
+                StreamConfig cfg;
+                cfg.windowRounds = window;
+                cfg.strideRounds = stride;
+                StreamingDecoder streamer(ext, cfg);
+                ReferenceStreamer ref(ext, window, stride);
+                if (edit_mask) {
+                    redraw();
+                    streamer.setMaskPredicate(pred);
+                    ref.setMaskPredicate(pred);
+                    ++masked_runs;
+                }
+                const auto same = [&](const std::optional<StreamCommit> &got,
+                                      const std::optional<StreamCommit> &want,
+                                      std::size_t at) {
+                    const std::string where = "d=" + std::to_string(d)
+                        + " W=" + std::to_string(window) + " S="
+                        + std::to_string(stride) + " seed="
+                        + std::to_string(seed) + " round "
+                        + std::to_string(at);
+                    ASSERT_EQ(got.has_value(), want.has_value()) << where;
+                    if (!got)
+                        return;
+                    EXPECT_EQ(got->windowFirstRound, want->windowFirstRound)
+                        << where;
+                    EXPECT_EQ(got->commitEndRound, want->commitEndRound)
+                        << where;
+                    EXPECT_EQ(got->windowEvents, want->windowEvents)
+                        << where;
+                    EXPECT_EQ(got->forwardedEvents, want->forwardedEvents)
+                        << where;
+                    EXPECT_EQ(got->deferredEvents, want->deferredEvents)
+                        << where;
+                    EXPECT_EQ(got->correction.xFlips, want->correction.xFlips)
+                        << where;
+                    EXPECT_EQ(got->correction.zFlips, want->correction.zFlips)
+                        << where;
+                    EXPECT_FALSE(got->fallback) << where;
+                    ++windows;
+                    deferred += got->deferredEvents;
+                    if (edit_mask)
+                        redraw(); // between windows, as a tile edits
+                };
+                for (std::size_t r = 0; r < history.size(); ++r) {
+                    same(streamer.pushRound(history[r]),
+                         ref.pushRound(history[r]), r);
+                    if (r == 16) // between two window boundaries
+                        same(streamer.finish(), ref.finish(), r);
+                }
+                same(streamer.finish(), ref.finish(), history.size());
+                redropped += ref.redropped;
+            }
+        }
+    }
+    // The runs defer events, and some W = 3S window drops a
+    // consumed-ahead event a second time.
+    EXPECT_GT(windows, 500u);
+    EXPECT_GT(deferred, 0u);
+    EXPECT_GT(redropped, 0u);
+    EXPECT_GT(masked_runs, 0u);
+}
+
+TEST_F(StreamingTest, ConsumedAheadEventsStayConsumedWhenWindowsOverlapTwice)
+{
+    // At W = 3S a committed match can consume an event that two
+    // later windows hold. Both must drop it: a streamer that dropped
+    // it from the first only decoded it again in the second, and the
+    // stray correction left the syndrome lit.
+    const std::pair<std::size_t, std::size_t> shapes[] = {{3, 1}, {9, 3}};
+    const MemoryExperiment shots(9, Protocol::Steane, 40);
+    const SyndromeExtractor &ext = shots.extractor();
+    for (const auto &[window, stride] : shapes) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            auto shot = noisyShot(shots, 1e-2, seed * 97 + 9);
+            StreamConfig cfg;
+            cfg.windowRounds = window;
+            cfg.strideRounds = stride;
+            StreamingDecoder streamer(ext, cfg);
+            applyCorrection(shot.frame, streamDecode(streamer, shot.history));
+            EXPECT_FALSE(ext.runRound(shot.frame, nullptr).any())
+                << "window=" << window << " stride=" << stride
+                << " seed=" << seed;
         }
     }
 }

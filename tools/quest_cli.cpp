@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -548,35 +549,67 @@ roundDeadlineCycles(const core::MceConfig &cfg)
 }
 
 /**
- * Whether the --timing differential can run `rounds` rounds of this
- * config's program on `tiles` tiles before the dynamic scheduler's
- * core::kMaxSimCycles cap. The shared fetch delivers at most
- * fetchWidth slots a cycle, so the slot demand is a floor on the
- * cycles (checked in floating point, so no flag value overflows
- * it); the in-order run, the slower mode on every shipped
- * configuration, takes at most its static bound.
+ * Largest --timing run the CLI accepts, in uop instances (tiles x
+ * rounds x uops per round). The static out-of-order bound keeps
+ * seven 8-byte words per instance and the dynamic run about as much
+ * again (Steane, 64 uops a round, peaks near 7.4 KiB per round), so
+ * 2^21 instances stay near 250 MiB.
  */
-bool
-fitsSimCycleCap(const core::MceConfig &cfg, std::size_t tiles,
-                std::size_t rounds)
+constexpr double kMaxTimingUops = double(std::uint64_t(1) << 21);
+
+/**
+ * Why the --timing differential cannot run `rounds` rounds of this
+ * config's program on `tiles` tiles, or an empty string when it
+ * can. Both checks read one round's program and allocate nothing
+ * per round. The state the run holds grows with its uop instances,
+ * which kMaxTimingUops bounds. The dynamic scheduler stops at
+ * core::kMaxSimCycles: the shared fetch delivers at most fetchWidth
+ * slots a cycle, so the slot demand is a floor on the cycles
+ * (checked in floating point, so no flag value overflows it); the
+ * in-order run, the slower mode on every shipped configuration,
+ * takes at most its static bound.
+ */
+std::string
+timingRunRefusal(const core::MceConfig &cfg, std::size_t tiles,
+                 std::size_t rounds)
 {
     const verify::TileBundle bundle = verify::buildTileBundle(cfg);
     const verify::ExpandedStream stream =
         verify::expandRam(bundle.artifacts.ram);
     const verify::DependencyOracle dep(
         *bundle.artifacts.lattice, stream.qubits, stream.subCycles);
+    const std::string protocol = qecc::protocolName(cfg.protocol);
+    char why[160];
+    const double uops =
+        double(tiles) * double(rounds) * double(dep.uops().size());
+    if (uops > kMaxTimingUops) {
+        std::snprintf(why, sizeof(why),
+                      "holds %.0f %s uops, past the timing model's "
+                      "%.0f-uop state budget",
+                      uops, protocol.c_str(), kMaxTimingUops);
+        return why;
+    }
     const core::SchedulerConfig &scfg = cfg.sched;
     const double demand = double(tiles) * double(rounds)
         * double(dep.depth() * dep.numQubits())
         / double(scfg.fetchWidth);
-    if (demand > double(core::kMaxSimCycles))
-        return false;
     const verify::FetchGrant grant =
         verify::worstCaseGrant(tiles, scfg.fetchWidth, scfg.fetchWidth);
-    return verify::TimingOracle(scfg)
-               .bound(dep, core::SchedulingMode::InOrder, rounds, grant)
-               .totalBoundCycles
-        <= core::kMaxSimCycles;
+    if (demand > double(core::kMaxSimCycles)
+        || verify::TimingOracle(scfg)
+                   .bound(dep, core::SchedulingMode::InOrder, rounds,
+                          grant)
+                   .totalBoundCycles
+            > core::kMaxSimCycles) {
+        std::snprintf(why, sizeof(why),
+                      "runs %s past the scheduler model's %llu-cycle "
+                      "cap",
+                      protocol.c_str(),
+                      static_cast<unsigned long long>(
+                          core::kMaxSimCycles));
+        return why;
+    }
+    return {};
 }
 
 /**
@@ -723,13 +756,11 @@ cmdVerify(const Options &opts)
         for (const qecc::Protocol p : protocols) {
             core::MceConfig cfg = base;
             cfg.protocol = p;
-            if (!fitsSimCycleCap(cfg, timingTiles, timingRounds))
-                sim::fatal("--rounds %zu on %zu tile(s) runs %s past "
-                           "the scheduler model's %llu-cycle cap",
-                           timingRounds, timingTiles,
-                           qecc::protocolName(p).c_str(),
-                           static_cast<unsigned long long>(
-                               core::kMaxSimCycles));
+            const std::string why =
+                timingRunRefusal(cfg, timingTiles, timingRounds);
+            if (!why.empty())
+                sim::fatal("--rounds %zu on %zu tile(s) %s", timingRounds,
+                           timingTiles, why.c_str());
         }
     std::vector<TimingRow> timingRows;
 

@@ -5,10 +5,26 @@
 # the status and the message rules out a crash or a run with a
 # silently wrong value, which a bare WILL_FAIL test would accept.
 #
-# Usage: test_bad_flags.sh <path-to-quest-binary>
+# Usage: test_bad_flags.sh <path-to-quest-binary> [<address-space-KiB>]
+#
+# With the second argument, the cases that set `vlimit` run under
+# `ulimit -v` of that size, so a refusal that first allocates the
+# run's state dies with std::bad_alloc instead of printing its error.
+# Sanitizer builds reserve far more address space and pass none.
 
 quest="$1"
+limit="$2"
+vlimit=
 status=0
+
+# run_quest ARGS...: the binary, under `ulimit -v $vlimit` when set.
+run_quest() {
+    if [ -n "$vlimit" ]; then
+        (ulimit -v "$vlimit" && exec "$quest" "$@")
+    else
+        "$quest" "$@"
+    fi
+}
 
 # expect_error FLAG ARGS...: run `quest ARGS...` and require exit 1
 # plus an `error: FLAG ...` line on stderr whose message appears on
@@ -16,7 +32,7 @@ status=0
 expect_error() {
     flag="$1"
     shift
-    err=$("$quest" "$@" 2>&1 >/dev/null)
+    err=$(run_quest "$@" 2>&1 >/dev/null)
     rc=$?
     msg=$(printf '%s\n' "$err" | sed -n "s/^error: //p" | head -n 1)
     if [ "$rc" -ne 1 ]; then
@@ -68,5 +84,12 @@ done
 expect_error --rounds verify --timing --rounds 1000000000
 expect_error --rounds verify --timing --rounds 3000000 --protocol Steane \
     --design FIFO
+# Below the cycle cap, a run whose per-uop state outgrows the timing
+# model's budget is refused too, before it allocates any of it.
+vlimit="$limit"
+expect_error --rounds verify --timing --rounds 1020408 --protocol Steane \
+    --design FIFO
+expect_error --rounds verify --timing --rounds 40000 --tiles 2
+vlimit=
 
 exit $status
