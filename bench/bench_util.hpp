@@ -14,6 +14,7 @@
 #define QUEST_BENCH_UTIL_HPP
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -267,9 +268,9 @@ class Flags
 
 /**
  * Pick the rep count that stretches a timed window past
- * `min_window_s`, from one warm probe pass that took `probe_wall_s`.
- * The window sets it; the cap only stops a probe too short to time
- * from asking for an unbounded run.
+ * `min_window_s`, from a warm probe pass that took `probe_wall_s`
+ * (medianProbeSeconds). The window sets it; the cap only stops a
+ * probe too short to time from asking for an unbounded run.
  */
 inline std::uint64_t
 calibrateReps(double probe_wall_s, double min_window_s)
@@ -281,6 +282,28 @@ calibrateReps(double probe_wall_s, double min_window_s)
     if (want <= 1.0)
         return 1;
     return std::uint64_t(std::min(max_reps, want + 1.0));
+}
+
+/** Warm probe passes behind one rep count (odd: one median). */
+inline constexpr std::size_t calibrationProbes = 5;
+
+/**
+ * The median wall time of calibrationProbes calls of `probe`, each
+ * one warm pass returning its wall seconds. A single pass lasts
+ * microseconds for a fast decoder, and a preemption or a clock ramp
+ * can double it; the median keeps one such pass from setting the
+ * rep count.
+ */
+template <typename Probe>
+double
+medianProbeSeconds(Probe &&probe)
+{
+    std::array<double, calibrationProbes> walls;
+    for (double &wall : walls)
+        wall = probe();
+    auto mid = walls.begin() + calibrationProbes / 2;
+    std::nth_element(walls.begin(), mid, walls.end());
+    return *mid;
 }
 
 } // namespace quest::bench

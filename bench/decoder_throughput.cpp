@@ -20,9 +20,9 @@
  * (warm-up: faults the pool's worker threads awake, warms caches
  * and allocator arenas), then the timed loop repeats the whole
  * trial set enough times for the wall clock to dwarf dispatch
- * overhead (>= --min-window-ms, calibrated on the single-thread
- * run and reused for the multi-thread run so the scaling ratio
- * compares identical work). Without this, a smoke-sized window is
+ * overhead (>= --min-window-ms, calibrated on the median of five
+ * single-thread probe passes and reused for the multi-thread run so
+ * the scaling ratio compares identical work). Without this, a smoke-sized window is
  * almost pure thread-pool wake latency and the "multi-thread
  * throughput" column reports the cold-dispatch artifact instead of
  * the decoder — the sub-single-thread numbers once reported at
@@ -292,12 +292,15 @@ main(int argc, char **argv)
             r.distance = w.distance;
             r.decoder = name;
             std::vector<std::uint64_t> w_single, w_multi;
-            // Calibrate the rep count on a warm single-thread
-            // probe, then time both runs over identical work.
-            const Timing probe =
-                runTrials(serial, w.events, decode_one, w_single, 1);
+            // Calibrate the rep count on warm single-thread probes,
+            // then time both runs over identical work.
             const std::uint64_t reps = bench::calibrateReps(
-                probe.wallSeconds, min_window_ms / 1e3);
+                bench::medianProbeSeconds([&] {
+                    return runTrials(serial, w.events, decode_one,
+                                     w_single, 1)
+                        .wallSeconds;
+                }),
+                min_window_ms / 1e3);
             r.single = runTrials(serial, w.events, decode_one,
                                  w_single, reps);
             r.multi = runTrials(pool, w.events, decode_one,

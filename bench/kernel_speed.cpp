@@ -13,10 +13,10 @@
  * detection-event digests and refuses to report a speedup for
  * diverging engines.
  *
- * The sweeps are timed like bench/decoder_throughput: one warm
- * probe pass calibrates a rep count that stretches the timed window
- * past the minimum, so fast engines are not measured over
- * millisecond-scale windows. The multi-threaded row defaults to the
+ * The sweeps are timed like bench/decoder_throughput: the median
+ * of five warm probe passes calibrates a rep count that stretches
+ * the timed window past the minimum, so fast engines are not
+ * measured over millisecond-scale windows. The multi-threaded row defaults to the
  * hardware concurrency and is skipped outright on 1-core hosts,
  * where it could only measure pool overhead.
  *
@@ -203,17 +203,21 @@ main(int argc, char **argv)
     frames.distance = 7;
     frames.trials = trials;
     std::uint64_t scalar_digest = 0, batched_digest = 0;
-    // Warm probe pass per engine, then a calibrated number of reps
+    // Warm probe passes per engine, then a calibrated number of reps
     // so the batched engine (an order of magnitude faster) is still
     // timed over a full window rather than a few milliseconds.
-    const double scalar_probe =
-        runScalarSweep(sweep, trials, scalar_digest);
-    frames.scalarReps = bench::calibrateReps(scalar_probe, min_seconds);
+    frames.scalarReps = bench::calibrateReps(
+        bench::medianProbeSeconds([&] {
+            return runScalarSweep(sweep, trials, scalar_digest);
+        }),
+        min_seconds);
     const double scalar_wall = runScalarSweep(
         sweep, trials, scalar_digest, frames.scalarReps);
-    const double batched_probe =
-        runBatchedSweep(sweep, trials, batched_digest);
-    frames.batchedReps = bench::calibrateReps(batched_probe, min_seconds);
+    frames.batchedReps = bench::calibrateReps(
+        bench::medianProbeSeconds([&] {
+            return runBatchedSweep(sweep, trials, batched_digest);
+        }),
+        min_seconds);
     const double batched_wall = runBatchedSweep(
         sweep, trials, batched_digest, frames.batchedReps);
     frames.scalarPerSec = scalar_wall > 0.0
@@ -236,9 +240,11 @@ main(int argc, char **argv)
     if (!frames.parSkipped) {
         sim::ThreadPool pool(frames.parThreads);
         frames.parThreads = pool.threads();
-        const double probe =
-            runBatchedSweepParallel(sweep, trials, pool);
-        const std::uint64_t reps = bench::calibrateReps(probe, min_seconds);
+        const std::uint64_t reps = bench::calibrateReps(
+            bench::medianProbeSeconds([&] {
+                return runBatchedSweepParallel(sweep, trials, pool);
+            }),
+            min_seconds);
         const double wall =
             runBatchedSweepParallel(sweep, trials, pool, reps);
         frames.batchedParPerSec =

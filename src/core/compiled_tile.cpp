@@ -27,8 +27,6 @@ CompiledTile::CompiledTile(const MceConfig &cfg)
     const MicrocodeModel model(qecc::protocolSpec(cfg.protocol),
                                cfg.technology);
     _uopBits = model.uopBits(cfg.microcodeDesign, _lattice.numQubits());
-    _imageBits =
-        model.capacityBits(cfg.microcodeDesign, _lattice.numQubits());
 }
 
 bool

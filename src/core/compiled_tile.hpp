@@ -71,9 +71,6 @@ class CompiledTile
     /** Bits per streamed uop slot under the microcode design. */
     std::size_t uopBits() const { return _uopBits; }
 
-    /** Stored microcode image size under the design. */
-    std::size_t imageBits() const { return _imageBits; }
-
   private:
     qecc::Protocol _protocol;
     tech::Technology _technology;
@@ -84,7 +81,6 @@ class CompiledTile
     qecc::ExtractorProgram _program;
     decode::MatchGeometry _geometry;
     std::size_t _uopBits = 0;
-    std::size_t _imageBits = 0;
 };
 
 } // namespace quest::core

@@ -12,29 +12,6 @@ namespace quest::core {
 
 namespace {
 
-/**
- * The real-time budget for one global decode: the wall-clock that
- * `rounds` rounds take to extract. The offline decoder must keep up
- * with its decode cadence (decodeWindow()), a streamer with its
- * slide rate (streamStride()); with streamStrideRounds ==
- * decodeWindowRounds the two budgets coincide, which the W==S
- * equivalence tests rely on. The deadline is modelled only while
- * a fault site is enabled; overruns draw from `faults`.
- */
-decode::DeadlineConfig
-deadlineFor(const MasterConfig &cfg, std::size_t rounds,
-            sim::FaultInjector &faults)
-{
-    decode::DeadlineConfig dl;
-    if (!faults.enabled())
-        return dl; // windowTicks 0: deadline arithmetic disabled
-    const auto &spec = qecc::protocolSpec(cfg.mce.protocol);
-    const auto lat = tech::gateLatencies(cfg.mce.technology);
-    dl.windowTicks = sim::Tick(rounds) * spec.roundDuration(lat);
-    dl.faults = &faults;
-    return dl;
-}
-
 /** Decoder mask predicate: masked regions of the tile are open
  *  boundaries. */
 decode::MwpmDecoder::MaskPredicate
@@ -43,20 +20,10 @@ maskedOn(Mce &mce)
     return [&mce](std::size_t q) { return mce.maskTable().masked(q); };
 }
 
-/** Heartbeat ping/response token size (a sync-class packet). */
-constexpr std::size_t heartbeatBytes = tech::logicalInstrBytes;
-/** Missed heartbeats before a tile is quarantined/re-synced. */
-constexpr std::size_t watchdogMissThreshold = 2;
-
-/** Microcode parity status poll size. */
-constexpr std::size_t scrubPollBytes = tech::logicalInstrBytes;
-
 } // namespace
 
 MasterController::MasterController(const MasterConfig &cfg)
     : _cfg(cfg),
-      _faults(cfg.faults),
-      _missedHeartbeats(cfg.numMces, 0),
       _network(cfg.numMces),
       _bytesLogical("master.bus_bytes_logical",
                     "logical instruction packets (bytes)"),
@@ -67,37 +34,9 @@ MasterController::MasterController(const MasterConfig &cfg)
       _bytesCorrections("master.bus_bytes_corrections",
                         "correction downloads (bytes)"),
       _bytesCache("master.bus_bytes_cache",
-                  "distillation block fills and replay tokens (bytes)"),
-      _bytesScrub("master.bus_bytes_scrub",
-                  "microcode parity polls and image re-uploads (bytes)"),
-      _seuInjected("faults.seu_injected",
-                   "microcode SEU bit-flips injected"),
-      _seuDetected("faults.seu_detected",
-                   "parity-failed words caught by scrubbing"),
-      _seuSilent("faults.seu_silent_repaired",
-                 "parity-masked flips cleared by an image rewrite"),
-      _scrubs("faults.scrubs", "microcode image re-uploads"),
-      _decoderOverruns("faults.decoder_overruns",
-                       "decodes past the window deadline, degraded "
-                       "to the union-find cluster decoder"),
-      _heartbeats("faults.heartbeats", "watchdog heartbeats sent"),
-      _heartbeatsMissed("faults.heartbeats_missed",
-                        "heartbeats a wedged MCE failed to answer"),
-      _hangsInjected("faults.hangs_injected",
-                     "MCE control hangs injected"),
-      _quarantines("faults.quarantines",
-                   "tiles quarantined by the watchdog"),
-      _resumes("faults.resumes",
-               "quarantined tiles re-synced and resumed"),
-      _busEscalations(
-          "faults.bus_escalations",
-          "supervisor re-issues after the link retry budget failed"),
-      _packetsAbandoned(
-          "faults.packets_abandoned",
-          "bus packets abandoned to the out-of-band slow path")
+                  "distillation block fills and replay tokens (bytes)")
 {
     QUEST_ASSERT(cfg.numMces > 0, "need at least one MCE");
-    _network.attachFaults(&_faults);
     if (cfg.sharedFetchBandwidth > 0) {
         _arbiter = std::make_unique<DynamicScheduler>(cfg.mce.sched);
         auto &reg = sim::metrics::Registry::global();
@@ -125,7 +64,6 @@ MasterController::MasterController(const MasterConfig &cfg)
         mc.seed = cfg.mce.seed + i * 0x9E37u;
         _mces.push_back(std::make_unique<Mce>(
             "mce" + std::to_string(i), mc, tile));
-        _mces.back()->attachFaults(&_faults);
     }
     if (arbitrating()) {
         const auto &spec = qecc::protocolSpec(cfg.mce.protocol);
@@ -141,12 +79,11 @@ MasterController::MasterController(const MasterConfig &cfg)
     }
     // One global decode path per tile, built only for the mode that
     // runs. Defect awareness: masked regions are open boundaries for
-    // the tile's one matcher, which its cluster fallback borrows.
+    // the tile's one matcher.
     if (streamingDecode()) {
         decode::StreamConfig sc;
         sc.windowRounds = _cfg.streamWindowRounds;
         sc.strideRounds = streamStride();
-        sc.deadline = deadlineFor(_cfg, sc.strideRounds, _faults);
         for (const auto &m : _mces) {
             // The MCE stops accumulating its offline decode window:
             // every extracted round is handed to the streamer
@@ -158,16 +95,10 @@ MasterController::MasterController(const MasterConfig &cfg)
             _streamers.back()->setMaskPredicate(maskedOn(*m));
         }
     } else {
-        _deadline = decode::DecodeDeadline(
-            deadlineFor(_cfg, decodeWindow(), _faults));
-        // Reserved up front: each cluster decoder keeps a pointer to
-        // its tile's matcher.
         _decoders.reserve(_mces.size());
-        _clusterDecoders.reserve(_mces.size());
         for (const auto &m : _mces) {
             _decoders.emplace_back(geometry);
             _decoders.back().setMaskPredicate(maskedOn(*m));
-            _clusterDecoders.emplace_back(_decoders.back());
         }
     }
 }
@@ -192,23 +123,7 @@ MasterController::sendOnBus(std::size_t mce_idx, std::size_t bytes,
                             sim::metrics::Tally &category)
 {
     category += bytes;
-    PacketTiming timing = _network.send(mce_idx, bytes);
-    // The link-level ARQ gives up after its retry budget; the master
-    // then re-issues the whole packet (a supervisor retransmission)
-    // a bounded number of times before abandoning delivery to the
-    // out-of-band slow path.
-    for (std::size_t esc = 0;
-         !timing.delivered && esc < maxBusEscalations; ++esc) {
-        ++_busEscalations;
-        category += bytes;
-        timing = _network.send(mce_idx, bytes);
-    }
-    if (!timing.delivered) {
-        ++_packetsAbandoned;
-        sim::warn("abandoning %zu-byte packet to MCE %zu after %zu "
-                  "supervisor re-issues",
-                  bytes, mce_idx, maxBusEscalations);
-    }
+    _network.send(mce_idx, bytes);
 }
 
 void
@@ -276,23 +191,6 @@ MasterController::transferLogicalQubit(std::size_t src_mce,
     return dst_id;
 }
 
-void
-MasterController::injectRoundFaults()
-{
-    for (std::size_t i = 0; i < _mces.size(); ++i) {
-        if (!_mces[i]->hung()
-            && _faults.fire(sim::FaultSite::MceHang)) {
-            _mces[i]->wedge();
-            ++_hangsInjected;
-        }
-        if (_faults.fire(sim::FaultSite::MicrocodeSeu)) {
-            _mces[i]->microcodeStore().flipRandomBit(
-                _faults.rng(sim::FaultSite::MicrocodeSeu));
-            ++_seuInjected;
-        }
-    }
-}
-
 const ArbitrationResult &
 MasterController::lastArbitration() const
 {
@@ -306,8 +204,8 @@ void
 MasterController::arbitrateRound()
 {
     QUEST_TRACE_SCOPE("master", "arbitrate");
-    // Mask changes and quarantines reshape the per-tile programs, and
-    // a wedged engine demands nothing; the arbiter re-simulates only
+    // Mask changes reshape the per-tile programs, and a wedged engine
+    // demands nothing; the arbiter re-simulates only
     // when one of those inputs changed since the last round.
     std::vector<const verify::DependencyOracle *> oracles;
     std::vector<std::uint8_t> active;
@@ -345,9 +243,6 @@ void
 MasterController::stepRound()
 {
     QUEST_TRACE_SCOPE("master", "step_round");
-    const bool faulty = _faults.enabled();
-    if (faulty)
-        injectRoundFaults();
     for (std::size_t i = 0; i < _mces.size(); ++i) {
         Mce &m = *_mces[i];
         const std::size_t before = m.roundsRun();
@@ -363,66 +258,10 @@ MasterController::stepRound()
         arbitrateRound();
     ++_roundsRun;
     ++_roundsSinceDecode;
-    if (faulty && _roundsRun % faultHeartbeatIntervalRounds == 0)
-        heartbeatNow();
-    if (faulty && _roundsRun % faultScrubIntervalRounds == 0)
-        scrubNow();
     // Streaming windows commit on their own cadence inside
     // pushRound; the offline collect-then-decode trigger stays off.
     if (!streamingDecode() && _roundsSinceDecode >= decodeWindow())
         decodeNow();
-}
-
-void
-MasterController::heartbeatNow()
-{
-    QUEST_TRACE_SCOPE("master", "heartbeat");
-    for (std::size_t i = 0; i < _mces.size(); ++i) {
-        ++_heartbeats;
-        sendOnBus(i, heartbeatBytes, _bytesSync);
-        if (_mces[i]->hung()) {
-            // No response: the engine is wedged.
-            ++_heartbeatsMissed;
-            if (++_missedHeartbeats[i] >= watchdogMissThreshold)
-                quarantineAndResync(i);
-            continue;
-        }
-        _missedHeartbeats[i] = 0;
-        // Healthy engines answer with a status token.
-        sendOnBus(i, heartbeatBytes, _bytesSync);
-    }
-}
-
-void
-MasterController::quarantineAndResync(std::size_t mce_idx)
-{
-    ++_quarantines;
-    _missedHeartbeats[mce_idx] = 0;
-    Mce &m = *_mces[mce_idx];
-    // Quarantine: stop trusting the tile's state, re-upload its
-    // full microcode image, reset the engine, then decode whatever
-    // syndrome accumulated while it was wedged before resuming.
-    sendOnBus(mce_idx, m.microcodeStore().imageBytes(), _bytesScrub);
-    m.recover();
-    decodeTile(mce_idx);
-    ++_resumes;
-}
-
-void
-MasterController::scrubNow()
-{
-    QUEST_TRACE_SCOPE("master", "scrub");
-    for (std::size_t i = 0; i < _mces.size(); ++i) {
-        sendOnBus(i, scrubPollBytes, _bytesScrub);
-        MicrocodeStore &store = _mces[i]->microcodeStore();
-        if (store.parityErrorWords() == 0)
-            continue; // parity-clean (even-flip corruption is silent)
-        _seuDetected += store.parityErrorWords();
-        _seuSilent += store.silentBits();
-        sendOnBus(i, store.imageBytes(), _bytesScrub);
-        store.repair();
-        ++_scrubs;
-    }
 }
 
 void
@@ -436,22 +275,11 @@ MasterController::commitStream(std::size_t mce_idx,
                   commit.forwardedEvents
                       * decode::detectionEventBytes,
                   _bytesSyndrome);
-    if (commit.fallback)
-        recordFallback(mce_idx, commit.stretch, streamStride());
     if (commit.correction.weight() > 0)
         sendOnBus(mce_idx,
                   commit.correction.weight() * correctionEntryBytes,
                   _bytesCorrections);
     _mces[mce_idx]->applyCorrection(commit.correction);
-}
-
-void
-MasterController::recordFallback(std::size_t mce_idx, double stretch,
-                                 std::size_t rounds)
-{
-    // The late window is charged as stretched noise on the tile.
-    ++_decoderOverruns;
-    _mces[mce_idx]->stretchNoise(stretch, rounds);
 }
 
 void
@@ -476,16 +304,7 @@ MasterController::decodeTile(std::size_t mce_idx)
         return;
     sendOnBus(mce_idx, residual.total() * decode::detectionEventBytes,
               _bytesSyndrome);
-
-    // An overrun (injected or analytic) means the exact matcher would
-    // miss the window: degrade to the union-find cluster decoder.
-    const bool fallback = _deadline.overruns(residual.total());
-    if (fallback)
-        recordFallback(mce_idx, _deadline.stretch(residual.total()),
-                       decodeWindow());
-    const decode::Correction corr = fallback
-        ? _clusterDecoders[mce_idx].decode(residual)
-        : _decoders[mce_idx].decode(residual);
+    const decode::Correction corr = _decoders[mce_idx].decode(residual);
     if (corr.weight() > 0)
         sendOnBus(mce_idx, corr.weight() * correctionEntryBytes,
                   _bytesCorrections);
@@ -505,7 +324,7 @@ MasterController::totalBusBytes() const
 {
     return double(_bytesLogical.value() + _bytesSync.value()
                   + _bytesSyndrome.value() + _bytesCorrections.value()
-                  + _bytesCache.value() + _bytesScrub.value());
+                  + _bytesCache.value());
 }
 
 double

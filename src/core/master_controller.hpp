@@ -17,13 +17,10 @@
 #include <memory>
 #include <vector>
 
-#include "decode/cluster_decoder.hpp"
 #include "decode/mwpm_decoder.hpp"
-#include "decode/pipeline.hpp"
 #include "decode/streaming.hpp"
 #include "mce.hpp"
 #include "network.hpp"
-#include "sim/fault_injector.hpp"
 
 namespace quest::core {
 
@@ -48,18 +45,6 @@ struct MasterConfig
      *  non-overlapping windows, the offline cadence. */
     std::size_t streamStrideRounds = 0;
 
-    /** Per-site classical fault rates and replay seed: the one
-     *  switch for the classical fault model. All-zero rates (the
-     *  default) keep the whole layer off, bit-identical to the
-     *  fault-free design. Any nonzero rate also turns on the
-     *  recovery machinery: link-level ARQ, a microcode scrub every
-     *  faultScrubIntervalRounds, a heartbeat every
-     *  faultHeartbeatIntervalRounds and the decode-deadline model
-     *  (an MWPM decode that would overrun its window degrades to the
-     *  union-find cluster decoder, and the tile's noise is stretched
-     *  for the late window). */
-    sim::FaultConfig faults;
-
     /** @name Multi-tile fetch arbitration.
      *  When sharedFetchBandwidth is nonzero, every stepRound() also
      *  runs the cycle-level arbiter: all live tiles' replay
@@ -81,18 +66,6 @@ struct MasterConfig
 
 /** Bytes on the bus per forwarded correction entry. */
 inline constexpr std::size_t correctionEntryBytes = 4;
-
-/** Supervisor re-issues after the link-level retry budget fails. */
-inline constexpr std::size_t maxBusEscalations = 8;
-
-/** @name Recovery cadence while any fault site is enabled. */
-///@{
-/** Rounds between microcode parity scrubs: each polls every MCE's
- *  parity flag and re-uploads the full image of a corrupted tile. */
-inline constexpr std::size_t faultScrubIntervalRounds = 64;
-/** Rounds between watchdog heartbeats to every MCE. */
-inline constexpr std::size_t faultHeartbeatIntervalRounds = 16;
-///@}
 
 /** The 77 K master controller plus its array of MCEs. */
 class MasterController
@@ -186,56 +159,6 @@ class MasterController
      *  arbitration is on and at least one round has run. */
     const ArbitrationResult &lastArbitration() const;
 
-    /** @name Classical resilience. */
-    ///@{
-
-    /**
-     * Run one heartbeat sweep now: ping every MCE, count misses,
-     * and quarantine/re-sync any tile past the miss threshold.
-     */
-    void heartbeatNow();
-
-    /**
-     * Run one microcode scrub now: poll every MCE's parity flag and
-     * re-upload the full image of any corrupted tile.
-     */
-    void scrubNow();
-
-    double seuInjected() const { return double(_seuInjected.value()); }
-    double seuDetected() const { return double(_seuDetected.value()); }
-    double seuSilentRepaired() const
-    {
-        return double(_seuSilent.value());
-    }
-    double scrubCount() const { return double(_scrubs.value()); }
-    double decoderOverruns() const
-    {
-        return double(_decoderOverruns.value());
-    }
-    double heartbeatsSent() const { return double(_heartbeats.value()); }
-    double heartbeatsMissed() const
-    {
-        return double(_heartbeatsMissed.value());
-    }
-    double hangsInjected() const
-    {
-        return double(_hangsInjected.value());
-    }
-    double quarantineCount() const
-    {
-        return double(_quarantines.value());
-    }
-    double resumeCount() const { return double(_resumes.value()); }
-    double busEscalations() const
-    {
-        return double(_busEscalations.value());
-    }
-    double packetsAbandoned() const
-    {
-        return double(_packetsAbandoned.value());
-    }
-    ///@}
-
     /** @name Global bus accounting (bytes). */
     ///@{
     double busBytesLogical() const
@@ -255,8 +178,6 @@ class MasterController
     {
         return double(_bytesCache.value());
     }
-    /** Microcode scrub polls and image re-uploads. */
-    double busBytesScrub() const { return double(_bytesScrub.value()); }
     double totalBusBytes() const;
     ///@}
 
@@ -275,20 +196,13 @@ class MasterController
   private:
     MasterConfig _cfg;
     std::vector<std::unique_ptr<Mce>> _mces;
-    /** Per-tile offline matcher and its cluster fallback, which
-     *  borrows it; empty in streaming mode. */
+    /** Per-tile offline matchers; empty in streaming mode. */
     std::vector<decode::MwpmDecoder> _decoders;
-    std::vector<decode::ClusterDecoder> _clusterDecoders;
     /** Per-tile streaming decoders; empty in offline mode. */
     std::vector<std::unique_ptr<decode::StreamingDecoder>> _streamers;
 
     std::size_t _roundsRun = 0;
     std::size_t _roundsSinceDecode = 0;
-
-    sim::FaultInjector _faults;
-    /** Offline decode deadline (streamers carry their own). */
-    decode::DecodeDeadline _deadline;
-    std::vector<std::size_t> _missedHeartbeats;
 
     /** Shared-bandwidth arbiter state (sharedFetchBandwidth > 0). */
     std::unique_ptr<DynamicScheduler> _arbiter;
@@ -311,60 +225,28 @@ class MasterController
     sim::metrics::Tally _bytesSyndrome;
     sim::metrics::Tally _bytesCorrections;
     sim::metrics::Tally _bytesCache;
-    sim::metrics::Tally _bytesScrub;
-
-    /** Classical fault and recovery events (faults.* rows). */
-    sim::metrics::Tally _seuInjected;
-    sim::metrics::Tally _seuDetected;
-    sim::metrics::Tally _seuSilent;
-    sim::metrics::Tally _scrubs;
-    sim::metrics::Tally _decoderOverruns;
-    sim::metrics::Tally _heartbeats;
-    sim::metrics::Tally _heartbeatsMissed;
-    sim::metrics::Tally _hangsInjected;
-    sim::metrics::Tally _quarantines;
-    sim::metrics::Tally _resumes;
-    sim::metrics::Tally _busEscalations;
-    sim::metrics::Tally _packetsAbandoned;
 
     std::size_t decodeWindow() const;
 
     /** Resolved streaming commit/slide distance. */
     std::size_t streamStride() const;
 
-    /** Bus/fault accounting for one streaming window commit. */
+    /** Bus accounting for one streaming window commit. */
     void commitStream(std::size_t mce_idx,
                       const decode::StreamCommit &commit);
-
-    /**
-     * Fallback bookkeeping shared by both decode paths: count the
-     * overrun and the degraded decode, and stretch the tile's noise
-     * by `stretch` for the next `rounds` rounds.
-     */
-    void recordFallback(std::size_t mce_idx, double stretch,
-                        std::size_t rounds);
 
     /** Flush tile i's streaming decoder (commit everything). */
     void flushStreamTile(std::size_t mce_idx);
 
-    /**
-     * Send one bus packet, charging `category`, with supervisor
-     * re-issues when the link-level retry budget is exhausted.
-     */
+    /** Send one bus packet, charging `category`. */
     void sendOnBus(std::size_t mce_idx, std::size_t bytes,
                    sim::metrics::Tally &category);
-
-    /** Per-round classical fault arrivals (hangs, SEUs). */
-    void injectRoundFaults();
 
     /** Run the shared-bandwidth arbiter over this round's tiles. */
     void arbitrateRound();
 
     /** Collect, decode and correct one tile's residual window. */
     void decodeTile(std::size_t mce_idx);
-
-    /** Quarantine a wedged tile: re-sync microcode and resume. */
-    void quarantineAndResync(std::size_t mce_idx);
 };
 
 } // namespace quest::core

@@ -4,7 +4,6 @@
 
 #include "qecc/braiding.hpp"
 #include "qecc/schedule.hpp"
-#include "sim/fault_injector.hpp"
 #include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
@@ -32,7 +31,6 @@ Mce::Mce(std::string name, const MceConfig &cfg,
       _frame(_tile->lattice().numQubits()),
       _ledger(_tile->lattice().numQubits()),
       _channel(cfg.errorRates, _rng),
-      _microcodeStore(_tile->imageBits()),
       _mask(_tile->lattice()),
       _icache(cfg.icacheCapacity),
       _lutDecoder(_tile->lattice()),
@@ -42,8 +40,6 @@ Mce::Mce(std::string name, const MceConfig &cfg,
              "non-NOP quantum instructions executed"),
       _microcodeBits("mce.replay.microcode_bits",
                      "bits read out of the local microcode memory"),
-      _seuUopErrors("mce.replay.seu_uop_errors",
-                    "stray errors replayed from SEU-corrupted words"),
       _logicalUops(_name + ".logical_uops",
                    "logical (transverse) uops issued"),
       _eventsLocal(_name + ".events_local",
@@ -375,14 +371,6 @@ Mce::braidCnot(int control_id, int target_id)
     return plan.steps();
 }
 
-void
-Mce::stretchNoise(double factor, std::size_t rounds)
-{
-    QUEST_ASSERT(factor >= 1.0, "noise stretch below 1 (%g)", factor);
-    _stretchFactor = factor;
-    _stretchRounds = rounds;
-}
-
 const qecc::SyndromeRound &
 Mce::runQeccRound()
 {
@@ -396,38 +384,6 @@ Mce::runQeccRound()
         for (std::size_t q = 0; q < lattice().numQubits(); ++q)
             _channel.idle(_frame, q);
         return _lastRound;
-    }
-
-    // Decoder-deadline fallback: a tile whose correction landed
-    // late decoheres for the stretched interval (host::delivery's
-    // stretch model applied at the channel).
-    if (_stretchRounds > 0) {
-        quantum::ErrorRates stretched = _cfg.errorRates;
-        stretched.idle =
-            std::min(1.0, stretched.idle * _stretchFactor);
-        stretched.gate2 =
-            std::min(1.0, stretched.gate2 * _stretchFactor);
-        stretched.prep =
-            std::min(1.0, stretched.prep * _stretchFactor);
-        stretched.meas =
-            std::min(1.0, stretched.meas * _stretchFactor);
-        _channel.setRates(stretched);
-    }
-
-    // SEU-corrupted microcode: every parity-failed word streams one
-    // wrong uop per replay, landing as a stray X on a random data
-    // qubit until the master's scrub loop rewrites the image.
-    if (_faults != nullptr
-        && _microcodeStore.parityErrorWords() > 0) {
-        const auto data = lattice().sites(qecc::SiteType::Data);
-        sim::Rng &placement =
-            _faults->rng(sim::FaultSite::MicrocodeSeu);
-        for (std::size_t k = 0;
-             k < _microcodeStore.parityErrorWords(); ++k) {
-            _frame.injectX(lattice().index(
-                data[placement.uniformInt(data.size())]));
-            ++_seuUopErrors;
-        }
     }
 
     // Microcode pipeline: charge the epoch's per-round replay cost.
@@ -451,9 +407,6 @@ Mce::runQeccRound()
         _window.push_back(_lastRound);
     ++_roundsRun;
     ++_mReplayRounds;
-
-    if (_stretchRounds > 0 && --_stretchRounds == 0)
-        _channel.setRates(_cfg.errorRates);
     return _lastRound;
 }
 

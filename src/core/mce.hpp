@@ -41,10 +41,6 @@
 #include "scheduler.hpp"
 #include "sim/metrics.hpp"
 
-namespace quest::sim {
-class FaultInjector;
-}
-
 namespace quest::core {
 
 /** Configuration of one MCE tile. */
@@ -290,56 +286,22 @@ class Mce
     {
         return double(_eventsLocal.value());
     }
-    double seuUopErrors() const { return double(_seuUopErrors.value()); }
     ///@}
 
-    /** @name Classical resilience (fault injection hooks). */
+    /** @name Control hang. */
     ///@{
 
     /**
-     * Attach the classical fault source. SEU-corrupted microcode
-     * words mis-steer one uop per replay only while an injector is
-     * attached (its placement stream picks the victim qubit).
-     */
-    void attachFaults(sim::FaultInjector *faults)
-    {
-        _faults = faults;
-    }
-
-    /** The parity-protected microcode memory image. */
-    MicrocodeStore &microcodeStore() { return _microcodeStore; }
-    const MicrocodeStore &microcodeStore() const
-    {
-        return _microcodeStore;
-    }
-
-    /**
-     * Inject a control hang: the engine stops streaming microcode
-     * and answering heartbeats; its tile idles uncorrected until
-     * the master's watchdog quarantines and recovers it.
+     * Wedge the engine: it stops streaming microcode and its tile
+     * idles uncorrected, extracting nothing, until recover(). The
+     * master's arbiter grants a wedged tile no fetch slots.
      */
     void wedge() { _hung = true; }
 
     bool hung() const { return _hung; }
 
-    /**
-     * Watchdog recovery: clear the hang and rewrite the microcode
-     * image (the master re-synced it over the bus).
-     */
-    void
-    recover()
-    {
-        _hung = false;
-        _microcodeStore.repair();
-    }
-
-    /**
-     * Inflate this tile's noise by `factor` for the next `rounds`
-     * QECC rounds -- the host::delivery stretch model applied to a
-     * tile whose global correction arrived after the decode
-     * deadline.
-     */
-    void stretchNoise(double factor, std::size_t rounds);
+    /** Clear the hang: the next round replays as before. */
+    void recover() { _hung = false; }
     ///@}
 
   private:
@@ -381,11 +343,7 @@ class Mce
     quantum::PauliFrame _frame;
     quantum::PauliFrame _ledger; ///< decoded-but-unexecuted corrections
     quantum::ErrorChannel _channel;
-    MicrocodeStore _microcodeStore;
-    sim::FaultInjector *_faults = nullptr;
     bool _hung = false;
-    double _stretchFactor = 1.0;
-    std::size_t _stretchRounds = 0;
 
     MaskTable _mask;
     LogicalInstructionCache _icache;
@@ -408,7 +366,6 @@ class Mce
     sim::metrics::Tally _masterClocks;
     sim::metrics::Tally _fired;
     sim::metrics::Tally _microcodeBits;
-    sim::metrics::Tally _seuUopErrors;
     sim::metrics::Tally _logicalUops;
     sim::metrics::Tally _eventsLocal;
     sim::metrics::Counter &_mReplayRounds;

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "sim/logging.hpp"
-#include "sim/metrics.hpp"
 
 namespace quest::core {
 
@@ -138,64 +137,6 @@ MicrocodeModel::optimalConfig(std::size_t total_bits,
                  "no memory configuration can hold the %s program",
                  _spec->name.c_str());
     return *best;
-}
-
-MicrocodeStore::MicrocodeStore(std::size_t bits,
-                               std::size_t word_bits)
-    : _bits(bits), _wordBits(word_bits),
-      _flipsPerWord(word_bits ? (bits + word_bits - 1) / word_bits
-                              : 0,
-                    0),
-      _mSeuFlips(sim::metrics::Registry::global().counter(
-          "mce.microcode.seu_flips",
-          "single-event upsets injected into microcode stores")),
-      _mRepairs(sim::metrics::Registry::global().counter(
-          "mce.microcode.repairs", "microcode image scrub rewrites")),
-      _mRepairBytes(sim::metrics::Registry::global().counter(
-          "mce.microcode.repair_bytes",
-          "bytes rewritten by microcode scrubbing"))
-{
-    QUEST_ASSERT(bits == 0 || word_bits > 0,
-                 "microcode store needs a nonzero word size");
-}
-
-std::size_t
-MicrocodeStore::flipRandomBit(sim::Rng &rng)
-{
-    QUEST_ASSERT(_bits > 0, "SEU in an empty microcode store");
-    ++_mSeuFlips;
-    const std::size_t bit = rng.uniformInt(_bits);
-    const std::size_t word = bit / _wordBits;
-    // Parity sees the word's flip count modulo two.
-    if (_flipsPerWord[word] % 2 == 0)
-        ++_oddWords;
-    else
-        --_oddWords;
-    ++_flipsPerWord[word];
-    ++_flipped;
-    return word;
-}
-
-std::size_t
-MicrocodeStore::silentBits() const
-{
-    std::size_t silent = 0;
-    for (std::uint8_t flips : _flipsPerWord)
-        if (flips > 0 && flips % 2 == 0)
-            silent += flips;
-    return silent;
-}
-
-std::size_t
-MicrocodeStore::repair()
-{
-    ++_mRepairs;
-    std::fill(_flipsPerWord.begin(), _flipsPerWord.end(), 0);
-    _flipped = 0;
-    _oddWords = 0;
-    const std::size_t bytes = imageBytes();
-    _mRepairBytes += bytes;
-    return bytes;
 }
 
 } // namespace quest::core

@@ -28,12 +28,9 @@
 #define QUEST_CORE_MICROCODE_HPP
 
 #include <string>
-#include <vector>
 
 #include "isa/instructions.hpp"
 #include "qecc/protocol.hpp"
-#include "sim/metrics.hpp"
-#include "sim/random.hpp"
 #include "tech/jj_memory.hpp"
 #include "tech/parameters.hpp"
 
@@ -117,68 +114,6 @@ class MicrocodeModel
     const qecc::ProtocolSpec *_spec;
     tech::Technology _technology;
     tech::JJMemoryModel _mem;
-};
-
-/**
- * Parity-protected microcode memory image.
- *
- * The JJ banks that hold an MCE's QECC program are exposed to
- * single-event upsets like any cryogenic storage. The store tracks
- * which stored bits an SEU has flipped and guards every
- * microcodeWordBits-wide word with one parity bit: an odd number of
- * flips in a word is detected the next time it streams (and
- * reported to the master's scrub loop); an even number is silent
- * until the periodic full re-upload rewrites the image.
- */
-class MicrocodeStore
-{
-  public:
-    explicit MicrocodeStore(
-        std::size_t bits = 0,
-        std::size_t word_bits = tech::microcodeWordBits);
-
-    std::size_t bits() const { return _bits; }
-    std::size_t words() const { return _flipsPerWord.size(); }
-
-    /** Payload of a full image re-upload over the global bus. */
-    std::size_t imageBytes() const { return (_bits + 7) / 8; }
-
-    /**
-     * One SEU: flip a uniformly random stored bit.
-     * @return the word the upset landed in.
-     */
-    std::size_t flipRandomBit(sim::Rng &rng);
-
-    /** Total stored bits currently differing from the image. */
-    std::size_t flippedBits() const { return _flipped; }
-
-    /** Words whose parity check fails (detectable corruption). */
-    std::size_t parityErrorWords() const { return _oddWords; }
-
-    /** Flipped bits hidden by even word parity (undetectable). */
-    std::size_t silentBits() const;
-
-    bool corrupted() const { return _flipped > 0; }
-
-    /**
-     * Full re-upload from the master: every word is rewritten, so
-     * detected and silent corruption are both cleared.
-     * @return the bytes the re-upload moved.
-     */
-    std::size_t repair();
-
-  private:
-    std::size_t _bits;
-    std::size_t _wordBits;
-    std::vector<std::uint8_t> _flipsPerWord;
-
-    // Constructor-bound registry counters (no function-local
-    // statics; they outlive registry resets).
-    sim::metrics::Counter &_mSeuFlips;
-    sim::metrics::Counter &_mRepairs;
-    sim::metrics::Counter &_mRepairBytes;
-    std::size_t _flipped = 0;
-    std::size_t _oddWords = 0;
 };
 
 } // namespace quest::core

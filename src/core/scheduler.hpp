@@ -173,7 +173,7 @@ class DynamicScheduler
     /**
      * Run `tiles.size()` tile pipelines against a shared fetch
      * budget of `shared_bandwidth` slots per cycle. `active[i]` == 0
-     * excludes tile i (a hung/quarantined engine demands nothing).
+     * excludes tile i (a wedged engine demands nothing).
      *
      * A call whose inputs equal the previous call's returns the
      * cached result without re-simulating; the sched.* metrics are

@@ -13,10 +13,10 @@ SystemReport::toString() const
     std::snprintf(buf, sizeof(buf),
                   "rounds=%zu baseline=%.3e B quest=%.3e B "
                   "(logical=%.3e sync=%.3e syndrome=%.3e corr=%.3e "
-                  "cache=%.3e scrub=%.3e) savings=%.1fx",
+                  "cache=%.3e) savings=%.1fx",
                   rounds, baselineBytes, questBusBytes, bytesLogical,
                   bytesSync, bytesSyndrome, bytesCorrections,
-                  bytesCache, bytesScrub, savings());
+                  bytesCache, savings());
     return buf;
 }
 
@@ -83,7 +83,6 @@ QuestSystem::report() const
     out.bytesSyndrome = _master.busBytesSyndrome();
     out.bytesCorrections = _master.busBytesCorrections();
     out.bytesCache = _master.busBytesCacheTraffic();
-    out.bytesScrub = _master.busBytesScrub();
     out.questBusBytes = _master.totalBusBytes();
     return out;
 }

@@ -30,7 +30,6 @@ struct SystemReport
     double bytesSyndrome = 0;
     double bytesCorrections = 0;
     double bytesCache = 0;
-    double bytesScrub = 0; ///< microcode scrub polls / re-uploads
 
     /** Bandwidth reduction factor (Figure 14, cycle-level). */
     double

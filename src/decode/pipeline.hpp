@@ -16,7 +16,6 @@
 
 #include "lut_decoder.hpp"
 #include "mwpm_decoder.hpp"
-#include "sim/fault_injector.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
@@ -29,18 +28,15 @@ namespace quest::decode {
  * matcher is O(E^2) in the residual event count, so its decode time
  * is modelled as base + perEventSq * E^2 against the decode-window
  * budget; the union-find cluster decoder is the nearly-linear
- * fallback the master degrades to when MWPM would overrun.
+ * fallback a streaming window degrades to when MWPM would overrun.
  */
 struct DeadlineConfig
 {
     /** Decode budget in ticks (the decode window); 0 disables. */
     sim::Tick windowTicks = 0;
-    /** Source of injected overruns (FaultSite::DecoderOverrun);
-     *  null injects none. Must outlive the deadline. */
-    sim::FaultInjector *faults = nullptr;
 };
 
-/** The one overrun rule, shared by offline and streaming decode. */
+/** The overrun rule of the streaming decoder's windows. */
 class DecodeDeadline
 {
   public:
@@ -63,20 +59,15 @@ class DecodeDeadline
     }
 
     /**
-     * Does an MWPM decode of this batch miss the window? Either the
-     * injector's DecoderOverrun trial fires or the modelled decode
-     * time exceeds the budget. With a budget the trial is drawn on
-     * every call, before the analytic check; without one (windowTicks
-     * == 0) nothing overruns and the injector is never touched.
+     * Does an MWPM decode of this batch miss the window: does its
+     * modelled decode time exceed the budget? Without a budget
+     * (windowTicks == 0) nothing overruns.
      */
     bool
     overruns(std::size_t events) const
     {
-        if (_cfg.windowTicks == 0)
-            return false;
-        const bool injected = _cfg.faults != nullptr
-            && _cfg.faults->fire(sim::FaultSite::DecoderOverrun);
-        return injected || mwpmTicks(events) > _cfg.windowTicks;
+        return _cfg.windowTicks > 0
+            && mwpmTicks(events) > _cfg.windowTicks;
     }
 
     /**

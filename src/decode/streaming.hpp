@@ -25,10 +25,10 @@
  *    identically in the next window (re-differencing against the
  *    carried baseline would reproduce them bit for bit);
  *  - a window the DecodeDeadline judges overrun (its residual
- *    event count misses the budget, or an injected DecoderOverrun
- *    fault fires) degrades to the union-find ClusterDecoder over
- *    the commit region only, reporting the lateness stretch for
- *    the noise model.
+ *    event count misses the budget) degrades to the union-find
+ *    ClusterDecoder over the commit region only, reporting the
+ *    lateness stretch. The budget is off (windowTicks == 0) unless
+ *    the caller sets one; the master controller sets none.
  *
  * Overlap reuse: a window's carry region is the next window's first
  * `windowRounds - strideRounds` rounds, differenced against the same
@@ -87,8 +87,7 @@ struct StreamConfig
      *  (the offline master's cadence). */
     std::size_t strideRounds = 4;
     /** Real-time decode budget per window; windowTicks == 0
-     *  disables the ClusterDecoder fallback (and its injected
-     *  overruns). */
+     *  disables the ClusterDecoder fallback. */
     DeadlineConfig deadline;
 };
 
@@ -113,8 +112,8 @@ struct StreamCommit
     /** True when the deadline degraded this window to the
      *  ClusterDecoder. */
     bool fallback = false;
-    /** Lateness factor (>= 1) for the noise-stretch model; only
-     *  meaningful when `fallback`. */
+    /** Lateness factor (>= 1): modelled decode time over the
+     *  budget; only meaningful when `fallback`. */
     double stretch = 1.0;
 };
 

@@ -347,8 +347,8 @@ SyndromeExtractor::runRound(PauliFrame &frame, ErrorChannel *channel) const
     // Noise draws from a local copy of the channel's stream, assigned
     // back at the end: frame-word stores cannot alias a local, so its
     // state stays in registers. Rates are re-read every round
-    // (Mce::stretchNoise edits them); with no channel every rate is
-    // zero, which draws nothing.
+    // (ErrorChannel::setRates may edit them); with no channel every
+    // rate is zero, which draws nothing.
     const ErrorRates rates = channel ? channel->rates()
                                      : ErrorRates::none();
     static const sim::Rng unused_stream;

@@ -3,7 +3,7 @@
  * Deterministic parallel execution engine: a small work-stealing
  * thread pool.
  *
- * The Monte-Carlo workloads (decoder accuracy sweeps, fault sweeps,
+ * The Monte-Carlo workloads (decoder accuracy sweeps, error-rate sweeps,
  * throughput benches) are embarrassingly parallel across trials, but
  * the simulator's reproducibility contract must survive
  * parallelisation: a sweep must produce bit-identical output for any

@@ -110,26 +110,4 @@ JJMemoryModel::standardConfigs(std::size_t total_bits)
     return out;
 }
 
-std::size_t
-JJMemoryModel::imageWords(std::size_t image_bits)
-{
-    return (image_bits + microcodeWordBits - 1) / microcodeWordBits;
-}
-
-std::size_t
-JJMemoryModel::parityOverheadBits(std::size_t image_bits)
-{
-    return imageWords(image_bits);
-}
-
-double
-JJMemoryModel::reuploadSeconds(std::size_t image_bits,
-                               double bus_bytes_per_second)
-{
-    QUEST_ASSERT(bus_bytes_per_second > 0,
-                 "re-upload needs bus bandwidth");
-    const double bytes = double((image_bits + 7) / 8);
-    return bytes / bus_bytes_per_second;
-}
-
 } // namespace quest::tech

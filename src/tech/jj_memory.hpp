@@ -90,26 +90,6 @@ class JJMemoryModel
      */
     static std::vector<MemoryConfig>
     standardConfigs(std::size_t total_bits = 4096);
-
-    /** @name SEU protection (core::MicrocodeStore's parity model). */
-    ///@{
-
-    /** Words of microcodeWordBits covering an image. */
-    static std::size_t imageWords(std::size_t image_bits);
-
-    /**
-     * Extra storage for one parity bit per stored word -- the cost
-     * of making microcode SEUs detectable by the scrub loop.
-     */
-    static std::size_t parityOverheadBits(std::size_t image_bits);
-
-    /**
-     * Seconds a full image re-upload occupies the global bus at the
-     * given link bandwidth (bytes per second).
-     */
-    static double reuploadSeconds(std::size_t image_bits,
-                                  double bus_bytes_per_second);
-    ///@}
 };
 
 } // namespace quest::tech

@@ -18,6 +18,7 @@
 namespace {
 
 using quest::bench::calibrateReps;
+using quest::bench::medianProbeSeconds;
 using quest::bench::Flags;
 using quest::bench::Json;
 using quest::bench::jsonObject;
@@ -148,6 +149,19 @@ TEST(BenchCalibrateReps, StretchesTheProbeToTheWindow)
     // A fast decoder's 2^-16 s probe fills a 0.5 s window with 2^15
     // reps, far more than a fixed cap of a few thousand would allow.
     EXPECT_EQ(calibrateReps(1.0 / 65536, 0.5), 32769u);
+}
+
+TEST(BenchCalibrateReps, MedianProbeIgnoresOneSlowPass)
+{
+    // One preempted pass among five warm ones, here the first, moves
+    // neither the median nor the rep count it sets.
+    const double passes[] = { 0.5, 0.021, 0.019, 0.020, 0.022 };
+    std::size_t calls = 0;
+    const double median =
+        medianProbeSeconds([&] { return passes[calls++]; });
+    EXPECT_EQ(calls, quest::bench::calibrationProbes);
+    EXPECT_DOUBLE_EQ(median, 0.021);
+    EXPECT_EQ(calibrateReps(median, 0.25), 12u);
 }
 
 TEST(BenchCalibrateReps, CapsTinyOrUntimedProbes)

@@ -283,7 +283,6 @@ TEST(GoldenLedger, InOrderReplayIsPinned)
               "mce.replay.hung_rounds 0\n"
               "mce.replay.microcode_bits 114240\n"
               "mce.replay.rounds 30\n"
-              "mce.replay.seu_uop_errors 0\n"
               "mce.replay.uops 10428\n"
               "sched.cycles 10730\n"
               "sched.issued 10428\n"
@@ -337,7 +336,6 @@ TEST(GoldenLedger, ArbitratedOutOfOrderReplayIsPinned)
               "mce.replay.hung_rounds 3\n"
               "mce.replay.microcode_bits 137088\n"
               "mce.replay.rounds 36\n"
-              "mce.replay.seu_uop_errors 0\n"
               "mce.replay.uops 12231\n"
               "sched.cycles 13837\n"
               "sched.issued 14345\n"

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/logging.hpp"
 #include "tech/jj_memory.hpp"
 
 namespace {
@@ -94,6 +97,81 @@ TEST(JJMemory, OffTableSizesInterpolateSanely)
     EXPECT_GT(m.bankJJCount(8192), m.bankJJCount(4096));
     EXPECT_GE(m.bankLatencyCycles(16384), m.bankLatencyCycles(4096));
     EXPECT_GT(m.bankPowerUw(8192), 0.0);
+}
+
+TEST(JJMemory, ConfigTotalsAreChannelsTimesOneBank)
+{
+    const JJMemoryModel m;
+    for (const std::size_t bits : {512u, 1024u, 3000u, 4096u}) {
+        for (const std::size_t channels : {1u, 2u, 4u, 8u}) {
+            const MemoryConfig cfg{channels, bits};
+            EXPECT_EQ(cfg.totalBits(), channels * bits);
+            EXPECT_EQ(m.jjCount(cfg), channels * m.bankJJCount(bits));
+            EXPECT_DOUBLE_EQ(m.powerUw(cfg),
+                             double(channels) * m.bankPowerUw(bits));
+        }
+    }
+}
+
+TEST(JJMemory, StandardConfigsKeepTheTotalAndSkipUnevenSplits)
+{
+    for (const std::size_t total : {4096u, 8192u, 6u}) {
+        const auto configs = JJMemoryModel::standardConfigs(total);
+        ASSERT_FALSE(configs.empty()) << total;
+        for (const MemoryConfig &cfg : configs)
+            EXPECT_EQ(cfg.totalBits(), total) << cfg.toString();
+    }
+    // 6 bits split only into 1 or 2 banks.
+    EXPECT_EQ(JJMemoryModel::standardConfigs(6),
+              (std::vector<MemoryConfig>{{1, 6}, {2, 3}}));
+}
+
+TEST(JJMemory, OffTableLatencyAddsOneStagePerFourTimesCapacity)
+{
+    const JJMemoryModel m;
+    EXPECT_EQ(m.bankLatencyCycles(1), 1u);
+    EXPECT_EQ(m.bankLatencyCycles(256), 1u);
+    EXPECT_EQ(m.bankLatencyCycles(257), 2u);
+    EXPECT_EQ(m.bankLatencyCycles(3000), 3u);
+    EXPECT_EQ(m.bankLatencyCycles(16384), 4u);
+    EXPECT_EQ(m.bankLatencyCycles(16385), 5u);
+}
+
+TEST(JJMemory, OffTableCostsFollowTheInterpolation)
+{
+    const JJMemoryModel m;
+    // ~41.5 JJ per bit, rounded to the nearest junction.
+    EXPECT_EQ(m.bankJJCount(3), 125u);
+    EXPECT_EQ(m.bankJJCount(8192), 339968u);
+    // Power scales with the square root of capacity from 0.55 uW
+    // at 2 Kb.
+    EXPECT_DOUBLE_EQ(m.bankPowerUw(8192), 1.1);
+}
+
+TEST(JJMemory, UopsPerSecondIsChannelsTimesWordRateTimesPacking)
+{
+    const JJMemoryModel m;
+    const MemoryConfig cfg{2, 2048}; // 3-cycle banks
+    const std::size_t uop_bits = microcodeWordBits / 4;
+    EXPECT_DOUBLE_EQ(m.uopsPerSecond(cfg, uop_bits),
+                     2.0 * (jjClockHz / 3.0) * 4.0);
+    // A uop wider than half the word packs one per word.
+    EXPECT_DOUBLE_EQ(m.uopsPerSecond(cfg, microcodeWordBits),
+                     m.uopsPerSecond(cfg, microcodeWordBits / 2 + 1));
+}
+
+TEST(JJMemory, InvalidSizesPanic)
+{
+    quest::sim::setQuiet(true);
+    const JJMemoryModel m;
+    EXPECT_THROW(m.bankJJCount(0), quest::sim::SimError);
+    EXPECT_THROW(m.bankPowerUw(0), quest::sim::SimError);
+    EXPECT_THROW(m.bankLatencyCycles(0), quest::sim::SimError);
+    const MemoryConfig cfg{4, 1024};
+    EXPECT_THROW(m.uopsPerSecond(cfg, 0), quest::sim::SimError);
+    EXPECT_THROW(m.uopsPerSecond(cfg, microcodeWordBits + 1),
+                 quest::sim::SimError);
+    quest::sim::setQuiet(false);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "core/system.hpp"
 #include "decode/pipeline.hpp"
 #include "isa/trace.hpp"
-#include "sim/logging.hpp"
 #include "sim/metrics.hpp"
 
 namespace {
@@ -197,15 +197,17 @@ TEST(MasterStats, SnapshotSumsEveryTile)
 }
 
 MasterConfig
-faultyMaster(std::uint64_t fault_seed)
+noisyMaster(std::uint64_t seed)
 {
     MasterConfig cfg = smallMaster(2);
-    cfg.faults = quest::sim::FaultConfig::uniform(0.01, fault_seed);
+    cfg.mce.errorRates =
+        quest::quantum::ErrorRates{.idle = 1e-3, .meas = 1e-3};
+    cfg.mce.seed = seed;
     return cfg;
 }
 
 void
-runFaulty(QuestSystem &sys)
+runWorkload(QuestSystem &sys)
 {
     quest::isa::TraceGenConfig tc;
     tc.numInstructions = 96;
@@ -217,7 +219,7 @@ runFaulty(QuestSystem &sys)
                          /*rounds=*/64);
 }
 
-/** Every bus-byte and fault count of a master, by its row name. */
+/** Every bus-byte count of a master, by its row name. */
 std::vector<std::pair<std::string, double>>
 masterCounts(const MasterController &m)
 {
@@ -227,46 +229,30 @@ masterCounts(const MasterController &m)
         { "master.bus_bytes_syndrome", m.busBytesSyndrome() },
         { "master.bus_bytes_corrections", m.busBytesCorrections() },
         { "master.bus_bytes_cache", m.busBytesCacheTraffic() },
-        { "master.bus_bytes_scrub", m.busBytesScrub() },
-        { "faults.seu_injected", m.seuInjected() },
-        { "faults.seu_detected", m.seuDetected() },
-        { "faults.seu_silent_repaired", m.seuSilentRepaired() },
-        { "faults.scrubs", m.scrubCount() },
-        { "faults.decoder_overruns", m.decoderOverruns() },
-        { "faults.heartbeats", m.heartbeatsSent() },
-        { "faults.heartbeats_missed", m.heartbeatsMissed() },
-        { "faults.hangs_injected", m.hangsInjected() },
-        { "faults.quarantines", m.quarantineCount() },
-        { "faults.resumes", m.resumeCount() },
-        { "faults.bus_escalations", m.busEscalations() },
-        { "faults.packets_abandoned", m.packetsAbandoned() },
     };
 }
 
 TEST(MasterStats, ConcurrentMastersKeepTheirOwnCounts)
 {
-    quest::sim::setQuiet(true);
     // Reference counts: each master run on its own.
     std::vector<std::pair<std::string, double>> solo[2];
     for (std::uint64_t k = 0; k < 2; ++k) {
-        QuestSystem sys(faultyMaster(7 + k));
-        runFaulty(sys);
+        QuestSystem sys(noisyMaster(7 + k));
+        runWorkload(sys);
         solo[k] = masterCounts(sys.master());
     }
 
     Registry::global().reset();
-    QuestSystem a(faultyMaster(7));
-    QuestSystem b(faultyMaster(8));
-    runFaulty(a);
-    runFaulty(b);
+    QuestSystem a(noisyMaster(7));
+    QuestSystem b(noisyMaster(8));
+    runWorkload(a);
+    runWorkload(b);
     const auto ca = masterCounts(a.master());
     const auto cb = masterCounts(b.master());
-    quest::sim::setQuiet(false);
 
     EXPECT_EQ(ca, solo[0]);
     EXPECT_EQ(cb, solo[1]);
     EXPECT_NE(ca, cb);
-    EXPECT_GT(a.master().heartbeatsSent(), 0.0);
     for (std::size_t i = 0; i < ca.size(); ++i)
         EXPECT_EQ(snapshotRow(ca[i].first),
                   ca[i].second + cb[i].second)
@@ -283,9 +269,6 @@ TEST(MasterStats, SnapshotCarriesEachCountOnce)
     for (const char *row :
          { "icache.hits", "icache.misses", "icache.bus_bytes",
            "mce0.qecc_rounds", "mce0.qecc_uops", "mce0.microcode_bits",
-           "mce0.seu_uop_errors", "faults.network_retransmits",
-           "faults.network_lost", "faults.network_corrupted",
-           "faults.network_failures", "faults.network_overhead_bytes",
            "network.latency::samples", "decoder.events_total",
            "decoder.events_local", "decoder.events_global",
            "decoder.syndrome_bus_bytes" })
@@ -293,9 +276,8 @@ TEST(MasterStats, SnapshotCarriesEachCountOnce)
     // ... and the counts live on under one name each.
     for (const char *row :
          { "mce.icache.hits", "mce.replay.rounds", "mce.replay.uops",
-           "mce.replay.microcode_bits", "mce.replay.seu_uop_errors",
-           "mce0.logical_uops", "mce0.events_local",
-           "network.retransmits", "network.latency.count",
+           "mce.replay.microcode_bits", "mce0.logical_uops",
+           "mce0.events_local", "network.packets", "network.latency.count",
            "decode.pipeline.events_local" })
         EXPECT_NE(snapshotRow(row), std::nullopt) << row;
 }
@@ -323,21 +305,6 @@ TEST(MasterStats, BusByteRowsMoveByTheMastersOwnCounts)
         EXPECT_EQ(snapshotRow(after[i].first).value() - rows0[i],
                   after[i].second - before[i].second)
             << after[i].first;
-}
-
-TEST(MasterStats, FaultFreeRunLeavesEveryFaultRowAtZero)
-{
-    Registry::global().reset();
-    MasterController master(smallMaster(2));
-    master.mce(0).defineLogicalQubit(Coord{2, 2});
-    master.dispatch(LogicalInstr{LogicalOpcode::Hadamard, 0});
-    master.runRounds(8);
-    for (const auto &[name, v] : masterCounts(master)) {
-        if (name.rfind("faults.", 0) != 0)
-            continue;
-        EXPECT_EQ(v, 0.0) << name;
-        EXPECT_EQ(snapshotRow(name), 0.0) << name;
-    }
 }
 
 /** The row names of the current snapshot, in order. */
@@ -378,5 +345,126 @@ TEST(MasterStats, EveryRowExistsOnceTheMasterIsBuilt)
     });
     EXPECT_EQ(added, std::vector<std::string>{});
 }
+
+TEST(MasterStats, NoRowOfTheRetiredFaultModelIsRegistered)
+{
+    // The master models no classical faults: building and running
+    // one registers no fault, scrub or retransmit row.
+    MasterController master(smallMaster(2));
+    master.mce(0).defineLogicalQubit(Coord{2, 2});
+    master.dispatch(LogicalInstr{LogicalOpcode::Hadamard, 0});
+    master.runRounds(6);
+    for (const std::string &row : snapshotRowNames()) {
+        EXPECT_FALSE(row.starts_with("faults.")) << row;
+        EXPECT_FALSE(row.starts_with("network.")
+                     && row.find("retransmit") != std::string::npos)
+            << row;
+        EXPECT_EQ(row.find("seu"), std::string::npos) << row;
+        EXPECT_EQ(row.find("scrub"), std::string::npos) << row;
+    }
+}
+
+/** A decode and arbitration mode of the master. */
+struct MasterMode
+{
+    const char *name;
+    std::size_t streamWindow = 0;
+    std::size_t streamStride = 0;
+    std::size_t sharedFetch = 0;
+    ArbiterPolicy policy = ArbiterPolicy::RoundRobin;
+};
+
+/** Names a mode in test listings by its name, not its bytes. */
+void
+PrintTo(const MasterMode &mode, std::ostream *os)
+{
+    *os << mode.name;
+}
+
+class MasterReplay : public ::testing::TestWithParam<MasterMode>
+{
+  protected:
+    /** noisyMaster(seed) in this test's mode. */
+    static MasterConfig
+    config(std::uint64_t seed)
+    {
+        MasterConfig cfg = noisyMaster(seed);
+        cfg.streamWindowRounds = GetParam().streamWindow;
+        cfg.streamStrideRounds = GetParam().streamStride;
+        cfg.sharedFetchBandwidth = GetParam().sharedFetch;
+        cfg.arbiterPolicy = GetParam().policy;
+        return cfg;
+    }
+};
+
+TEST_P(MasterReplay, IdenticalConfigsReplayBitForBit)
+{
+    QuestSystem a(config(7));
+    QuestSystem b(config(7));
+    runWorkload(a);
+    runWorkload(b);
+    MasterController &ma = a.master();
+    MasterController &mb = b.master();
+    EXPECT_EQ(masterCounts(ma), masterCounts(mb));
+    EXPECT_EQ(ma.roundsRun(), mb.roundsRun());
+    for (std::size_t i = 0; i < ma.numMces(); ++i) {
+        EXPECT_EQ(ma.mce(i).correctionLedger().xWords(),
+                  mb.mce(i).correctionLedger().xWords())
+            << "tile " << i;
+        EXPECT_EQ(ma.mce(i).correctionLedger().zWords(),
+                  mb.mce(i).correctionLedger().zWords())
+            << "tile " << i;
+        EXPECT_EQ(ma.mce(i).residualErrorWeight(),
+                  mb.mce(i).residualErrorWeight())
+            << "tile " << i;
+    }
+    EXPECT_DOUBLE_EQ(ma.network().packetsCarried(),
+                     mb.network().packetsCarried());
+    EXPECT_DOUBLE_EQ(ma.network().meanLatencyTicks(),
+                     mb.network().meanLatencyTicks());
+}
+
+TEST_P(MasterReplay, EveryBusByteCrossesTheNetwork)
+{
+    QuestSystem sys(config(7));
+    runWorkload(sys);
+    const MasterController &m = sys.master();
+    EXPECT_GT(m.busBytesSyndrome(), 0.0);
+    EXPECT_GT(m.busBytesCorrections(), 0.0);
+    EXPECT_DOUBLE_EQ(sys.master().network().bytesCarried(),
+                     m.totalBusBytes());
+}
+
+TEST_P(MasterReplay, SeedMovesOnlyTheNoiseTraffic)
+{
+    // Logical, sync and icache traffic follow the trace alone; the
+    // noise seed reaches only the syndrome and correction rows.
+    QuestSystem a(config(7));
+    QuestSystem b(config(8));
+    runWorkload(a);
+    runWorkload(b);
+    EXPECT_DOUBLE_EQ(a.master().busBytesLogical(),
+                     b.master().busBytesLogical());
+    EXPECT_DOUBLE_EQ(a.master().busBytesSync(),
+                     b.master().busBytesSync());
+    EXPECT_DOUBLE_EQ(a.master().busBytesCacheTraffic(),
+                     b.master().busBytesCacheTraffic());
+    EXPECT_DOUBLE_EQ(a.master().baselineEquivalentBytes(),
+                     b.master().baselineEquivalentBytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, MasterReplay,
+    ::testing::Values(MasterMode{.name = "Offline"},
+                      MasterMode{.name = "Streaming",
+                                 .streamWindow = 6,
+                                 .streamStride = 3},
+                      MasterMode{.name = "RoundRobin", .sharedFetch = 4},
+                      MasterMode{.name = "OldestFirst",
+                                 .sharedFetch = 4,
+                                 .policy = ArbiterPolicy::OldestFirst}),
+    [](const ::testing::TestParamInfo<MasterMode> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace

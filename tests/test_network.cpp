@@ -7,12 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "core/master_controller.hpp"
 #include "core/network.hpp"
 #include "core/system.hpp"
-#include "sim/fault_injector.hpp"
 #include "sim/metrics.hpp"
 
 namespace {
@@ -118,51 +116,12 @@ TEST(NetworkIntegration, QuestLeavesTheRootLinkNearlyIdle)
     EXPECT_GT(baseline_util, quest_util * 50);
 }
 
-/** Drive `n` sends through a lossy network; collect latencies. */
-std::vector<quest::sim::Tick>
-lossyLatencies(std::uint64_t fault_seed, int n)
+TEST(Network, SingleMceDegenerateTreeConstructs)
 {
-    quest::sim::FaultConfig fc;
-    fc.seed = fault_seed;
-    fc.rate(quest::sim::FaultSite::NetworkLoss) = 0.3;
-    quest::sim::FaultInjector inj(fc);
-    PacketNetwork net(4);
-    net.attachFaults(&inj);
-    std::vector<quest::sim::Tick> lat;
-    lat.reserve(std::size_t(n));
-    for (int i = 0; i < n; ++i)
-        lat.push_back(net.send(0, 8).latency);
-    return lat;
-}
-
-TEST(NetworkJitter, BackoffJitterReplaysBitForBit)
-{
-    // The jitter stream is seeded off the injector, never the wall
-    // clock: identical seeds must give identical retransmission
-    // timing, delivery for delivery.
-    EXPECT_EQ(lossyLatencies(42, 512), lossyLatencies(42, 512));
-    EXPECT_NE(lossyLatencies(42, 512), lossyLatencies(43, 512));
-}
-
-TEST(NetworkJitter, FaultFreePathIgnoresJitterEntirely)
-{
-    // An idle injector reseeds the jitter stream, but the fault-free
-    // path never draws from it: the timing is bit-identical whatever
-    // the fault seed, one attempt per packet.
-    quest::sim::FaultInjector idle_a(quest::sim::FaultConfig::none());
-    quest::sim::FaultConfig other = quest::sim::FaultConfig::none();
-    other.seed = 7;
-    quest::sim::FaultInjector idle_b(other);
-    PacketNetwork na(4), nb(4);
-    na.attachFaults(&idle_a);
-    nb.attachFaults(&idle_b);
-    for (int i = 0; i < 64; ++i) {
-        const PacketTiming ta = na.send(i % 4, 16);
-        const PacketTiming tb = nb.send(i % 4, 16);
-        EXPECT_EQ(ta.latency, tb.latency);
-        EXPECT_EQ(ta.attempts, 1u);
-        EXPECT_EQ(tb.attempts, 1u);
-    }
+    // A single MCE is a depth-1 chain: no fan-out needed.
+    PacketNetwork net(1);
+    EXPECT_TRUE(net.send(0, 4).delivered);
+    EXPECT_GE(net.depth(), 1u);
 }
 
 /** The registry counter `name`, registered by the network. */
@@ -207,5 +166,98 @@ TEST(Network, LatencyHistogramRecordsEveryPacket)
     EXPECT_EQ(row("network.latency_ticks") - ticks0, total);
     EXPECT_DOUBLE_EQ(net.meanLatencyTicks(), double(total) / 3.0);
 }
+
+TEST(Network, SerializationChargesWholeTicksPerByte)
+{
+    // 4 GB/s is exactly 250 ps per byte, so serialization never
+    // rounds: the latency is linear in the packet size.
+    PacketNetwork net(4);
+    const quest::sim::Tick hops = 2 * PacketNetwork::hopLatency;
+    for (const std::size_t bytes : {1u, 3u, 7u, 333u, 4096u})
+        EXPECT_EQ(net.send(1, bytes).latency, hops + 250 * bytes)
+            << bytes << " bytes";
+}
+
+TEST(Network, IdleNetworkReportsNoTraffic)
+{
+    const PacketNetwork net(16);
+    EXPECT_DOUBLE_EQ(net.bytesCarried(), 0.0);
+    EXPECT_DOUBLE_EQ(net.packetsCarried(), 0.0);
+    EXPECT_DOUBLE_EQ(net.meanLatencyTicks(), 0.0);
+    EXPECT_DOUBLE_EQ(net.rootLinkUtilization(1000), 0.0);
+}
+
+TEST(Network, UtilizationIsLinearInBytesAndInverseInInterval)
+{
+    PacketNetwork net(4);
+    net.send(0, 40);
+    const double u = net.rootLinkUtilization(100000);
+    EXPECT_DOUBLE_EQ(u, 40.0 / (0.004 * 100000.0));
+    EXPECT_DOUBLE_EQ(net.rootLinkUtilization(200000), u / 2.0);
+    net.send(3, 40);
+    EXPECT_DOUBLE_EQ(net.rootLinkUtilization(100000), 2.0 * u);
+}
+
+TEST(Network, InvalidPacketsAndTreesPanic)
+{
+    quest::sim::setQuiet(true);
+    EXPECT_THROW(PacketNetwork(0), quest::sim::SimError);
+    PacketNetwork net(4);
+    EXPECT_THROW(net.send(0, 0), quest::sim::SimError);
+    EXPECT_THROW(net.hopsToMce(4), quest::sim::SimError);
+    quest::sim::setQuiet(false);
+    // A refused packet is not accounted.
+    EXPECT_DOUBLE_EQ(net.packetsCarried(), 0.0);
+}
+
+/** Tree shapes on both sides of each radix-4 level boundary. */
+class NetworkTree : public ::testing::TestWithParam<std::size_t>
+{};
+
+TEST_P(NetworkTree, DepthIsTheSmallestCoveringPowerOfTheRadix)
+{
+    const std::size_t mces = GetParam();
+    const PacketNetwork net(mces);
+    std::size_t reach = 1;
+    for (std::size_t level = 0; level < net.depth(); ++level)
+        reach *= PacketNetwork::radix;
+    EXPECT_GE(reach, mces);
+    // One level fewer would not reach every leaf (depth is at least
+    // one even for a single MCE).
+    if (net.depth() > 1) {
+        EXPECT_LT(reach / PacketNetwork::radix, mces);
+    }
+}
+
+TEST_P(NetworkTree, EveryLeafIsOneHopPastTheDepth)
+{
+    const std::size_t mces = GetParam();
+    PacketNetwork net(mces);
+    for (std::size_t i = 0; i < mces; ++i) {
+        ASSERT_EQ(net.hopsToMce(i), net.depth() + 1) << "leaf " << i;
+        const PacketTiming t = net.send(i, 2);
+        EXPECT_EQ(t.hops, net.depth() + 1) << "leaf " << i;
+        EXPECT_TRUE(t.delivered) << "leaf " << i;
+    }
+    EXPECT_DOUBLE_EQ(net.packetsCarried(), double(mces));
+}
+
+TEST_P(NetworkTree, LatencyDependsOnlyOnTheTreeAndThePacketSize)
+{
+    // The model keeps no per-link queue: a packet's latency is the
+    // same to every leaf and after any earlier traffic.
+    const std::size_t mces = GetParam();
+    PacketNetwork net(mces);
+    const quest::sim::Tick first = net.send(0, 64).latency;
+    for (std::size_t i = 0; i < mces; ++i)
+        net.send(i, 4096);
+    for (std::size_t i = 0; i < mces; ++i)
+        EXPECT_EQ(net.send(i, 64).latency, first) << "leaf " << i;
+    EXPECT_EQ(PacketNetwork(mces).send(mces - 1, 64).latency, first);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, NetworkTree,
+                         ::testing::Values(1u, 2u, 4u, 5u, 16u, 17u,
+                                           77u));
 
 } // namespace

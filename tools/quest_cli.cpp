@@ -344,35 +344,6 @@ cmdTraceGen(const Options &opts)
     return 0;
 }
 
-/** One "faults.<name> <value>" line per fault count, in a fixed
- *  order: the master's own counts, then the network's ARQ counts. */
-void
-printFaultsReport(core::MasterController &m)
-{
-    const core::PacketNetwork &net = m.network();
-    const std::pair<const char *, double> rows[] = {
-        { "seu_injected", m.seuInjected() },
-        { "seu_detected", m.seuDetected() },
-        { "seu_silent_repaired", m.seuSilentRepaired() },
-        { "scrubs", m.scrubCount() },
-        { "decoder_overruns", m.decoderOverruns() },
-        { "heartbeats", m.heartbeatsSent() },
-        { "heartbeats_missed", m.heartbeatsMissed() },
-        { "hangs_injected", m.hangsInjected() },
-        { "quarantines", m.quarantineCount() },
-        { "resumes", m.resumeCount() },
-        { "bus_escalations", m.busEscalations() },
-        { "packets_abandoned", m.packetsAbandoned() },
-        { "network_retransmits", net.retransmits() },
-        { "network_lost", net.lostPackets() },
-        { "network_corrupted", net.corruptedPackets() },
-        { "network_failures", net.deliveryFailures() },
-        { "network_overhead_bytes", net.protocolOverheadBytes() },
-    };
-    for (const auto &[name, value] : rows)
-        std::printf("faults.%s %.0f\n", name, value);
-}
-
 int
 cmdReplay(const Options &opts)
 {
@@ -382,11 +353,7 @@ cmdReplay(const Options &opts)
         std::size_t(opts.getCountAtLeast("rounds", 1024, 1));
     const std::size_t distance = opts.getDistance(3);
     const double p = opts.getRate("error-rate", 1e-4);
-    const double fault_rate = opts.getRate("fault-rate", 0.0);
-    const std::uint64_t fault_seed =
-        opts.getCount("fault-seed", 0x5EEDFAB5);
     const bool verify_on_load = opts.has("verify-on-load");
-    const bool faults_report = opts.has("faults-report");
     opts.done();
 
     const isa::LogicalTrace trace = isa::LogicalTrace::loadBinary(path);
@@ -410,11 +377,6 @@ cmdReplay(const Options &opts)
     cfg.numMces = mces;
     cfg.mce = core::tileConfigForLogicalQubits(distance);
     cfg.mce.errorRates = quantum::ErrorRates{.idle = p, .meas = p};
-    // Classical fault model: a uniform per-site rate switches on the
-    // whole resilience stack (ARQ retries, scrubbing, watchdog,
-    // decode-deadline fallback).
-    if (fault_rate > 0.0)
-        cfg.faults = sim::FaultConfig::uniform(fault_rate, fault_seed);
 
     // Pre-flight: statically verify every tile's microcode, budget
     // and hazard properties before the system is built.
@@ -439,8 +401,6 @@ cmdReplay(const Options &opts)
                             isa::generateDistillationRound(0),
                             rounds);
     std::printf("%s\n", system.report().toString().c_str());
-    if (faults_report)
-        printFaultsReport(system.master());
     return 0;
 }
 
@@ -874,8 +834,7 @@ usage()
         "             [--seed S]\n"
         "  replay     --trace FILE [--mces N] [--rounds N]\n"
         "             [--distance D] [--error-rate P]\n"
-        "             [--fault-rate P] [--fault-seed S]\n"
-        "             [--faults-report] [--verify-on-load]\n"
+        "             [--verify-on-load]\n"
         "  simulate   [--distance D] [--error-rate P] [--trials N]\n"
         "             [--protocol S] [--seed S]\n"
         "             [--stream-window N [--stream-stride M]]\n"

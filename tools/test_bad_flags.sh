@@ -60,6 +60,11 @@ expect_error --error-rate simulate --error-rate 2
 expect_error --distance simulate --distance 4
 expect_error --trials simulate --trials -5
 expect_error --mces replay --mces 0
+# Replay flags of the removed classical fault model (DESIGN.md §8) are
+# refused, not silently ignored.
+expect_error --fault-rate replay --fault-rate 0.01
+expect_error --fault-seed replay --fault-seed 7
+expect_error --faults-report replay --faults-report
 expect_error --qubits trace-gen --qubits 1 --out /dev/null
 expect_error --trails simulate --trails 50
 expect_error --distnace simulate --distnace 7
